@@ -14,7 +14,7 @@ from pathlib import Path
 
 
 from . import data as datamod
-from . import harness, learned, metrics, toy
+from . import harness, kspace, learned, metrics, toy
 from .fista import FistaConfig, tune_lambda
 
 
@@ -71,7 +71,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_acceleration(args) -> None:
+    if not args.acceleration >= 1:
+        raise ValidationError(f"--acceleration must be >= 1, got {args.acceleration!r}")
+
+
 def cmd_eval(args) -> int:
+    _check_acceleration(args)
     ck = learned.Checkpoint.load(args.checkpoint)
     dataset = datamod.load(args.dataset)
     mask_seed = args.seed if args.seed is not None else 0
@@ -90,6 +96,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tune_lambda(args) -> int:
+    _check_acceleration(args)
     dataset = datamod.load(args.dataset)
     try:
         grid = [float(v) for v in args.grid.split(",") if v]
@@ -99,7 +106,7 @@ def cmd_tune_lambda(args) -> int:
         raise ValidationError("--grid is empty")
     seed = args.seed if args.seed is not None else 0
     best, table = tune_lambda(dataset, grid, FistaConfig(), acceleration=args.acceleration,
-                              seed=seed, threads=max(1, args.threads))
+                              seed=seed)
     lines = ["lambda,mean_ssim,n_items"]
     for lam in grid:
         lines.append(f"{lam!r},{table[lam]!r},{len(dataset.items)}")
@@ -201,9 +208,6 @@ def _global_flags(p, suppress=False):
     kw = {"default": argparse.SUPPRESS} if suppress else {"default": None}
     p.add_argument("--seed", type=int, help="override experiment seed", **kw)
     p.add_argument("--out", help="output directory", **kw)
-    kw_t = {"default": argparse.SUPPRESS} if suppress else {"default": 1}
-    p.add_argument("--threads", type=int,
-                   help="worker cap for parallel evaluation (advisory)", **kw_t)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +278,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, harness.ConfigError, datamod.DatasetFormatError) as e:
+    except (ValidationError, harness.ConfigError, datamod.DatasetFormatError,
+            kspace.InfeasibleMaskError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

@@ -358,11 +358,28 @@ def add_lesions(dataset: Dataset, seed: int, size_class: str = "small",
 # ---------------------------------------------------------------------------
 
 
+EVAL_NOISE_TAG = 0xE7A2  # noise stream of per-volume evaluation measurements
+
+
 def simulate_measurements(item: Item, mask: kspace.SamplingMask, noise_seed: int) -> np.ndarray:
     """Undersampled noisy k-space for an item at its distribution's SNR."""
-    sigma = kspace.sigma_for_snr(item.image, item.sens, mask, item.snr_db)
-    return kspace.apply_forward(item.image, item.sens, mask,
-                                kspace.NoiseModel(sigma, noise_seed))
+    clean = kspace.apply_forward(item.image, item.sens, mask)
+    sigma = kspace.sigma_for_snr(clean, mask, item.snr_db)
+    return kspace.add_noise(clean, mask, kspace.NoiseModel(sigma, noise_seed))
+
+
+def measure(item: Item, index: int, seed: int, acceleration: float,
+            center_fraction: float, noise_tag: int):
+    """Evaluation measurement of the `index`-th volume of a set.
+
+    The mask is the per-volume evaluation mask and the noise seed is drawn
+    from (seed, noise_tag, index). Returns (k-space, mask, RSS target).
+    """
+    mask = kspace.mask_for_volume(item.image.shape[1], acceleration, center_fraction,
+                                  seed, index)
+    noise_seed = int(kspace.rng_from(seed, noise_tag, index).integers(2**31))
+    y = simulate_measurements(item, mask, noise_seed)
+    return y, mask, kspace.ground_truth_rss(item.image, item.sens)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ monotone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import data as datamod
 from . import kspace
 from .metrics import SsimConfig, ssim
 
@@ -170,49 +171,27 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
 
 def tune_lambda(dataset, grid, config: FistaConfig = FistaConfig(),
                 acceleration: float = 4.0, center_fraction: float = 0.08,
-                seed: int = 0, ssim_config: SsimConfig | None = None,
-                threads: int = 1):
+                seed: int = 0, ssim_config: SsimConfig | None = None):
     """Reconstruct every item at every lambda; return (best lambda, mean SSIM
     per lambda). Ties break toward the smaller lambda.
 
     Measurements are simulated per item with a fixed per-item mask and noise
-    at the item's distribution SNR, all derived from `seed`. With threads > 1
-    the (lambda, item) reconstructions run in a pool; the reduction stays
-    ordered, so results match the serial path exactly.
+    at the item's distribution SNR, all derived from `seed`.
     """
     grid = [float(g) for g in grid]
     items = list(getattr(dataset, "items", dataset))
     if not grid or not items:
         raise ValueError("empty grid or dataset")
-    measurements = []
-    for idx, item in enumerate(items):
-        mask = kspace.mask_for_volume(item.image.shape[1], acceleration, center_fraction,
-                                      seed, idx)
-        sigma = kspace.sigma_for_snr(item.image, item.sens, mask, item.snr_db)
-        noise = kspace.NoiseModel(sigma, seed=int(kspace.rng_from(seed, 0x10153, idx).integers(2**31)))
-        y = kspace.apply_forward(item.image, item.sens, mask, noise)
-        target = kspace.ground_truth_rss(item.image, item.sens)
-        measurements.append((y, item.sens, mask, target))
-
-    def score(lam, measurement):
-        y, sens, mask, target = measurement
-        cfg = FistaConfig(lam, config.max_iters, config.step_size,
-                          config.tolerance, config.wavelet_levels)
-        recon = np.abs(fista_l1(y, sens, mask, cfg).image)
-        sc = ssim_config or SsimConfig(data_range=float(target.max()))
-        return ssim(recon, target, sc)
-
-    jobs = [(lam, m) for lam in grid for m in measurements]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(lambda j: score(*j), jobs))
-    else:
-        scores = [score(*j) for j in jobs]
+    measured = [datamod.measure(item, idx, seed, acceleration, center_fraction, 0x10153)
+                for idx, item in enumerate(items)]
     mean_ssims = []
-    for gi in range(len(grid)):
-        vals = scores[gi * len(measurements) : (gi + 1) * len(measurements)]
+    for lam in grid:
+        cfg = replace(config, lam=lam)
+        vals = []
+        for item, (y, mask, target) in zip(items, measured):
+            recon = np.abs(fista_l1(y, item.sens, mask, cfg).image)
+            sc = ssim_config or SsimConfig(data_range=float(target.max()))
+            vals.append(ssim(recon, target, sc))
         mean_ssims.append(float(np.mean(vals)))
     best_idx = 0
     for i in range(1, len(grid)):

@@ -319,10 +319,12 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
     fit = metrics.effective_robustness_fit(baseline_pts, union_pts + both_pts)
 
     records = []
-    tests = {"ID(P_best)-test": id_test, "Q-test": target_test}
-    for mid, cks in (("P_best", specialists[best_idx]), ("P-union", union_cks), ("P+Q", both_cks)):
-        for ck in cks[1:]:
-            records.extend(_eval_records(cfg, mid, mid, ck, tests, cfg.seed))
+    for mid, cks, pts in (("P_best", specialists[best_idx], baseline_pts),
+                          ("P-union", union_cks, union_pts), ("P+Q", both_cks, both_pts)):
+        for ck, (idv, oodv) in zip(cks[1:], pts):
+            records.append(EvalRecord(mid, mid, ck.epoch, "ID(P_best)-test", "ssim", idv,
+                                      cfg.seed))
+            records.append(EvalRecord(mid, mid, ck.epoch, "Q-test", "ssim", oodv, cfg.seed))
 
     # train-set similarity to the target test set, per source and for the union
     sim_means = []
@@ -366,11 +368,9 @@ def _tpl_pathology(cfg: ExperimentConfig, outdir: Path):
                                      {"P-test": test_p}, cfg.seed))
         by_class = {"small": [], "large": []}
         for idx, item in enumerate(test_q.items):
-            mask = kspace.mask_for_volume(item.image.shape[1], cfg.train.acceleration,
-                                          cfg.train.center_fraction, cfg.seed, idx)
-            noise_seed = int(kspace.rng_from(cfg.seed, 0xE7A2, idx).integers(2**31))
-            y = datamod.simulate_measurements(item, mask, noise_seed)
-            target = kspace.ground_truth_rss(item.image, item.sens)
+            y, mask, target = datamod.measure(item, idx, cfg.seed, cfg.train.acceleration,
+                                              cfg.train.center_fraction,
+                                              datamod.EVAL_NOISE_TAG)
             recon = learned.infer(ck, y, item.sens, mask)
             sc = metrics.SsimConfig(data_range=float(target.max()) or 1.0)
             by_class[item.lesion.size_class].append(

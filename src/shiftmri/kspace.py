@@ -250,15 +250,15 @@ def add_noise(y: np.ndarray, mask: SamplingMask, noise: NoiseModel) -> np.ndarra
 NOISELESS_SNR_DB = 200.0
 
 
-def sigma_for_snr(x: np.ndarray, sens: np.ndarray, mask: SamplingMask, snr_db: float) -> float:
+def sigma_for_snr(clean: np.ndarray, mask: SamplingMask, snr_db: float) -> float:
     """Noise std giving the target SNR (dB) of sampled signal power vs noise power.
 
+    `clean` is the noiseless masked k-space, apply_forward(x, sens, mask).
     Targets at or above NOISELESS_SNR_DB are treated as exactly noiseless so
     that zero-noise contracts hold bit-exactly.
     """
     if snr_db >= NOISELESS_SNR_DB:
         return 0.0
-    clean = apply_forward(x, sens, mask)
     m = int(mask.sampled.sum()) * clean.shape[0] * clean.shape[1]
     if m == 0:
         return 0.0

@@ -587,11 +587,8 @@ def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
     vals = []
     fallback = False
     for idx, item in enumerate(dataset.items):
-        mask = kspace.mask_for_volume(item.image.shape[1], acceleration,
-                                      center_fraction, mask_seed, idx)
-        noise_seed = int(kspace.rng_from(mask_seed, 0xE7A2, idx).integers(2**31))
-        y = datamod.simulate_measurements(item, mask, noise_seed)
-        target = kspace.ground_truth_rss(item.image, item.sens)
+        y, mask, target = datamod.measure(item, idx, mask_seed, acceleration,
+                                          center_fraction, datamod.EVAL_NOISE_TAG)
         out = model.reconstruct(tensors, y, item.sens, mask).data
         if normalize:
             out, used_fallback = normalize_output(out, target)

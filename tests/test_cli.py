@@ -4,6 +4,7 @@ import pytest
 
 from shiftmri import cli
 from shiftmri import data as dm
+from shiftmri import learned
 
 
 def write_spec(tmp_path, **kw):
@@ -78,6 +79,26 @@ def test_tune_lambda_csv(tmp_path, capsys):
 def test_tune_lambda_bad_grid(tmp_path):
     data_dir = gen_dataset(tmp_path)
     assert cli.main(["tune-lambda", "--dataset", str(data_dir), "--grid", "a,b"]) == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "tune-lambda"])
+@pytest.mark.parametrize("acceleration", ["0.5", "40", "nan"])
+def test_acceleration_domain_is_validation_error(tmp_path, capsys, command, acceleration):
+    data_dir = gen_dataset(tmp_path, extents=[16, 16])
+    if command == "eval":
+        model = learned.ModelConfig.from_dict({"kind": "unet_lite", "channels": 4,
+                                               "pool_levels": 2, "seed": 0})
+        cks, _ = learned.train(model, dm.load(data_dir),
+                               learned.TrainConfig.from_dict({"epochs": 0}))
+        cks[0].save(tmp_path / "init.ckpt")
+        args = ["eval", "--checkpoint", str(tmp_path / "init.ckpt")]
+    else:
+        args = ["tune-lambda", "--grid", "1e-3"]
+    capsys.readouterr()
+    rc = cli.main(args + ["--dataset", str(data_dir), "--acceleration", acceleration])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_similarity_report_json(tmp_path, capsys):

@@ -59,6 +59,43 @@ def test_snr_calibration_within_1db(seed):
         assert abs(measured - snr) < 1.0
 
 
+def _two_forward_measurements(item, mask, noise_seed):
+    """Reference simulation that runs the noiseless forward once for the noise
+    level and again for the measurement."""
+    sigma = 0.0
+    if item.snr_db < kspace.NOISELESS_SNR_DB:
+        clean = kspace.apply_forward(item.image, item.sens, mask)
+        power = float(np.sum(np.abs(clean) ** 2)) / (mask.n_sampled * clean.shape[0]
+                                                     * clean.shape[1])
+        sigma = float(np.sqrt(power / 10.0 ** (item.snr_db / 10.0)))
+    return kspace.apply_forward(item.image, item.sens, mask,
+                                kspace.NoiseModel(sigma, noise_seed))
+
+
+@pytest.mark.parametrize("snr", [30.0, 200.0, 250.0])
+def test_simulate_measurements_bit_identical_to_two_forward_reference(snr):
+    items = dm.generate(spec(61, snr_db=snr), 3).items
+    for idx, item in enumerate(items):
+        for accel in (2, 4, 8):
+            mask = kspace.mask_for_volume(32, accel, 0.08, 5, idx)
+            got = dm.simulate_measurements(item, mask, 100 + idx)
+            want = _two_forward_measurements(item, mask, 100 + idx)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tag", [dm.EVAL_NOISE_TAG, 0x10153])
+def test_measure_matches_per_item_loop(tag):
+    items = dm.generate(spec(62), 4).items
+    for idx, item in enumerate(items):
+        y, mask, target = dm.measure(item, idx, 9, 4, 0.08, tag)
+        want_mask = kspace.mask_for_volume(32, 4, 0.08, 9, idx)
+        noise_seed = int(kspace.rng_from(9, tag, idx).integers(2**31))
+        want_y = _two_forward_measurements(item, want_mask, noise_seed)
+        assert mask.sampled.tobytes() == want_mask.sampled.tobytes()
+        assert y.tobytes() == want_y.tobytes()
+        assert target.tobytes() == kspace.ground_truth_rss(item.image, item.sens).tobytes()
+
+
 def test_contrast_transforms_monotone_and_validated():
     mag = np.linspace(0, 1, 64).reshape(8, 8)
     gamma = dm.apply_contrast(mag, {"kind": "gamma", "gamma": 2.0})

@@ -308,7 +308,7 @@ def test_finetune_ablation_matrix_includes_parent(tmp_path):
         assert {r.test_set for r in recs if r.model_id == m} == {"Q1-test", "Q2-test"}
 
 
-def test_diversity_template_fit_and_similarity(tmp_path):
+def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):
     cfg_d = _base_config(template="diversity_robustness", train_count=6, test_count=3)
     cfg_d["sources"] = [
         {"name": "P1", "extents": [32, 32], "coils": 3, "snr_db": 30, "seed": 31,
@@ -320,12 +320,37 @@ def test_diversity_template_fit_and_similarity(tmp_path):
                        "seed": 33}
     cfg_d["train"] = {"epochs": 2, "seed": 0}
     cfg = harness.ExperimentConfig.from_dict(cfg_d)
+    calls = []
+    evaluate_params = learned.evaluate_params
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evaluate_params(*args, **kwargs)
+
+    monkeypatch.setattr(learned, "evaluate_params", counting)
     harness.run_experiment(cfg, tmp_path)
+    monkeypatch.undo()
+    # one per source specialist, then one per (model, epoch, test set)
+    assert len(calls) == len(cfg.sources) + 2 * 3 * cfg.train.epochs
     fits = json.loads((tmp_path / "fits.json").read_text())
     assert "ood_vs_id" in fits
     details = json.loads((tmp_path / "details.json").read_text())
     assert len(details["similarity_means"]) == 2
     assert "union_final_effective_robustness" in details
+
+    # every record equals a fresh evaluation of its saved checkpoint
+    tests = {"ID(P_best)-test": dm.train_test(cfg.sources[details["best_source_index"]],
+                                              cfg.train_count, cfg.test_count)[1],
+             "Q-test": dm.train_test(cfg.target, cfg.train_count, cfg.test_count)[1]}
+    records = harness.parse_records_csv((tmp_path / "records.csv").read_text())
+    assert len(records) == 2 * 3 * cfg.train.epochs
+    for r in records:
+        ck_dir = tmp_path / "checkpoints" / r.model_id.replace("+", "u")
+        ck = learned.Checkpoint.load(ck_dir / f"epoch_{r.epoch:03d}.ckpt")
+        fresh, _, _ = learned.evaluate_checkpoint(ck, tests[r.test_set], cfg.seed,
+                                                  cfg.train.acceleration,
+                                                  cfg.train.center_fraction)
+        assert r.value == fresh, (r.model_id, r.epoch, r.test_set)
 
 
 def test_run_experiment_marks_failures(tmp_path):
