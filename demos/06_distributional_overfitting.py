@@ -32,7 +32,7 @@ print(f"  ood drop from peak:    {verdict.ood_drop_from_peak:.4f}")
 print(f"  overfitting detected:  {verdict.detected}")
 
 # The same rule applied to an actual (tiny) training run: the template trains
-# one model and monitors both test sets every epoch.
+# one model and scores both test sets with every epoch's checkpoint.
 config = {
     "template": "overfit_monitor",
     "seed": 0,

@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValidationError, harness.ConfigError, datamod.DatasetFormatError,
-            kspace.InfeasibleMaskError) as e:
+            learned.CheckpointFormatError, kspace.InfeasibleMaskError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

@@ -171,7 +171,7 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
 
 def tune_lambda(dataset, grid, config: FistaConfig = FistaConfig(),
                 acceleration: float = 4.0, center_fraction: float = 0.08,
-                seed: int = 0, ssim_config: SsimConfig | None = None):
+                seed: int = 0):
     """Reconstruct every item at every lambda; return (best lambda, mean SSIM
     per lambda). Ties break toward the smaller lambda.
 
@@ -190,8 +190,7 @@ def tune_lambda(dataset, grid, config: FistaConfig = FistaConfig(),
         vals = []
         for item, (y, mask, target) in zip(items, measured):
             recon = np.abs(fista_l1(y, item.sens, mask, cfg).image)
-            sc = ssim_config or SsimConfig(data_range=float(target.max()))
-            vals.append(ssim(recon, target, sc))
+            vals.append(ssim(recon, target, SsimConfig(data_range=float(target.max()))))
         mean_ssims.append(float(np.mean(vals)))
     best_idx = 0
     for i in range(1, len(grid)):

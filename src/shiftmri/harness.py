@@ -113,6 +113,12 @@ class ExperimentConfig:
     overfit_delta: float = 0.0
     raw: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the overfitting scan needs window + 1 epochs; fail before training
+        if self.template == "overfit_monitor" and self.train.epochs < self.overfit_window + 1:
+            raise ConfigError(f"overfit_monitor needs train.epochs >= overfit_window + 1 = "
+                              f"{self.overfit_window + 1}, got {self.train.epochs}")
+
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         try:
@@ -174,20 +180,24 @@ def _seeded(spec: datamod.DistributionSpec, seed: int) -> datamod.DistributionSp
     return replace(spec, seed=spec.seed + 1_000_003 * seed)
 
 
-def _train_model(cfg: ExperimentConfig, train_set, seed: int, monitors=None):
-    tc = replace(cfg.train, seed=seed)
+def _train_model(cfg: ExperimentConfig, train_set, seed: int, **train_overrides):
+    tc = replace(cfg.train, seed=seed, **train_overrides)
     mc = replace(cfg.model, seed=seed)
-    return learned.train(mc, train_set, tc, monitors=monitors)
+    return learned.train(mc, train_set, tc)
 
 
 def _eval_records(cfg: ExperimentConfig, model_id: str, sources: str,
                   checkpoint: learned.Checkpoint, test_sets: dict[str, datamod.Dataset],
-                  mask_seed: int, normalize: bool = False) -> list[EvalRecord]:
+                  mask_seed: int, normalize: bool = False,
+                  acceleration: float | None = None) -> list[EvalRecord]:
+    """One record per test set, at `acceleration` or else the training one."""
+    if acceleration is None:
+        acceleration = cfg.train.acceleration
     records = []
     for name, ds in test_sets.items():
         mean, _, fallback = learned.evaluate_checkpoint(
-            checkpoint, ds, mask_seed, cfg.train.acceleration,
-            cfg.train.center_fraction, normalize=normalize)
+            checkpoint, ds, mask_seed, acceleration, cfg.train.center_fraction,
+            normalize=normalize)
         flags = "normalize_fallback" if fallback else ("normalized" if normalize else "")
         records.append(EvalRecord(model_id, sources, checkpoint.epoch, name,
                                   "ssim", mean, mask_seed, flags))
@@ -307,8 +317,8 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
         source_sets, target_test, mc, tc, cfg.seed)
     id_test = source_tests[best_idx]
     union = datamod.combine(source_sets)
-    union_cks, _ = learned.train(mc, union, tc)
-    both_cks, _ = learned.train(mc, datamod.combine([union, target_train]), tc)
+    union_cks, _ = _train_model(cfg, union, cfg.seed)
+    both_cks, _ = _train_model(cfg, datamod.combine([union, target_train]), cfg.seed)
     _save_checkpoints(outdir, "P_best", specialists[best_idx])
     _save_checkpoints(outdir, "P-union", union_cks)
     _save_checkpoints(outdir, "P+Q", both_cks)
@@ -389,32 +399,18 @@ def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
     spec = _dist(cfg, "P")
     train_set, test_set = datamod.train_test(spec, cfg.train_count, cfg.test_count)
     accels = list(cfg.accelerations)
-    eval_accels = list(accels)
-    if cfg.unseen_acceleration is not None:
-        eval_accels.append(cfg.unseen_acceleration)
-    width = spec.extents[1]
-    records = []
-
-    def eval_at(model_id, sources, ck, r):
-        cf = kspace.feasible_center_fraction(width, r, cfg.train.center_fraction)
-        mean, _, _ = learned.evaluate_checkpoint(ck, test_set, cfg.seed, r, cf)
-        records.append(EvalRecord(model_id, sources, ck.epoch, f"P-test@R{r:g}",
-                                  "ssim", mean, cfg.seed))
-
-    for r in accels:
-        cf = kspace.feasible_center_fraction(width, r, cfg.train.center_fraction)
-        tc = replace(cfg.train, seed=cfg.seed, acceleration=r, center_fraction=cf)
-        cks, _ = learned.train(replace(cfg.model, seed=cfg.seed), train_set, tc)
-        _save_checkpoints(outdir, f"R{r:g}", cks)
-        eval_at(f"R{r:g}", train_set.name, cks[-1], r)
-        if cfg.unseen_acceleration is not None:
-            eval_at(f"R{r:g}", train_set.name, cks[-1], cfg.unseen_acceleration)
+    unseen = [] if cfg.unseen_acceleration is None else [cfg.unseen_acceleration]
+    models = [(f"R{r:g}", {"acceleration": r}, [r]) for r in accels]
     if len(accels) > 1:
-        tc = replace(cfg.train, seed=cfg.seed, accelerations=tuple(accels))
-        cks, _ = learned.train(replace(cfg.model, seed=cfg.seed), train_set, tc)
-        _save_checkpoints(outdir, "R-all", cks)
-        for r in eval_accels:
-            eval_at("R-all", train_set.name, cks[-1], r)
+        models.append(("R-all", {"accelerations": tuple(accels)}, accels))
+    records = []
+    for model_id, overrides, trained_at in models:
+        cks, _ = _train_model(cfg, train_set, cfg.seed, **overrides)
+        _save_checkpoints(outdir, model_id, cks)
+        for r in trained_at + unseen:
+            records.extend(_eval_records(cfg, model_id, train_set.name, cks[-1],
+                                         {f"P-test@R{r:g}": test_set}, cfg.seed,
+                                         acceleration=r))
     return records, {}, {"accelerations": accels}
 
 
@@ -437,19 +433,19 @@ def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
     p_spec, q_spec = _dist(cfg, "P"), _dist(cfg, "Q")
     train_p, test_p = datamod.train_test(p_spec, cfg.train_count, cfg.test_count)
     _, test_q = datamod.train_test(q_spec, cfg.train_count, cfg.test_count)
-    monitors = [("id", test_p), ("ood", test_q)]
-    cks, traces = _train_model(cfg, train_p, cfg.seed, monitors=monitors)
+    cks, _ = _train_model(cfg, train_p, cfg.seed)
     _save_checkpoints(outdir, "P", cks)
+    id_trace, ood_trace = zip(*_per_epoch_points(cfg, cks, test_p, test_q, cfg.seed))
     verdict = detect_distributional_overfitting(
-        traces["id"], traces["ood"], cfg.overfit_window, cfg.overfit_eps, cfg.overfit_delta)
+        id_trace, ood_trace, cfg.overfit_window, cfg.overfit_eps, cfg.overfit_delta)
     records = []
-    for epoch, (idv, oodv) in enumerate(zip(traces["id"], traces["ood"]), start=1):
+    for epoch, (idv, oodv) in enumerate(zip(id_trace, ood_trace), start=1):
         records.append(EvalRecord("P", train_p.name, epoch, "P-test", "ssim", idv, cfg.seed))
         records.append(EvalRecord("P", train_p.name, epoch, "Q-test", "ssim", oodv, cfg.seed))
     details = {
         "verdict": verdict.to_dict(),
-        "id_trace": [float(v) for v in traces["id"]],
-        "ood_trace": [float(v) for v in traces["ood"]],
+        "id_trace": list(id_trace),
+        "ood_trace": list(ood_trace),
         "thresholds": {"window": cfg.overfit_window, "eps": cfg.overfit_eps,
                        "delta": cfg.overfit_delta},
     }

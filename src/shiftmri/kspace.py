@@ -125,9 +125,10 @@ def feasible_center_fraction(width: int, acceleration: float, center_fraction: f
     """Largest of center_fraction / 2^k that leaves room for equispaced lines.
 
     High accelerations cannot keep the full 8% center band; halving mirrors
-    the convention of pairing higher acceleration with a smaller band.
+    the convention of pairing higher acceleration with a smaller band. Values
+    make_equispaced_mask rejects pass through unchanged for it to reject.
     """
-    if acceleration == 1:
+    if not (acceleration > 1 and 0 < center_fraction < 1):
         return center_fraction
     cf = center_fraction
     target = _round_half_up(width / acceleration)
@@ -138,16 +139,18 @@ def feasible_center_fraction(width: int, acceleration: float, center_fraction: f
 
 def mask_for_batch(width: int, acceleration: float, center_fraction: float,
                    seed: int, batch_index: int) -> SamplingMask:
-    """Training policy: a fresh mask per mini-batch, derived from (seed, batch)."""
-    return make_equispaced_mask(width, acceleration, center_fraction,
-                                rng_from(seed, 0x6BA7C4, batch_index))
+    """Training policy: a fresh mask per mini-batch, derived from (seed, batch),
+    with the center band halved as feasible_center_fraction requires."""
+    cf = feasible_center_fraction(width, acceleration, center_fraction)
+    return make_equispaced_mask(width, acceleration, cf, rng_from(seed, 0x6BA7C4, batch_index))
 
 
 def mask_for_volume(width: int, acceleration: float, center_fraction: float,
                     seed: int, volume_index: int) -> SamplingMask:
-    """Evaluation policy: one mask per volume, reused for all its slices."""
-    return make_equispaced_mask(width, acceleration, center_fraction,
-                                rng_from(seed, 0xE7A1, volume_index))
+    """Evaluation policy: one mask per volume, reused for all its slices, with
+    the center band halved by the same rule as mask_for_batch."""
+    cf = feasible_center_fraction(width, acceleration, center_fraction)
+    return make_equispaced_mask(width, acceleration, cf, rng_from(seed, 0xE7A1, volume_index))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +215,7 @@ def _check_extents(x, sens, mask):
         raise ValueError(f"mask width {mask.width} != k-space width {w}")
 
 
-def apply_forward(x: np.ndarray, sens: np.ndarray, mask: SamplingMask,
-                  noise: NoiseModel = NoiseModel()) -> np.ndarray:
+def apply_forward(x: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.ndarray:
     """Masked per-coil k-space of the image; unsampled columns are exactly zero."""
     x = np.asarray(x, dtype=np.complex128)
     _check_extents(x, sens, mask)
@@ -221,8 +223,6 @@ def apply_forward(x: np.ndarray, sens: np.ndarray, mask: SamplingMask,
     for i in range(sens.shape[0]):
         y[i] = fft2c(sens[i] * x)
     y *= mask.sampled[None, None, :]
-    if noise.sigma > 0:
-        y = add_noise(y, mask, noise)
     return y
 
 

@@ -77,8 +77,6 @@ class TrainConfig:
     acceleration: float = 4.0
     center_fraction: float = 0.08
     accelerations: tuple[float, ...] | None = None  # per-batch sampling when set
-    mask_policy: str = "fresh-per-batch"
-    eval_mask_policy: str = "fixed-per-volume"
     seed: int = 0
 
     def __post_init__(self):
@@ -92,17 +90,12 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size >= 1 and epochs >= 0 required")
-        if self.mask_policy != "fresh-per-batch":
-            raise ValueError("training always samples a fresh mask per mini-batch")
-        if self.eval_mask_policy != "fixed-per-volume":
-            raise ValueError("evaluation always fixes one mask per volume")
 
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in (
             "epochs", "batch_size", "optimizer", "beta1", "beta2", "momentum",
             "lr_max", "lr_min", "warmup_fraction", "clip_norm", "loss",
-            "acceleration", "center_fraction", "mask_policy", "eval_mask_policy",
-            "seed")}
+            "acceleration", "center_fraction", "seed")}
         if self.accelerations is not None:
             d["accelerations"] = list(self.accelerations)
         return d
@@ -332,6 +325,10 @@ def parameter_count(config: ModelConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class CheckpointFormatError(ValueError):
+    """Raised for bytes that are not one complete, well-formed checkpoint."""
+
+
 @dataclass
 class Checkpoint:
     config: ModelConfig
@@ -363,27 +360,33 @@ class Checkpoint:
 
     @staticmethod
     def from_bytes(raw: bytes) -> "Checkpoint":
+        if len(raw) < 16:
+            raise CheckpointFormatError(
+                f"truncated checkpoint: {len(raw)} bytes, shorter than the 16-byte preamble")
         if raw[:4] != MAGIC:
-            raise ValueError("bad checkpoint magic")
-        version = struct.unpack("<I", raw[4:8])[0]
+            raise CheckpointFormatError("bad checkpoint magic")
+        version, hlen = struct.unpack("<IQ", raw[4:16])
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        hlen = struct.unpack("<Q", raw[8:16])[0]
-        header = json.loads(raw[16 : 16 + hlen])
-        config = ModelConfig.from_dict(header["model"])
+            raise CheckpointFormatError(f"unsupported checkpoint version {version}")
+        try:
+            header = json.loads(raw[16 : 16 + hlen])
+            config = ModelConfig.from_dict(header["model"])
+            fields = (header["epoch"], header["fingerprint"], header["rng_state"],
+                      tuple(header["train_extents"]), header.get("provenance", []))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise CheckpointFormatError(f"undecodable checkpoint header: {e}") from e
         shapes = construct_model(config).param_shapes
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        expected = 16 + hlen + 8 * sum(sizes)
+        if len(raw) != expected:
+            kind = "truncated checkpoint" if len(raw) < expected else "trailing bytes in checkpoint"
+            raise CheckpointFormatError(f"{kind}: {len(raw)} bytes, expected {expected}")
         params = []
         off = 16 + hlen
-        for shape in shapes:
-            n = int(np.prod(shape)) if shape else 1
-            chunk = raw[off : off + 8 * n]
-            if len(chunk) != 8 * n:
-                raise ValueError("truncated checkpoint payload")
-            params.append(np.frombuffer(chunk, dtype="<f8").reshape(shape).copy())
+        for shape, n in zip(shapes, sizes):
+            params.append(np.frombuffer(raw, "<f8", n, off).reshape(shape).copy())
             off += 8 * n
-        return Checkpoint(config, params, header["epoch"], header["fingerprint"],
-                          header["rng_state"], tuple(header["train_extents"]),
-                          header.get("provenance", []))
+        return Checkpoint(config, params, *fields)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())
@@ -447,14 +450,13 @@ def _loss_node(out: ad.Tensor, target: np.ndarray, kind: str) -> ad.Tensor:
 
 
 def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainConfig,
-          monitors: list[tuple[str, datamod.Dataset]] | None = None,
           init_params: list[np.ndarray] | None = None,
           provenance: list[str] | None = None):
     """Train on simulated measurements with a fresh mask per mini-batch.
 
-    Returns (checkpoints, traces): one checkpoint per epoch (index 0 is the
-    initialization) and per-epoch mean-SSIM traces for every monitor set,
-    evaluated under fixed per-volume masks.
+    Returns (checkpoints, {"train_loss": per-epoch mean loss}): one checkpoint
+    per epoch, index 0 being the initialization. Per-epoch test scores come
+    from evaluating the checkpoints.
     """
     if not train_set.items:
         raise ValueError("empty training set")
@@ -463,7 +465,6 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
     for p, s in zip(params, model.param_shapes):
         if p.shape != tuple(s):
             raise ValueError(f"parameter shape {p.shape} does not match config {s}")
-    monitors = monitors or []
     fingerprint = datamod.content_hash(train_set)
     extents = train_set.items[0].image.shape
     opt = _Optimizer(config, model.param_shapes)
@@ -477,7 +478,6 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
                           extents, list(provenance or []))
 
     checkpoints = [snapshot(0)]
-    traces: dict[str, list[float]] = {name: [] for name, _ in monitors}
     loss_trace: list[float] = []
     step = 0
     for epoch in range(config.epochs):
@@ -492,8 +492,8 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
                 accel = config.accelerations[pick]
             else:
                 accel = config.acceleration
-            cf = kspace.feasible_center_fraction(extents[1], accel, config.center_fraction)
-            mask = kspace.mask_for_batch(extents[1], accel, cf, config.seed, step)
+            mask = kspace.mask_for_batch(extents[1], accel, config.center_fraction,
+                                         config.seed, step)
             with ad.Tape() as tape:
                 leaves = [tape.leaf(p) for p in params]
                 loss = None
@@ -519,24 +519,17 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
             epoch_losses.append(float(loss.data))
         loss_trace.append(float(np.mean(epoch_losses)))
         checkpoints.append(snapshot(epoch + 1))
-        for name, mon_set in monitors:
-            traces[name].append(evaluate_params(model_config, params, mon_set,
-                                                mask_seed=config.seed,
-                                                acceleration=config.acceleration,
-                                                center_fraction=config.center_fraction)[0])
-    traces["train_loss"] = loss_trace
-    return checkpoints, traces
+    return checkpoints, {"train_loss": loss_trace}
 
 
-def finetune(checkpoint: Checkpoint, new_set: datamod.Dataset, config: TrainConfig,
-             monitors=None):
+def finetune(checkpoint: Checkpoint, new_set: datamod.Dataset, config: TrainConfig):
     """Continue training from a checkpoint on a new dataset."""
     model = construct_model(checkpoint.config)
     for p, s in zip(checkpoint.params, model.param_shapes):
         if p.shape != tuple(s):
             raise ValueError("checkpoint parameters do not match its config")
     chain = checkpoint.provenance + [checkpoint.fingerprint]
-    return train(checkpoint.config, new_set, config, monitors,
+    return train(checkpoint.config, new_set, config,
                  init_params=checkpoint.params, provenance=chain)
 
 

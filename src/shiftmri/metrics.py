@@ -159,9 +159,7 @@ def normalize_output(recon: np.ndarray, target: np.ndarray) -> NormalizedOutput:
     target = np.asarray(target, dtype=np.float64)
     mt, mr = float(np.mean(target)), float(np.mean(recon))
     st, sr = float(np.std(target)), float(np.std(recon))
-    if st == 0.0:
-        return NormalizedOutput(recon - mr + mt, True)
-    if sr == 0.0:
+    if st == 0.0 or sr == 0.0:
         return NormalizedOutput(recon - mr + mt, True)
     return NormalizedOutput((recon - mr) * (st / sr) + mt, False)
 

@@ -25,6 +25,15 @@ def gen_dataset(tmp_path, count=2, **kw):
     return out
 
 
+def _init_checkpoint(tmp_path, data_dir):
+    model = learned.ModelConfig.from_dict({"kind": "unet_lite", "channels": 4,
+                                           "pool_levels": 2, "seed": 0})
+    cks, _ = learned.train(model, dm.load(data_dir), learned.TrainConfig.from_dict({"epochs": 0}))
+    path = tmp_path / "init.ckpt"
+    cks[0].save(path)
+    return path
+
+
 def test_gen_data_roundtrip(tmp_path):
     out = gen_dataset(tmp_path, count=3)
     ds = dm.load(out)
@@ -86,12 +95,7 @@ def test_tune_lambda_bad_grid(tmp_path):
 def test_acceleration_domain_is_validation_error(tmp_path, capsys, command, acceleration):
     data_dir = gen_dataset(tmp_path, extents=[16, 16])
     if command == "eval":
-        model = learned.ModelConfig.from_dict({"kind": "unet_lite", "channels": 4,
-                                               "pool_levels": 2, "seed": 0})
-        cks, _ = learned.train(model, dm.load(data_dir),
-                               learned.TrainConfig.from_dict({"epochs": 0}))
-        cks[0].save(tmp_path / "init.ckpt")
-        args = ["eval", "--checkpoint", str(tmp_path / "init.ckpt")]
+        args = ["eval", "--checkpoint", str(_init_checkpoint(tmp_path, data_dir))]
     else:
         args = ["tune-lambda", "--grid", "1e-3"]
     capsys.readouterr()
@@ -193,3 +197,46 @@ def test_corrupt_dataset_is_validation_error(tmp_path):
     (data_dir / "data.bin").write_bytes(bytes(blob))
     rc = cli.main(["tune-lambda", "--dataset", str(data_dir), "--grid", "1e-3"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("damage", ["append", "cut-header", "cut-payload"])
+def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, damage):
+    data_dir = gen_dataset(tmp_path)
+    path = _init_checkpoint(tmp_path, data_dir)
+    raw = path.read_bytes()
+    path.write_bytes({"append": raw + b"\0" * 8, "cut-header": raw[:30],
+                      "cut-payload": raw[:-8]}[damage])
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(path), "--dataset", str(data_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["eval", "tune-lambda"])
+def test_acceleration_needing_halved_center_band_succeeds(tmp_path, capsys, command):
+    # R 12 on 32 columns: the 8% band fills the whole budget until halved
+    data_dir = gen_dataset(tmp_path)
+    if command == "eval":
+        args = ["eval", "--checkpoint", str(_init_checkpoint(tmp_path, data_dir))]
+    else:
+        args = ["tune-lambda", "--grid", "1e-3"]
+    assert cli.main(args + ["--dataset", str(data_dir), "--acceleration", "12"]) == 0
+
+
+def test_run_short_overfit_monitor_exits_before_training(tmp_path, capsys):
+    config = {
+        "template": "overfit_monitor", "seed": 0, "overfit_window": 3,
+        "train_count": 2, "test_count": 1,
+        "model": {"kind": "unet_lite", "channels": 4, "pool_levels": 2, "seed": 0},
+        "train": {"epochs": 3, "seed": 0},
+        "distributions": {
+            "P": {"name": "P", "extents": [32, 32], "coils": 2, "snr_db": 30, "seed": 1},
+            "Q": {"name": "Q", "extents": [32, 32], "coils": 2, "snr_db": 30, "seed": 2}},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = cli.main(["--out", str(tmp_path / "o"), "run", "--config", str(cfg_path)])
+    assert rc == 2
+    assert "overfit_window" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

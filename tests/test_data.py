@@ -68,8 +68,8 @@ def _two_forward_measurements(item, mask, noise_seed):
         power = float(np.sum(np.abs(clean) ** 2)) / (mask.n_sampled * clean.shape[0]
                                                      * clean.shape[1])
         sigma = float(np.sqrt(power / 10.0 ** (item.snr_db / 10.0)))
-    return kspace.apply_forward(item.image, item.sens, mask,
-                                kspace.NoiseModel(sigma, noise_seed))
+    return kspace.add_noise(kspace.apply_forward(item.image, item.sens, mask), mask,
+                            kspace.NoiseModel(sigma, noise_seed))
 
 
 @pytest.mark.parametrize("snr", [30.0, 200.0, 250.0])

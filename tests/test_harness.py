@@ -267,6 +267,35 @@ def test_overfit_monitor_template(tmp_path):
     assert (verdict["peak_epoch"], verdict["stop_epoch"]) == scan[:2]
 
 
+def _saved_checkpoint(outdir, model_id, epoch):
+    ck_dir = outdir / "checkpoints" / model_id.replace("+", "u")
+    return learned.Checkpoint.load(ck_dir / f"epoch_{epoch:03d}.ckpt")
+
+
+def test_overfit_monitor_traces_equal_fresh_evaluations(tmp_path):
+    cfg = harness.ExperimentConfig.from_dict(
+        _base_config(template="overfit_monitor", train={"epochs": 4, "seed": 0}))
+    harness.run_experiment(cfg, tmp_path)
+    details = json.loads((tmp_path / "details.json").read_text())
+    tests = {"id_trace": dm.train_test(cfg.distributions["P"], 4, 2)[1],
+             "ood_trace": dm.train_test(cfg.distributions["Q"], 4, 2)[1]}
+    for key, test_set in tests.items():
+        fresh = [learned.evaluate_checkpoint(_saved_checkpoint(tmp_path, "P", epoch),
+                                             test_set, cfg.seed, cfg.train.acceleration,
+                                             cfg.train.center_fraction)[0]
+                 for epoch in range(1, cfg.train.epochs + 1)]
+        assert details[key] == fresh, key
+
+
+def test_overfit_monitor_rejects_short_config_before_training():
+    cfg_d = _base_config(template="overfit_monitor", train={"epochs": 3, "seed": 0},
+                         overfit_window=3)
+    with pytest.raises(harness.ConfigError, match="overfit_window"):
+        harness.ExperimentConfig.from_dict(cfg_d)
+    cfg_d["train"]["epochs"] = 4
+    assert harness.ExperimentConfig.from_dict(cfg_d).train.epochs == 4
+
+
 def test_pathology_template_region_metrics(tmp_path):
     cfg_d = _base_config(template="pathology", train_count=4, test_count=4)
     cfg_d["distributions"] = {
@@ -288,6 +317,24 @@ def test_coil_shift_template_normalizes(tmp_path):
     harness.run_experiment(cfg, tmp_path)
     recs = harness.parse_records_csv((tmp_path / "records.csv").read_text())
     assert all(r.flags in ("normalized", "normalize_fallback") for r in recs)
+
+
+def test_coil_shift_at_halved_center_band_matches_fresh_evaluations(tmp_path):
+    # R 12 on 32 columns leaves round(32/12) = 3 columns, no more than the
+    # 8% band's 3 ACS columns; both mask policies halve the band to fit
+    cfg_d = _base_config(template="coil_shift", train={"epochs": 1, "seed": 0,
+                                                      "acceleration": 12})
+    cfg = harness.ExperimentConfig.from_dict(cfg_d)
+    harness.run_experiment(cfg, tmp_path)
+    tests = {"P-test": dm.train_test(cfg.distributions["P"], 4, 2)[1],
+             "Q-test": dm.train_test(cfg.distributions["Q"], 4, 2)[1]}
+    recs = harness.parse_records_csv((tmp_path / "records.csv").read_text())
+    assert len(recs) == 3 * 2
+    for r in recs:
+        fresh, _, _ = learned.evaluate_checkpoint(
+            _saved_checkpoint(tmp_path, r.model_id, r.epoch), tests[r.test_set], cfg.seed,
+            12, cfg.train.center_fraction, normalize=True)
+        assert r.value == fresh, (r.model_id, r.test_set)
 
 
 def test_finetune_ablation_matrix_includes_parent(tmp_path):
@@ -345,8 +392,7 @@ def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):
     records = harness.parse_records_csv((tmp_path / "records.csv").read_text())
     assert len(records) == 2 * 3 * cfg.train.epochs
     for r in records:
-        ck_dir = tmp_path / "checkpoints" / r.model_id.replace("+", "u")
-        ck = learned.Checkpoint.load(ck_dir / f"epoch_{r.epoch:03d}.ckpt")
+        ck = _saved_checkpoint(tmp_path, r.model_id, r.epoch)
         fresh, _, _ = learned.evaluate_checkpoint(ck, tests[r.test_set], cfg.seed,
                                                   cfg.train.acceleration,
                                                   cfg.train.center_fraction)

@@ -97,6 +97,14 @@ def test_feasible_center_fraction_halves_until_room():
     assert cf < 0.08
     mask = kspace.make_equispaced_mask(64, 16, cf)
     assert abs(mask.n_sampled - 4) <= 1
+    # both mask policies apply the halving; out-of-domain input still fails
+    for policy in (kspace.mask_for_batch, kspace.mask_for_volume):
+        mask = policy(32, 12, 0.08, 0, 1)
+        assert (mask.center_fraction, mask.acs_count, mask.n_sampled) == (0.04, 1, 3)
+        with pytest.raises(ValueError, match="center_fraction"):
+            policy(32, 12, 1.5, 0, 1)
+        with pytest.raises(kspace.InfeasibleMaskError):
+            policy(16, 40, 0.08, 0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -133,12 +133,22 @@ def test_train_reproducible_bitwise():
         assert a.to_bytes() == b.to_bytes()
 
 
+def _epoch_trace(checkpoints, dataset, config):
+    """Per-epoch mean SSIM of trained checkpoints under fixed per-volume masks."""
+    return [learned.evaluate_checkpoint(ck, dataset, config.seed, config.acceleration,
+                                        config.center_fraction)[0]
+            for ck in checkpoints[1:]]
+
+
 def test_train_monitor_traces_fixed_masks():
     ds = small_dataset(seed=4, count=4)
     mon = small_dataset(seed=5, count=3)
-    _, traces = learned.train(UNET, ds, learned.TrainConfig(epochs=2, seed=0),
-                              monitors=[("val", mon)])
-    assert len(traces["val"]) == 2
+    cfg = learned.TrainConfig(epochs=2, seed=0)
+    cks, traces = learned.train(UNET, ds, cfg)
+    assert set(traces) == {"train_loss"}
+    trace = _epoch_trace(cks, mon, cfg)
+    assert len(trace) == 2
+    assert _epoch_trace(cks, mon, cfg) == trace  # fixed masks: rescoring repeats
 
 
 def test_varnet_training_never_degrades_at_full_sampling():
@@ -170,6 +180,34 @@ def test_checkpoint_roundtrip(tmp_path):
         learned.Checkpoint.from_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError, match="truncated"):
         learned.Checkpoint.from_bytes(raw[: len(raw) - 8])
+
+
+def _header_boundaries(raw):
+    """Offsets where a checkpoint field starts or ends: magic, version and
+    header length, every key and value of the JSON header, then the payload."""
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = raw[16 : 16 + hlen]
+    inner = [16 + i for i, ch in enumerate(header) if ch in b'{}[],:"']
+    return sorted({0, 4, 8, 16, *inner, 16 + hlen})
+
+
+def test_checkpoint_rejects_trailing_and_truncated_bytes():
+    ds = small_dataset(seed=6)
+    cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=0, seed=0))
+    raw = cks[0].to_bytes()
+    for junk in (b"\0", b"\0" * 8, raw[:16]):
+        with pytest.raises(learned.CheckpointFormatError, match="trailing"):
+            learned.Checkpoint.from_bytes(raw + junk)
+    cuts = _header_boundaries(raw)
+    assert len(cuts) > 20
+    for cut in cuts + [len(raw) - 8, len(raw) - 1]:
+        with pytest.raises(learned.CheckpointFormatError):
+            learned.Checkpoint.from_bytes(raw[:cut])
+    for bad in (raw[:16] + b"\xff" + raw[17:], raw.replace(b'"epoch"', b'"epoc_"')):
+        with pytest.raises(learned.CheckpointFormatError, match="header"):
+            learned.Checkpoint.from_bytes(bad)
+    loaded = learned.Checkpoint.from_bytes(raw)
+    assert loaded.to_bytes() == raw
 
 
 def test_infer_deterministic():
@@ -233,8 +271,9 @@ def test_finetune_tiny_lr_traces_flat():
     ds = small_dataset(seed=13, count=4)
     cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0))
     cfg = learned.TrainConfig(epochs=2, seed=0, lr_max=1e-12, lr_min=1e-13)
-    _, traces = learned.finetune(cks[-1], ds, cfg, monitors=[("m", ds)])
-    vals = traces["m"]
+    f_cks, _ = learned.finetune(cks[-1], ds, cfg)
+    vals = _epoch_trace(f_cks, ds, cfg)
+    assert len(vals) == 2
     assert max(vals) - min(vals) < 1e-6
 
 
