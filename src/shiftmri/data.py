@@ -290,6 +290,12 @@ def skew(d_large: Dataset, factor: float, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
+def small_lesion_fits(h: int, w: int, min_side: int = 7) -> bool:
+    """Whether a min_side x min_side box stays within the small class's 1% of
+    an h x w image (h * w >= 4900 at the default min_side of 7)."""
+    return min_side * min_side <= 0.01 * h * w
+
+
 def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str = "small",
                   amplitude: float = 0.4, min_side: int = 4):
     """Add a smooth elliptical intensity anomaly inside an annotated box.
@@ -302,7 +308,7 @@ def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str =
     h, w = image.shape
     if size_class == "small":
         max_area = 0.01 * h * w
-        if min_side * min_side > max_area:
+        if not small_lesion_fits(h, w, min_side):
             raise ValueError(f"image {h}x{w} too small for a small-class lesion")
         bh = int(rng.integers(min_side, int(np.sqrt(max_area)) + 1))
         bw_hi = max(min_side, int(max_area / bh))
@@ -425,30 +431,54 @@ def save(dataset: Dataset, path: str | Path) -> None:
     (path / "data.bin").write_bytes(bytes(blob))
 
 
+def _load_item(rec: dict, blob: bytes) -> Item:
+    h, w, c = rec["height"], rec["width"], rec["coils"]
+    offset, nbytes = rec["offset"], rec["nbytes"]
+    if not all(type(v) is int and v > 0 for v in (h, w, c, nbytes)):
+        raise DatasetFormatError(f"item {rec['index']}: height, width, coils and nbytes "
+                                 f"must be positive integers")
+    if nbytes != (1 + c) * h * w * 16:
+        raise DatasetFormatError(f"item {rec['index']}: nbytes {nbytes} != (1 + coils) * "
+                                 f"height * width * 16 = {(1 + c) * h * w * 16}")
+    if type(offset) is not int or offset < 0:
+        raise DatasetFormatError(f"item {rec['index']}: offset {offset!r} is not a "
+                                 f"non-negative integer")
+    end = offset + nbytes
+    if end > len(blob):
+        raise TruncatedPayloadError(f"item {rec['index']} extends past end of blob")
+    payload = blob[offset:end]
+    if hashlib.sha256(payload).hexdigest() != rec["sha256"]:
+        raise ChecksumError(f"checksum mismatch for item {rec['index']}")
+    img_bytes = h * w * 16
+    image = np.frombuffer(payload[:img_bytes], dtype="<c16").reshape(h, w).copy()
+    sens = np.frombuffer(payload[img_bytes:], dtype="<c16").reshape(c, h, w).copy()
+    lesion = LesionAnnotation(**rec["lesion"]) if rec["lesion"] else None
+    return Item(image, sens, rec["spec"], rec["snr_db"], lesion)
+
+
 def load(path: str | Path) -> Dataset:
+    """Read a saved dataset; any damage to it raises DatasetFormatError."""
     path = Path(path)
     try:
         manifest = json.loads((path / "manifest.json").read_text())
     except FileNotFoundError as e:
         raise DatasetFormatError(f"no manifest at {path}") from e
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise DatasetFormatError(f"malformed manifest at {path}: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"malformed manifest at {path}: not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise VersionError(f"unsupported format version {manifest.get('format_version')!r}")
-    blob = (path / "data.bin").read_bytes()
-    items = []
-    for rec in manifest["items"]:
-        end = rec["offset"] + rec["nbytes"]
-        if end > len(blob):
-            raise TruncatedPayloadError(f"item {rec['index']} extends past end of blob")
-        payload = blob[rec["offset"] : end]
-        if hashlib.sha256(payload).hexdigest() != rec["sha256"]:
-            raise ChecksumError(f"checksum mismatch for item {rec['index']}")
-        h, w, c = rec["height"], rec["width"], rec["coils"]
-        img_bytes = h * w * 16
-        image = np.frombuffer(payload[:img_bytes], dtype="<c16").reshape(h, w).copy()
-        sens = np.frombuffer(payload[img_bytes:], dtype="<c16").reshape(c, h, w).copy()
-        lesion = LesionAnnotation(**rec["lesion"]) if rec["lesion"] else None
-        items.append(Item(image, sens, rec["spec"], rec["snr_db"], lesion))
-    return Dataset(manifest["name"], items, manifest.get("specs", {}))
+    try:
+        blob = (path / "data.bin").read_bytes()
+    except FileNotFoundError as e:
+        raise DatasetFormatError(f"no data.bin at {path}") from e
+    try:
+        items = [_load_item(rec, blob) for rec in manifest["items"]]
+        return Dataset(manifest["name"], items, manifest.get("specs", {}))
+    except (KeyError, TypeError) as e:
+        raise DatasetFormatError(f"malformed manifest at {path}: "
+                                 f"{type(e).__name__}: {e}") from e
 
 
 def content_hash(dataset: Dataset) -> str:

@@ -5,6 +5,11 @@ forward/adjoint operators, RSS combination and k-space utilities.
 Images are 2D complex128 arrays (h, w); multi-coil k-space and sensitivities
 are stacked (coils, h, w). Masks act on k-space columns, i.e. the phase
 encoding direction is horizontal and readout rows are fully sampled.
+
+The centered transforms act on the last two axes of any (..., h, w) stack,
+so the operators transform all coils in one call. Each runs as two 1-D
+passes, axis -1 then axis -2, the order np.fft.fft2 uses, so every slice is
+byte-identical to a per-slice fft2 of the same data.
 """
 
 from __future__ import annotations
@@ -28,15 +33,31 @@ def rng_from(*keys: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _ifftshift2(x: np.ndarray) -> np.ndarray:
+    """ifftshift of the last two axes; always a new array."""
+    return np.fft.ifftshift(np.asarray(x, dtype=np.complex128), axes=(-2, -1))
+
+
+def _passes(shifted: np.ndarray, transform) -> np.ndarray:
+    """In-place 1-D passes over an ifftshifted stack, axis -1 then axis -2
+    (np.fft.fft2's order), then the output fftshift."""
+    transform(shifted, axis=-1, norm="ortho", out=shifted)
+    transform(shifted, axis=-2, norm="ortho", out=shifted)
+    return np.fft.fftshift(shifted, axes=(-2, -1))
+
+
 def fft2c(image: np.ndarray) -> np.ndarray:
-    """Unitary 2D DFT with the DC component at index (h//2, w//2)."""
-    x = np.asarray(image, dtype=np.complex128)
-    return np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(x), norm="ortho"))
+    """Unitary 2D DFT of the last two axes of an (..., h, w) stack, with the
+    DC component at index (h//2, w//2). Axis -1 is transformed first, then
+    axis -2, as in np.fft.fft2, so each slice equals
+    fftshift(fft2(ifftshift(slice), norm="ortho")) byte for byte."""
+    return _passes(_ifftshift2(image), np.fft.fft)
 
 
 def ifft2c(kspace: np.ndarray) -> np.ndarray:
-    x = np.asarray(kspace, dtype=np.complex128)
-    return np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(x), norm="ortho"))
+    """Inverse of fft2c over the last two axes of an (..., h, w) stack, in
+    np.fft.ifft2's axis order (-1, then -2)."""
+    return _passes(_ifftshift2(kspace), np.fft.ifft)
 
 
 def fft1c(x: np.ndarray, axis: int) -> np.ndarray:
@@ -216,24 +237,35 @@ def _check_extents(x, sens, mask):
 
 
 def apply_forward(x: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Masked per-coil k-space of the image; unsampled columns are exactly zero."""
+    """Masked per-coil k-space of the image; unsampled columns are exactly zero.
+
+    fft2c of the whole coil stack, pruned: the row pass (axis -1) covers
+    every row, the column pass (axis -2) only the sampled columns, which are
+    then scattered into zeroed k-space. Sampled values equal fft2c's bytes.
+    """
     x = np.asarray(x, dtype=np.complex128)
     _check_extents(x, sens, mask)
-    y = np.empty_like(sens)
-    for i in range(sens.shape[0]):
-        y[i] = fft2c(sens[i] * x)
-    y *= mask.sampled[None, None, :]
-    return y
+    w = x.shape[-1]
+    k = _ifftshift2(sens * x)
+    np.fft.fft(k, axis=-1, norm="ortho", out=k)
+    cols = np.flatnonzero(np.fft.ifftshift(mask.sampled))  # before the column shift
+    kept = np.fft.fft(k[..., cols], axis=-2, norm="ortho")
+    k.fill(0)  # reused as the output: one full-size array per call
+    k[..., (cols + w // 2) % w] = np.fft.fftshift(kept, axes=-2)
+    return k
 
 
 def apply_adjoint(y: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i)."""
+    """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i), one stacked
+    transform, summed in coil order."""
     y = np.asarray(y, dtype=np.complex128)
     _check_extents(y[0], sens, mask)
-    ym = y * mask.sampled[None, None, :]
+    masked = _ifftshift2(y)
+    masked *= np.fft.ifftshift(mask.sampled)
+    imgs = _passes(masked, np.fft.ifft)
     out = np.zeros(y.shape[-2:], dtype=np.complex128)
     for i in range(sens.shape[0]):
-        out += np.conj(sens[i]) * ifft2c(ym[i])
+        out += np.conj(sens[i]) * imgs[i]
     return out
 
 
@@ -276,9 +308,7 @@ def rss(coil_images: np.ndarray) -> np.ndarray:
 
 def zero_filled_rss(y: np.ndarray) -> np.ndarray:
     """RSS of per-coil inverse transforms of zero-filled k-space."""
-    y = np.asarray(y, dtype=np.complex128)
-    imgs = np.stack([ifft2c(y[i]) for i in range(y.shape[0])])
-    return rss(imgs)
+    return rss(ifft2c(y))
 
 
 def ground_truth_rss(x: np.ndarray, sens: np.ndarray) -> np.ndarray:

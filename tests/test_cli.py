@@ -199,6 +199,32 @@ def test_corrupt_dataset_is_validation_error(tmp_path):
     assert rc == 2
 
 
+def _damage_manifest(data_dir, damage):
+    path = data_dir / "manifest.json"
+    if damage == "json":
+        path.write_text(path.read_text()[:-40])
+    elif damage == "blob":
+        (data_dir / "data.bin").unlink()
+    else:
+        manifest = json.loads(path.read_text())
+        if damage == "key":
+            del manifest["items"][0]["height"]
+        else:
+            manifest["items"][0]["coils"] += 1
+        path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("damage", ["json", "blob", "key", "coils"])
+def test_damaged_dataset_manifest_is_validation_error(tmp_path, capsys, damage):
+    data_dir = gen_dataset(tmp_path)
+    _damage_manifest(data_dir, damage)
+    capsys.readouterr()
+    rc = cli.main(["tune-lambda", "--dataset", str(data_dir), "--grid", "1e-3"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("damage", ["append", "cut-header", "cut-payload"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, damage):
     data_dir = gen_dataset(tmp_path)
@@ -239,4 +265,19 @@ def test_run_short_overfit_monitor_exits_before_training(tmp_path, capsys):
     rc = cli.main(["--out", str(tmp_path / "o"), "run", "--config", str(cfg_path)])
     assert rc == 2
     assert "overfit_window" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_pathology_too_small_for_lesions_exits_before_data(tmp_path, capsys):
+    config = {
+        "template": "pathology", "seed": 0, "train_count": 2, "test_count": 2,
+        "model": {"kind": "unet_lite", "channels": 4, "pool_levels": 2, "seed": 0},
+        "train": {"epochs": 1, "seed": 0},
+        "distributions": {"P": {"name": "P", "extents": [32, 32], "coils": 2, "seed": 1}},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = cli.main(["--out", str(tmp_path / "o"), "run", "--config", str(cfg_path)])
+    assert rc == 2
+    assert "small-class lesion" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

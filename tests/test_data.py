@@ -202,6 +202,18 @@ def test_lesion_impossible_placement():
         dm.insert_lesion(np.ones((16, 16), dtype=complex), rng, "small", min_side=7)
 
 
+def test_small_lesion_fits_matches_insert_lesion():
+    rng = kspace.rng_from(6)
+    for h, w in [(68, 72), (72, 68), (70, 70), (72, 72), (16, 400), (48, 100)]:
+        fits = dm.small_lesion_fits(h, w)
+        assert fits == (h * w >= 4900)
+        if fits:
+            dm.insert_lesion(np.ones((h, w), dtype=complex), rng, "small", min_side=7)
+        else:
+            with pytest.raises(ValueError, match="too small"):
+                dm.insert_lesion(np.ones((h, w), dtype=complex), rng, "small", min_side=7)
+
+
 def test_add_lesions_scoreable_boxes():
     ds = dm.generate(spec(9, extents=(80, 80)), 3)
     lesioned = dm.add_lesions(ds, seed=0, size_class="small")
@@ -256,6 +268,78 @@ def test_load_rejects_unknown_version(tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(dm.VersionError):
         dm.load(tmp_path)
+
+
+def _edit_manifest(path, edit):
+    import json
+
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _saved(tmp_path, count=2):
+    dm.save(dm.generate(spec(16, coils=2), count), tmp_path)
+    return tmp_path
+
+
+def test_load_malformed_manifest_json(tmp_path):
+    path = _saved(tmp_path)
+    text = (path / "manifest.json").read_text()
+    (path / "manifest.json").write_text(text[: len(text) // 2])
+    with pytest.raises(dm.DatasetFormatError, match="malformed manifest"):
+        dm.load(path)
+    (path / "manifest.json").write_text("[1, 2]")
+    with pytest.raises(dm.DatasetFormatError, match="not a JSON object"):
+        dm.load(path)
+
+
+def test_load_missing_blob(tmp_path):
+    path = _saved(tmp_path)
+    (path / "data.bin").unlink()
+    with pytest.raises(dm.DatasetFormatError, match="data.bin"):
+        dm.load(path)
+
+
+@pytest.mark.parametrize("key", ["height", "offset", "sha256", "lesion"])
+def test_load_item_missing_key(tmp_path, key):
+    path = _saved(tmp_path)
+    _edit_manifest(path, lambda m: m["items"][1].pop(key))
+    with pytest.raises(dm.DatasetFormatError, match=key):
+        dm.load(path)
+
+
+def test_load_coils_disagreeing_with_nbytes(tmp_path):
+    path = _saved(tmp_path)
+    _edit_manifest(path, lambda m: m["items"][0].update(coils=3))
+    with pytest.raises(dm.DatasetFormatError, match="nbytes"):
+        dm.load(path)
+
+
+def test_load_nbytes_disagreeing_with_extents(tmp_path):
+    # a consistent prefix of the blob with a matching checksum still must
+    # hold exactly one image and its coil maps
+    import hashlib
+
+    path = _saved(tmp_path)
+    blob = (path / "data.bin").read_bytes()
+    short = 32 * 32 * 16 * 2
+
+    def edit(m):
+        m["items"][0].update(nbytes=short, sha256=hashlib.sha256(blob[:short]).hexdigest())
+
+    _edit_manifest(path, edit)
+    with pytest.raises(dm.DatasetFormatError, match="nbytes"):
+        dm.load(path)
+
+
+@pytest.mark.parametrize("field,value", [("offset", -16), ("offset", 1.5), ("height", 0),
+                                         ("width", "32")])
+def test_load_rejects_bad_item_numbers(tmp_path, field, value):
+    path = _saved(tmp_path)
+    _edit_manifest(path, lambda m: m["items"][1].update({field: value}))
+    with pytest.raises(dm.DatasetFormatError, match=field if field == "offset" else "positive"):
+        dm.load(path)
 
 
 # ---------------------------------------------------------------------------

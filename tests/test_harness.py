@@ -309,6 +309,21 @@ def test_pathology_template_region_metrics(tmp_path):
     assert {r.model_id for r in recs} == {"P", "P+Q"}
 
 
+@pytest.mark.parametrize("p_extents,q_extents", [((32, 32), None), ((80, 80), (64, 76)),
+                                                 ((64, 76), (80, 80))])
+def test_pathology_rejects_extents_without_lesion_room(p_extents, q_extents):
+    # a small-class lesion needs 7 * 7 <= 1% of the image: height * width >= 4900
+    cfg_d = _base_config(template="pathology")
+    cfg_d["distributions"] = {"P": {"name": "P", "extents": list(p_extents), "seed": 1}}
+    if q_extents:
+        cfg_d["distributions"]["Q"] = {"name": "Q", "extents": list(q_extents), "seed": 2}
+    with pytest.raises(harness.ConfigError, match="small-class lesion"):
+        harness.ExperimentConfig.from_dict(cfg_d)
+    for dist in cfg_d["distributions"].values():
+        dist["extents"] = [72, 72]
+    assert harness.ExperimentConfig.from_dict(cfg_d).template == "pathology"
+
+
 def test_coil_shift_template_normalizes(tmp_path):
     cfg_d = _base_config(template="coil_shift")
     cfg_d["distributions"]["P"]["coils"] = 6

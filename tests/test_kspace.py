@@ -199,6 +199,65 @@ def test_adjointness_property(coils):
         assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y)) < 1e-10
 
 
+# ---------------------------------------------------------------------------
+# Stacked transforms equal the per-slice and per-coil definitions byte for byte.
+# ---------------------------------------------------------------------------
+
+
+def _fft2c_slice(x, inverse=False):
+    transform = np.fft.ifft2 if inverse else np.fft.fft2
+    return np.fft.fftshift(transform(np.fft.ifftshift(x), norm="ortho"))
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64), (96, 96)])
+@pytest.mark.parametrize("depth", [1, 8])
+def test_stacked_fft2c_bytes_equal_per_slice_reference(extents, depth):
+    x = _complex(np.random.default_rng(depth), (depth, *extents))
+    for inverse, fn in ((False, kspace.fft2c), (True, kspace.ifft2c)):
+        ref = np.stack([_fft2c_slice(s, inverse) for s in x])
+        assert fn(x).tobytes() == ref.tobytes()
+        assert fn(x[0]).tobytes() == ref[0].tobytes()
+
+
+@pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64), (96, 96)])
+@pytest.mark.parametrize("accel", [1, 2, 4, 8])
+def test_operators_equal_per_coil_loops(extents, accel):
+    rng = np.random.default_rng(accel)
+    h, w = extents
+    x, sens = _complex(rng, extents), _complex(rng, (8, h, w))
+    mask = kspace.make_equispaced_mask(w, accel, 0.08, rng)
+    ref = np.stack([_fft2c_slice(s * x) for s in sens]) * mask.sampled
+    y = kspace.apply_forward(x, sens, mask)
+    assert y.dtype == np.complex128 and np.array_equal(y, ref)
+    assert not y[..., ~mask.sampled].any()
+    k = _complex(rng, (8, h, w))
+    ref_adj = np.zeros(extents, dtype=np.complex128)
+    for s, ks in zip(sens, k * mask.sampled):
+        ref_adj += np.conj(s) * _fft2c_slice(ks, inverse=True)
+    assert kspace.apply_adjoint(k, sens, mask).tobytes() == ref_adj.tobytes()
+    ref_zf = kspace.rss(np.stack([_fft2c_slice(ks, inverse=True) for ks in k]))
+    assert kspace.zero_filled_rss(k).tobytes() == ref_zf.tobytes()
+
+
+def test_operators_reject_mismatched_extents():
+    rng = np.random.default_rng(9)
+    x, sens, mask = _random_problem(rng, 16, 16, 2)
+    y = kspace.apply_forward(x, sens, mask)
+    narrow = kspace.make_equispaced_mask(12, 4, 0.08, rng)
+    with pytest.raises(ValueError, match="sensitivity extents"):
+        kspace.apply_forward(x, sens[:, :, :12], mask)
+    with pytest.raises(ValueError, match="sensitivity extents"):
+        kspace.apply_adjoint(y, sens[:, :12], mask)
+    with pytest.raises(ValueError, match="mask width"):
+        kspace.apply_forward(x, sens, narrow)
+    with pytest.raises(ValueError, match="mask width"):
+        kspace.apply_adjoint(y, sens, narrow)
+
+
 def test_rss_examples():
     rng = np.random.default_rng(6)
     img = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
