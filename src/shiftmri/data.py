@@ -290,9 +290,12 @@ def skew(d_large: Dataset, factor: float, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def small_lesion_fits(h: int, w: int, min_side: int = 7) -> bool:
+SCOREABLE_MIN_SIDE = 7  # lesion side the 7x7 windowed region metric can score
+
+
+def small_lesion_fits(h: int, w: int, min_side: int = SCOREABLE_MIN_SIDE) -> bool:
     """Whether a min_side x min_side box stays within the small class's 1% of
-    an h x w image (h * w >= 4900 at the default min_side of 7)."""
+    an h x w image, i.e. h * w >= 100 * min_side**2."""
     return min_side * min_side <= 0.01 * h * w
 
 
@@ -345,10 +348,10 @@ def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str =
 
 
 def add_lesions(dataset: Dataset, seed: int, size_class: str = "small",
-                amplitude: float = 0.4, min_side: int = 7) -> Dataset:
+                amplitude: float = 0.4, min_side: int = SCOREABLE_MIN_SIDE) -> Dataset:
     """Lesion-bearing copy of a dataset, one annotated lesion per item.
 
-    The default min_side of 7 keeps every annotation scoreable by the 7x7
+    The default min_side keeps every annotation scoreable by the 7x7
     windowed region metric.
     """
     items = []

@@ -118,14 +118,15 @@ class ExperimentConfig:
         if self.template == "overfit_monitor" and self.train.epochs < self.overfit_window + 1:
             raise ConfigError(f"overfit_monitor needs train.epochs >= overfit_window + 1 = "
                               f"{self.overfit_window + 1}, got {self.train.epochs}")
-        # pathology puts scoreable (min_side 7) small-class lesions into Q,
+        # pathology puts scoreable (SCOREABLE_MIN_SIDE) small-class lesions into Q,
         # which defaults to P; fail before any data is generated
         if self.template == "pathology":
             for key, spec in self.distributions.items():
                 if key in ("P", "Q") and not datamod.small_lesion_fits(*spec.extents):
                     raise ConfigError(f"pathology distribution {key!r} extents "
                                       f"{spec.extents[0]}x{spec.extents[1]} are too small "
-                                      f"for a small-class lesion (need height * width >= 4900)")
+                                      f"for a small-class lesion (need height * width >= "
+                                      f"{100 * datamod.SCOREABLE_MIN_SIDE ** 2})")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":

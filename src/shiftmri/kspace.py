@@ -33,17 +33,14 @@ def rng_from(*keys: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _ifftshift2(x: np.ndarray) -> np.ndarray:
-    """ifftshift of the last two axes; always a new array."""
-    return np.fft.ifftshift(np.asarray(x, dtype=np.complex128), axes=(-2, -1))
-
-
-def _passes(shifted: np.ndarray, transform) -> np.ndarray:
-    """In-place 1-D passes over an ifftshifted stack, axis -1 then axis -2
-    (np.fft.fft2's order), then the output fftshift."""
-    transform(shifted, axis=-1, norm="ortho", out=shifted)
-    transform(shifted, axis=-2, norm="ortho", out=shifted)
-    return np.fft.fftshift(shifted, axes=(-2, -1))
+def _centered2(x: np.ndarray, transform) -> np.ndarray:
+    """Centered 1-D passes over the last two axes, axis -1 then axis -2
+    (np.fft.fft2's order), in place on the ifftshifted copy so that a call
+    allocates two full-size arrays."""
+    k = np.fft.ifftshift(np.asarray(x, dtype=np.complex128), axes=(-2, -1))
+    transform(k, axis=-1, norm="ortho", out=k)
+    transform(k, axis=-2, norm="ortho", out=k)
+    return np.fft.fftshift(k, axes=(-2, -1))
 
 
 def fft2c(image: np.ndarray) -> np.ndarray:
@@ -51,13 +48,13 @@ def fft2c(image: np.ndarray) -> np.ndarray:
     DC component at index (h//2, w//2). Axis -1 is transformed first, then
     axis -2, as in np.fft.fft2, so each slice equals
     fftshift(fft2(ifftshift(slice), norm="ortho")) byte for byte."""
-    return _passes(_ifftshift2(image), np.fft.fft)
+    return _centered2(image, np.fft.fft)
 
 
 def ifft2c(kspace: np.ndarray) -> np.ndarray:
     """Inverse of fft2c over the last two axes of an (..., h, w) stack, in
     np.fft.ifft2's axis order (-1, then -2)."""
-    return _passes(_ifftshift2(kspace), np.fft.ifft)
+    return _centered2(kspace, np.fft.ifft)
 
 
 def fft1c(x: np.ndarray, axis: int) -> np.ndarray:
@@ -246,7 +243,7 @@ def apply_forward(x: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.nda
     x = np.asarray(x, dtype=np.complex128)
     _check_extents(x, sens, mask)
     w = x.shape[-1]
-    k = _ifftshift2(sens * x)
+    k = np.fft.ifftshift(sens * x, axes=(-2, -1))
     np.fft.fft(k, axis=-1, norm="ortho", out=k)
     cols = np.flatnonzero(np.fft.ifftshift(mask.sampled))  # before the column shift
     kept = np.fft.fft(k[..., cols], axis=-2, norm="ortho")
@@ -257,12 +254,10 @@ def apply_forward(x: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.nda
 
 def apply_adjoint(y: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.ndarray:
     """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i), one stacked
-    transform, summed in coil order."""
+    ifft2c, summed in coil order."""
     y = np.asarray(y, dtype=np.complex128)
     _check_extents(y[0], sens, mask)
-    masked = _ifftshift2(y)
-    masked *= np.fft.ifftshift(mask.sampled)
-    imgs = _passes(masked, np.fft.ifft)
+    imgs = ifft2c(y * mask.sampled)
     out = np.zeros(y.shape[-2:], dtype=np.complex128)
     for i in range(sens.shape[0]):
         out += np.conj(sens[i]) * imgs[i]
