@@ -194,14 +194,22 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _record_op("scale", a.data * c, [a], lambda g: [g * c])
 
 
+def _sum_stack(g: np.ndarray, ndim: int) -> np.ndarray:
+    """Gradient of a 2-D matmul operand that numpy broadcast over a stack."""
+    return g.sum(axis=tuple(range(g.ndim - 2))) if g.ndim > ndim else g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product. One operand may be a (..., m, n) stack; the other, 2-D
+    one then multiplies every matrix of it, as numpy's @ broadcasts."""
+    if min(a.data.ndim, b.data.ndim) != 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch("matmul", a.shape, b.shape)
     ad, bd = a.data, b.data
 
     def bw(g):
-        return [g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None]
+        ga = _sum_stack(g @ np.swapaxes(bd, -1, -2), ad.ndim) if a.requires_grad else None
+        gb = _sum_stack(np.swapaxes(ad, -1, -2) @ g, bd.ndim) if b.requires_grad else None
+        return [ga, gb]
 
     return _record_op("matmul", ad @ bd, [a, b], bw)
 
@@ -299,7 +307,7 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
         raise ShapeMismatch("concat-channels", ())
     hw = tensors[0].shape[1:]
     for t in tensors:
-        if t.data.ndim != 3 or t.shape[1:] != hw:
+        if t.data.ndim < 3 or t.shape[1:] != hw:
             raise ShapeMismatch("concat-channels", *[t.shape for t in tensors])
     sizes = [t.shape[0] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=0)
@@ -313,20 +321,49 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def complex_mul_2ch(a: Tensor, b: Tensor) -> Tensor:
-    """Complex product of (2,h,w) tensors, channel 0 real and channel 1 imaginary."""
-    if a.shape != b.shape or a.data.ndim != 3 or a.shape[0] != 2:
+    """Complex product of 2-channel tensors, channel 0 real and channel 1
+    imaginary: two (2, h, w) or two (2, coils, h, w) tensors, or a (2, h, w)
+    operand broadcast over a (2, coils, h, w) stack, whose gradient is then
+    summed over the coils."""
+    if a.shape == b.shape:
+        ok = a.data.ndim in (3, 4)
+    else:
+        short, full = sorted((a.shape, b.shape), key=len)
+        ok = len(short) == 3 and len(full) == 4 and full[:1] + full[2:] == short
+    if not ok or a.shape[0] != 2:
         raise ShapeMismatch("complex-mul-as-2ch", a.shape, b.shape)
     ar, ai = a.data[0], a.data[1]
     br, bi = b.data[0], b.data[1]
     out = np.stack([ar * br - ai * bi, ar * bi + ai * br])
 
+    def coil_sum_to(grad, shape):
+        return grad if grad.shape == shape else grad.sum(axis=1)
+
     def bw(g):
         gr, gi = g[0], g[1]
-        ga = np.stack([gr * br + gi * bi, -gr * bi + gi * br]) if a.requires_grad else None
-        gb = np.stack([gr * ar + gi * ai, -gr * ai + gi * ar]) if b.requires_grad else None
+        ga = gb = None
+        if a.requires_grad:
+            ga = coil_sum_to(np.stack([gr * br + gi * bi, -gr * bi + gi * br]), a.shape)
+        if b.requires_grad:
+            gb = coil_sum_to(np.stack([gr * ar + gi * ai, -gr * ai + gi * ar]), b.shape)
         return [ga, gb]
 
     return _record_op("complex-mul-as-2ch", out, [a, b], bw)
+
+
+def coil_sum(x: Tensor) -> Tensor:
+    """Sum of a (2, coils, h, w) tensor over its coils, added in coil order
+    (((c0 + c1) + c2) + ...), giving a (2, h, w) tensor."""
+    if x.data.ndim != 4 or x.shape[0] != 2:
+        raise ShapeMismatch("coil-sum", x.shape)
+    out = x.data[:, 0].copy()
+    for i in range(1, x.shape[1]):
+        out += x.data[:, i]
+
+    def bw(g):
+        return [np.broadcast_to(g[:, None], x.shape)]
+
+    return _record_op("coil-sum", out, [x], bw)
 
 
 def reduce_mean(x: Tensor) -> Tensor:
@@ -365,7 +402,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
-    if x.data.ndim != 3 or not (0 <= lo < hi <= x.shape[0]):
+    if x.data.ndim < 3 or not (0 <= lo < hi <= x.shape[0]):
         raise ShapeMismatch("slice-channels", x.shape, (lo, hi))
     c = x.shape[0]
 

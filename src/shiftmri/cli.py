@@ -278,8 +278,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, harness.ConfigError, datamod.DatasetFormatError,
-            learned.CheckpointFormatError, kspace.InfeasibleMaskError) as e:
+    except (ValidationError, harness.ConfigError, datamod.FormatError,
+            kspace.InfeasibleMaskError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

@@ -18,7 +18,11 @@ import numpy as np
 from . import kspace
 
 
-class DatasetFormatError(Exception):
+class FormatError(ValueError):
+    """Bytes read from disk that are not a well-formed file of their format."""
+
+
+class DatasetFormatError(FormatError):
     pass
 
 

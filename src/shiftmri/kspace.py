@@ -226,9 +226,12 @@ class NoiseModel:
 
 
 def _check_extents(x, sens, mask):
+    """x is an (h, w) image or a (coils, h, w) k-space stack."""
     h, w = x.shape[-2:]
     if sens.shape[-2:] != (h, w):
         raise ValueError(f"sensitivity extents {sens.shape[-2:]} != image extents {(h, w)}")
+    if x.ndim == 3 and x.shape[0] != sens.shape[0]:
+        raise ValueError(f"k-space has {x.shape[0]} coils, sensitivities {sens.shape[0]}")
     if mask.width != w:
         raise ValueError(f"mask width {mask.width} != k-space width {w}")
 
@@ -256,7 +259,7 @@ def apply_adjoint(y: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.nda
     """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i), one stacked
     ifft2c, summed in coil order."""
     y = np.asarray(y, dtype=np.complex128)
-    _check_extents(y[0], sens, mask)
+    _check_extents(y, sens, mask)
     imgs = ifft2c(y * mask.sampled)
     out = np.zeros(y.shape[-2:], dtype=np.complex128)
     for i in range(sens.shape[0]):

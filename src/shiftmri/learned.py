@@ -4,8 +4,10 @@ Two models: a U-net style image-domain post-processor of the zero-filled RSS
 reconstruction, and an unrolled network alternating learnable data-consistency
 steps x <- x - eta * A^H(A x - y) with a small convolutional denoiser. Both
 are built from the autodiff op set; complex images live on the tape as
-2-channel real tensors. The Fourier transform inside the unroll is the exact
-centered unitary DFT realized as constant matrix products.
+2-channel real tensors and multi-coil data as (2, coils, h, w) stacks. The
+Fourier transform inside the unroll is the exact centered unitary DFT realized
+as constant matrix products applied to the whole coil stack, so each cascade
+records one data-consistency graph whatever the coil count.
 
 The training loop follows the standard recipe: SSIM (or MSE) loss against the
 RSS target, Adam or SGD, linear warmup then linear decay, global gradient-norm
@@ -210,15 +212,15 @@ def _dft_pair(n: int, inverse: bool):
 
 
 def _split2ch(x: ad.Tensor):
-    h, w = x.shape[1], x.shape[2]
-    xr = ad.reshape(ad.slice_channels(x, 0, 1), (h, w))
-    xi = ad.reshape(ad.slice_channels(x, 1, 2), (h, w))
+    shape = x.shape[1:]
+    xr = ad.reshape(ad.slice_channels(x, 0, 1), shape)
+    xi = ad.reshape(ad.slice_channels(x, 1, 2), shape)
     return xr, xi
 
 
 def _stack2ch(xr: ad.Tensor, xi: ad.Tensor) -> ad.Tensor:
-    h, w = xr.shape
-    return ad.concat_channels([ad.reshape(xr, (1, h, w)), ad.reshape(xi, (1, h, w))])
+    shape = (1,) + xr.shape
+    return ad.concat_channels([ad.reshape(xr, shape), ad.reshape(xi, shape)])
 
 
 def _complex_lmatmul(ar, ai, xr, xi):
@@ -229,8 +231,9 @@ def _complex_lmatmul(ar, ai, xr, xi):
 
 
 def tape_fft2c(x: ad.Tensor, inverse: bool = False) -> ad.Tensor:
-    """Centered unitary 2D DFT of a (2,h,w) tensor via constant matrix products."""
-    h, w = x.shape[1], x.shape[2]
+    """Centered unitary 2D DFT of every (h, w) plane of a (2, ..., h, w)
+    tensor via constant matrix products."""
+    h, w = x.shape[-2:]
     fr_h, fi_h = _dft_pair(h, inverse)
     fr_w, fi_w = _dft_pair(w, inverse)
     xr, xi = _split2ch(x)
@@ -290,21 +293,19 @@ class VarnetLite:
     def reconstruct(self, params, y, sens, mask) -> ad.Tensor:
         coils, h, w = y.shape
         self._check_extents(h, w)
-        y2 = [ad.Tensor(_as2ch(y[i])) for i in range(coils)]
-        s2 = [ad.Tensor(_as2ch(sens[i])) for i in range(coils)]
-        sc2 = [ad.Tensor(_as2ch(np.conj(sens[i]))) for i in range(coils)]
-        mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64), (2, h, w)).copy())
-        x = ad.Tensor(_as2ch(kspace.apply_adjoint(y, sens, mask)))
+        x = ad.Tensor(_as2ch(kspace.apply_adjoint(y, sens, mask)))  # checks coils too
+        minus_y = ad.Tensor(-_as2ch(y))
+        s2 = ad.Tensor(_as2ch(sens))
+        sc2 = ad.Tensor(_as2ch(np.conj(sens)))
+        mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64),
+                                          (2, coils, h, w)).copy())
         p = iter(params)
         for _ in range(self.config.cascades):
             eta = next(p)
-            adj = None
-            for i in range(coils):
-                k = tape_fft2c(ad.complex_mul_2ch(s2[i], x))
-                resid = ad.add(ad.mul(mask2, k), ad.scale(y2[i], -1.0))
-                back = ad.complex_mul_2ch(sc2[i], tape_fft2c(ad.mul(mask2, resid), inverse=True))
-                adj = back if adj is None else ad.add(adj, back)
-            dc = ad.mul(eta, adj)
+            k = tape_fft2c(ad.complex_mul_2ch(s2, x))
+            resid = ad.add(ad.mul(mask2, k), minus_y)
+            back = ad.complex_mul_2ch(sc2, tape_fft2c(ad.mul(mask2, resid), inverse=True))
+            dc = ad.mul(eta, ad.coil_sum(back))
             d = ad.relu(ad.conv2d(x, next(p), next(p)))
             d = ad.relu(ad.conv2d(d, next(p), next(p)))
             d = ad.conv2d(d, next(p), next(p))
@@ -325,7 +326,7 @@ def parameter_count(config: ModelConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-class CheckpointFormatError(ValueError):
+class CheckpointFormatError(datamod.FormatError):
     """Raised for bytes that are not one complete, well-formed checkpoint."""
 
 
@@ -383,8 +384,10 @@ class Checkpoint:
             raise CheckpointFormatError(f"{kind}: {len(raw)} bytes, expected {expected}")
         params = []
         off = 16 + hlen
-        for shape, n in zip(shapes, sizes):
+        for i, (shape, n) in enumerate(zip(shapes, sizes)):
             params.append(np.frombuffer(raw, "<f8", n, off).reshape(shape).copy())
+            if not np.isfinite(params[-1]).all():
+                raise CheckpointFormatError(f"non-finite value in checkpoint parameter {i}")
             off += 8 * n
         return Checkpoint(config, params, *fields)
 
@@ -583,6 +586,8 @@ def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
         y, mask, target = datamod.measure(item, idx, mask_seed, acceleration,
                                           center_fraction, datamod.EVAL_NOISE_TAG)
         out = model.reconstruct(tensors, y, item.sens, mask).data
+        if not np.isfinite(out).all():
+            raise FloatingPointError(f"non-finite reconstruction of item {idx}")
         if normalize:
             out, used_fallback = normalize_output(out, target)
             fallback = fallback or used_fallback

@@ -1,10 +1,15 @@
 """Independent reference implementations used to check the optimized paths.
 
 Everything here is written directly from the mathematical definitions with
-plain loops, no shared code with the package internals.
+plain loops, no shared code with the package internals. The one exception is
+the per-coil VarNet unroll: it is built from the autodiff ops so that its
+gradients can be compared with the coil-batched model's.
 """
 
 import numpy as np
+
+import shiftmri.autodiff as ad
+from shiftmri import kspace
 
 
 def ssim_reference(x, y, window=7, k1=0.01, k2=0.03, data_range=None):
@@ -101,3 +106,58 @@ def ols_reference(points):
     a = np.vstack([xs, np.ones_like(xs)]).T
     coef = np.linalg.solve(a.T @ a, a.T @ ys)
     return float(coef[0]), float(coef[1])
+
+
+def _centered_dft_pair(n, inverse):
+    """Real and imaginary parts of the centered unitary DFT matrix, as
+    constant tensors; column j is the transform of the j-th unit vector."""
+    eye = np.fft.ifftshift(np.eye(n, dtype=np.complex128), axes=0)
+    m = (np.fft.ifft if inverse else np.fft.fft)(eye, axis=0, norm="ortho")
+    m = np.fft.fftshift(m, axes=0)
+    return ad.Tensor(m.real), ad.Tensor(m.imag)
+
+
+def _fft2c_per_plane(x, inverse=False):
+    """Centered 2D DFT of one (2, h, w) tensor: F_h X F_w^T in real arithmetic."""
+    h, w = x.shape[1:]
+    fr_h, fi_h = _centered_dft_pair(h, inverse)
+    fr_w, fi_w = _centered_dft_pair(w, inverse)
+    frt, fit = ad.Tensor(fr_w.data.T), ad.Tensor(fi_w.data.T)
+    xr = ad.reshape(ad.slice_channels(x, 0, 1), (h, w))
+    xi = ad.reshape(ad.slice_channels(x, 1, 2), (h, w))
+    r1 = ad.add(ad.matmul(fr_h, xr), ad.scale(ad.matmul(fi_h, xi), -1.0))
+    i1 = ad.add(ad.matmul(fr_h, xi), ad.matmul(fi_h, xr))
+    re = ad.add(ad.matmul(r1, frt), ad.scale(ad.matmul(i1, fit), -1.0))
+    im = ad.add(ad.matmul(r1, fit), ad.matmul(i1, frt))
+    return ad.concat_channels([ad.reshape(re, (1, h, w)), ad.reshape(im, (1, h, w))])
+
+
+def varnet_per_coil_reference(config, params, y, sens, mask):
+    """VarnetLite.reconstruct with one data-consistency graph per coil: each
+    cascade loops over the coils and adds their A^H(A x - y) terms in coil
+    order, then applies the same denoiser and update."""
+    coils, h, w = y.shape
+
+    def as2ch(z):
+        return np.stack([np.real(z), np.imag(z)])
+
+    y2 = [ad.Tensor(as2ch(y[i])) for i in range(coils)]
+    s2 = [ad.Tensor(as2ch(sens[i])) for i in range(coils)]
+    sc2 = [ad.Tensor(as2ch(np.conj(sens[i]))) for i in range(coils)]
+    mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64), (2, h, w)).copy())
+    x = ad.Tensor(as2ch(kspace.apply_adjoint(y, sens, mask)))
+    p = iter(params)
+    for _ in range(config.cascades):
+        eta = next(p)
+        adj = None
+        for i in range(coils):
+            k = _fft2c_per_plane(ad.complex_mul_2ch(s2[i], x))
+            resid = ad.add(ad.mul(mask2, k), ad.scale(y2[i], -1.0))
+            back = ad.complex_mul_2ch(sc2[i], _fft2c_per_plane(ad.mul(mask2, resid), True))
+            adj = back if adj is None else ad.add(adj, back)
+        dc = ad.mul(eta, adj)
+        d = ad.relu(ad.conv2d(x, next(p), next(p)))
+        d = ad.relu(ad.conv2d(d, next(p), next(p)))
+        d = ad.conv2d(d, next(p), next(p))
+        x = ad.add(x, ad.scale(ad.add(dc, d), -1.0))
+    return ad.magnitude_2ch(x)

@@ -126,6 +126,12 @@ def _op_instances(kind, rng):
     if kind == "matmul":
         a, b = _rand_like(rng, (3, 4)), _rand_like(rng, (4, 2))
         return lambda ls: ad.matmul(ls[0], ls[1]), [a, b]
+    if kind == "matmul-stacked-lhs":
+        a, b = _rand_like(rng, (3, 4, 5)), _rand_like(rng, (5, 2))
+        return lambda ls: ad.matmul(ls[0], ls[1]), [a, b]
+    if kind == "matmul-stacked-rhs":
+        a, b = _rand_like(rng, (4, 3)), _rand_like(rng, (2, 3, 5))
+        return lambda ls: ad.matmul(ls[0], ls[1]), [a, b]
     if kind == "conv2d":
         x = _rand_like(rng, (2, 5, 5))
         w = _rand_like(rng, (3, 2, 3, 3)) * 0.5
@@ -143,6 +149,11 @@ def _op_instances(kind, rng):
     if kind == "complex-mul-as-2ch":
         a, b = _rand_like(rng, (2, 3, 4)), _rand_like(rng, (2, 3, 4))
         return lambda ls: ad.complex_mul_2ch(ls[0], ls[1]), [a, b]
+    if kind == "complex-mul-broadcast":
+        a, b = _rand_like(rng, (2, 3, 4, 5)), _rand_like(rng, (2, 4, 5))
+        return lambda ls: ad.complex_mul_2ch(ls[0], ls[1]), [a, b]
+    if kind == "coil-sum":
+        return lambda ls: ad.coil_sum(ls[0]), [_rand_like(rng, (2, 3, 4, 5))]
     if kind == "reduce-mean":
         return lambda ls: ls[0], [_rand_like(rng, (4, 3))]
     if kind == "reshape":
@@ -162,9 +173,10 @@ def _op_instances(kind, rng):
 
 
 OP_KINDS = [
-    "add", "mul", "mul-scalar-broadcast", "scale", "matmul", "conv2d", "relu",
-    "avgpool2", "upsample2", "concat-channels", "complex-mul-as-2ch",
-    "reduce-mean", "reshape", "slice-channels", "magnitude-2ch", "ssim-loss-node",
+    "add", "mul", "mul-scalar-broadcast", "scale", "matmul", "matmul-stacked-lhs",
+    "matmul-stacked-rhs", "conv2d", "relu", "avgpool2", "upsample2", "concat-channels",
+    "complex-mul-as-2ch", "complex-mul-broadcast", "coil-sum", "reduce-mean", "reshape",
+    "slice-channels", "magnitude-2ch", "ssim-loss-node",
 ]
 
 
@@ -239,6 +251,20 @@ def test_shape_errors_name_the_op():
         ad.conv2d(ad.Tensor(np.ones((2, 4, 4))), ad.Tensor(np.ones((1, 3, 3, 3))))
     with pytest.raises(ad.ShapeMismatch, match="avgpool2"):
         ad.avgpool2(ad.Tensor(np.ones((1, 5, 4))))
+    with pytest.raises(ad.ShapeMismatch, match="matmul"):
+        ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((2, 4, 3))))
+    with pytest.raises(ad.ShapeMismatch, match="complex-mul-as-2ch"):
+        ad.complex_mul_2ch(ad.Tensor(np.ones((2, 3, 4, 4))), ad.Tensor(np.ones((2, 4, 5))))
+    with pytest.raises(ad.ShapeMismatch, match="coil-sum"):
+        ad.coil_sum(ad.Tensor(np.ones((2, 4, 4))))
+
+
+def test_coil_sum_adds_in_coil_order():
+    x = np.random.default_rng(9).standard_normal((2, 5, 3, 3))
+    ref = x[:, 0] + x[:, 1]
+    for i in range(2, 5):
+        ref = ref + x[:, i]
+    assert ad.coil_sum(ad.Tensor(x)).data.tobytes() == ref.tobytes()
 
 
 def test_requires_grad_outside_tape_is_an_error():

@@ -239,6 +239,23 @@ def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, damage):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def test_checkpoint_with_nan_parameter_is_validation_error(tmp_path, capsys):
+    data_dir = gen_dataset(tmp_path)
+    path = _init_checkpoint(tmp_path, data_dir)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = b"\0\0\0\0\0\0\xf8\x7f"  # last parameter value becomes a NaN
+    path.write_bytes(bytes(raw))
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(path), "--dataset", str(data_dir),
+                   "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "non-finite" in err[0]
+    assert "nan" not in captured.out and not (out / "eval.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["eval", "tune-lambda"])
 def test_acceleration_needing_halved_center_band_succeeds(tmp_path, capsys, command):
     # R 12 on 32 columns: the 8% band fills the whole budget until halved

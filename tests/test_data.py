@@ -270,6 +270,25 @@ def test_load_rejects_unknown_version(tmp_path):
         dm.load(tmp_path)
 
 
+def test_format_errors_share_one_base_and_are_not_rewrapped(tmp_path):
+    from shiftmri import learned
+
+    assert issubclass(dm.FormatError, ValueError)
+    for cls in (dm.DatasetFormatError, dm.VersionError, learned.CheckpointFormatError):
+        assert issubclass(cls, dm.FormatError)
+    path = _saved(tmp_path)
+    blob = bytearray((path / "data.bin").read_bytes())
+    blob[100] ^= 0xFF
+    (path / "data.bin").write_bytes(bytes(blob))
+    with pytest.raises(dm.FormatError) as caught:
+        dm.load(path)
+    assert caught.type is dm.ChecksumError and caught.value.__cause__ is None
+    _edit_manifest(path, lambda m: m.update(format_version=99))
+    with pytest.raises(dm.FormatError) as caught:
+        dm.load(path)
+    assert caught.type is dm.VersionError and caught.value.__cause__ is None
+
+
 def _edit_manifest(path, edit):
     import json
 

@@ -258,6 +258,15 @@ def test_operators_reject_mismatched_extents():
         kspace.apply_adjoint(y, sens, narrow)
 
 
+@pytest.mark.parametrize("y_coils,sens_coils", [(8, 4), (4, 8)])
+def test_adjoint_rejects_mismatched_coil_counts(y_coils, sens_coils):
+    rng = np.random.default_rng(10)
+    _, sens, mask = _random_problem(rng, 16, 16, sens_coils)
+    y = rng.standard_normal((y_coils, 16, 16)) + 1j * rng.standard_normal((y_coils, 16, 16))
+    with pytest.raises(ValueError, match=f"k-space has {y_coils} coils, sensitivities {sens_coils}"):
+        kspace.apply_adjoint(y, sens, mask)
+
+
 def test_rss_examples():
     rng = np.random.default_rng(6)
     img = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

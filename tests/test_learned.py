@@ -4,6 +4,8 @@ import pytest
 import shiftmri.autodiff as ad
 from shiftmri import data as dm
 from shiftmri import kspace, learned
+from shiftmri.metrics import SsimConfig
+from oracles import varnet_per_coil_reference
 
 
 def small_dataset(seed=0, count=4, extents=(32, 32), snr_db=30.0, coils=3):
@@ -46,6 +48,82 @@ def test_varnet_single_cascade_full_mask_is_adjoint():
     y = kspace.apply_forward(item.image, item.sens, fm)
     out = model.reconstruct([ad.Tensor(p) for p in params], y, item.sens, fm)
     np.testing.assert_allclose(out.data, np.abs(item.image), atol=1e-10)
+
+
+def _varnet_problem(coils, seed, extents=(16, 24), cascades=3):
+    """A VarnetLite with every parameter perturbed off its initialization
+    (so the denoisers pass gradients), and noisy measurements for it."""
+    h, w = extents
+    rng = np.random.default_rng(seed)
+    config = learned.ModelConfig("varnet_lite", cascades=cascades, denoiser_channels=4,
+                                 seed=seed)
+    model = learned.construct_model(config)
+    params = [p + 0.1 * rng.standard_normal(p.shape) for p in model.init_params()]
+    image = rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
+    sens = kspace.simulate_sensitivities(h, w, coils, rng=rng)
+    mask = kspace.make_equispaced_mask(w, 4, 0.16, rng)
+    y = kspace.add_noise(kspace.apply_forward(image, sens, mask), mask,
+                         kspace.NoiseModel(0.05, seed))
+    return model, params, y, sens, mask, np.abs(image)
+
+
+def _taped(reconstruct, params, target):
+    """(reconstruction, per-parameter gradients of its SSIM loss, tape length)."""
+    with ad.Tape() as tape:
+        leaves = [tape.leaf(p) for p in params]
+        out = reconstruct(leaves)
+        loss = ad.ssim_loss(out, ad.Tensor(target), SsimConfig(data_range=float(target.max())))
+        grads = ad.backward(tape, loss)
+    return out.data, [grads[leaf.node_id].data for leaf in leaves], len(tape.nodes)
+
+
+@pytest.mark.parametrize("coils", [1, 2, 8])
+def test_varnet_untaped_bytes_equal_per_coil_reference(coils):
+    model, params, y, sens, mask, _ = _varnet_problem(coils, seed=20 + coils)
+    tensors = [ad.Tensor(p) for p in params]
+    got = model.reconstruct(tensors, y, sens, mask).data
+    ref = varnet_per_coil_reference(model.config, tensors, y, sens, mask).data
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("coils", [1, 2, 8])
+def test_varnet_gradients_match_per_coil_reference(coils):
+    model, params, y, sens, mask, target = _varnet_problem(coils, seed=30 + coils)
+    out, grads, _ = _taped(lambda ls: model.reconstruct(ls, y, sens, mask), params, target)
+    ref_out, ref_grads, _ = _taped(
+        lambda ls: varnet_per_coil_reference(model.config, ls, y, sens, mask), params, target)
+    assert out.tobytes() == ref_out.tobytes()
+    for i, (g, r) in enumerate(zip(grads, ref_grads)):
+        assert np.any(r != 0), i
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r)), i
+
+
+def test_varnet_tape_length_independent_of_coil_count():
+    lengths = []
+    for coils in (2, 8):
+        model, params, y, sens, mask, target = _varnet_problem(coils, seed=40)
+        lengths.append(_taped(lambda ls: model.reconstruct(ls, y, sens, mask),
+                              params, target)[2])
+    assert lengths[0] == lengths[1]
+
+
+def test_varnet_data_consistency_gradients_match_finite_differences():
+    # two cascades, so the second one's data-consistency graph is on the tape
+    model, params, y, sens, mask, target = _varnet_problem(3, seed=50, extents=(8, 8),
+                                                           cascades=2)
+
+    def loss_fn(leaves):
+        out = model.reconstruct(leaves, y, sens, mask)
+        return ad.ssim_loss(out, ad.Tensor(target), SsimConfig(data_range=float(target.max())))
+
+    assert ad.grad_check(loss_fn, params, h=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("y_coils,sens_coils", [(8, 4), (4, 8)])
+def test_varnet_rejects_mismatched_coil_counts(y_coils, sens_coils):
+    model, params, y, sens, mask, _ = _varnet_problem(max(y_coils, sens_coils), seed=60)
+    with pytest.raises(ValueError, match="coils"):
+        model.reconstruct([ad.Tensor(p) for p in params], y[:y_coils], sens[:sens_coils], mask)
 
 
 def test_same_seed_same_initial_parameters():
@@ -180,6 +258,24 @@ def test_checkpoint_roundtrip(tmp_path):
         learned.Checkpoint.from_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError, match="truncated"):
         learned.Checkpoint.from_bytes(raw[: len(raw) - 8])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_parameters(bad):
+    ck = learned.Checkpoint(VARNET, learned.construct_model(VARNET).init_params(), 0, "x",
+                            {}, (32, 32))
+    ck.params[3] = ck.params[3].copy()
+    ck.params[3].flat[1] = bad
+    with pytest.raises(learned.CheckpointFormatError, match="non-finite .* parameter 3"):
+        learned.Checkpoint.from_bytes(ck.to_bytes())
+
+
+def test_evaluate_rejects_non_finite_reconstruction():
+    ds = small_dataset(seed=19, count=3)
+    params = learned.construct_model(VARNET).init_params()
+    params[0] = np.array(np.nan)  # first cascade's step size
+    with pytest.raises(FloatingPointError, match="item 0"):
+        learned.evaluate_params(VARNET, params, ds, 0)
 
 
 def _header_boundaries(raw):
