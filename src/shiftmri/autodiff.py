@@ -118,7 +118,12 @@ def _record_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Reverse sweep from a scalar loss; returns node_id -> gradient tensor.
 
-    Differentiable leaves with no path to the loss get zero gradients.
+    Differentiable leaves with no path to the loss get zero gradients. The
+    first gradient to reach a node is stored as returned by the backward
+    closure, not copied, so returned gradients may share memory with each
+    other (add and reshape pass theirs through): read them, never write into
+    them. No backward closure writes into its incoming gradient; accumulation
+    allocates a new array.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -138,7 +143,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
             if iid is None or ig is None:
                 continue
             if grads[iid] is None:
-                grads[iid] = ig.copy() if isinstance(ig, np.ndarray) else np.asarray(ig)
+                grads[iid] = np.asarray(ig)
             else:
                 grads[iid] = grads[iid] + ig
     out: dict[int, Tensor] = {}
@@ -278,11 +283,21 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _record_op("conv2d", out, inputs, bw)
 
 
+def _sum_2x2(a: np.ndarray) -> np.ndarray:
+    """Sum of each 2x2 block of a (c, 2h, 2w) array, added in the order numpy
+    uses for a.reshape(c, h, 2, w, 2).sum(axis=(2, 4)), so the bytes match:
+    row pairs first, except that at width 2 a block is four contiguous
+    elements, which numpy adds in sequence."""
+    tl, tr, bl, br = a[:, 0::2, 0::2], a[:, 0::2, 1::2], a[:, 1::2, 0::2], a[:, 1::2, 1::2]
+    if a.shape[2] == 2:
+        return ((tl + tr) + bl) + br
+    return (tl + tr) + (bl + br)
+
+
 def avgpool2(x: Tensor) -> Tensor:
     if x.data.ndim != 3 or x.shape[1] % 2 or x.shape[2] % 2:
         raise ShapeMismatch("avgpool2", x.shape)
-    c, h, w = x.shape
-    out = x.data.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    out = _sum_2x2(x.data) / 4
 
     def bw(g):
         return [np.repeat(np.repeat(g, 2, axis=1), 2, axis=2) * 0.25]
@@ -293,11 +308,10 @@ def avgpool2(x: Tensor) -> Tensor:
 def upsample2(x: Tensor) -> Tensor:
     if x.data.ndim != 3:
         raise ShapeMismatch("upsample2", x.shape)
-    c, h, w = x.shape
     out = np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2)
 
     def bw(g):
-        return [g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))]
+        return [_sum_2x2(g)]
 
     return _record_op("upsample2", out, [x], bw)
 

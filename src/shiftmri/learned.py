@@ -410,8 +410,13 @@ class Checkpoint:
 GRAD_FLOOR = 1e-12
 
 
-def _clip_gradients(grads: list[np.ndarray], clip_norm: float) -> list[np.ndarray]:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+def _global_norm(grads: list[np.ndarray]) -> float:
+    return np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+
+
+def _clip_gradients(grads: list[np.ndarray], clip_norm: float,
+                    total: float) -> list[np.ndarray]:
+    """Scale grads, whose global norm is `total`, down to norm clip_norm."""
     if total > clip_norm:
         factor = clip_norm / total
         return [g * factor for g in grads]
@@ -514,10 +519,10 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
                         f"non-finite loss at epoch {epoch} step {step}")
                 grads_map = ad.backward(tape, loss)
             grads = [grads_map[leaf.node_id].data for leaf in leaves]
-            gnorm = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+            gnorm = _global_norm(grads)
             lr = learning_rate_at(step, total_steps, config)
             if gnorm > GRAD_FLOOR:
-                grads = _clip_gradients(grads, config.clip_norm)
+                grads = _clip_gradients(grads, config.clip_norm, gnorm)
                 opt.step(params, grads, lr)
             epoch_losses.append(float(loss.data))
         loss_trace.append(float(np.mean(epoch_losses)))

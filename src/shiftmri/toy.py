@@ -111,24 +111,27 @@ def mse_monte_carlo(world: SubspaceWorld, estimator, which: str, count: int,
     `estimator` is either an (n, n) matrix or a callable mapping y to x-hat.
     """
     x, y = sample(world, which, count, rng)
+    return _mse_on(estimator, x, y)
+
+
+def _mse_on(estimator, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Empirical MSE and its standard error of `estimator` on drawn (x, y)."""
     xhat = y @ estimator.T if isinstance(estimator, np.ndarray) else estimator(y)
     per_sample = np.sum((xhat - x) ** 2, axis=1)
-    return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(count))
+    return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(len(x)))
 
 
 def mse_table(world: SubspaceWorld, count: int = 100_000, seed: int = 0) -> dict:
-    """All six MSE values: three estimators evaluated on P and on Q."""
+    """All six MSE values: three estimators evaluated on P and on Q, all three
+    on the same samples of each distribution."""
     w_pool = fit_linear(world, "mixture")
     results: dict[str, dict[str, float]] = {}
     for which in ("P", "Q"):
-        w_spec = fit_linear(world, which)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA7B, ord(which)]))
-        pooled, pooled_se = mse_monte_carlo(world, w_pool, which, count, rng)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA7B, ord(which)]))
-        spec, spec_se = mse_monte_carlo(world, w_spec, which, count, rng)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA7B, ord(which)]))
-        nonlin, nonlin_se = mse_monte_carlo(
-            world, lambda y: estimate_nonlinear(world, y), which, count, rng)
+        x, y = sample(world, which, count, rng)
+        pooled, pooled_se = _mse_on(w_pool, x, y)
+        spec, spec_se = _mse_on(fit_linear(world, which), x, y)
+        nonlin, nonlin_se = _mse_on(lambda v: estimate_nonlinear(world, v), x, y)
         results[which] = {
             "specialist_linear": spec,
             "specialist_linear_se": spec_se,

@@ -271,3 +271,45 @@ def test_requires_grad_outside_tape_is_an_error():
     t = ad.Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(RuntimeError, match="Tape"):
         ad.relu(t)
+
+
+def test_shared_first_gradients_accumulate_to_twice_g():
+    """backward stores the first gradient to reach a node without copying it;
+    a later contribution must allocate, not write into a shared array."""
+    rng = rng_for(10)
+    x0 = rng.standard_normal((3, 4))
+    weight = rng.standard_normal((3, 4))
+    g = np.full(weight.shape, 1.0 / weight.size) * weight  # d mean(out * weight) / d out
+    with ad.Tape() as tape:
+        x = tape.leaf(x0)
+        doubled = ad.add(x, x)
+        loss = ad.reduce_mean(ad.mul(doubled, ad.Tensor(weight)))
+        grads = ad.backward(tape, loss)
+    np.testing.assert_array_equal(grads[x.node_id].data, g + g)
+    np.testing.assert_array_equal(grads[doubled.node_id].data, g)
+    with ad.Tape() as tape:
+        x = tape.leaf(x0)
+        r = ad.reshape(x, (4, 3))  # passes its gradient through as a view
+        both = ad.add(ad.reshape(r, (3, 4)), ad.reshape(r, (3, 4)))  # two consumers of r
+        loss = ad.reduce_mean(ad.mul(both, ad.Tensor(weight)))
+        grads = ad.backward(tape, loss)
+    np.testing.assert_array_equal(grads[x.node_id].data, g + g)
+    np.testing.assert_array_equal(grads[both.node_id].data, g)
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 2), (3, 2, 6), (2, 6, 2), (16, 32, 32), (4, 10, 14)])
+def test_pooling_sums_match_reshape_reductions_bytewise(shape):
+    c, h, w = shape
+    rng = rng_for(11)
+    for _ in range(20):
+        a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        blocks = a.reshape(c, h // 2, 2, w // 2, 2)
+        assert ad.avgpool2(ad.Tensor(a)).data.tobytes() == blocks.mean(axis=(2, 4)).tobytes()
+        with ad.Tape() as tape:
+            x = tape.leaf(a[:, : h // 2, : w // 2])
+            up = ad.upsample2(x)
+            loss = ad.reduce_mean(ad.mul(up, ad.Tensor(a)))
+            grads = ad.backward(tape, loss)
+        upstream = np.full(a.shape, 1.0 / a.size) * a  # d loss / d up
+        ref = upstream.reshape(c, h // 2, 2, w // 2, 2).sum(axis=(2, 4))
+        assert grads[x.node_id].data.tobytes() == ref.tobytes()

@@ -178,11 +178,13 @@ def test_learning_rate_schedule_pointwise():
 
 def test_clipping_scales_by_norm():
     grads = [np.full(4, 5.0)]  # norm 10
-    clipped = learned._clip_gradients(grads, 1.0)
+    assert learned._global_norm(grads) == 10.0
+    clipped = learned._clip_gradients(grads, 1.0, learned._global_norm(grads))
     np.testing.assert_allclose(clipped[0], grads[0] * 0.1, atol=1e-15)
     assert np.sqrt(np.sum(clipped[0] ** 2)) <= 1.0 + 1e-12
     small = [np.full(4, 0.1)]
-    np.testing.assert_array_equal(learned._clip_gradients(small, 1.0)[0], small[0])
+    np.testing.assert_array_equal(
+        learned._clip_gradients(small, 1.0, learned._global_norm(small))[0], small[0])
 
 
 def test_train_zero_epochs_returns_init():

@@ -144,3 +144,17 @@ def test_nonlinear_requires_off_subspace_room():
     # sanity: a valid world accepts a single vector
     out = toy.estimate_nonlinear(world, np.zeros(4))
     assert out.shape == (1, 4)
+
+
+def test_mse_table_equals_one_draw_per_estimator():
+    """Scoring all three estimators on one draw per distribution gives the
+    same bytes as three mse_monte_carlo calls on identically seeded draws."""
+    table = toy.mse_table(WORLD, count=5_000, seed=3)
+    for which in ("P", "Q"):
+        estimators = {"pooled_linear": toy.fit_linear(WORLD, "mixture"),
+                      "specialist_linear": toy.fit_linear(WORLD, which),
+                      "adaptive_nonlinear": lambda y: toy.estimate_nonlinear(WORLD, y)}
+        for name, est in estimators.items():
+            rng = np.random.default_rng(np.random.SeedSequence([3, 0xA7B, ord(which)]))
+            mse, se = toy.mse_monte_carlo(WORLD, est, which, 5_000, rng)
+            assert (table[which][name], table[which][f"{name}_se"]) == (mse, se)
