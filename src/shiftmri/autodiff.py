@@ -119,11 +119,10 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     """Reverse sweep from a scalar loss; returns node_id -> gradient tensor.
 
     Differentiable leaves with no path to the loss get zero gradients. The
-    first gradient to reach a node is stored as returned by the backward
-    closure, not copied, so returned gradients may share memory with each
-    other (add and reshape pass theirs through): read them, never write into
-    them. No backward closure writes into its incoming gradient; accumulation
-    allocates a new array.
+    first gradient to reach a node is stored uncopied, so returned gradients
+    may share memory (add and reshape pass theirs through): read them, never
+    write into them. No backward closure writes into its incoming gradient,
+    and accumulation allocates a new array.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")

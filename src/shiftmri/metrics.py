@@ -35,22 +35,36 @@ DEFAULT_SSIM = SsimConfig()
 
 
 def _box_sums(img: np.ndarray, k: int) -> np.ndarray:
-    """Sum of each k-by-k window (valid positions only)."""
-    h, w = img.shape
-    out = np.zeros((h - k + 1, w - k + 1), dtype=img.dtype)
-    for di in range(k):
-        for dj in range(k):
-            out += img[di : di + h - k + 1, dj : dj + w - k + 1]
+    """Sum of each k-by-k window (valid positions only) over the last two axes
+    of a (..., h, w) stack.
+
+    The uniform window is separable: k row-offset adds into an
+    (..., h-k+1, w) buffer, then k column-offset adds over that buffer, 2k
+    array ops instead of k*k.
+    """
+    h, w = img.shape[-2:]
+    oh, ow = h - k + 1, w - k + 1
+    rows = img[..., 0:oh, :].copy()
+    for di in range(1, k):
+        rows += img[..., di : di + oh, :]
+    out = rows[..., 0:ow].copy()
+    for dj in range(1, k):
+        out += rows[..., dj : dj + ow]
     return out
 
 
 def _spread(field_: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
-    """Adjoint of _box_sums/k: scatter each window value onto its k*k pixels."""
+    """Exact adjoint of _box_sums: scatter each window value of a
+    (..., h-k+1, w-k+1) stack onto its k*k pixels of a (..., h, w) stack,
+    running _box_sums' two passes in reverse (columns, then rows)."""
     h, w = shape
-    out = np.zeros(shape)
+    oh, ow = field_.shape[-2:]
+    cols = np.zeros(field_.shape[:-1] + (w,))
+    for dj in range(k):
+        cols[..., dj : dj + ow] += field_
+    out = np.zeros(field_.shape[:-2] + (h, w))
     for di in range(k):
-        for dj in range(k):
-            out[di : di + h - k + 1, dj : dj + w - k + 1] += field_
+        out[..., di : di + oh, :] += cols
     return out
 
 
@@ -68,11 +82,7 @@ def _ssim_fields(x, y, config: SsimConfig):
     c2 = (config.k2 * data_range) ** 2
     n = k * k
     cn = n / (n - 1)  # unbiased covariance normalization
-    ux = _box_sums(x, k) / n
-    uy = _box_sums(y, k) / n
-    uxx = _box_sums(x * x, k) / n
-    uyy = _box_sums(y * y, k) / n
-    uxy = _box_sums(x * y, k) / n
+    ux, uy, uxx, uyy, uxy = _box_sums(np.stack([x, y, x * x, y * y, x * y]), k) / n
     vx = cn * (uxx - ux * ux)
     vy = cn * (uyy - uy * uy)
     vxy = cn * (uxy - ux * uy)
@@ -115,9 +125,10 @@ def ssim_and_grad(recon, target, config: SsimConfig = DEFAULT_SSIM):
     g_ux = 2.0 * q2 * (uy * b1 - ux * a1) / (b1 * b1)
     g_vx = -s / b2
     g_vxy = 2.0 * q1 / b2
-    grad = _spread(g_ux, k, x.shape)
-    grad += 2.0 * cn * (x * _spread(g_vx, k, x.shape) - _spread(g_vx * ux, k, x.shape))
-    grad += cn * (y * _spread(g_vxy, k, x.shape) - _spread(g_vxy * uy, k, x.shape))
+    sp_ux, sp_vx, sp_vx_ux, sp_vxy, sp_vxy_uy = _spread(
+        np.stack([g_ux, g_vx, g_vx * ux, g_vxy, g_vxy * uy]), k, x.shape)
+    grad = sp_ux + 2.0 * cn * (x * sp_vx - sp_vx_ux)
+    grad += cn * (y * sp_vxy - sp_vxy_uy)
     grad /= p * n_win
     return float(np.mean(s)), grad
 

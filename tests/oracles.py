@@ -39,6 +39,28 @@ def ssim_reference(x, y, window=7, k1=0.01, k2=0.03, data_range=None):
     return float(np.mean(vals))
 
 
+def box_sums_reference(img, k):
+    """Sum of every valid k-by-k window of a 2D image: one shifted slice of
+    the image added per window offset, k*k adds."""
+    h, w = img.shape
+    out = np.zeros((h - k + 1, w - k + 1))
+    for di in range(k):
+        for dj in range(k):
+            out += img[di : di + h - k + 1, dj : dj + w - k + 1]
+    return out
+
+
+def spread_reference(field, k, shape):
+    """Adjoint of box_sums_reference: each window value added onto its k*k
+    pixels, one shifted slice per window offset."""
+    h, w = shape
+    out = np.zeros(shape)
+    for di in range(k):
+        for dj in range(k):
+            out[di : di + h - k + 1, dj : dj + w - k + 1] += field
+    return out
+
+
 def laplacian_score_reference(recon, target):
     """Elementwise 5-point Laplacian of abs(target - recon), then variance."""
     d = np.abs(np.asarray(target, float) - np.asarray(recon, float))

@@ -3,7 +3,8 @@ import pytest
 
 from shiftmri import metrics
 from shiftmri.metrics import SsimConfig
-from oracles import laplacian_score_reference, ols_reference, ssim_reference
+from oracles import (box_sums_reference, laplacian_score_reference, ols_reference,
+                     spread_reference, ssim_reference)
 
 
 def test_ssim_identity_is_exactly_one():
@@ -29,6 +30,53 @@ def test_ssim_matches_bruteforce_reference():
         got = metrics.ssim(x, y, SsimConfig(data_range=1.0))
         ref = ssim_reference(x, y, data_range=1.0)
         assert abs(got - ref) < 1e-8
+
+
+WINDOW_CASES = [(3, (9, 14)), (7, (16, 16)), (7, (23, 11)), (11, (11, 30)), (11, (19, 12))]
+
+
+@pytest.mark.parametrize("k,shape", WINDOW_CASES)
+def test_separable_window_sums_match_the_per_offset_loops(k, shape):
+    rng = np.random.default_rng(k)
+    img = rng.standard_normal(shape)
+    ref = box_sums_reference(img, k)
+    got = metrics._box_sums(img, k)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    field = rng.standard_normal(ref.shape)
+    ref = spread_reference(field, k, shape)
+    got = metrics._spread(field, k, shape)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k,shape", WINDOW_CASES)
+def test_spread_is_the_adjoint_of_box_sums(k, shape):
+    rng = np.random.default_rng(100 + k)
+    img = rng.standard_normal(shape)
+    field = rng.standard_normal((shape[0] - k + 1, shape[1] - k + 1))
+    lhs = float(np.sum(metrics._spread(field, k, shape) * img))
+    rhs = float(np.sum(field * metrics._box_sums(img, k)))
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(field)) * np.max(np.abs(img)) * k * k
+
+
+def test_stacked_window_sums_equal_per_field_calls_bytewise():
+    rng = np.random.default_rng(6)
+    stack = rng.random((5, 17, 21))
+    sums = metrics._box_sums(stack, 7)
+    spread = metrics._spread(sums, 7, (17, 21))
+    for i in range(5):
+        assert sums[i].tobytes() == metrics._box_sums(stack[i], 7).tobytes()
+        assert spread[i].tobytes() == metrics._spread(sums[i], 7, (17, 21)).tobytes()
+
+
+def test_ssim_gradient_is_exactly_zero_at_the_target():
+    rng = np.random.default_rng(7)
+    for shape in ((16, 16), (23, 11)):
+        x = rng.random(shape) * 3.0
+        value, grad = metrics.ssim_and_grad(x, x)
+        assert value == 1.0
+        assert not np.any(grad)
 
 
 def test_ssim_symmetry_with_fixed_range():
