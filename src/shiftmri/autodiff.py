@@ -63,11 +63,10 @@ def _active_tape():
 
 
 class Tape:
-    """Records ops in creation order; gradients filled in by backward()."""
+    """Records ops in creation order; backward() sweeps them in reverse."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.gradients: dict[int, Tensor] = {}
 
     def __enter__(self):
         if not hasattr(_ACTIVE, "stack"):
@@ -151,7 +150,6 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
             out[nid] = Tensor(grads[nid])
         elif node.op == "leaf":
             out[nid] = Tensor(np.zeros(node.shape))
-    tape.gradients = out
     return out
 
 

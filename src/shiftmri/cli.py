@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 
@@ -27,9 +28,12 @@ def _load_json(path: str) -> dict:
     if not p.exists():
         raise ValidationError(f"no such file: {path}")
     try:
-        return json.loads(p.read_text())
+        obj = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ValidationError(f"invalid JSON in {path}: {e}") from e
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _out_dir(args) -> Path:
@@ -41,9 +45,14 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gen_data(args) -> int:
-    spec = datamod.DistributionSpec.from_dict(_load_json(args.spec))
+    try:
+        spec = datamod.DistributionSpec.from_dict(_load_json(args.spec))
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"bad spec {args.spec}: {e}") from e
     if args.seed is not None:
-        spec = datamod.replace(spec, seed=args.seed)
+        spec = replace(spec, seed=args.seed)
+    if args.count < 1:
+        raise ValidationError(f"--count must be >= 1, got {args.count}")
     dataset = datamod.generate(spec, args.count)
     datamod.save(dataset, _out_dir(args))
     print(f"wrote {len(dataset.items)} items to {args.out}")
@@ -58,7 +67,7 @@ def cmd_train(args) -> int:
     except (TypeError, ValueError) as e:
         raise ValidationError(str(e)) from e
     if args.seed is not None:
-        train_cfg = learned.TrainConfig.from_dict({**train_cfg.to_dict(), "seed": args.seed})
+        train_cfg = replace(train_cfg, seed=args.seed)
     if "dataset" not in cfg:
         raise ValidationError("train config needs a 'dataset' path")
     train_set = datamod.load(cfg["dataset"])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,18 @@ class TruncatedPayloadError(DatasetFormatError):
 
 class ChecksumError(DatasetFormatError):
     pass
+
+
+def from_fields(cls, d: dict, **convert):
+    """Build the dataclass `cls` from a JSON object keyed by its field names.
+
+    Defaults live only on the dataclass, so a missing required key or an
+    unknown key raises TypeError. `convert` maps a key to the coercion applied
+    to its value.
+    """
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
 
 
 FORMAT_VERSION = 1
@@ -65,27 +77,12 @@ class DistributionSpec:
             raise ValueError("coils must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "shape_family": self.shape_family,
-            "contrast": self.contrast,
-            "snr_db": self.snr_db,
-            "coils": self.coils,
-            "extents": list(self.extents),
-            "seed": self.seed,
-        }
+        return {**asdict(self), "extents": list(self.extents)}
 
     @staticmethod
     def from_dict(d: dict) -> "DistributionSpec":
-        return DistributionSpec(
-            name=d["name"],
-            shape_family=d.get("shape_family", "ellipse-phantom"),
-            contrast=d.get("contrast", {"kind": "gamma", "gamma": 1.0}),
-            snr_db=float(d.get("snr_db", 30.0)),
-            coils=int(d.get("coils", 4)),
-            extents=tuple(d.get("extents", (32, 32))),
-            seed=int(d.get("seed", 0)),
-        )
+        return from_fields(DistributionSpec, d, snr_db=float, coils=int, extents=tuple,
+                           seed=int)
 
 
 @dataclass(frozen=True)
@@ -99,13 +96,6 @@ class LesionAnnotation:
 
     def box(self) -> tuple[int, int, int, int]:
         return (self.row, self.col, self.height, self.width)
-
-    def to_dict(self) -> dict:
-        return {
-            "row": self.row, "col": self.col, "height": self.height,
-            "width": self.width, "area_fraction": self.area_fraction,
-            "size_class": self.size_class,
-        }
 
 
 @dataclass
@@ -175,18 +165,9 @@ def _polygon_phantom(h, w, rng) -> np.ndarray:
     return np.clip(mag, 0.0, None)
 
 
-def _lowpass_real(h, w, cutoff, rng) -> np.ndarray:
-    noise = rng.standard_normal((h, w))
-    k = kspace.fft2c(noise)
-    rr = np.arange(h)[:, None] - h // 2
-    cc = np.arange(w)[None, :] - w // 2
-    keep = (rr**2 + cc**2) <= cutoff**2
-    return np.real(kspace.ifft2c(k * keep))
-
-
 def _textured_phantom(h, w, rng) -> np.ndarray:
     base = _ellipse_phantom(h, w, rng)
-    texture = _lowpass_real(h, w, min(h, w) / 6.0, rng)
+    texture = np.real(kspace.lowpass(rng.standard_normal((h, w)), min(h, w) / 6.0))
     texture = 0.18 * texture / max(np.abs(texture).max(), 1e-12)
     body = base > 0
     return np.clip(base + texture * body, 0.0, None)
@@ -224,7 +205,7 @@ def _make_item(spec: DistributionSpec, index: int) -> Item:
     rng = kspace.rng_from(spec.seed, 0x17E3, index)
     mag = _FAMILIES[spec.shape_family](h, w, rng)
     mag = apply_contrast(mag, spec.contrast)
-    phase = _lowpass_real(h, w, 2.5, rng)
+    phase = np.real(kspace.lowpass(rng.standard_normal((h, w)), 2.5))
     phase = (np.pi / 4.0) * phase / max(np.abs(phase).max(), 1e-12)
     image = mag * np.exp(1j * phase)
     sens = kspace.simulate_sensitivities(h, w, spec.coils,
@@ -423,7 +404,7 @@ def save(dataset: Dataset, path: str | Path) -> None:
             "offset": offset,
             "nbytes": len(payload),
             "sha256": hashlib.sha256(payload).hexdigest(),
-            "lesion": item.lesion.to_dict() if item.lesion else None,
+            "lesion": asdict(item.lesion) if item.lesion else None,
         })
         blob.extend(payload)
         offset += len(payload)
@@ -497,7 +478,7 @@ def content_hash(dataset: Dataset) -> str:
         digest.update(_payload_bytes(item))
         digest.update(item.spec_name.encode())
         if item.lesion:
-            digest.update(json.dumps(item.lesion.to_dict(), sort_keys=True).encode())
+            digest.update(json.dumps(asdict(item.lesion), sort_keys=True).encode())
     return digest.hexdigest()
 
 

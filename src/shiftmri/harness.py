@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,15 +40,6 @@ class OverfitVerdict:
     id_gain_over_window: float
     ood_drop_from_peak: float
     detected: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "peak_epoch": self.peak_epoch,
-            "stop_epoch": self.stop_epoch,
-            "id_gain_over_window": self.id_gain_over_window,
-            "ood_drop_from_peak": self.ood_drop_from_peak,
-            "detected": self.detected,
-        }
 
 
 def detect_distributional_overfitting(id_trace, ood_trace, window: int = 3,
@@ -94,10 +85,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """An experiment read from JSON whose keys are these fields (plus "out",
+    the CLI's output directory); `raw` keeps the JSON object as read."""
+
     template: str
     seed: int
-    model: learned.ModelConfig
-    train: learned.TrainConfig
+    model: learned.ModelConfig = field(default_factory=learned.ModelConfig)
+    train: learned.TrainConfig = field(default_factory=learned.TrainConfig)
     distributions: dict[str, datamod.DistributionSpec] = field(default_factory=dict)
     sources: list[datamod.DistributionSpec] = field(default_factory=list)
     target: datamod.DistributionSpec | None = None
@@ -111,9 +105,11 @@ class ExperimentConfig:
     overfit_window: int = 3
     overfit_eps: float = 1e-3
     overfit_delta: float = 0.0
-    raw: dict = field(default_factory=dict)
+    raw: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.template not in TEMPLATES:
+            raise ConfigError(f"unknown template {self.template!r}; valid: {TEMPLATES}")
         # the overfitting scan needs window + 1 epochs; fail before training
         if self.template == "overfit_monitor" and self.train.epochs < self.overfit_window + 1:
             raise ConfigError(f"overfit_monitor needs train.epochs >= overfit_window + 1 = "
@@ -130,44 +126,27 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        spec = datamod.DistributionSpec.from_dict
         try:
-            template = d["template"]
-            if template not in TEMPLATES:
-                raise ConfigError(f"unknown template {template!r}; valid: {TEMPLATES}")
             if "seed" not in d:
                 raise ConfigError("seed must be explicit")
-            model = learned.ModelConfig.from_dict(d.get("model", {}))
-            train = learned.TrainConfig.from_dict(d.get("train", {}))
-            dists = {k: datamod.DistributionSpec.from_dict(v)
-                     for k, v in d.get("distributions", {}).items()}
-            sources = [datamod.DistributionSpec.from_dict(v) for v in d.get("sources", [])]
-            target = (datamod.DistributionSpec.from_dict(d["target"])
-                      if "target" in d else None)
-            return ExperimentConfig(
-                template=template,
-                seed=int(d["seed"]),
-                model=model,
-                train=train,
-                distributions=dists,
-                sources=sources,
-                target=target,
-                train_count=int(d.get("train_count", 16)),
-                test_count=int(d.get("test_count", 8)),
-                seeds=[int(s) for s in d.get("seeds", [])],
-                accelerations=[float(a) for a in d.get("accelerations", [4.0])],
-                unseen_acceleration=(float(d["unseen_acceleration"])
-                                     if d.get("unseen_acceleration") is not None else None),
-                skew_factor=float(d.get("skew_factor", 10.0)),
-                lesion_amplitude=float(d.get("lesion_amplitude", 0.4)),
-                overfit_window=int(d.get("overfit_window", 3)),
-                overfit_eps=float(d.get("overfit_eps", 1e-3)),
-                overfit_delta=float(d.get("overfit_delta", 0.0)),
-                raw=d,
-            )
-        except (KeyError, TypeError, ValueError) as e:
+            cfg = datamod.from_fields(
+                ExperimentConfig, {k: v for k, v in d.items() if k != "out"},
+                seed=int, model=learned.ModelConfig.from_dict,
+                train=learned.TrainConfig.from_dict,
+                distributions=lambda ds: {k: spec(v) for k, v in ds.items()},
+                sources=lambda vs: [spec(v) for v in vs], target=spec,
+                train_count=int, test_count=int, seeds=lambda vs: [int(s) for s in vs],
+                accelerations=lambda vs: [float(a) for a in vs],
+                unseen_acceleration=lambda a: None if a is None else float(a),
+                skew_factor=float, lesion_amplitude=float, overfit_window=int,
+                overfit_eps=float, overfit_delta=float)
+        except (AttributeError, TypeError, ValueError) as e:
             if isinstance(e, ConfigError):
                 raise
             raise ConfigError(str(e)) from e
+        cfg.raw = d
+        return cfg
 
     def canonical_json(self) -> str:
         d = {k: v for k, v in self.raw.items() if k != "out"}
@@ -299,17 +278,6 @@ def select_best_source(sources: list[datamod.Dataset], target_test: datamod.Data
     return best, specialists, means
 
 
-def _per_epoch_points(cfg, checkpoints, id_set, ood_set, mask_seed):
-    pts = []
-    for ck in checkpoints[1:]:
-        idv, _, _ = learned.evaluate_checkpoint(ck, id_set, mask_seed,
-                                                cfg.train.acceleration, cfg.train.center_fraction)
-        oodv, _, _ = learned.evaluate_checkpoint(ck, ood_set, mask_seed,
-                                                 cfg.train.acceleration, cfg.train.center_fraction)
-        pts.append((idv, oodv))
-    return pts
-
-
 def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
     if not cfg.sources or cfg.target is None:
         raise ConfigError("diversity_robustness needs sources and target")
@@ -332,18 +300,15 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
     _save_checkpoints(outdir, "P-union", union_cks)
     _save_checkpoints(outdir, "P+Q", both_cks)
 
-    baseline_pts = _per_epoch_points(cfg, specialists[best_idx], id_test, target_test, cfg.seed)
-    union_pts = _per_epoch_points(cfg, union_cks, id_test, target_test, cfg.seed)
-    both_pts = _per_epoch_points(cfg, both_cks, id_test, target_test, cfg.seed)
-    fit = metrics.effective_robustness_fit(baseline_pts, union_pts + both_pts)
-
-    records = []
-    for mid, cks, pts in (("P_best", specialists[best_idx], baseline_pts),
-                          ("P-union", union_cks, union_pts), ("P+Q", both_cks, both_pts)):
-        for ck, (idv, oodv) in zip(cks[1:], pts):
-            records.append(EvalRecord(mid, mid, ck.epoch, "ID(P_best)-test", "ssim", idv,
-                                      cfg.seed))
-            records.append(EvalRecord(mid, mid, ck.epoch, "Q-test", "ssim", oodv, cfg.seed))
+    # per-epoch (id, ood) points; each checkpoint's two records alternate
+    tests = {"ID(P_best)-test": id_test, "Q-test": target_test}
+    records, pts = [], {}
+    for mid, cks in (("P_best", specialists[best_idx]), ("P-union", union_cks),
+                     ("P+Q", both_cks)):
+        recs = [r for ck in cks[1:] for r in _eval_records(cfg, mid, mid, ck, tests, cfg.seed)]
+        records.extend(recs)
+        pts[mid] = [(i.value, o.value) for i, o in zip(recs[0::2], recs[1::2])]
+    fit = metrics.effective_robustness_fit(pts["P_best"], pts["P-union"] + pts["P+Q"])
 
     # train-set similarity to the target test set, per source and for the union
     sim_means = []
@@ -356,7 +321,7 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
         "source_target_ssim": source_means,
         "similarity_means": sim_means[:-1],
         "union_similarity_mean": sim_means[-1],
-        "union_final_effective_robustness": fit.residuals[len(union_pts) - 1],
+        "union_final_effective_robustness": fit.residuals[len(pts["P-union"]) - 1],
     }
     fits = {"ood_vs_id": fit}
     return records, fits, details
@@ -444,17 +409,17 @@ def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
     _, test_q = datamod.train_test(q_spec, cfg.train_count, cfg.test_count)
     cks, _ = _train_model(cfg, train_p, cfg.seed)
     _save_checkpoints(outdir, "P", cks)
-    id_trace, ood_trace = zip(*_per_epoch_points(cfg, cks, test_p, test_q, cfg.seed))
+    tests = {"P-test": test_p, "Q-test": test_q}
+    records = [r for ck in cks[1:]
+               for r in _eval_records(cfg, "P", train_p.name, ck, tests, cfg.seed)]
+    id_trace = [r.value for r in records[0::2]]
+    ood_trace = [r.value for r in records[1::2]]
     verdict = detect_distributional_overfitting(
         id_trace, ood_trace, cfg.overfit_window, cfg.overfit_eps, cfg.overfit_delta)
-    records = []
-    for epoch, (idv, oodv) in enumerate(zip(id_trace, ood_trace), start=1):
-        records.append(EvalRecord("P", train_p.name, epoch, "P-test", "ssim", idv, cfg.seed))
-        records.append(EvalRecord("P", train_p.name, epoch, "Q-test", "ssim", oodv, cfg.seed))
     details = {
-        "verdict": verdict.to_dict(),
-        "id_trace": list(id_trace),
-        "ood_trace": list(ood_trace),
+        "verdict": asdict(verdict),
+        "id_trace": id_trace,
+        "ood_trace": ood_trace,
         "thresholds": {"window": cfg.overfit_window, "eps": cfg.overfit_eps,
                        "delta": cfg.overfit_delta},
     }

@@ -92,10 +92,6 @@ class SamplingMask:
     def n_sampled(self) -> int:
         return int(self.sampled.sum())
 
-    def as_row(self) -> np.ndarray:
-        """Mask as a (1, width) float array broadcastable over k-space rows."""
-        return self.sampled.astype(np.float64)[None, :]
-
 
 class InfeasibleMaskError(ValueError):
     pass
@@ -176,14 +172,13 @@ def mask_for_volume(width: int, acceleration: float, center_fraction: float,
 # ---------------------------------------------------------------------------
 
 
-def _lowpass_field(height, width, cutoff, rng) -> np.ndarray:
-    """Complex random field containing only centered frequencies within cutoff."""
-    noise = rng.standard_normal((height, width)) + 1j * rng.standard_normal((height, width))
-    k = fft2c(noise)
+def lowpass(x: np.ndarray, cutoff: float) -> np.ndarray:
+    """An (h, w) image with only its centered frequencies within `cutoff` kept."""
+    height, width = x.shape
     rr = np.arange(height)[:, None] - height // 2
     cc = np.arange(width)[None, :] - width // 2
     keep = (rr**2 + cc**2) <= cutoff**2
-    return ifft2c(k * keep)
+    return ifft2c(fft2c(x) * keep)
 
 
 def simulate_sensitivities(height: int, width: int, coils: int, smoothness: float = 3.0,
@@ -199,7 +194,8 @@ def simulate_sensitivities(height: int, width: int, coils: int, smoothness: floa
     maps = np.empty((coils, height, width), dtype=np.complex128)
     for i in range(coils):
         anchor = 2.0 * np.exp(2j * np.pi * i / coils)
-        maps[i] = anchor + _lowpass_field(height, width, smoothness, rng)
+        noise = rng.standard_normal((height, width)) + 1j * rng.standard_normal((height, width))
+        maps[i] = anchor + lowpass(noise, smoothness)
     norm = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
     return maps / norm
 

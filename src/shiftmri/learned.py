@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -52,15 +52,11 @@ class ModelConfig:
             raise ValueError("cascades must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "channels": self.channels,
-            "pool_levels": self.pool_levels, "cascades": self.cascades,
-            "denoiser_channels": self.denoiser_channels, "seed": self.seed,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
+        return datamod.from_fields(ModelConfig, d)
 
 
 @dataclass(frozen=True)
@@ -93,21 +89,10 @@ class TrainConfig:
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size >= 1 and epochs >= 0 required")
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "epochs", "batch_size", "optimizer", "beta1", "beta2", "momentum",
-            "lr_max", "lr_min", "warmup_fraction", "clip_norm", "loss",
-            "acceleration", "center_fraction", "seed")}
-        if self.accelerations is not None:
-            d["accelerations"] = list(self.accelerations)
-        return d
-
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        d = dict(d)
-        if d.get("accelerations") is not None:
-            d["accelerations"] = tuple(float(a) for a in d["accelerations"])
-        return TrainConfig(**d)
+        return datamod.from_fields(TrainConfig, d, accelerations=lambda a: (
+            None if a is None else tuple(float(r) for r in a)))
 
 
 def learning_rate_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -470,6 +455,9 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
         raise ValueError("empty training set")
     model = construct_model(model_config)
     params = [p.copy() for p in (init_params or model.init_params())]
+    if len(params) != len(model.param_shapes):
+        raise ValueError(f"{len(params)} parameters given, config has "
+                         f"{len(model.param_shapes)}")
     for p, s in zip(params, model.param_shapes):
         if p.shape != tuple(s):
             raise ValueError(f"parameter shape {p.shape} does not match config {s}")
@@ -532,10 +520,6 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
 
 def finetune(checkpoint: Checkpoint, new_set: datamod.Dataset, config: TrainConfig):
     """Continue training from a checkpoint on a new dataset."""
-    model = construct_model(checkpoint.config)
-    for p, s in zip(checkpoint.params, model.param_shapes):
-        if p.shape != tuple(s):
-            raise ValueError("checkpoint parameters do not match its config")
     chain = checkpoint.provenance + [checkpoint.fingerprint]
     return train(checkpoint.config, new_set, config,
                  init_params=checkpoint.params, provenance=chain)

@@ -1,0 +1,177 @@
+"""Configs read from JSON: keys are dataclass fields, defaults live on the
+dataclass, and unknown keys are rejected the same way everywhere."""
+
+import json
+from dataclasses import asdict
+
+import pytest
+
+from shiftmri import cli, harness, learned
+from shiftmri import data as dm
+
+SPEC = dm.DistributionSpec("P", "textured-phantom", {"kind": "gamma", "gamma": 1.8},
+                           15.0, 6, (48, 32), 7)
+
+# (class, minimal JSON object, value it must equal, non-default value to round-trip)
+CASES = {
+    "DistributionSpec": (dm.DistributionSpec, {"name": "P"}, dm.DistributionSpec("P"), SPEC),
+    "ModelConfig": (learned.ModelConfig, {}, learned.ModelConfig(),
+                    learned.ModelConfig("varnet_lite", cascades=2, seed=1)),
+    "TrainConfig": (learned.TrainConfig, {}, learned.TrainConfig(),
+                    learned.TrainConfig(epochs=2, accelerations=(2.0, 4.0), seed=3)),
+    "ExperimentConfig": (
+        harness.ExperimentConfig, {"template": "skewed", "seed": 0},
+        harness.ExperimentConfig("skewed", 0),
+        harness.ExperimentConfig(
+            "accel_combo", 5, learned.ModelConfig(channels=4),
+            learned.TrainConfig(epochs=1), {"P": SPEC}, [SPEC], SPEC, 4, 2, [0, 1],
+            [2.0, 4.0], 3.0, 4.0, 0.3, 2, 1e-2, 0.1)),
+}
+
+
+def _as_json(x) -> dict:
+    """What a config file holding x reads back as."""
+    d = x.to_dict() if hasattr(x, "to_dict") else asdict(x)
+    d.pop("raw", None)
+    return json.loads(json.dumps(d))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_minimal_dict_equals_dataclass_defaults(name):
+    cls, minimal, expected, _ = CASES[name]
+    assert cls.from_dict(minimal) == expected
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_from_dict_inverts_to_dict(name):
+    cls, _, _, value = CASES[name]
+    assert cls.from_dict(_as_json(value)) == value
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_unknown_key_is_rejected(name):
+    cls, minimal, _, _ = CASES[name]
+    error = harness.ConfigError if cls is harness.ExperimentConfig else TypeError
+    with pytest.raises(error, match="unexpected keyword argument 'snr_dB'"):
+        cls.from_dict({**minimal, "snr_dB": 5})
+
+
+@pytest.mark.parametrize("where", ["model", "train", "target", "sources", "distributions"])
+def test_unknown_nested_key_is_a_config_error(where):
+    bad = {"name": "Q", "test_cont": 99}
+    value = {"model": {"test_cont": 99}, "train": {"test_cont": 99}, "target": bad,
+             "sources": [bad], "distributions": {"P": bad}}[where]
+    with pytest.raises(harness.ConfigError, match="test_cont"):
+        harness.ExperimentConfig.from_dict({"template": "skewed", "seed": 0, where: value})
+
+
+@pytest.mark.parametrize("where, value", [("distributions", []), ("sources", 3),
+                                          ("target", None), ("model", [])])
+def test_wrongly_typed_section_is_a_config_error(where, value):
+    with pytest.raises(harness.ConfigError):
+        harness.ExperimentConfig.from_dict({"template": "skewed", "seed": 0, where: value})
+
+
+def test_missing_required_key_is_rejected():
+    with pytest.raises(TypeError, match="name"):
+        dm.DistributionSpec.from_dict({"coils": 2})
+    with pytest.raises(harness.ConfigError, match="template"):
+        harness.ExperimentConfig.from_dict({"seed": 0})
+    with pytest.raises(TypeError, match="JSON object"):
+        dm.DistributionSpec.from_dict(["P"])
+
+
+def test_experiment_config_keeps_out_and_raw():
+    d = {"template": "skewed", "seed": "3", "train_count": "4", "out": "somewhere"}
+    cfg = harness.ExperimentConfig.from_dict(d)
+    assert (cfg.seed, cfg.train_count) == (3, 4)
+    assert cfg.raw is d
+    assert cfg.canonical_json() == '{"seed":"3","template":"skewed","train_count":"4"}'
+    with pytest.raises(harness.ConfigError, match="raw"):
+        harness.ExperimentConfig.from_dict({"template": "skewed", "seed": 0, "raw": {}})
+
+
+def test_model_config_dict_golden():
+    # sets the header bytes of every checkpoint
+    d = learned.ModelConfig().to_dict()
+    assert d == {"kind": "unet_lite", "channels": 8, "pool_levels": 2, "cascades": 3,
+                 "denoiser_channels": 6, "seed": 0}
+    assert list(d) == ["kind", "channels", "pool_levels", "cascades", "denoiser_channels",
+                       "seed"]
+
+
+def test_distribution_spec_dict_golden():
+    # lands in every dataset manifest and content hash
+    d = dm.DistributionSpec("P", extents=(48, 32), seed=3).to_dict()
+    assert d == {"name": "P", "shape_family": "ellipse-phantom",
+                 "contrast": {"kind": "gamma", "gamma": 1.0}, "snr_db": 30.0, "coils": 4,
+                 "extents": [48, 32], "seed": 3}
+    assert type(d["extents"]) is list
+    assert json.dumps(d, sort_keys=True) == (
+        '{"coils": 4, "contrast": {"gamma": 1.0, "kind": "gamma"}, "extents": [48, 32], '
+        '"name": "P", "seed": 3, "shape_family": "ellipse-phantom", "snr_db": 30.0}')
+
+
+# ---------------------------------------------------------------------------
+# The CLI exits 2 on every config it cannot read as written.
+# ---------------------------------------------------------------------------
+
+
+def _cli(tmp_path, capsys, *argv):
+    capsys.readouterr()
+    rc = cli.main([*argv, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.strip().splitlines()
+    return rc, err
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("spec, count", [
+    ({"name": "P", "extents": [32, 32], "snr_dB": 5}, 1),
+    ({"name": "P", "extents": [32, 32], "coils": 0}, 1),
+    ({"extents": [32, 32], "coils": 2}, 1),
+    ({"name": "P", "extents": [32, 32]}, 0),
+], ids=["unknown-key", "coils-0", "no-name", "count-0"])
+def test_gen_data_bad_input_exits_2(tmp_path, capsys, spec, count):
+    path = _write(tmp_path, "spec.json", spec)
+    rc, err = _cli(tmp_path, capsys, "gen-data", "--spec", path, "--count", str(count))
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("where", ["top", "spec", "train"])
+def test_run_unknown_key_exits_2(tmp_path, capsys, where):
+    spec = {"name": "P", "extents": [32, 32], "coils": 2}
+    config = {"template": "overfit_monitor", "seed": 0, "distributions": {"P": spec},
+              "train": {"epochs": 4}}
+    if where == "top":
+        config["test_cont"] = 99
+    elif where == "spec":
+        spec["snr_dB"] = 5
+    else:
+        config["train"]["epoch"] = 1
+    rc, err = _cli(tmp_path, capsys, "run", "--config", _write(tmp_path, "exp.json", config))
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [["gen-data", "--count", "1", "--spec"],
+                                     ["train", "--config"], ["run", "--seed", "1", "--config"]])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command):
+    rc, err = _cli(tmp_path, capsys, *command, _write(tmp_path, "c.json", [1]))
+    assert rc == 2
+    assert len(err) == 1 and "JSON object" in err[0]
+
+
+@pytest.mark.parametrize("section", ["model", "train"])
+def test_train_unknown_key_exits_2(tmp_path, capsys, section):
+    config = {"dataset": str(tmp_path / "none"), section: {"sed": 1}}
+    rc, err = _cli(tmp_path, capsys, "train", "--config", _write(tmp_path, "train.json", config))
+    assert rc == 2
+    assert len(err) == 1 and "sed" in err[0]

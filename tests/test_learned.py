@@ -407,3 +407,12 @@ def test_mse_loss_smoke():
     ds = small_dataset(seed=18, count=4)
     cks, traces = learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0, loss="mse"))
     assert traces["train_loss"][0] > 0
+
+
+@pytest.mark.parametrize("cut", [-1, 1], ids=["short", "long"])
+def test_train_rejects_parameter_count_mismatch(cut):
+    ds = small_dataset(seed=18, count=1)
+    params = learned.construct_model(UNET).init_params()
+    params = params[:-1] if cut < 0 else params + [params[-1]]
+    with pytest.raises(ValueError, match="parameters given"):
+        learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0), init_params=params)
