@@ -34,8 +34,9 @@ x = np.random.default_rng(1).standard_normal((32, 32)) \
     + 1j * np.random.default_rng(2).standard_normal((32, 32))
 yk = np.random.default_rng(3).standard_normal((4, 32, 32)) \
     + 1j * np.random.default_rng(4).standard_normal((4, 32, 32))
-lhs = np.vdot(kspace.apply_forward(x, item.sens, mask), yk)
-rhs = np.vdot(x, kspace.apply_adjoint(yk, item.sens, mask))
+enc = kspace.Encoding(item.sens, mask)  # bound once, applied many times
+lhs = np.vdot(kspace.apply_forward(x, enc), yk)
+rhs = np.vdot(x, kspace.apply_adjoint(yk, enc))
 print(f"adjointness <Ax, y> vs <x, A^H y>: defect "
       f"{abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(yk)):.2e}")
 
@@ -44,8 +45,8 @@ from shiftmri.metrics import SsimConfig, ssim
 
 target = kspace.ground_truth_rss(item.image, item.sens)
 zf = kspace.zero_filled_rss(y)
-full = kspace.zero_filled_rss(kspace.apply_forward(item.image, item.sens,
-                                                   kspace.full_mask(32)))
+full = kspace.zero_filled_rss(kspace.apply_forward(
+    item.image, kspace.Encoding(item.sens, kspace.full_mask(32))))
 cfg = SsimConfig(data_range=float(target.max()))
 print(f"\nSSIM zero-filled (4x):    {ssim(zf, target, cfg):.3f}")
 print(f"SSIM fully sampled:        {ssim(full, target, cfg):.3f}")

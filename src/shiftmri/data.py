@@ -357,7 +357,7 @@ EVAL_NOISE_TAG = 0xE7A2  # noise stream of per-volume evaluation measurements
 
 def simulate_measurements(item: Item, mask: kspace.SamplingMask, noise_seed: int) -> np.ndarray:
     """Undersampled noisy k-space for an item at its distribution's SNR."""
-    clean = kspace.apply_forward(item.image, item.sens, mask)
+    clean = kspace.apply_forward(item.image, kspace.Encoding(item.sens, mask))
     sigma = kspace.sigma_for_snr(clean, mask, item.snr_db)
     return kspace.add_noise(clean, mask, kspace.NoiseModel(sigma, noise_seed))
 

@@ -117,8 +117,8 @@ class FistaResult:
     iterations_run: int = 0
 
 
-def _objective(x, y, sens, mask, lam, levels) -> float:
-    data = 0.5 * float(np.sum(np.abs(kspace.apply_forward(x, sens, mask) - y) ** 2))
+def _objective(x, y, enc, lam, levels) -> float:
+    data = 0.5 * float(np.sum(np.abs(kspace.apply_forward(x, enc) - y) ** 2))
     reg = lam * float(np.sum(np.abs(haar_dwt(x, levels)))) if lam > 0 else 0.0
     return data + reg
 
@@ -128,9 +128,10 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
     """FISTA with restart on objective increase; the trace is non-increasing."""
     _check_levels(y.shape[-2:], config.wavelet_levels)
     step, lam, levels = config.step_size, config.lam, config.wavelet_levels
+    enc = kspace.Encoding(sens, mask)
 
     def grad(x):
-        return kspace.apply_adjoint(kspace.apply_forward(x, sens, mask) - y, sens, mask)
+        return kspace.apply_adjoint(kspace.apply_forward(x, enc) - y, enc)
 
     def prox_step(z):
         w = haar_dwt(z - step * grad(z), levels)
@@ -138,19 +139,19 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
             w = soft_threshold(w, lam * step)
         return haar_idwt(w, levels)
 
-    x = kspace.apply_adjoint(y, sens, mask)
+    x = kspace.apply_adjoint(y, enc)
     momentum = x.copy()
     t = 1.0
-    obj = _objective(x, y, sens, mask, lam, levels)
+    obj = _objective(x, y, enc, lam, levels)
     trace: list[float] = []
     for it in range(config.max_iters):
         candidate = prox_step(momentum)
-        cand_obj = _objective(candidate, y, sens, mask, lam, levels)
+        cand_obj = _objective(candidate, y, enc, lam, levels)
         if cand_obj > obj:
             # restart: plain proximal step from x cannot increase the objective
             t = 1.0
             candidate = prox_step(x)
-            cand_obj = _objective(candidate, y, sens, mask, lam, levels)
+            cand_obj = _objective(candidate, y, enc, lam, levels)
         if not np.isfinite(cand_obj):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0

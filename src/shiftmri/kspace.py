@@ -221,46 +221,78 @@ class NoiseModel:
             raise ValueError("sigma must be finite and >= 0")
 
 
-def _check_extents(x, sens, mask):
-    """x is an (h, w) image or a (coils, h, w) k-space stack."""
-    h, w = x.shape[-2:]
-    if sens.shape[-2:] != (h, w):
-        raise ValueError(f"sensitivity extents {sens.shape[-2:]} != image extents {(h, w)}")
-    if x.ndim == 3 and x.shape[0] != sens.shape[0]:
-        raise ValueError(f"k-space has {x.shape[0]} coils, sensitivities {sens.shape[0]}")
-    if mask.width != w:
-        raise ValueError(f"mask width {mask.width} != k-space width {w}")
+class Encoding:
+    """The multi-coil encoding operator E = M F S for one set of coil maps and
+    one column mask, bound once per solve for apply_forward and apply_adjoint.
+
+    It holds the maps in uncentered (ifftshifted) order and their conjugates,
+    so neither operator shifts the coil stack, and the sampled columns in
+    uncentered order (`cols_u`) and centered order (`cols`). A shift is a
+    permutation, so products formed in uncentered order hold the same bytes.
+    Its arrays are read-only.
+    """
+
+    def __init__(self, sens: np.ndarray, mask: SamplingMask):
+        sens = np.asarray(sens, dtype=np.complex128)
+        if sens.ndim != 3:
+            raise ValueError(f"sensitivities must be a (coils, h, w) stack, got shape {sens.shape}")
+        self.coils, h, w = sens.shape
+        self.extents = (h, w)
+        if mask.width != w:
+            raise ValueError(f"mask width {mask.width} != k-space width {w}")
+        self.sens_u = _read_only(np.fft.ifftshift(sens, axes=(-2, -1)))
+        self.conj_u = _read_only(np.conj(self.sens_u))
+        self.sampled_u = _read_only(np.fft.ifftshift(mask.sampled))
+        self.cols_u = _read_only(np.flatnonzero(self.sampled_u))
+        self.cols = _read_only((self.cols_u + w // 2) % w)
+
+    def check(self, x: np.ndarray) -> None:
+        """x is an (h, w) image or a (coils, h, w) k-space stack."""
+        if x.shape[-2:] != self.extents:
+            raise ValueError(f"sensitivity extents {self.extents} != image extents {x.shape[-2:]}")
+        if x.ndim == 3 and x.shape[0] != self.coils:
+            raise ValueError(f"k-space has {x.shape[0]} coils, sensitivities {self.coils}")
 
 
-def apply_forward(x: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.ndarray:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def apply_forward(x: np.ndarray, enc: Encoding) -> np.ndarray:
     """Masked per-coil k-space of the image; unsampled columns are exactly zero.
 
     fft2c of the whole coil stack, pruned: the row pass (axis -1) covers
     every row, the column pass (axis -2) only the sampled columns, which are
-    then scattered into zeroed k-space. Sampled values equal fft2c's bytes.
+    then scattered into zeroed k-space. Only the image plane is shifted in;
+    sampled values equal fft2c's bytes.
     """
     x = np.asarray(x, dtype=np.complex128)
-    _check_extents(x, sens, mask)
-    w = x.shape[-1]
-    k = np.fft.ifftshift(sens * x, axes=(-2, -1))
+    enc.check(x)
+    k = enc.sens_u * np.fft.ifftshift(x, axes=(-2, -1))
     np.fft.fft(k, axis=-1, norm="ortho", out=k)
-    cols = np.flatnonzero(np.fft.ifftshift(mask.sampled))  # before the column shift
-    kept = np.fft.fft(k[..., cols], axis=-2, norm="ortho")
+    kept = np.fft.fft(k[..., enc.cols_u], axis=-2, norm="ortho")
     k.fill(0)  # reused as the output: one full-size array per call
-    k[..., (cols + w // 2) % w] = np.fft.fftshift(kept, axes=-2)
+    k[..., enc.cols] = np.fft.fftshift(kept, axes=-2)
     return k
 
 
-def apply_adjoint(y: np.ndarray, sens: np.ndarray, mask: SamplingMask) -> np.ndarray:
-    """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i), one stacked
-    ifft2c, summed in coil order."""
+def apply_adjoint(y: np.ndarray, enc: Encoding) -> np.ndarray:
+    """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i).
+
+    The coils are transformed and summed in uncentered order, in coil order,
+    and only the summed plane is shifted back.
+    """
     y = np.asarray(y, dtype=np.complex128)
-    _check_extents(y, sens, mask)
-    imgs = ifft2c(y * mask.sampled)
-    out = np.zeros(y.shape[-2:], dtype=np.complex128)
-    for i in range(sens.shape[0]):
-        out += np.conj(sens[i]) * imgs[i]
-    return out
+    enc.check(y)
+    k = np.fft.ifftshift(y, axes=(-2, -1))
+    k *= enc.sampled_u
+    np.fft.ifft(k, axis=-1, norm="ortho", out=k)
+    np.fft.ifft(k, axis=-2, norm="ortho", out=k)
+    out = np.zeros(enc.extents, dtype=np.complex128)
+    for i in range(enc.coils):
+        out += enc.conj_u[i] * k[i]
+    return np.fft.fftshift(out)
 
 
 def add_noise(y: np.ndarray, mask: SamplingMask, noise: NoiseModel) -> np.ndarray:
@@ -279,7 +311,7 @@ NOISELESS_SNR_DB = 200.0
 def sigma_for_snr(clean: np.ndarray, mask: SamplingMask, snr_db: float) -> float:
     """Noise std giving the target SNR (dB) of sampled signal power vs noise power.
 
-    `clean` is the noiseless masked k-space, apply_forward(x, sens, mask).
+    `clean` is the noiseless masked k-space, apply_forward(x, enc).
     Targets at or above NOISELESS_SNR_DB are treated as exactly noiseless so
     that zero-noise contracts hold bit-exactly.
     """

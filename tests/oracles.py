@@ -167,7 +167,7 @@ def varnet_per_coil_reference(config, params, y, sens, mask):
     s2 = [ad.Tensor(as2ch(sens[i])) for i in range(coils)]
     sc2 = [ad.Tensor(as2ch(np.conj(sens[i]))) for i in range(coils)]
     mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64), (2, h, w)).copy())
-    x = ad.Tensor(as2ch(kspace.apply_adjoint(y, sens, mask)))
+    x = ad.Tensor(as2ch(kspace.apply_adjoint(y, kspace.Encoding(sens, mask))))
     p = iter(params)
     for _ in range(config.cascades):
         eta = next(p)

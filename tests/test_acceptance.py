@@ -38,8 +38,9 @@ def test_criterion_01_operator_algebra():
         sens = kspace.simulate_sensitivities(h, w, coils, rng=rng)
         mask = kspace.make_equispaced_mask(w, accel, 0.08, rng)
         y = rng.standard_normal((coils, h, w)) + 1j * rng.standard_normal((coils, h, w))
-        lhs = np.vdot(kspace.apply_forward(x, sens, mask), y)
-        rhs = np.vdot(x, kspace.apply_adjoint(y, sens, mask))
+        enc = kspace.Encoding(sens, mask)
+        lhs = np.vdot(kspace.apply_forward(x, enc), y)
+        rhs = np.vdot(x, kspace.apply_adjoint(y, enc))
         worst_adj = max(worst_adj,
                         abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y)))
         k = kspace.fft2c(x)
@@ -92,7 +93,7 @@ def test_criterion_02_autodiff_finite_differences():
     sens = item.sens[:, :8, :8]
     sens = sens / np.sqrt(np.sum(np.abs(sens) ** 2, axis=0))
     mask = kspace.make_equispaced_mask(8, 2, 0.08, np.random.default_rng(2))
-    y = kspace.apply_forward(image, sens, mask)
+    y = kspace.apply_forward(image, kspace.Encoding(sens, mask))
     target = kspace.ground_truth_rss(image, sens)
     cfg = SsimConfig(data_range=float(target.max()))
 
@@ -165,7 +166,7 @@ def test_criterion_04_fista():
     spec = dm.DistributionSpec("f0", extents=(32, 32), coils=4, snr_db=30, seed=7)
     item = dm.generate(spec, 1).items[0]
     fm = kspace.full_mask(32)
-    y0 = kspace.apply_forward(item.image, item.sens, fm)
+    y0 = kspace.apply_forward(item.image, kspace.Encoding(item.sens, fm))
     res = fista.fista_l1(y0, item.sens, fm, fista.FistaConfig(lam=0.0, max_iters=50))
     rel = np.linalg.norm(res.image - item.image) / np.linalg.norm(item.image)
     assert rel < 1e-8

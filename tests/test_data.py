@@ -52,7 +52,7 @@ def test_snr_calibration_within_1db(seed):
     for snr in (10.0, 30.0):
         item = dm.generate(spec(40 + seed, snr_db=snr), 1).items[0]
         mask = kspace.mask_for_volume(32, 4, 0.08, seed, 0)
-        clean = kspace.apply_forward(item.image, item.sens, mask)
+        clean = kspace.apply_forward(item.image, kspace.Encoding(item.sens, mask))
         noisy = dm.simulate_measurements(item, mask, seed + 7)
         z = noisy - clean
         measured = 10 * np.log10(np.sum(np.abs(clean) ** 2) / np.sum(np.abs(z) ** 2))
@@ -64,12 +64,12 @@ def _two_forward_measurements(item, mask, noise_seed):
     level and again for the measurement."""
     sigma = 0.0
     if item.snr_db < kspace.NOISELESS_SNR_DB:
-        clean = kspace.apply_forward(item.image, item.sens, mask)
+        clean = kspace.apply_forward(item.image, kspace.Encoding(item.sens, mask))
         power = float(np.sum(np.abs(clean) ** 2)) / (mask.n_sampled * clean.shape[0]
                                                      * clean.shape[1])
         sigma = float(np.sqrt(power / 10.0 ** (item.snr_db / 10.0)))
-    return kspace.add_noise(kspace.apply_forward(item.image, item.sens, mask), mask,
-                            kspace.NoiseModel(sigma, noise_seed))
+    clean = kspace.apply_forward(item.image, kspace.Encoding(item.sens, mask))
+    return kspace.add_noise(clean, mask, kspace.NoiseModel(sigma, noise_seed))
 
 
 @pytest.mark.parametrize("snr", [30.0, 200.0, 250.0])

@@ -153,28 +153,29 @@ def test_forward_reduces_to_fft():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     sens = kspace.unit_sensitivities(8, 8, 1)
-    y = kspace.apply_forward(x, sens, kspace.full_mask(8))
+    y = kspace.apply_forward(x, kspace.Encoding(sens, kspace.full_mask(8)))
     np.testing.assert_allclose(y[0], kspace.fft2c(x), atol=1e-12)
 
 
 def test_forward_zero_image():
     sens = kspace.unit_sensitivities(8, 8, 2)
-    y = kspace.apply_forward(np.zeros((8, 8), complex), sens, kspace.full_mask(8))
+    enc = kspace.Encoding(sens, kspace.full_mask(8))
+    y = kspace.apply_forward(np.zeros((8, 8), complex), enc)
     assert np.abs(y).max() == 0.0
 
 
 def test_forward_unsampled_columns_exactly_zero():
     rng = np.random.default_rng(3)
     x, sens, mask = _random_problem(rng, 16, 16, 3)
-    y = kspace.apply_forward(x, sens, mask)
+    y = kspace.apply_forward(x, kspace.Encoding(sens, mask))
     assert np.abs(y[:, :, ~mask.sampled]).max() == 0.0
 
 
 def test_adjoint_identity_at_full_sampling():
     rng = np.random.default_rng(4)
     x, sens, _ = _random_problem(rng, 16, 16, 4)
-    fm = kspace.full_mask(16)
-    xhat = kspace.apply_adjoint(kspace.apply_forward(x, sens, fm), sens, fm)
+    enc = kspace.Encoding(sens, kspace.full_mask(16))
+    xhat = kspace.apply_adjoint(kspace.apply_forward(x, enc), enc)
     assert np.linalg.norm(xhat - x) / np.linalg.norm(x) < 1e-10
 
 
@@ -182,8 +183,8 @@ def test_adjoint_single_coil_reduces_to_ifft():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((1, 8, 8)) + 1j * rng.standard_normal((1, 8, 8))
     sens = kspace.unit_sensitivities(8, 8, 1)
-    np.testing.assert_allclose(kspace.apply_adjoint(y, sens, kspace.full_mask(8)),
-                               kspace.ifft2c(y[0]), atol=1e-12)
+    enc = kspace.Encoding(sens, kspace.full_mask(8))
+    np.testing.assert_allclose(kspace.apply_adjoint(y, enc), kspace.ifft2c(y[0]), atol=1e-12)
 
 
 @pytest.mark.parametrize("coils", [1, 4, 8])
@@ -194,8 +195,9 @@ def test_adjointness_property(coils):
         w = int(rng.integers(8, 65))
         x, sens, mask = _random_problem(rng, h, w, coils, accel=int(rng.integers(2, 5)))
         y = rng.standard_normal((coils, h, w)) + 1j * rng.standard_normal((coils, h, w))
-        lhs = np.vdot(kspace.apply_forward(x, sens, mask), y)
-        rhs = np.vdot(x, kspace.apply_adjoint(y, sens, mask))
+        enc = kspace.Encoding(sens, mask)
+        lhs = np.vdot(kspace.apply_forward(x, enc), y)
+        rhs = np.vdot(x, kspace.apply_adjoint(y, enc))
         assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(y)) < 1e-10
 
 
@@ -231,14 +233,14 @@ def test_operators_equal_per_coil_loops(extents, accel):
     x, sens = _complex(rng, extents), _complex(rng, (8, h, w))
     mask = kspace.make_equispaced_mask(w, accel, 0.08, rng)
     ref = np.stack([_fft2c_slice(s * x) for s in sens]) * mask.sampled
-    y = kspace.apply_forward(x, sens, mask)
+    y = kspace.apply_forward(x, kspace.Encoding(sens, mask))
     assert y.dtype == np.complex128 and np.array_equal(y, ref)
     assert not y[..., ~mask.sampled].any()
     k = _complex(rng, (8, h, w))
     ref_adj = np.zeros(extents, dtype=np.complex128)
     for s, ks in zip(sens, k * mask.sampled):
         ref_adj += np.conj(s) * _fft2c_slice(ks, inverse=True)
-    assert kspace.apply_adjoint(k, sens, mask).tobytes() == ref_adj.tobytes()
+    assert kspace.apply_adjoint(k, kspace.Encoding(sens, mask)).tobytes() == ref_adj.tobytes()
     ref_zf = kspace.rss(np.stack([_fft2c_slice(ks, inverse=True) for ks in k]))
     assert kspace.zero_filled_rss(k).tobytes() == ref_zf.tobytes()
 
@@ -246,16 +248,18 @@ def test_operators_equal_per_coil_loops(extents, accel):
 def test_operators_reject_mismatched_extents():
     rng = np.random.default_rng(9)
     x, sens, mask = _random_problem(rng, 16, 16, 2)
-    y = kspace.apply_forward(x, sens, mask)
+    y = kspace.apply_forward(x, kspace.Encoding(sens, mask))
     narrow = kspace.make_equispaced_mask(12, 4, 0.08, rng)
     with pytest.raises(ValueError, match="sensitivity extents"):
-        kspace.apply_forward(x, sens[:, :, :12], mask)
+        kspace.apply_forward(x, kspace.Encoding(sens[:, :, :12], narrow))
     with pytest.raises(ValueError, match="sensitivity extents"):
-        kspace.apply_adjoint(y, sens[:, :12], mask)
+        kspace.apply_adjoint(y, kspace.Encoding(sens[:, :12], mask))
     with pytest.raises(ValueError, match="mask width"):
-        kspace.apply_forward(x, sens, narrow)
+        kspace.Encoding(sens, narrow)
     with pytest.raises(ValueError, match="mask width"):
-        kspace.apply_adjoint(y, sens, narrow)
+        kspace.Encoding(sens[:, :, :12], mask)
+    with pytest.raises(ValueError, match="coils, h, w"):
+        kspace.Encoding(sens[0], mask)
 
 
 @pytest.mark.parametrize("y_coils,sens_coils", [(8, 4), (4, 8)])
@@ -264,7 +268,7 @@ def test_adjoint_rejects_mismatched_coil_counts(y_coils, sens_coils):
     _, sens, mask = _random_problem(rng, 16, 16, sens_coils)
     y = rng.standard_normal((y_coils, 16, 16)) + 1j * rng.standard_normal((y_coils, 16, 16))
     with pytest.raises(ValueError, match=f"k-space has {y_coils} coils, sensitivities {sens_coils}"):
-        kspace.apply_adjoint(y, sens, mask)
+        kspace.apply_adjoint(y, kspace.Encoding(sens, mask))
 
 
 def test_rss_examples():
@@ -283,7 +287,7 @@ def test_zero_filled_rss_examples():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     sens = kspace.unit_sensitivities(8, 8, 1)
-    y = kspace.apply_forward(x, sens, kspace.full_mask(8))
+    y = kspace.apply_forward(x, kspace.Encoding(sens, kspace.full_mask(8)))
     np.testing.assert_allclose(kspace.zero_filled_rss(y), np.abs(x), atol=1e-12)
     assert np.abs(kspace.zero_filled_rss(np.zeros((2, 8, 8), complex))).max() == 0.0
 

@@ -33,7 +33,7 @@ def test_unet_rejects_indivisible_extents():
     model = learned.construct_model(learned.ModelConfig("unet_lite", pool_levels=3, seed=0))
     item = small_dataset(extents=(20, 20)).items[0]
     mask = kspace.full_mask(20)
-    y = kspace.apply_forward(item.image, item.sens, mask)
+    y = kspace.apply_forward(item.image, kspace.Encoding(item.sens, mask))
     with pytest.raises(ValueError, match="divisible"):
         model.reconstruct([ad.Tensor(p) for p in model.init_params()],
                           y, item.sens, mask)
@@ -45,7 +45,7 @@ def test_varnet_single_cascade_full_mask_is_adjoint():
     params = model.init_params()  # final denoiser conv zero-initialized
     item = small_dataset(seed=3).items[0]
     fm = kspace.full_mask(32)
-    y = kspace.apply_forward(item.image, item.sens, fm)
+    y = kspace.apply_forward(item.image, kspace.Encoding(item.sens, fm))
     out = model.reconstruct([ad.Tensor(p) for p in params], y, item.sens, fm)
     np.testing.assert_allclose(out.data, np.abs(item.image), atol=1e-10)
 
@@ -62,7 +62,7 @@ def _varnet_problem(coils, seed, extents=(16, 24), cascades=3):
     image = rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
     sens = kspace.simulate_sensitivities(h, w, coils, rng=rng)
     mask = kspace.make_equispaced_mask(w, 4, 0.16, rng)
-    y = kspace.add_noise(kspace.apply_forward(image, sens, mask), mask,
+    y = kspace.add_noise(kspace.apply_forward(image, kspace.Encoding(sens, mask)), mask,
                          kspace.NoiseModel(0.05, seed))
     return model, params, y, sens, mask, np.abs(image)
 
@@ -325,7 +325,7 @@ def test_infer_varnet_zero_denoiser_full_mask():
     cks, _ = learned.train(model_cfg, ds, learned.TrainConfig(epochs=0, seed=0))
     item = ds.items[0]
     fm = kspace.full_mask(32)
-    y = kspace.apply_forward(item.image, item.sens, fm)
+    y = kspace.apply_forward(item.image, kspace.Encoding(item.sens, fm))
     out = learned.infer(cks[0], y, item.sens, fm)
     np.testing.assert_allclose(out, np.abs(item.image), atol=1e-10)
 
