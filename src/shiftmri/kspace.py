@@ -242,8 +242,7 @@ class Encoding:
             raise ValueError(f"mask width {mask.width} != k-space width {w}")
         self.sens_u = _read_only(np.fft.ifftshift(sens, axes=(-2, -1)))
         self.conj_u = _read_only(np.conj(self.sens_u))
-        self.sampled_u = _read_only(np.fft.ifftshift(mask.sampled))
-        self.cols_u = _read_only(np.flatnonzero(self.sampled_u))
+        self.cols_u = _read_only(np.flatnonzero(np.fft.ifftshift(mask.sampled)))
         self.cols = _read_only((self.cols_u + w // 2) % w)
 
     def check(self, x: np.ndarray) -> None:
@@ -278,17 +277,21 @@ def apply_forward(x: np.ndarray, enc: Encoding) -> np.ndarray:
 
 
 def apply_adjoint(y: np.ndarray, enc: Encoding) -> np.ndarray:
-    """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i).
+    """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i), pruned.
 
-    The coils are transformed and summed in uncentered order, in coil order,
-    and only the summed plane is shifted back.
+    The column pass (axis -2) runs first and on the sampled columns only,
+    which are then scattered into zeroed uncentered k-space for the row pass
+    (axis -1). The coils are summed in uncentered order, in coil order, and
+    only the summed plane is shifted back. The pass order is the reverse of
+    ifft2c's, so values agree with ifft2c's to rounding, not byte for byte.
     """
     y = np.asarray(y, dtype=np.complex128)
     enc.check(y)
-    k = np.fft.ifftshift(y, axes=(-2, -1))
-    k *= enc.sampled_u
+    kept = np.fft.ifftshift(y[..., enc.cols], axes=-2)
+    np.fft.ifft(kept, axis=-2, norm="ortho", out=kept)
+    k = np.zeros(y.shape, dtype=np.complex128)
+    k[..., enc.cols_u] = kept
     np.fft.ifft(k, axis=-1, norm="ortho", out=k)
-    np.fft.ifft(k, axis=-2, norm="ortho", out=k)
     out = np.zeros(enc.extents, dtype=np.complex128)
     for i in range(enc.coils):
         out += enc.conj_u[i] * k[i]

@@ -225,6 +225,35 @@ def test_stacked_fft2c_bytes_equal_per_slice_reference(extents, depth):
         assert fn(x[0]).tobytes() == ref[0].tobytes()
 
 
+def _ifft2c_columns_first(k):
+    """Centered inverse 2D DFT, column pass (axis 0) before row pass (axis 1)."""
+    u = np.fft.ifft(np.fft.ifftshift(k), axis=0, norm="ortho")
+    return np.fft.fftshift(np.fft.ifft(u, axis=1, norm="ortho"))
+
+
+def _check_operators(rng, x, sens, mask):
+    """The bound operators against per-coil loops: the forward equals fft2c's
+    values, the adjoint the loop in its own pass order byte for byte, and
+    ifft2c's pass order to rounding."""
+    enc = kspace.Encoding(sens, mask)
+    ref = np.stack([_fft2c_slice(s * x) for s in sens]) * mask.sampled
+    y = kspace.apply_forward(x, enc)
+    assert y.dtype == np.complex128 and np.array_equal(y, ref)
+    assert not y[..., ~mask.sampled].any()
+    k = _complex(rng, sens.shape)
+    ref_adj = np.zeros(x.shape, dtype=np.complex128)
+    ref_ifft2c = np.zeros(x.shape, dtype=np.complex128)
+    for s, ks in zip(sens, k * mask.sampled):
+        ref_adj += np.conj(s) * _ifft2c_columns_first(ks)
+        ref_ifft2c += np.conj(s) * _fft2c_slice(ks, inverse=True)
+    adj = kspace.apply_adjoint(k, enc)
+    assert adj.tobytes() == ref_adj.tobytes()
+    assert np.linalg.norm(adj - ref_ifft2c) / np.linalg.norm(ref_ifft2c) < 1e-13
+    lhs, rhs = np.vdot(y, k), np.vdot(x, adj)
+    assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(k)) < 1e-10
+    return k
+
+
 @pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64), (96, 96)])
 @pytest.mark.parametrize("accel", [1, 2, 4, 8])
 def test_operators_equal_per_coil_loops(extents, accel):
@@ -232,17 +261,36 @@ def test_operators_equal_per_coil_loops(extents, accel):
     h, w = extents
     x, sens = _complex(rng, extents), _complex(rng, (8, h, w))
     mask = kspace.make_equispaced_mask(w, accel, 0.08, rng)
-    ref = np.stack([_fft2c_slice(s * x) for s in sens]) * mask.sampled
-    y = kspace.apply_forward(x, kspace.Encoding(sens, mask))
-    assert y.dtype == np.complex128 and np.array_equal(y, ref)
-    assert not y[..., ~mask.sampled].any()
-    k = _complex(rng, (8, h, w))
-    ref_adj = np.zeros(extents, dtype=np.complex128)
-    for s, ks in zip(sens, k * mask.sampled):
-        ref_adj += np.conj(s) * _fft2c_slice(ks, inverse=True)
-    assert kspace.apply_adjoint(k, kspace.Encoding(sens, mask)).tobytes() == ref_adj.tobytes()
+    k = _check_operators(rng, x, sens, mask)
     ref_zf = kspace.rss(np.stack([_fft2c_slice(ks, inverse=True) for ks in k]))
     assert kspace.zero_filled_rss(k).tobytes() == ref_zf.tobytes()
+
+
+@pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64), (33, 20), (96, 96)])
+@pytest.mark.parametrize("accel", [1, 2, 4, 8])
+@pytest.mark.parametrize("coils", [1, 8])
+def test_bound_operators_equal_per_coil_loops(extents, accel, coils):
+    rng = np.random.default_rng([coils, accel, *extents])
+    h, w = extents
+    x, sens = _complex(rng, extents), kspace.simulate_sensitivities(h, w, coils, rng=rng)
+    _check_operators(rng, x, sens, kspace.make_equispaced_mask(w, accel, 0.08, rng))
+
+
+def test_encoding_is_read_only_and_repeatable():
+    rng = np.random.default_rng(11)
+    x, sens, mask = _random_problem(rng, 24, 20, 4)
+    sens_before, sampled_before = sens.tobytes(), mask.sampled.tobytes()
+    enc = kspace.Encoding(sens, mask)
+    for name in ("sens_u", "conj_u", "cols_u", "cols"):
+        arr = getattr(enc, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    y = kspace.apply_forward(x, enc)
+    assert kspace.apply_forward(x, enc).tobytes() == y.tobytes()
+    adj = kspace.apply_adjoint(y, enc)
+    assert kspace.apply_adjoint(y, enc).tobytes() == adj.tobytes()
+    assert sens.tobytes() == sens_before and mask.sampled.tobytes() == sampled_before
 
 
 def test_operators_reject_mismatched_extents():
