@@ -20,7 +20,13 @@ cfg = SsimConfig(data_range=float(target.max()))
 result = fista.fista_l1(y, item.sens, mask, fista.FistaConfig(lam=1e-3, max_iters=100))
 zf = kspace.zero_filled_rss(y)
 print(f"objective: {result.objective_trace[0]:.4f} -> {result.objective_trace[-1]:.4f} "
-      f"over {result.iterations_run} iterations (monotone)")
+      f"over {result.iterations_run} iterations (monotone, {result.restarts} restarts, "
+      f"last relative change {result.final_rel_change:.1e})")
+# fista_l1 binds the encoding operator once per solve; the same operator
+# gives the data-consistency residual of the result
+enc = kspace.Encoding(item.sens, mask)
+resid = kspace.apply_forward(result.image, enc) - y
+print(f"data residual ||A x - y|| / ||y||: {np.linalg.norm(resid) / np.linalg.norm(y):.3f}")
 print(f"SSIM: zero-filled {ssim(zf, target, cfg):.3f} -> "
       f"FISTA {ssim(np.abs(result.image), target, cfg):.3f}")
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -104,15 +105,27 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_tune_lambda(args) -> int:
-    _check_acceleration(args)
-    dataset = datamod.load(args.dataset)
+def _parse_grid(text: str) -> list[float]:
+    """Comma-separated lambdas: finite, >= 0 and distinct."""
     try:
-        grid = [float(v) for v in args.grid.split(",") if v]
+        grid = [float(v) for v in text.split(",") if v]
     except ValueError as e:
         raise ValidationError(f"bad --grid: {e}") from e
     if not grid:
         raise ValidationError("--grid is empty")
+    for lam in grid:
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValidationError(f"--grid values must be finite and >= 0, got {lam!r}")
+    if len(set(grid)) != len(grid):
+        dup = next(lam for i, lam in enumerate(grid) if lam in grid[:i])
+        raise ValidationError(f"--grid lists {dup!r} more than once")
+    return grid
+
+
+def cmd_tune_lambda(args) -> int:
+    _check_acceleration(args)
+    grid = _parse_grid(args.grid)
+    dataset = datamod.load(args.dataset)
     seed = args.seed if args.seed is not None else 0
     best, table = tune_lambda(dataset, grid, FistaConfig(), acceleration=args.acceleration,
                               seed=seed)

@@ -75,6 +75,7 @@ class DistributionSpec:
             raise ValueError("extents must be >= 16 and divisible by 4")
         if self.coils < 1:
             raise ValueError("coils must be >= 1")
+        check_contrast(self.contrast)
 
     def to_dict(self) -> dict:
         return {**asdict(self), "extents": list(self.extents)}
@@ -180,23 +181,59 @@ _FAMILIES = {
 }
 
 
+CONTRAST_KEYS = {"gamma": {"kind", "gamma"}, "piecewise": {"kind", "xs", "ys"}}
+
+
+def check_contrast(contrast) -> None:
+    """A contrast map is {"kind": "gamma", "gamma": g} with g finite and > 0
+    (kind defaults to gamma, g to 1), or {"kind": "piecewise", "xs": [...],
+    "ys": [...]}: equal-length lists of finite numbers, xs strictly increasing
+    and ys non-decreasing. Anything else raises ValueError."""
+    if not isinstance(contrast, dict):
+        raise ValueError(f"contrast must be a JSON object, got {type(contrast).__name__}")
+    kind = contrast.get("kind", "gamma")
+    if not isinstance(kind, str) or kind not in CONTRAST_KEYS:
+        raise ValueError(f"unknown contrast kind {kind!r}; valid: {sorted(CONTRAST_KEYS)}")
+    unknown = set(contrast) - CONTRAST_KEYS[kind]
+    if unknown:
+        raise ValueError(f"unknown {kind} contrast keys {sorted(unknown)}")
+    if kind == "gamma":
+        gamma = _finite_array(contrast.get("gamma", 1.0), "gamma")
+        if gamma.ndim != 0 or not gamma > 0:
+            raise ValueError(f"contrast gamma must be a number > 0, got {contrast['gamma']!r}")
+        return
+    missing = CONTRAST_KEYS[kind] - set(contrast) - {"kind"}
+    if missing:
+        raise ValueError(f"piecewise contrast needs keys {sorted(missing)}")
+    xs, ys = _finite_array(contrast["xs"], "xs"), _finite_array(contrast["ys"], "ys")
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
+        raise ValueError("piecewise contrast xs and ys must be non-empty lists of equal length")
+    if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0):
+        raise ValueError("piecewise contrast map must be monotone")
+
+
+def _finite_array(value, name: str) -> np.ndarray:
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"contrast {name} must be numeric, got {value!r}") from e
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"contrast {name} must be finite, got {value!r}")
+    return a
+
+
 def apply_contrast(mag: np.ndarray, contrast: dict) -> np.ndarray:
     """Monotone intensity transform of nonnegative magnitudes."""
-    kind = contrast.get("kind", "gamma")
+    check_contrast(contrast)
     peak = float(mag.max())
     if peak == 0.0:
         return mag
     u = mag / peak
-    if kind == "gamma":
+    if contrast.get("kind", "gamma") == "gamma":
         out = u ** float(contrast.get("gamma", 1.0))
-    elif kind == "piecewise":
-        xs = np.asarray(contrast["xs"], dtype=np.float64)
-        ys = np.asarray(contrast["ys"], dtype=np.float64)
-        if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0):
-            raise ValueError("piecewise contrast map must be monotone")
-        out = np.interp(u, xs, ys)
     else:
-        raise ValueError(f"unknown contrast kind {kind!r}")
+        out = np.interp(u, np.asarray(contrast["xs"], dtype=np.float64),
+                        np.asarray(contrast["ys"], dtype=np.float64))
     return out * peak
 
 

@@ -106,8 +106,15 @@ class FistaConfig:
     wavelet_levels: int = 2
 
     def __post_init__(self):
-        if self.lam < 0 or self.max_iters < 1 or self.step_size <= 0:
-            raise ValueError("invalid FISTA config")
+        # written as negations so that NaN fails every check
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size!r}")
+        if not (np.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -115,6 +122,8 @@ class FistaResult:
     image: np.ndarray
     objective_trace: list[float] = field(default_factory=list)
     iterations_run: int = 0
+    restarts: int = 0  # iterations whose momentum step was replaced by a plain step
+    final_rel_change: float = float("nan")  # relative objective change of the last iteration
 
 
 def _objective(x, y, enc, lam, levels) -> float:
@@ -144,11 +153,13 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
     t = 1.0
     obj = _objective(x, y, enc, lam, levels)
     trace: list[float] = []
+    restarts = 0
     for it in range(config.max_iters):
         candidate = prox_step(momentum)
         cand_obj = _objective(candidate, y, enc, lam, levels)
         if cand_obj > obj:
             # restart: plain proximal step from x cannot increase the objective
+            restarts += 1
             t = 1.0
             candidate = prox_step(x)
             cand_obj = _objective(candidate, y, enc, lam, levels)
@@ -162,7 +173,7 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
         obj = cand_obj
         if rel_change < config.tolerance:
             break
-    return FistaResult(x, trace, len(trace))
+    return FistaResult(x, trace, len(trace), restarts, rel_change)
 
 
 # ---------------------------------------------------------------------------

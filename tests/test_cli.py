@@ -298,3 +298,57 @@ def test_run_pathology_too_small_for_lesions_exits_before_data(tmp_path, capsys)
     assert rc == 2
     assert "small-class lesion" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "-1", "1e-3,-inf", "1e-3,0.001", "0,1e-2,0.0"])
+def test_tune_lambda_grid_domain_is_validation_error(tmp_path, capsys, grid):
+    data_dir = gen_dataset(tmp_path, extents=[16, 16])
+    capsys.readouterr()
+    rc = cli.main(["--out", str(tmp_path / "o"), "tune-lambda", "--dataset", str(data_dir),
+                   "--grid", grid])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --grid")
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+BAD_CONTRASTS = [
+    {"kind": "foo"},
+    "gamma",
+    {"kind": "gamma", "gama": 2.0},
+    {"kind": "gamma", "gamma": -1.0},
+    {"kind": "piecewise", "xs": [0, 1]},
+    {"kind": "piecewise", "xs": [0, 0.5, 1], "ys": [0, 0.8, 0.5]},
+]
+
+
+@pytest.mark.parametrize("contrast", BAD_CONTRASTS)
+def test_gen_data_bad_contrast_is_validation_error(tmp_path, capsys, contrast):
+    spec_path = write_spec(tmp_path, contrast=contrast)
+    rc = cli.main(["--out", str(tmp_path / "o"), "gen-data", "--spec", str(spec_path),
+                   "--count", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad spec")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("contrast", BAD_CONTRASTS)
+def test_run_bad_contrast_exits_before_data(tmp_path, capsys, contrast):
+    config = {
+        "template": "joint_vs_separate", "seed": 0, "train_count": 2, "test_count": 1,
+        "model": {"kind": "unet_lite", "channels": 4, "pool_levels": 2, "seed": 0},
+        "train": {"epochs": 1, "seed": 0},
+        "distributions": {
+            "P": {"name": "P", "extents": [32, 32], "coils": 2, "seed": 1},
+            "Q": {"name": "Q", "extents": [32, 32], "coils": 2, "seed": 2,
+                  "contrast": contrast}},
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = cli.main(["--out", str(tmp_path / "o"), "run", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "contrast" in err[0]
+    assert not (tmp_path / "o").exists()

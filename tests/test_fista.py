@@ -34,6 +34,17 @@ def test_soft_threshold_examples():
         fista.soft_threshold(np.array(1.0), -0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", float("nan")), ("lam", float("inf")), ("lam", -1e-3),
+    ("step_size", float("nan")), ("step_size", float("inf")), ("step_size", 0.0),
+    ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", -1e-6),
+    ("max_iters", 0),
+])
+def test_fista_config_rejects_out_of_domain_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        fista.FistaConfig(**{field: value})
+
+
 def _phantom_problem(seed, snr_db=40.0, accel=4):
     spec = dm.DistributionSpec("p", extents=(32, 32), coils=4, snr_db=snr_db, seed=seed)
     item = dm.generate(spec, 1).items[0]
@@ -77,6 +88,24 @@ def test_fista_objective_trace_monotone(seed):
     assert len(tr) == res.iterations_run
     assert all(tr[i + 1] <= tr[i] + 1e-12 for i in range(len(tr) - 1))
     assert all(np.isfinite(v) for v in tr)
+
+
+@pytest.mark.parametrize("step_size, restarted", [(1.0, False), (1.9, True)])
+def test_fista_counts_restarts(monkeypatch, step_size, restarted):
+    # an over-long step makes the momentum candidate overshoot; every restart
+    # scores one extra candidate, so the objective is evaluated once at the
+    # start, once per iteration and once more per restart
+    item, mask, y = _phantom_problem(100, snr_db=25.0)
+    calls = []
+    objective = fista._objective
+    monkeypatch.setattr(fista, "_objective", lambda *a: calls.append(1) or objective(*a))
+    res = fista.fista_l1(y, item.sens, mask,
+                         fista.FistaConfig(lam=1e-3, max_iters=40, step_size=step_size))
+    assert res.restarts == len(calls) - 1 - res.iterations_run
+    assert (res.restarts > 0) == restarted
+    tr = res.objective_trace
+    assert all(b <= a for a, b in zip(tr, tr[1:]))
+    assert res.final_rel_change == abs(tr[-2] - tr[-1]) / abs(tr[-2])
 
 
 def test_tune_lambda_single_grid_point():
