@@ -278,7 +278,8 @@ class VarnetLite:
     def reconstruct(self, params, y, sens, mask) -> ad.Tensor:
         coils, h, w = y.shape
         self._check_extents(h, w)
-        x = ad.Tensor(_as2ch(kspace.apply_adjoint(y, kspace.Encoding(sens, mask))))  # checks coils too
+        enc = kspace.Encoding(sens, mask)
+        x = ad.Tensor(_as2ch(kspace.apply_adjoint(y, enc)))  # checks coils too
         minus_y = ad.Tensor(-_as2ch(y))
         s2 = ad.Tensor(_as2ch(sens))
         sc2 = ad.Tensor(_as2ch(np.conj(sens)))
