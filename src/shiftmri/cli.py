@@ -113,12 +113,13 @@ def _parse_grid(text: str) -> list[float]:
         raise ValidationError(f"bad --grid: {e}") from e
     if not grid:
         raise ValidationError("--grid is empty")
+    seen = set()
     for lam in grid:
         if not (math.isfinite(lam) and lam >= 0):
             raise ValidationError(f"--grid values must be finite and >= 0, got {lam!r}")
-    if len(set(grid)) != len(grid):
-        dup = next(lam for i, lam in enumerate(grid) if lam in grid[:i])
-        raise ValidationError(f"--grid lists {dup!r} more than once")
+        if lam in seen:
+            raise ValidationError(f"--grid lists {lam!r} more than once")
+        seen.add(lam)
     return grid
 
 

@@ -202,7 +202,7 @@ def check_contrast(contrast) -> None:
         if gamma.ndim != 0 or not gamma > 0:
             raise ValueError(f"contrast gamma must be a number > 0, got {contrast['gamma']!r}")
         return
-    missing = CONTRAST_KEYS[kind] - set(contrast) - {"kind"}
+    missing = {"xs", "ys"} - set(contrast)
     if missing:
         raise ValueError(f"piecewise contrast needs keys {sorted(missing)}")
     xs, ys = _finite_array(contrast["xs"], "xs"), _finite_array(contrast["ys"], "ys")

@@ -6,10 +6,12 @@ Images are 2D complex128 arrays (h, w); multi-coil k-space and sensitivities
 are stacked (coils, h, w). Masks act on k-space columns, i.e. the phase
 encoding direction is horizontal and readout rows are fully sampled.
 
-The centered transforms act on the last two axes of any (..., h, w) stack,
-so the operators transform all coils in one call. Each runs as two 1-D
-passes, axis -1 then axis -2, the order np.fft.fft2 uses, so every slice is
-byte-identical to a per-slice fft2 of the same data.
+The centered transforms act on the last two axes of any (..., h, w) stack.
+Each runs as two 1-D passes, axis -1 then axis -2, the order np.fft.fft2
+uses, so every slice is byte-identical to a per-slice fft2 of the same data.
+The forward and adjoint operators take an Encoding bound to one set of coil
+maps and one mask, and run their own passes over the whole coil stack, one
+of the two on the sampled columns only.
 """
 
 from __future__ import annotations

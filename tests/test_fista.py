@@ -56,11 +56,12 @@ def _phantom_problem(seed, snr_db=40.0, accel=4):
 def test_fista_lambda_zero_full_mask_recovers():
     item, _, _ = _phantom_problem(1)
     fm = kspace.full_mask(32)
-    y = kspace.apply_forward(item.image, kspace.Encoding(item.sens, fm))
+    enc = kspace.Encoding(item.sens, fm)
+    y = kspace.apply_forward(item.image, enc)
     res = fista.fista_l1(y, item.sens, fm, fista.FistaConfig(lam=0.0, max_iters=50))
     assert np.linalg.norm(res.image - item.image) / np.linalg.norm(item.image) < 1e-8
     # data consistency at the fixed point
-    resid = kspace.apply_forward(res.image, kspace.Encoding(item.sens, fm)) - y
+    resid = kspace.apply_forward(res.image, enc) - y
     assert np.linalg.norm(resid) / np.linalg.norm(y) < 1e-8
 
 
