@@ -234,18 +234,12 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return cols.reshape(cin * kh * kw, h * w)
 
 
-def _col2im(cols: np.ndarray, cin: int, kh: int, kw: int, h: int, w: int) -> np.ndarray:
-    ph, pw = kh // 2, kw // 2
-    xp = np.zeros((cin, h + 2 * ph, w + 2 * pw))
-    cols = cols.reshape(cin, kh, kw, h, w)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, i : i + h, j : j + w] += cols[:, i, j]
-    return xp[:, ph : ph + h, pw : pw + w]
-
-
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Stride-1 zero-pad-same convolution of (cin,h,w) with (cout,cin,kh,kw)."""
+    """Stride-1 zero-pad-same convolution of (cin,h,w) with (cout,cin,kh,kw).
+
+    The input gradient is itself a same-padded correlation of the output
+    gradient, with the kernel flipped in space and transposed in/out.
+    """
     if x.data.ndim != 3 or weight.data.ndim != 4:
         raise ShapeMismatch("conv2d", x.shape, weight.shape)
     cout, cin, kh, kw = weight.shape
@@ -265,8 +259,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         gmat = g.reshape(cout, h * w)
         grads = []
         if x.requires_grad:
-            gcols = wmat.T @ gmat
-            grads.append(_col2im(gcols, cin, kh, kw, h, w))
+            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+            grads.append((wflip @ _im2col(g, kh, kw)).reshape(cin, h, w))
         else:
             grads.append(None)
         if weight.requires_grad:

@@ -183,3 +183,16 @@ def varnet_per_coil_reference(config, params, y, sens, mask):
         d = ad.conv2d(d, next(p), next(p))
         x = ad.add(x, ad.scale(ad.add(dc, d), -1.0))
     return ad.magnitude_2ch(x)
+
+
+# conv2d's former input gradient is _col2im(wmat.T @ gmat, ...), with wmat the
+# (cout, cin*kh*kw) kernel matrix and gmat the (cout, h*w) output gradient:
+# each patch row of the gradient columns is added back where im2col read it.
+def _col2im(cols: np.ndarray, cin: int, kh: int, kw: int, h: int, w: int) -> np.ndarray:
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((cin, h + 2 * ph, w + 2 * pw))
+    cols = cols.reshape(cin, kh, kw, h, w)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, i : i + h, j : j + w] += cols[:, i, j]
+    return xp[:, ph : ph + h, pw : pw + w]

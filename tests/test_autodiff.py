@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import shiftmri.autodiff as ad
+from shiftmri import learned
 from shiftmri.metrics import SsimConfig
+from oracles import _col2im
 
 
 def rng_for(seed):
@@ -132,9 +134,10 @@ def _op_instances(kind, rng):
     if kind == "matmul-stacked-rhs":
         a, b = _rand_like(rng, (4, 3)), _rand_like(rng, (2, 3, 5))
         return lambda ls: ad.matmul(ls[0], ls[1]), [a, b]
-    if kind == "conv2d":
-        x = _rand_like(rng, (2, 5, 5))
-        w = _rand_like(rng, (3, 2, 3, 3)) * 0.5
+    if kind in ("conv2d", "conv2d-rect"):
+        rect = kind == "conv2d-rect"
+        x = _rand_like(rng, (2, 4, 7) if rect else (2, 5, 5))
+        w = _rand_like(rng, (3, 2, 3, 5) if rect else (3, 2, 3, 3)) * 0.5
         b = _rand_like(rng, (3,)) * 0.1
         return lambda ls: ad.conv2d(ls[0], ls[1], ls[2]), [x, w, b]
     if kind == "relu":
@@ -174,9 +177,9 @@ def _op_instances(kind, rng):
 
 OP_KINDS = [
     "add", "mul", "mul-scalar-broadcast", "scale", "matmul", "matmul-stacked-lhs",
-    "matmul-stacked-rhs", "conv2d", "relu", "avgpool2", "upsample2", "concat-channels",
-    "complex-mul-as-2ch", "complex-mul-broadcast", "coil-sum", "reduce-mean", "reshape",
-    "slice-channels", "magnitude-2ch", "ssim-loss-node",
+    "matmul-stacked-rhs", "conv2d", "conv2d-rect", "relu", "avgpool2", "upsample2",
+    "concat-channels", "complex-mul-as-2ch", "complex-mul-broadcast", "coil-sum", "reduce-mean",
+    "reshape", "slice-channels", "magnitude-2ch", "ssim-loss-node",
 ]
 
 
@@ -313,3 +316,70 @@ def test_pooling_sums_match_reshape_reductions_bytewise(shape):
         upstream = np.full(a.shape, 1.0 / a.size) * a  # d loss / d up
         ref = upstream.reshape(c, h // 2, 2, w // 2, 2).sum(axis=(2, 4))
         assert grads[x.node_id].data.tobytes() == ref.tobytes()
+
+
+def _check_input_gradient(rng, cout, cin, kh, kw, h, w):
+    """conv2d's input gradient for an output gradient g, from its backward
+    closure, against the scatter-add of the per-patch gradient columns."""
+    weight = rng.standard_normal((cout, cin, kh, kw))
+    with ad.Tape() as tape:
+        out = ad.conv2d(tape.leaf(rng.standard_normal((cin, h, w))), ad.Tensor(weight))
+    g = rng.standard_normal((cout, h, w))
+    got = tape.nodes[out.node_id].backward_fn(g)[0]
+    ref = _col2im(weight.reshape(cout, -1).T @ g.reshape(cout, -1), cin, kh, kw, h, w)
+    assert got.shape == ref.shape and got.flags.c_contiguous
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# (cout, cin, h, w) of every conv in unet_lite (8 channels, 2 pool levels)
+# and in a varnet_lite denoiser, at 32x32
+UNET_CONVS = {"in": (8, 1, 32, 32), "enc1": (16, 8, 16, 16), "enc2": (32, 16, 8, 8),
+              "dec1": (16, 48, 16, 16), "dec0": (8, 24, 32, 32), "out": (1, 8, 32, 32)}
+VARNET_CONVS = {"d1": (6, 2, 32, 32), "d2": (6, 6, 32, 32), "d3": (2, 6, 32, 32)}
+
+
+def test_model_conv_shapes_are_the_configured_ones():
+    unet = learned.UnetLite(learned.ModelConfig("unet_lite", channels=8, pool_levels=2))
+    varnet = learned.VarnetLite(learned.ModelConfig("varnet_lite", cascades=1))
+    for model, convs, prefix in ((unet, UNET_CONVS, ""), (varnet, VARNET_CONVS, "c0.")):
+        weights = {n[:-2]: s for n, s in model.layer_shapes if n.endswith(".w")}
+        assert weights == {prefix + n: (co, ci, 3, 3) for n, (co, ci, _, _) in convs.items()}
+
+
+@pytest.mark.parametrize("layer", [*UNET_CONVS.values(), *VARNET_CONVS.values()],
+                         ids=[*UNET_CONVS, *(f"varnet-{n}" for n in VARNET_CONVS)])
+def test_conv_input_gradient_matches_col2im_at_model_shapes(layer):
+    cout, cin, h, w = layer
+    _check_input_gradient(rng_for([cout, cin, h]), cout, cin, 3, 3, h, w)
+
+
+@pytest.mark.parametrize("kernel", [(1, 1), (1, 5), (5, 3), (3, 3)])
+@pytest.mark.parametrize("extents", [(1, 7), (9, 4), (6, 6)])
+def test_conv_input_gradient_matches_col2im_on_rectangles(kernel, extents):
+    """Non-square kernels and images catch a flip or transpose on the wrong axis."""
+    rng = rng_for([*kernel, *extents])
+    for _ in range(10):
+        cout, cin = (int(c) for c in rng.integers(1, 5, size=2))
+        _check_input_gradient(rng, cout, cin, *kernel, *extents)
+
+
+def test_conv_input_gradient_is_c_contiguous_and_not_copied_by_backward():
+    """backward's Tensor wrapper would copy a non-contiguous gradient."""
+    rng = rng_for(12)
+    returned = []
+    with ad.Tape() as tape:
+        x = tape.leaf(rng.standard_normal((3, 6, 5)))
+        out = ad.conv2d(x, ad.Tensor(rng.standard_normal((4, 3, 3, 5))))
+        loss = ad.reduce_mean(ad.mul(out, ad.Tensor(rng.standard_normal(out.shape))))
+        node = tape.nodes[out.node_id]
+        closure = node.backward_fn
+
+        def recording(g):
+            input_grads = closure(g)
+            returned.append(input_grads[0])
+            return input_grads
+
+        node.backward_fn = recording
+        grads = ad.backward(tape, loss)
+    assert returned[0].flags.c_contiguous
+    assert np.shares_memory(grads[x.node_id].data, returned[0])

@@ -276,6 +276,30 @@ def test_bound_operators_equal_per_coil_loops(extents, accel, coils):
     _check_operators(rng, x, sens, kspace.make_equispaced_mask(w, accel, 0.08, rng))
 
 
+def _gather_scatter_adjoint(y, enc):
+    """apply_adjoint's pruned path, which gathers the sampled columns for the
+    column pass and scatters them into zeroed k-space for the row pass."""
+    kept = np.fft.ifftshift(y[..., enc.cols], axes=-2)
+    np.fft.ifft(kept, axis=-2, norm="ortho", out=kept)
+    k = np.zeros(y.shape, dtype=np.complex128)
+    k[..., enc.cols_u] = kept
+    np.fft.ifft(k, axis=-1, norm="ortho", out=k)
+    out = np.zeros(enc.extents, dtype=np.complex128)
+    for i in range(enc.coils):
+        out += enc.conj_u[i] * k[i]
+    return np.fft.fftshift(out)
+
+
+@pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64)])
+@pytest.mark.parametrize("coils", [1, 8])
+def test_fully_sampled_adjoint_bytes_equal_gather_scatter_path(extents, coils):
+    rng = np.random.default_rng([coils, *extents])
+    h, w = extents
+    enc = kspace.Encoding(kspace.simulate_sensitivities(h, w, coils, rng=rng), kspace.full_mask(w))
+    y = _complex(rng, (coils, h, w))
+    assert kspace.apply_adjoint(y, enc).tobytes() == _gather_scatter_adjoint(y, enc).tobytes()
+
+
 def test_encoding_is_read_only_and_repeatable():
     rng = np.random.default_rng(11)
     x, sens, mask = _random_problem(rng, 24, 20, 4)
