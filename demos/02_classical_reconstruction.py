@@ -22,8 +22,8 @@ zf = kspace.zero_filled_rss(y)
 print(f"objective: {result.objective_trace[0]:.4f} -> {result.objective_trace[-1]:.4f} "
       f"over {result.iterations_run} iterations (monotone, {result.restarts} restarts, "
       f"last relative change {result.final_rel_change:.1e})")
-# fista_l1 binds the encoding operator once per solve; the same operator
-# gives the data-consistency residual of the result
+# fista_l1 fits the data in hybrid (h, k_w) space, where the residual has
+# the same norm as on full k-space, because the transform along h is unitary
 enc = kspace.Encoding(item.sens, mask)
 resid = kspace.apply_forward(result.image, enc) - y
 print(f"data residual ||A x - y|| / ||y||: {np.linalg.norm(resid) / np.linalg.norm(y):.3f}")

@@ -5,6 +5,13 @@ where W is an orthonormal multi-level Haar transform. The operator norm of
 A^H A is at most 1 under the unitary FFT and normalized coils, so the default
 unit step is safe. A restart-on-increase rule keeps the objective trace
 monotone.
+
+The data term and its gradient are taken in hybrid (h, k_w) space through
+one kspace.HybridEncoding per solve: the masks sample whole columns, so the
+unitary transform along h drops out of both, and the residual lives on the
+sampled columns only. W is orthonormal, so ||W x||_1 of a candidate is read
+off the thresholded coefficients its proximal step produced: one DWT and one
+IDWT per proximal step.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def _haar_step(block: np.ndarray) -> np.ndarray:
-    h, w = block.shape
     lo_r = (block[0::2] + block[1::2]) / _SQRT2
     hi_r = (block[0::2] - block[1::2]) / _SQRT2
     rows = np.concatenate([lo_r, hi_r], axis=0)
@@ -126,9 +132,11 @@ class FistaResult:
     final_rel_change: float = float("nan")  # relative objective change of the last iteration
 
 
-def _objective(x, y, enc, lam, levels) -> float:
-    data = 0.5 * float(np.sum(np.abs(kspace.apply_forward(x, enc) - y) ** 2))
-    reg = lam * float(np.sum(np.abs(haar_dwt(x, levels)))) if lam > 0 else 0.0
+def _objective(resid, coeffs, lam) -> float:
+    """0.5 ||B x - y_h||^2 + lam ||W x||_1 from x's residual on the sampled
+    columns and its wavelet coefficients."""
+    data = 0.5 * float(np.sum(np.abs(resid) ** 2))
+    reg = lam * float(np.sum(np.abs(coeffs))) if lam > 0 else 0.0
     return data + reg
 
 
@@ -137,32 +145,33 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
     """FISTA with restart on objective increase; the trace is non-increasing."""
     _check_levels(y.shape[-2:], config.wavelet_levels)
     step, lam, levels = config.step_size, config.lam, config.wavelet_levels
-    enc = kspace.Encoding(sens, mask)
+    op = kspace.Encoding(sens, mask).hybrid(y)
 
-    def grad(x):
-        return kspace.apply_adjoint(kspace.apply_forward(x, enc) - y, enc)
+    def residual(x):
+        return kspace.apply_forward(x, op) - op.y_h
 
     def prox_step(z):
-        w = haar_dwt(z - step * grad(z), levels)
+        """The candidate and the coefficients it was synthesized from."""
+        w = haar_dwt(z - step * kspace.apply_adjoint(residual(z), op), levels)
         if lam > 0:
             w = soft_threshold(w, lam * step)
-        return haar_idwt(w, levels)
+        return haar_idwt(w, levels), w
 
-    x = kspace.apply_adjoint(y, enc)
-    momentum = x.copy()
+    x = kspace.apply_adjoint(op.y_h, op)
+    momentum = x
     t = 1.0
-    obj = _objective(x, y, enc, lam, levels)
+    obj = _objective(residual(x), haar_dwt(x, levels), lam)
     trace: list[float] = []
     restarts = 0
     for it in range(config.max_iters):
-        candidate = prox_step(momentum)
-        cand_obj = _objective(candidate, y, enc, lam, levels)
+        candidate, coeffs = prox_step(momentum)
+        cand_obj = _objective(residual(candidate), coeffs, lam)
         if cand_obj > obj:
             # restart: plain proximal step from x cannot increase the objective
             restarts += 1
             t = 1.0
-            candidate = prox_step(x)
-            cand_obj = _objective(candidate, y, enc, lam, levels)
+            candidate, coeffs = prox_step(x)
+            cand_obj = _objective(residual(candidate), coeffs, lam)
         if not np.isfinite(cand_obj):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0

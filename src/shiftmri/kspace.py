@@ -12,6 +12,13 @@ uses, so every slice is byte-identical to a per-slice fft2 of the same data.
 The forward and adjoint operators take an Encoding bound to one set of coil
 maps and one mask, and run their own passes over the whole coil stack, one
 of the two on the sampled columns only.
+
+They also take a HybridEncoding, which FISTA alone uses: Encoding.hybrid(y)
+binds one measurement for one solve. Masks sample whole columns, so
+E = F_h M F_w S with F_h the centered transform along h, and since F_h is
+unitary the data term and its gradient need no pass and no shift along h:
+||E x - y|| = ||B x - y_h|| and E^H (E x - y) = B^H (B x - y_h), with
+B = M F_w S and y_h = F_h^H y on the sampled columns.
 """
 
 from __future__ import annotations
@@ -254,31 +261,83 @@ class Encoding:
         if x.ndim == 3 and x.shape[0] != self.coils:
             raise ValueError(f"k-space has {x.shape[0]} coils, sensitivities {self.coils}")
 
+    def hybrid(self, y: np.ndarray) -> HybridEncoding:
+        """The hybrid operator B = M F_w S bound to the measurement y."""
+        return HybridEncoding(self, y)
+
+
+class HybridEncoding:
+    """B = M F_w S with y_h = F_h^H y, bound to one measurement for one solve.
+
+    It holds the maps shifted along w only and their conjugates (`sens_w`,
+    `conj_w`), the sampled columns in uncentered order (`cols_u`), and
+    `y_h`, the centered inverse transform along h of y's sampled columns,
+    a (coils, h, n_sampled) array in the column order of cols_u.
+    apply_forward returns B x on those columns and apply_adjoint takes a
+    residual of that shape; both run one full pass along w and none along h.
+    y's unsampled columns are not measurements and are ignored, as
+    apply_adjoint ignores them. Its arrays are read-only.
+    """
+
+    def __init__(self, enc: Encoding, y: np.ndarray):
+        y = np.asarray(y, dtype=np.complex128)
+        if y.ndim != 3:
+            raise ValueError(f"k-space must be a (coils, h, w) stack, got shape {y.shape}")
+        enc.check(y)
+        self.coils, self.extents, self.cols_u = enc.coils, enc.extents, enc.cols_u
+        self.sens_w = _read_only(np.fft.fftshift(enc.sens_u, axes=-2))
+        self.conj_w = _read_only(np.conj(self.sens_w))
+        self.y_h = _read_only(ifft1c(y[..., enc.cols], axis=-2))
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
 
 
-def apply_forward(x: np.ndarray, enc: Encoding) -> np.ndarray:
+def _coil_row_pass(sens: np.ndarray, x: np.ndarray, axes) -> np.ndarray:
+    """sens * x, with the image plane shifted along `axes` into the maps'
+    order, then the row pass (axis -1) in place."""
+    k = sens * np.fft.ifftshift(x, axes=axes)
+    np.fft.fft(k, axis=-1, norm="ortho", out=k)
+    return k
+
+
+def _row_pass_coil_sum(k: np.ndarray, conj: np.ndarray, axes) -> np.ndarray:
+    """The inverse row pass (axis -1) on k in place, then sum_i conj_i * k_i
+    in coil order, and only the summed plane shifted back along `axes`."""
+    np.fft.ifft(k, axis=-1, norm="ortho", out=k)
+    out = np.zeros(k.shape[-2:], dtype=np.complex128)
+    for i in range(len(conj)):
+        out += conj[i] * k[i]
+    return np.fft.fftshift(out, axes=axes)
+
+
+def apply_forward(x: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
     """Masked per-coil k-space of the image; unsampled columns are exactly zero.
 
     fft2c of the whole coil stack, pruned: the row pass (axis -1) covers
     every row, the column pass (axis -2) only the sampled columns, which are
     then scattered into zeroed k-space. Only the image plane is shifted in;
     sampled values equal fft2c's bytes.
+
+    With a HybridEncoding it returns B x, the row pass alone, gathered on the
+    sampled columns: a (coils, h, n_sampled) array like enc.y_h.
     """
     x = np.asarray(x, dtype=np.complex128)
+    if isinstance(enc, HybridEncoding):
+        if x.shape != enc.extents:
+            raise ValueError(f"image shape {x.shape} != operator extents {enc.extents}")
+        return _coil_row_pass(enc.sens_w, x, -1)[..., enc.cols_u]
     enc.check(x)
-    k = enc.sens_u * np.fft.ifftshift(x, axes=(-2, -1))
-    np.fft.fft(k, axis=-1, norm="ortho", out=k)
+    k = _coil_row_pass(enc.sens_u, x, (-2, -1))
     kept = np.fft.fft(k[..., enc.cols_u], axis=-2, norm="ortho")
     k.fill(0)  # reused as the output: one full-size array per call
     k[..., enc.cols] = np.fft.fftshift(kept, axes=-2)
     return k
 
 
-def apply_adjoint(y: np.ndarray, enc: Encoding) -> np.ndarray:
+def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
     """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i), pruned.
 
     The column pass (axis -2) runs first and on the sampled columns only,
@@ -288,8 +347,18 @@ def apply_adjoint(y: np.ndarray, enc: Encoding) -> np.ndarray:
     ifft2c's, so values agree with ifft2c's to rounding, not byte for byte.
     When every column is sampled the gather and scatter are skipped; the
     bytes are the same.
+
+    With a HybridEncoding, y is a (coils, h, n_sampled) residual like
+    enc.y_h, and the result is B^H y: the scatter, row pass and coil sum
+    without the column pass.
     """
     y = np.asarray(y, dtype=np.complex128)
+    if isinstance(enc, HybridEncoding):
+        if y.shape != enc.y_h.shape:
+            raise ValueError(f"residual shape {y.shape} != sampled k-space shape {enc.y_h.shape}")
+        k = np.zeros((enc.coils, *enc.extents), dtype=np.complex128)
+        k[..., enc.cols_u] = y
+        return _row_pass_coil_sum(k, enc.conj_w, -1)
     enc.check(y)
     if enc.cols.size == enc.extents[1]:
         k = np.fft.ifftshift(y, axes=(-2, -1))
@@ -299,11 +368,7 @@ def apply_adjoint(y: np.ndarray, enc: Encoding) -> np.ndarray:
         np.fft.ifft(kept, axis=-2, norm="ortho", out=kept)
         k = np.zeros(y.shape, dtype=np.complex128)
         k[..., enc.cols_u] = kept
-    np.fft.ifft(k, axis=-1, norm="ortho", out=k)
-    out = np.zeros(enc.extents, dtype=np.complex128)
-    for i in range(enc.coils):
-        out += enc.conj_u[i] * k[i]
-    return np.fft.fftshift(out)
+    return _row_pass_coil_sum(k, enc.conj_u, (-2, -1))
 
 
 def add_noise(y: np.ndarray, mask: SamplingMask, noise: NoiseModel) -> np.ndarray:

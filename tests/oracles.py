@@ -1,15 +1,17 @@
 """Independent reference implementations used to check the optimized paths.
 
 Everything here is written directly from the mathematical definitions with
-plain loops, no shared code with the package internals. The one exception is
-the per-coil VarNet unroll: it is built from the autodiff ops so that its
-gradients can be compared with the coil-batched model's.
+plain loops, no shared code with the package internals. Two exceptions keep
+a former package path as the reference for the one that replaced it: the
+per-coil VarNet unroll is built from the autodiff ops so that its gradients
+can be compared with the coil-batched model's, and the full k-space FISTA
+loop runs on the package's full k-space operators and Haar transform.
 """
 
 import numpy as np
 
 import shiftmri.autodiff as ad
-from shiftmri import kspace
+from shiftmri import fista, kspace
 
 
 def ssim_reference(x, y, window=7, k1=0.01, k2=0.03, data_range=None):
@@ -196,3 +198,51 @@ def _col2im(cols: np.ndarray, cin: int, kh: int, kw: int, h: int, w: int) -> np.
         for j in range(kw):
             xp[:, i : i + h, j : j + w] += cols[:, i, j]
     return xp[:, ph : ph + h, pw : pw + w]
+
+
+# fista_l1's former loop: the data term on full k-space through the Encoding
+# operators, and the objective with a DWT of its own on every call.
+def _objective_full_kspace(x, y, enc, lam, levels) -> float:
+    data = 0.5 * float(np.sum(np.abs(kspace.apply_forward(x, enc) - y) ** 2))
+    reg = lam * float(np.sum(np.abs(fista.haar_dwt(x, levels)))) if lam > 0 else 0.0
+    return data + reg
+
+
+def fista_full_kspace_reference(y, sens, mask, config) -> fista.FistaResult:
+    step, lam, levels = config.step_size, config.lam, config.wavelet_levels
+    enc = kspace.Encoding(sens, mask)
+
+    def grad(x):
+        return kspace.apply_adjoint(kspace.apply_forward(x, enc) - y, enc)
+
+    def prox_step(z):
+        w = fista.haar_dwt(z - step * grad(z), levels)
+        if lam > 0:
+            w = fista.soft_threshold(w, lam * step)
+        return fista.haar_idwt(w, levels)
+
+    x = kspace.apply_adjoint(y, enc)
+    momentum = x.copy()
+    t = 1.0
+    obj = _objective_full_kspace(x, y, enc, lam, levels)
+    trace = []
+    restarts = 0
+    for it in range(config.max_iters):
+        candidate = prox_step(momentum)
+        cand_obj = _objective_full_kspace(candidate, y, enc, lam, levels)
+        if cand_obj > obj:
+            restarts += 1
+            t = 1.0
+            candidate = prox_step(x)
+            cand_obj = _objective_full_kspace(candidate, y, enc, lam, levels)
+        if not np.isfinite(cand_obj):
+            raise FloatingPointError(f"non-finite objective at iteration {it}")
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        momentum = candidate + ((t - 1.0) / t_next) * (candidate - x)
+        x, t = candidate, t_next
+        trace.append(cand_obj)
+        rel_change = abs(obj - cand_obj) / max(abs(obj), 1e-300)
+        obj = cand_obj
+        if rel_change < config.tolerance:
+            break
+    return fista.FistaResult(x, trace, len(trace), restarts, rel_change)

@@ -1,0 +1,28 @@
+"""The demos that drive the forward model and FISTA run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_demo(name):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_forward_model_demo_runs():
+    proc = _run_demo("01_forward_model_and_masks.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "unsampled columns are exactly zero: True" in proc.stdout
+
+
+def test_classical_reconstruction_demo_runs():
+    proc = _run_demo("02_classical_reconstruction.py")
+    assert proc.returncode == 0, proc.stderr
+    best = [line.split() for line in proc.stdout.splitlines() if "best lambda" in line]
+    assert [row[row.index("=") + 1] for row in best] == ["0.001", "0.1"]

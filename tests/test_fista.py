@@ -4,6 +4,7 @@ import pytest
 from shiftmri import data as dm
 from shiftmri import fista, kspace
 from shiftmri.metrics import SsimConfig, ssim
+from oracles import fista_full_kspace_reference
 
 
 def test_haar_constant_image_has_no_detail():
@@ -45,10 +46,10 @@ def test_fista_config_rejects_out_of_domain_values(field, value):
         fista.FistaConfig(**{field: value})
 
 
-def _phantom_problem(seed, snr_db=40.0, accel=4):
-    spec = dm.DistributionSpec("p", extents=(32, 32), coils=4, snr_db=snr_db, seed=seed)
+def _phantom_problem(seed, snr_db=40.0, accel=4, coils=4):
+    spec = dm.DistributionSpec("p", extents=(32, 32), coils=coils, snr_db=snr_db, seed=seed)
     item = dm.generate(spec, 1).items[0]
-    mask = kspace.mask_for_volume(32, accel, 0.08, seed, 0)
+    mask = kspace.full_mask(32) if accel == 1 else kspace.mask_for_volume(32, accel, 0.08, seed, 0)
     y = dm.simulate_measurements(item, mask, seed + 1)
     return item, mask, y
 
@@ -107,6 +108,50 @@ def test_fista_counts_restarts(monkeypatch, step_size, restarted):
     tr = res.objective_trace
     assert all(b <= a for a, b in zip(tr, tr[1:]))
     assert res.final_rel_change == abs(tr[-2] - tr[-1]) / abs(tr[-2])
+
+
+@pytest.mark.parametrize("accel", [1, 2, 4, 8])
+@pytest.mark.parametrize("coils", [1, 4])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_fista_matches_full_kspace_loop(accel, coils, lam):
+    item, mask, y = _phantom_problem(100, snr_db=25.0, accel=accel, coils=coils)
+    cfg = fista.FistaConfig(lam=lam, max_iters=40)
+    res = fista.fista_l1(y, item.sens, mask, cfg)
+    ref = fista_full_kspace_reference(y, item.sens, mask, cfg)
+    assert res.iterations_run == ref.iterations_run
+    rel = np.linalg.norm(res.image - ref.image) / np.linalg.norm(ref.image)
+    assert rel < 1e-12
+    # At full sampling E^H E = I, and for one coil E E^H = I on the sampled
+    # columns, so at lam 0 the start E^H y is already a least-squares minimizer,
+    # and at full sampling the first unit step lands on the minimizer for any
+    # lam. From there on a restart compares two objectives that are equal to
+    # rounding, so its count is rounding's call; for one coil at lam 0 the
+    # objectives themselves are rounding noise beside the data energy.
+    tied = accel == 1 or (coils == 1 and lam == 0)
+    if not tied:
+        assert res.restarts == ref.restarts
+    floor = 0.5 * float(np.sum(np.abs(y) ** 2)) if coils == 1 and lam == 0 else 0.0
+    for a, b in zip(res.objective_trace, ref.objective_trace):
+        assert abs(a - b) <= 1e-12 * max(abs(b), floor)
+
+
+@pytest.mark.parametrize("step_size", [1.0, 1.9])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_fista_runs_one_dwt_per_prox_step(monkeypatch, step_size, lam):
+    # the objective reads ||W x||_1 off the prox step's coefficients, so the
+    # only other DWT is the starting point's
+    item, mask, y = _phantom_problem(100, snr_db=25.0)
+    calls = {"haar_dwt": 0, "haar_idwt": 0}
+    for name in calls:
+        def counted(*a, _fn=getattr(fista, name), _name=name):
+            calls[_name] += 1
+            return _fn(*a)
+        monkeypatch.setattr(fista, name, counted)
+    res = fista.fista_l1(y, item.sens, mask,
+                         fista.FistaConfig(lam=lam, max_iters=40, step_size=step_size))
+    assert calls["haar_dwt"] == 1 + res.iterations_run + res.restarts
+    assert calls["haar_idwt"] == res.iterations_run + res.restarts
+    assert step_size == 1.0 or res.restarts > 0
 
 
 def test_tune_lambda_single_grid_point():

@@ -343,6 +343,78 @@ def test_adjoint_rejects_mismatched_coil_counts(y_coils, sens_coils):
         kspace.apply_adjoint(y, kspace.Encoding(sens, mask))
 
 
+# ---------------------------------------------------------------------------
+# The hybrid (h, k_w) operator B = M F_w S against the full k-space operator.
+# ---------------------------------------------------------------------------
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64), (33, 20), (96, 96)])
+@pytest.mark.parametrize("accel", [1, 2, 4, 8])
+@pytest.mark.parametrize("coils", [1, 8])
+def test_hybrid_data_term_and_gradient_equal_full_kspace(extents, accel, coils):
+    rng = np.random.default_rng([7, coils, accel, *extents])
+    h, w = extents
+    x, sens = _complex(rng, extents), kspace.simulate_sensitivities(h, w, coils, rng=rng)
+    mask = kspace.make_equispaced_mask(w, accel, 0.08, rng)
+    enc = kspace.Encoding(sens, mask)
+    y = kspace.apply_forward(_complex(rng, extents), enc) + _complex(rng, sens.shape) * mask.sampled
+    op = enc.hybrid(y)
+    assert op.y_h.shape == (coils, h, mask.n_sampled)
+    resid, resid_h = kspace.apply_forward(x, enc) - y, kspace.apply_forward(x, op) - op.y_h
+    assert resid_h.shape == op.y_h.shape
+    norm, norm_h = np.linalg.norm(resid), np.linalg.norm(resid_h)
+    assert abs(norm_h - norm) / norm < 1e-13
+    assert _rel(kspace.apply_adjoint(resid_h, op), kspace.apply_adjoint(resid, enc)) < 1e-13
+    assert _rel(kspace.apply_adjoint(op.y_h, op), kspace.apply_adjoint(y, enc)) < 1e-13
+    r = _complex(rng, op.y_h.shape)
+    lhs, rhs = np.vdot(kspace.apply_forward(x, op), r), np.vdot(x, kspace.apply_adjoint(r, op))
+    assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(r)) < 1e-13
+
+
+def test_hybrid_is_read_only_and_repeatable():
+    rng = np.random.default_rng(12)
+    x, sens, mask = _random_problem(rng, 24, 20, 4)
+    enc = kspace.Encoding(sens, mask)
+    y = kspace.apply_forward(x, enc)
+    y_before = y.tobytes()
+    op = enc.hybrid(y)
+    for name in ("sens_w", "conj_w", "cols_u", "y_h"):
+        arr = getattr(op, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    bx = kspace.apply_forward(x, op)
+    assert kspace.apply_forward(x, op).tobytes() == bx.tobytes()
+    adj = kspace.apply_adjoint(bx, op)
+    assert kspace.apply_adjoint(bx, op).tobytes() == adj.tobytes()
+    assert y.tobytes() == y_before
+    assert enc.hybrid(y).y_h.tobytes() == op.y_h.tobytes()
+
+
+def test_hybrid_rejects_mismatched_shapes():
+    rng = np.random.default_rng(13)
+    x, sens, mask = _random_problem(rng, 16, 16, 2)
+    enc = kspace.Encoding(sens, mask)
+    y = kspace.apply_forward(x, enc)
+    with pytest.raises(ValueError, match="k-space has 3 coils, sensitivities 2"):
+        enc.hybrid(np.concatenate([y, y[:1]]))
+    with pytest.raises(ValueError, match="sensitivity extents"):
+        enc.hybrid(y[:, :12])
+    with pytest.raises(ValueError, match="coils, h, w"):
+        enc.hybrid(y[0])
+    op = enc.hybrid(y)
+    for bad in (x[:12], x[:, :12], x[None]):
+        with pytest.raises(ValueError, match="image shape"):
+            kspace.apply_forward(bad, op)
+    for bad in (op.y_h[:1], op.y_h[:, :12], y, op.y_h[0]):
+        with pytest.raises(ValueError, match="residual shape"):
+            kspace.apply_adjoint(bad, op)
+
+
 def test_rss_examples():
     rng = np.random.default_rng(6)
     img = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
