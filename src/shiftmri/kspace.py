@@ -16,7 +16,7 @@ of the two on the sampled columns only.
 They also take a HybridEncoding, which FISTA alone uses: Encoding.hybrid(y)
 binds one measurement for one solve. Masks sample whole columns, so
 E = F_h M F_w S with F_h the centered transform along h, and since F_h is
-unitary the data term and its gradient need no pass and no shift along h:
+unitary the data term and its gradient need no pass along h:
 ||E x - y|| = ||B x - y_h|| and E^H (E x - y) = B^H (B x - y_h), with
 B = M F_w S and y_h = F_h^H y on the sampled columns.
 """
@@ -269,13 +269,14 @@ class Encoding:
 class HybridEncoding:
     """B = M F_w S with y_h = F_h^H y, bound to one measurement for one solve.
 
-    It holds the maps shifted along w only and their conjugates (`sens_w`,
-    `conj_w`), the sampled columns in uncentered order (`cols_u`), and
-    `y_h`, the centered inverse transform along h of y's sampled columns,
-    a (coils, h, n_sampled) array in the column order of cols_u.
-    apply_forward returns B x on those columns and apply_adjoint takes a
-    residual of that shape; both run one full pass along w and none along h.
-    y's unsampled columns are not measurements and are ignored, as
+    It shares the Encoding's maps, conjugates and uncentered sampled columns
+    and holds `y_h`, the inverse transform along h of y's sampled columns: a
+    (coils, h, n_sampled) array, its columns in the order of cols_u and its
+    rows in uncentered order like the maps'. A row order is a permutation, so
+    it leaves norms and the gradient as they are. apply_forward returns B x
+    in that layout and apply_adjoint takes a residual in it; each runs the
+    Encoding's pass along w and none along h, and only the image plane is
+    shifted. y's unsampled columns are not measurements and are ignored, as
     apply_adjoint ignores them. Its arrays are read-only.
     """
 
@@ -284,10 +285,10 @@ class HybridEncoding:
         if y.ndim != 3:
             raise ValueError(f"k-space must be a (coils, h, w) stack, got shape {y.shape}")
         enc.check(y)
-        self.coils, self.extents, self.cols_u = enc.coils, enc.extents, enc.cols_u
-        self.sens_w = _read_only(np.fft.fftshift(enc.sens_u, axes=-2))
-        self.conj_w = _read_only(np.conj(self.sens_w))
-        self.y_h = _read_only(ifft1c(y[..., enc.cols], axis=-2))
+        self.coils, self.extents = enc.coils, enc.extents
+        self.sens_u, self.conj_u, self.cols_u = enc.sens_u, enc.conj_u, enc.cols_u
+        y_h = np.fft.ifftshift(y[..., enc.cols], axes=-2)
+        self.y_h = _read_only(np.fft.ifft(y_h, axis=-2, norm="ortho", out=y_h))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -322,13 +323,13 @@ def apply_forward(x: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
     sampled values equal fft2c's bytes.
 
     With a HybridEncoding it returns B x, the row pass alone, gathered on the
-    sampled columns: a (coils, h, n_sampled) array like enc.y_h.
+    sampled columns: a (coils, h, n_sampled) array laid out like enc.y_h.
     """
     x = np.asarray(x, dtype=np.complex128)
     if isinstance(enc, HybridEncoding):
         if x.shape != enc.extents:
             raise ValueError(f"image shape {x.shape} != operator extents {enc.extents}")
-        return _coil_row_pass(enc.sens_w, x, -1)[..., enc.cols_u]
+        return _coil_row_pass(enc.sens_u, x, (-2, -1))[..., enc.cols_u]
     enc.check(x)
     k = _coil_row_pass(enc.sens_u, x, (-2, -1))
     kept = np.fft.fft(k[..., enc.cols_u], axis=-2, norm="ortho")
@@ -348,8 +349,8 @@ def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
     When every column is sampled the gather and scatter are skipped; the
     bytes are the same.
 
-    With a HybridEncoding, y is a (coils, h, n_sampled) residual like
-    enc.y_h, and the result is B^H y: the scatter, row pass and coil sum
+    With a HybridEncoding, y is a (coils, h, n_sampled) residual laid out
+    like enc.y_h, and the result is B^H y: the scatter, row pass and coil sum
     without the column pass.
     """
     y = np.asarray(y, dtype=np.complex128)
@@ -358,7 +359,7 @@ def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
             raise ValueError(f"residual shape {y.shape} != sampled k-space shape {enc.y_h.shape}")
         k = np.zeros((enc.coils, *enc.extents), dtype=np.complex128)
         k[..., enc.cols_u] = y
-        return _row_pass_coil_sum(k, enc.conj_w, -1)
+        return _row_pass_coil_sum(k, enc.conj_u, (-2, -1))
     enc.check(y)
     if enc.cols.size == enc.extents[1]:
         k = np.fft.ifftshift(y, axes=(-2, -1))

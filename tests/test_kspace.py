@@ -382,7 +382,7 @@ def test_hybrid_is_read_only_and_repeatable():
     y = kspace.apply_forward(x, enc)
     y_before = y.tobytes()
     op = enc.hybrid(y)
-    for name in ("sens_w", "conj_w", "cols_u", "y_h"):
+    for name in ("sens_u", "conj_u", "cols_u", "y_h"):
         arr = getattr(op, name)
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
