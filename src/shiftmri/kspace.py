@@ -269,15 +269,14 @@ class Encoding:
 class HybridEncoding:
     """B = M F_w S with y_h = F_h^H y, bound to one measurement for one solve.
 
-    It shares the Encoding's maps, conjugates and uncentered sampled columns
-    and holds `y_h`, the inverse transform along h of y's sampled columns: a
-    (coils, h, n_sampled) array, its columns in the order of cols_u and its
-    rows in uncentered order like the maps'. A row order is a permutation, so
-    it leaves norms and the gradient as they are. apply_forward returns B x
-    in that layout and apply_adjoint takes a residual in it; each runs the
-    Encoding's pass along w and none along h, and only the image plane is
-    shifted. y's unsampled columns are not measurements and are ignored, as
-    apply_adjoint ignores them. Its arrays are read-only.
+    It shares the Encoding's maps and uncentered sampled columns and holds
+    `y_h`, the inverse transform along h of y's sampled columns: a
+    (coils, h, n_sampled) array with its columns in cols_u order and its rows
+    in the maps' uncentered order (a permutation, so norms and gradients are
+    unchanged). apply_forward and apply_adjoint map images to and from that
+    layout with the Encoding's pass along w and none along h. y's unsampled
+    columns are not measurements and are ignored, as apply_adjoint ignores
+    them. Its arrays are read-only.
     """
 
     def __init__(self, enc: Encoding, y: np.ndarray):
@@ -296,22 +295,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _coil_row_pass(sens: np.ndarray, x: np.ndarray, axes) -> np.ndarray:
-    """sens * x, with the image plane shifted along `axes` into the maps'
+def _coil_row_pass(sens_u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sens_u * x, with the image plane shifted into the maps' uncentered
     order, then the row pass (axis -1) in place."""
-    k = sens * np.fft.ifftshift(x, axes=axes)
+    k = sens_u * np.fft.ifftshift(x, axes=(-2, -1))
     np.fft.fft(k, axis=-1, norm="ortho", out=k)
     return k
 
 
-def _row_pass_coil_sum(k: np.ndarray, conj: np.ndarray, axes) -> np.ndarray:
-    """The inverse row pass (axis -1) on k in place, then sum_i conj_i * k_i
-    in coil order, and only the summed plane shifted back along `axes`."""
+def _row_pass_coil_sum(k: np.ndarray, conj_u: np.ndarray) -> np.ndarray:
+    """The inverse row pass (axis -1) on uncentered k in place, then
+    sum_i conj_u[i] * k[i] in coil order; only the summed plane is shifted
+    back."""
     np.fft.ifft(k, axis=-1, norm="ortho", out=k)
     out = np.zeros(k.shape[-2:], dtype=np.complex128)
-    for i in range(len(conj)):
-        out += conj[i] * k[i]
-    return np.fft.fftshift(out, axes=axes)
+    for i in range(len(conj_u)):
+        out += conj_u[i] * k[i]
+    return np.fft.fftshift(out)
 
 
 def apply_forward(x: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
@@ -329,9 +329,9 @@ def apply_forward(x: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
     if isinstance(enc, HybridEncoding):
         if x.shape != enc.extents:
             raise ValueError(f"image shape {x.shape} != operator extents {enc.extents}")
-        return _coil_row_pass(enc.sens_u, x, (-2, -1))[..., enc.cols_u]
+        return _coil_row_pass(enc.sens_u, x)[..., enc.cols_u]
     enc.check(x)
-    k = _coil_row_pass(enc.sens_u, x, (-2, -1))
+    k = _coil_row_pass(enc.sens_u, x)
     kept = np.fft.fft(k[..., enc.cols_u], axis=-2, norm="ortho")
     k.fill(0)  # reused as the output: one full-size array per call
     k[..., enc.cols] = np.fft.fftshift(kept, axes=-2)
@@ -359,7 +359,7 @@ def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
             raise ValueError(f"residual shape {y.shape} != sampled k-space shape {enc.y_h.shape}")
         k = np.zeros((enc.coils, *enc.extents), dtype=np.complex128)
         k[..., enc.cols_u] = y
-        return _row_pass_coil_sum(k, enc.conj_u, (-2, -1))
+        return _row_pass_coil_sum(k, enc.conj_u)
     enc.check(y)
     if enc.cols.size == enc.extents[1]:
         k = np.fft.ifftshift(y, axes=(-2, -1))
@@ -369,7 +369,7 @@ def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
         np.fft.ifft(kept, axis=-2, norm="ortho", out=kept)
         k = np.zeros(y.shape, dtype=np.complex128)
         k[..., enc.cols_u] = kept
-    return _row_pass_coil_sum(k, enc.conj_u, (-2, -1))
+    return _row_pass_coil_sum(k, enc.conj_u)
 
 
 def add_noise(y: np.ndarray, mask: SamplingMask, noise: NoiseModel) -> np.ndarray:
