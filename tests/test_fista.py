@@ -142,11 +142,15 @@ def test_fista_runs_one_dwt_per_prox_step(monkeypatch, step_size, lam):
     # only other DWT is the starting point's
     item, mask, y = _phantom_problem(100, snr_db=25.0)
     calls = {"haar_dwt": 0, "haar_idwt": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
     for name in calls:
-        def counted(*a, _fn=getattr(fista, name), _name=name):
-            calls[_name] += 1
-            return _fn(*a)
-        monkeypatch.setattr(fista, name, counted)
+        monkeypatch.setattr(fista, name, counted(name, getattr(fista, name)))
     res = fista.fista_l1(y, item.sens, mask,
                          fista.FistaConfig(lam=lam, max_iters=40, step_size=step_size))
     assert calls["haar_dwt"] == 1 + res.iterations_run + res.restarts
