@@ -197,9 +197,12 @@ def _paired(records, model_id, id_set, ood_set):
 
 
 def cmd_toy_subspace(args) -> int:
-    world = toy.SubspaceWorld(args.n, args.d, args.sigma_p, args.sigma_q,
-                              seed=args.seed if args.seed is not None else 0)
-    table = toy.mse_table(world, count=args.samples, seed=world.seed)
+    try:
+        world = toy.SubspaceWorld(args.n, args.d, args.sigma_p, args.sigma_q,
+                                  seed=args.seed if args.seed is not None else 0)
+        table = toy.mse_table(world, count=args.samples, seed=world.seed)
+    except ValueError as e:
+        raise ValidationError(str(e)) from e
     payload = {
         "n": args.n, "d": args.d, "sigma_p": args.sigma_p, "sigma_q": args.sigma_q,
         "samples": args.samples, "seed": world.seed, "mse": table,

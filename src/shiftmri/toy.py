@@ -12,8 +12,14 @@ linear estimators on both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+# Rows drawn and scored at a time. At n=64, d=4 it keeps y @ U above 10^6
+# multiply-adds, below which OpenBLAS uses small-matrix kernels that round
+# differently, so the blocks keep the whole-array products' bytes.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -27,14 +33,15 @@ class SubspaceWorld:
     def __post_init__(self):
         if not (1 <= self.d < self.n):
             raise ValueError("need 1 <= d < n")
-        if self.sigma_p < 0 or self.sigma_q < 0:
-            raise ValueError("noise stds must be >= 0")
+        if not all(np.isfinite(s) and s >= 0 for s in (self.sigma_p, self.sigma_q)):
+            raise ValueError("noise stds must be finite and >= 0")
 
-    @property
+    @cached_property
     def basis(self) -> np.ndarray:
-        """Orthonormal n x d basis drawn deterministically from the seed."""
+        """Orthonormal n x d basis drawn from the seed; computed once, read-only."""
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x5B5]))
         q, _ = np.linalg.qr(rng.standard_normal((self.n, self.d)))
+        q.flags.writeable = False
         return q
 
     def sigma(self, which: str) -> float:
@@ -51,6 +58,26 @@ class SubspaceWorld:
         return self.sigma(which) ** 2
 
 
+def _blocks(world: SubspaceWorld, which: str, count: int, rng: np.random.Generator):
+    """Yield (rows, x, y) windows of min(count, BLOCK_ROWS) rows of one draw.
+
+    Draws all direction coefficients, then (mixture) all P/Q choices, then the
+    noise block by block, as one whole-array draw would. The last window ends
+    at `count`, overlapping the one before, so every product has as many rows."""
+    u = world.basis
+    coeff = rng.standard_normal((count, world.d))
+    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+    sig = (np.where(rng.random(count) < 0.5, world.sigma_p, world.sigma_q)
+           if which == "mixture" else np.full(count, world.sigma(which)))[:, None]
+    size = min(count, BLOCK_ROWS)
+    for start in range(0, count, size):
+        stop = min(start + size, count)
+        x = coeff[stop - size:stop] @ u.T
+        y_new = x[start - stop:] + sig[start:stop] * rng.standard_normal((stop - start, world.n))
+        y = y_new if stop - start == size else np.concatenate([y[stop - start:], y_new])
+        yield slice(stop - size, stop), x, y
+
+
 def sample(world: SubspaceWorld, which: str, count: int, rng: np.random.Generator):
     """(x, y) pairs with x uniform on the subspace sphere and y = x + e.
 
@@ -58,16 +85,10 @@ def sample(world: SubspaceWorld, which: str, count: int, rng: np.random.Generato
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    u = world.basis
-    coeff = rng.standard_normal((count, world.d))
-    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    x = coeff @ u.T
-    if which == "mixture":
-        sig = np.where(rng.random(count) < 0.5, world.sigma_p, world.sigma_q)[:, None]
-    else:
-        sig = world.sigma(which)
-    e = sig * rng.standard_normal((count, world.n))
-    return x, x + e
+    x, y = np.empty((count, world.n)), np.empty((count, world.n))
+    for rows, x_rows, y_rows in _blocks(world, which, count, rng):
+        x[rows], y[rows] = x_rows, y_rows
+    return x, y
 
 
 def fit_linear(world: SubspaceWorld, which: str) -> np.ndarray:
@@ -110,15 +131,21 @@ def mse_monte_carlo(world: SubspaceWorld, estimator, which: str, count: int,
 
     `estimator` is either an (n, n) matrix or a callable mapping y to x-hat.
     """
-    x, y = sample(world, which, count, rng)
-    return _mse_on(estimator, x, y)
+    return _score(world, [estimator], which, count, rng)[0]
 
 
-def _mse_on(estimator, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Empirical MSE and its standard error of `estimator` on drawn (x, y)."""
-    xhat = y @ estimator.T if isinstance(estimator, np.ndarray) else estimator(y)
-    per_sample = np.sum((xhat - x) ** 2, axis=1)
-    return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(len(x)))
+def _score(world: SubspaceWorld, estimators, which: str, count: int,
+           rng: np.random.Generator) -> list[tuple[float, float]]:
+    """Empirical MSE and its standard error of each estimator on one draw, from
+    a per-sample squared-error array per estimator that the blocks fill."""
+    if count < 2:
+        raise ValueError("count must be >= 2 for a standard error")
+    errors = [np.empty(count) for _ in estimators]
+    for rows, x, y in _blocks(world, which, count, rng):
+        for est, err in zip(estimators, errors):
+            xhat = y @ est.T if isinstance(est, np.ndarray) else est(y)
+            err[rows] = np.sum((xhat - x) ** 2, axis=1)
+    return [(float(e.mean()), float(e.std(ddof=1) / np.sqrt(count))) for e in errors]
 
 
 def mse_table(world: SubspaceWorld, count: int = 100_000, seed: int = 0) -> dict:
@@ -128,16 +155,10 @@ def mse_table(world: SubspaceWorld, count: int = 100_000, seed: int = 0) -> dict
     results: dict[str, dict[str, float]] = {}
     for which in ("P", "Q"):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA7B, ord(which)]))
-        x, y = sample(world, which, count, rng)
-        pooled, pooled_se = _mse_on(w_pool, x, y)
-        spec, spec_se = _mse_on(fit_linear(world, which), x, y)
-        nonlin, nonlin_se = _mse_on(lambda v: estimate_nonlinear(world, v), x, y)
-        results[which] = {
-            "specialist_linear": spec,
-            "specialist_linear_se": spec_se,
-            "pooled_linear": pooled,
-            "pooled_linear_se": pooled_se,
-            "adaptive_nonlinear": nonlin,
-            "adaptive_nonlinear_se": nonlin_se,
-        }
+        estimators = {"specialist_linear": fit_linear(world, which), "pooled_linear": w_pool,
+                      "adaptive_nonlinear": lambda v: estimate_nonlinear(world, v)}
+        results[which] = {}
+        for name, (mse, se) in zip(estimators, _score(world, list(estimators.values()),
+                                                      which, count, rng)):
+            results[which] |= {name: mse, f"{name}_se": se}
     return results

@@ -4,14 +4,15 @@ Everything here is written directly from the mathematical definitions with
 plain loops, no shared code with the package internals. Two exceptions keep
 a former package path as the reference for the one that replaced it: the
 per-coil VarNet unroll is built from the autodiff ops so that its gradients
-can be compared with the coil-batched model's, and the full k-space FISTA
-loop runs on the package's full k-space operators and Haar transform.
+can be compared with the coil-batched model's, the full k-space FISTA
+loop runs on the package's full k-space operators and Haar transform, and
+the toy MSE table is scored on whole arrays with the package's estimators.
 """
 
 import numpy as np
 
 import shiftmri.autodiff as ad
-from shiftmri import fista, kspace
+from shiftmri import fista, kspace, toy
 
 
 def ssim_reference(x, y, window=7, k1=0.01, k2=0.03, data_range=None):
@@ -246,3 +247,44 @@ def fista_full_kspace_reference(y, sens, mask, config) -> fista.FistaResult:
         if rel_change < config.tolerance:
             break
     return fista.FistaResult(x, trace, len(trace), restarts, rel_change)
+
+
+# The toy problem's former whole-array draw and scoring: every sample of a
+# distribution is held as one (count, n) array while each estimator runs.
+def toy_sample_reference(world, which, count, rng):
+    u = world.basis
+    coeff = rng.standard_normal((count, world.d))
+    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+    x = coeff @ u.T
+    if which == "mixture":
+        sig = np.where(rng.random(count) < 0.5, world.sigma_p, world.sigma_q)[:, None]
+    else:
+        sig = world.sigma(which)
+    e = sig * rng.standard_normal((count, world.n))
+    return x, x + e
+
+
+def toy_mse_reference(estimator, x, y):
+    xhat = y @ estimator.T if isinstance(estimator, np.ndarray) else estimator(y)
+    per_sample = np.sum((xhat - x) ** 2, axis=1)
+    return float(per_sample.mean()), float(per_sample.std(ddof=1) / np.sqrt(len(x)))
+
+
+def toy_mse_table_reference(world, count, seed):
+    w_pool = toy.fit_linear(world, "mixture")
+    results = {}
+    for which in ("P", "Q"):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA7B, ord(which)]))
+        x, y = toy_sample_reference(world, which, count, rng)
+        pooled, pooled_se = toy_mse_reference(w_pool, x, y)
+        spec, spec_se = toy_mse_reference(toy.fit_linear(world, which), x, y)
+        nonlin, nonlin_se = toy_mse_reference(lambda v: toy.estimate_nonlinear(world, v), x, y)
+        results[which] = {
+            "specialist_linear": spec,
+            "specialist_linear_se": spec_se,
+            "pooled_linear": pooled,
+            "pooled_linear_se": pooled_se,
+            "adaptive_nonlinear": nonlin,
+            "adaptive_nonlinear_se": nonlin_se,
+        }
+    return results

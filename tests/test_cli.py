@@ -131,6 +131,17 @@ def test_toy_subspace_json(tmp_path, capsys):
         assert {"specialist_linear", "pooled_linear", "adaptive_nonlinear"} <= keys
 
 
+@pytest.mark.parametrize("bad", [["--samples", "0"], ["--samples", "1"], ["--n", "4", "--d", "4"],
+                                 ["--sigma-p", "-1"], ["--sigma-p", "nan"]])
+def test_toy_subspace_bad_arguments_are_validation_errors(tmp_path, capsys, bad):
+    rc = cli.main(["--out", str(tmp_path / "o"), "toy-subspace", "--samples", "100", *bad])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
 def test_robustness_report_from_records(tmp_path, capsys):
     records = "\n".join([
         "model_id,sources,epoch,test_set,metric,value,mask_seed,flags",

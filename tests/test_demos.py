@@ -1,4 +1,4 @@
-"""The demos that drive the forward model and FISTA run to completion."""
+"""The demos that drive the forward model, FISTA and the toy problem run to completion."""
 
 import os
 import subprocess
@@ -26,3 +26,10 @@ def test_classical_reconstruction_demo_runs():
     assert proc.returncode == 0, proc.stderr
     best = [line.split() for line in proc.stdout.splitlines() if "best lambda" in line]
     assert [row[row.index("=") + 1] for row in best] == ["0.001", "0.1"]
+
+
+def test_toy_subspace_demo_runs():
+    proc = _run_demo("03_toy_subspace_estimators.py")
+    assert proc.returncode == 0, proc.stderr
+    for which in ("P", "Q"):
+        assert f"pooled is suboptimal on {which} by" in proc.stdout

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import toy_mse_reference, toy_mse_table_reference, toy_sample_reference
 from shiftmri import toy
 
 
@@ -12,8 +15,29 @@ def test_world_validation():
         toy.SubspaceWorld(4, 4, 0.1, 0.2)
     with pytest.raises(ValueError):
         toy.SubspaceWorld(8, 2, -0.1, 0.2)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            toy.SubspaceWorld(8, 2, 0.1, bad)
     u = WORLD.basis
     np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-10)
+
+
+def test_basis_is_computed_once_and_read_only():
+    world = toy.SubspaceWorld(64, 4, 0.05, 0.5, seed=0)
+    u = world.basis
+    assert world.basis is u and not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    assert toy.SubspaceWorld(64, 4, 0.05, 0.5, seed=0).basis.tobytes() == u.tobytes()
+
+
+@pytest.mark.parametrize("count", [-1, 0, 1])
+def test_scores_need_two_samples(count):
+    with pytest.raises(ValueError):
+        toy.mse_table(WORLD, count=count)
+    with pytest.raises(ValueError):
+        toy.mse_monte_carlo(WORLD, toy.fit_linear(WORLD, "P"), "P", count,
+                            np.random.default_rng(0))
 
 
 def test_sample_noiseless_lies_on_sphere_in_subspace():
@@ -158,3 +182,59 @@ def test_mse_table_equals_one_draw_per_estimator():
             rng = np.random.default_rng(np.random.SeedSequence([3, 0xA7B, ord(which)]))
             mse, se = toy.mse_monte_carlo(WORLD, est, which, 5_000, rng)
             assert (table[which][name], table[which][f"{name}_se"]) == (mse, se)
+
+
+B = toy.BLOCK_ROWS
+
+
+def _rows_keep_bytes(world, count):
+    """Whether the BLAS gives the first min(count, B) rows of each of the toy's
+    product shapes the same bytes as a `count`-row product. OpenBLAS runs small
+    products (rows x cols x inner <= 10^6) through kernels that round differently."""
+    rows = min(count, B)
+    a = np.random.default_rng(0).standard_normal((count, world.n))
+    u = world.basis
+    pairs = ((a, u), (a, toy.fit_linear(world, "P").T), (a[:, : world.d], u.T))
+    return all(np.array_equal(m[:rows] @ f, (m @ f)[:rows]) for m, f in pairs)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("n, d", [(64, 4), (32, 3), (5, 1)])
+@pytest.mark.parametrize("count", [2, B - 1, B, B + 1, 2 * B + 3, 100_000])
+def test_block_scoring_keeps_whole_array_bytes(n, d, count, seed):
+    """Row blocks give the same table, sample and mixture MSE as the former
+    whole-array draw and scoring, wherever the BLAS rounds each row of a
+    product the same at B rows as at `count` rows."""
+    world = toy.SubspaceWorld(n, d, 0.05, 0.5, seed=seed)
+    table, ref = toy.mse_table(world, count, seed), toy_mse_table_reference(world, count, seed)
+    adaptive = lambda y: toy.estimate_nonlinear(world, y)  # noqa: E731
+    mixture = toy.mse_monte_carlo(world, adaptive, "mixture", count, np.random.default_rng(seed))
+    x, y = toy_sample_reference(world, "mixture", count, np.random.default_rng(seed))
+    mixture_ref = toy_mse_reference(adaptive, x, y)
+    if _rows_keep_bytes(world, count):
+        assert table == ref
+        assert mixture == mixture_ref
+        xs, ys = toy.sample(world, "mixture", count, np.random.default_rng(seed))
+        assert xs.tobytes() == x.tobytes() and ys.tobytes() == y.tobytes()
+    else:
+        # each row moves by rounding only, so the means move by at most an ulp or two
+        got = [v for t in table.values() for v in t.values()] + list(mixture)
+        want = [v for t in ref.values() for v in t.values()] + list(mixture_ref)
+        assert all(abs(g - w) <= 2 * np.spacing(w) for g, w in zip(got, want))
+
+
+def test_default_world_rows_keep_bytes():
+    """The world the CLI, demo 03 and the benchmark use takes the exact branch above."""
+    assert all(_rows_keep_bytes(WORLD, count) for count in (B + 1, 100_000))
+
+
+def test_mse_table_memory_is_bounded_by_blocks():
+    world = toy.SubspaceWorld(64, 4, 0.05, 0.5)
+    world.basis
+    tracemalloc.start()
+    try:
+        toy.mse_table(world, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
