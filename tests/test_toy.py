@@ -230,7 +230,6 @@ def test_default_world_rows_keep_bytes():
 
 def test_mse_table_memory_is_bounded_by_blocks():
     world = toy.SubspaceWorld(64, 4, 0.05, 0.5)
-    world.basis
     tracemalloc.start()
     try:
         toy.mse_table(world, 100_000)
