@@ -69,8 +69,8 @@ def cmd_train(args) -> int:
         raise ValidationError(str(e)) from e
     if args.seed is not None:
         train_cfg = replace(train_cfg, seed=args.seed)
-    if "dataset" not in cfg:
-        raise ValidationError("train config needs a 'dataset' path")
+    if not isinstance(cfg.get("dataset"), str):
+        raise ValidationError("train config needs a 'dataset' path string")
     train_set = datamod.load(cfg["dataset"])
     out = _out_dir(args)
     checkpoints, traces = learned.train(model_cfg, train_set, train_cfg)
@@ -164,7 +164,11 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_robustness_report(args) -> int:
-    records = harness.parse_records_csv(Path(args.records).read_text())
+    try:
+        text = Path(args.records).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read records {args.records}: {e}") from e
+    records = harness.parse_records_csv(text)
     baseline = [(r.value, r2.value) for r, r2 in _paired(records, args.baseline_model,
                                                          args.id_set, args.ood_set)]
     candidates = []

@@ -468,6 +468,11 @@ def _load_item(rec: dict, blob: bytes) -> Item:
     if type(offset) is not int or offset < 0:
         raise DatasetFormatError(f"item {rec['index']}: offset {offset!r} is not a "
                                  f"non-negative integer")
+    snr_db, spec = rec["snr_db"], rec["spec"]
+    if type(snr_db) not in (int, float) or not np.isfinite(snr_db):
+        raise DatasetFormatError(f"item {rec['index']}: snr_db {snr_db!r} is not a finite number")
+    if not isinstance(spec, str):
+        raise DatasetFormatError(f"item {rec['index']}: spec {spec!r} is not a string")
     end = offset + nbytes
     if end > len(blob):
         raise TruncatedPayloadError(f"item {rec['index']} extends past end of blob")
@@ -478,7 +483,7 @@ def _load_item(rec: dict, blob: bytes) -> Item:
     image = np.frombuffer(payload[:img_bytes], dtype="<c16").reshape(h, w).copy()
     sens = np.frombuffer(payload[img_bytes:], dtype="<c16").reshape(c, h, w).copy()
     lesion = LesionAnnotation(**rec["lesion"]) if rec["lesion"] else None
-    return Item(image, sens, rec["spec"], rec["snr_db"], lesion)
+    return Item(image, sens, spec, snr_db, lesion)
 
 
 def load(path: str | Path) -> Dataset:

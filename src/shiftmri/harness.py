@@ -478,15 +478,24 @@ def records_to_csv(records: list[EvalRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+class RecordsFormatError(datamod.FormatError):
+    """Raised for text that is not a records.csv as records_to_csv writes it."""
+
+
 def parse_records_csv(text: str) -> list[EvalRecord]:
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unexpected records header")
+        raise RecordsFormatError("unexpected records header")
     out = []
-    for ln in lines[1:]:
+    for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
-        out.append(EvalRecord(parts[0], parts[1], int(parts[2]), parts[3], parts[4],
-                              float(parts[5]), int(parts[6]), parts[7]))
+        if len(parts) != 8:
+            raise RecordsFormatError(f"records row {row}: {len(parts)} fields, expected 8")
+        try:
+            out.append(EvalRecord(parts[0], parts[1], int(parts[2]), parts[3], parts[4],
+                                  float(parts[5]), int(parts[6]), parts[7]))
+        except ValueError as e:
+            raise RecordsFormatError(f"records row {row}: {e}") from e
     return out
 
 

@@ -6,7 +6,7 @@ steps x <- x - eta * A^H(A x - y) with a small convolutional denoiser. Both
 are built from the autodiff op set; complex images live on the tape as
 2-channel real tensors and multi-coil data as (2, coils, h, w) stacks. The
 Fourier transform inside the unroll is the exact centered unitary DFT realized
-as constant matrix products applied to the whole coil stack, so each cascade
+as real constant matrix products on the 2-channel coil stack, so each cascade
 records one data-consistency graph whatever the coil count.
 
 The training loop follows the standard recipe: SSIM (or MSE) loss against the
@@ -180,55 +180,32 @@ class UnetLite:
         return ad.add(out, ad.Tensor(np.full((h, w), mean)))
 
 
-def _dft_matrix(n: int, inverse: bool) -> np.ndarray:
-    eye = np.eye(n, dtype=np.complex128)
-    return kspace.ifft1c(eye, 0) if inverse else kspace.fft1c(eye, 0)
-
-
 _DFT_CACHE: dict = {}
 
 
-def _dft_pair(n: int, inverse: bool):
-    key = (n, inverse)
+def _dft_constants(h: int, w: int, inverse: bool):
+    """Tape constants (Re F_h, Im F_h, Re F_w^T, Im F_w^T, i) for (h, w)
+    planes: the w-axis factors transposed into C order, and i the (2, h, w)
+    plane of 0 + 1i."""
+    key = (h, w, inverse)
     if key not in _DFT_CACHE:
-        m = _dft_matrix(n, inverse)
-        _DFT_CACHE[key] = (ad.Tensor(m.real), ad.Tensor(m.imag))
+        dft1c = kspace.ifft1c if inverse else kspace.fft1c
+        fh, fw = (dft1c(np.eye(n, dtype=np.complex128), 0) for n in (h, w))
+        i_plane = np.stack([np.zeros((h, w)), np.ones((h, w))])
+        _DFT_CACHE[key] = tuple(ad.Tensor(m) for m in
+                                (fh.real, fh.imag, fw.T.real, fw.T.imag, i_plane))
     return _DFT_CACHE[key]
 
 
-def _split2ch(x: ad.Tensor):
-    shape = x.shape[1:]
-    xr = ad.reshape(ad.slice_channels(x, 0, 1), shape)
-    xi = ad.reshape(ad.slice_channels(x, 1, 2), shape)
-    return xr, xi
-
-
-def _stack2ch(xr: ad.Tensor, xi: ad.Tensor) -> ad.Tensor:
-    shape = (1,) + xr.shape
-    return ad.concat_channels([ad.reshape(xr, shape), ad.reshape(xi, shape)])
-
-
-def _complex_lmatmul(ar, ai, xr, xi):
-    # (ar + i ai) @ (xr + i xi)
-    re = ad.add(ad.matmul(ar, xr), ad.scale(ad.matmul(ai, xi), -1.0))
-    im = ad.add(ad.matmul(ar, xi), ad.matmul(ai, xr))
-    return re, im
-
-
 def tape_fft2c(x: ad.Tensor, inverse: bool = False) -> ad.Tensor:
-    """Centered unitary 2D DFT of every (h, w) plane of a (2, ..., h, w)
-    tensor via constant matrix products."""
+    """Centered unitary 2D DFT of every (h, w) plane of a (2, h, w) or
+    (2, coils, h, w) tensor as real matrix products on the 2-channel tensor:
+    with F = Re F + i Im F, F x = (Re F) x + (Im F)(i x), along h and then
+    along w."""
     h, w = x.shape[-2:]
-    fr_h, fi_h = _dft_pair(h, inverse)
-    fr_w, fi_w = _dft_pair(w, inverse)
-    xr, xi = _split2ch(x)
-    r1, i1 = _complex_lmatmul(fr_h, fi_h, xr, xi)
-    # right-multiply by F_w^T: (z @ F^T) = (F @ z^T)^T; use transposed constants
-    frt = ad.Tensor(fr_w.data.T)
-    fit = ad.Tensor(fi_w.data.T)
-    re = ad.add(ad.matmul(r1, frt), ad.scale(ad.matmul(i1, fit), -1.0))
-    im = ad.add(ad.matmul(r1, fit), ad.matmul(i1, frt))
-    return _stack2ch(re, im)
+    fr_h, fi_h, frt_w, fit_w, i_plane = _dft_constants(h, w, inverse)
+    x = ad.add(ad.matmul(fr_h, x), ad.matmul(fi_h, ad.complex_mul_2ch(i_plane, x)))
+    return ad.add(ad.matmul(x, frt_w), ad.matmul(ad.complex_mul_2ch(i_plane, x), fit_w))
 
 
 def _as2ch(z: np.ndarray) -> np.ndarray:
@@ -382,7 +359,11 @@ class Checkpoint:
 
     @staticmethod
     def load(path: str | Path) -> "Checkpoint":
-        return Checkpoint.from_bytes(Path(path).read_bytes())
+        try:
+            raw = Path(path).read_bytes()
+        except FileNotFoundError as e:
+            raise CheckpointFormatError(f"no checkpoint at {path}") from e
+        return Checkpoint.from_bytes(raw)
 
 
 # ---------------------------------------------------------------------------

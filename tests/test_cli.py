@@ -142,25 +142,51 @@ def test_toy_subspace_bad_arguments_are_validation_errors(tmp_path, capsys, bad)
     assert captured.out == "" and not (tmp_path / "o").exists()
 
 
+RECORDS = [
+    "model_id,sources,epoch,test_set,metric,value,mask_seed,flags",
+    "base,A,1,id,ssim,0.1,0,",
+    "base,A,1,ood,ssim,0.2,0,",
+    "base,A,2,id,ssim,0.3,0,",
+    "base,A,2,ood,ssim,0.3,0,",
+    "cand,B,1,id,ssim,0.2,0,",
+    "cand,B,1,ood,ssim,0.5,0,",
+]
+
+
+def _robustness_report(rec_path):
+    return cli.main(["robustness-report", "--records", str(rec_path),
+                     "--baseline-model", "base", "--candidate-model", "cand",
+                     "--id-set", "id", "--ood-set", "ood"])
+
+
 def test_robustness_report_from_records(tmp_path, capsys):
-    records = "\n".join([
-        "model_id,sources,epoch,test_set,metric,value,mask_seed,flags",
-        "base,A,1,id,ssim,0.1,0,",
-        "base,A,1,ood,ssim,0.2,0,",
-        "base,A,2,id,ssim,0.3,0,",
-        "base,A,2,ood,ssim,0.3,0,",
-        "cand,B,1,id,ssim,0.2,0,",
-        "cand,B,1,ood,ssim,0.5,0,",
-    ]) + "\n"
     rec_path = tmp_path / "records.csv"
-    rec_path.write_text(records)
-    rc = cli.main(["robustness-report", "--records", str(rec_path),
-                   "--baseline-model", "base", "--candidate-model", "cand",
-                   "--id-set", "id", "--ood-set", "ood"])
+    rec_path.write_text("\n".join(RECORDS) + "\n")
+    rc = _robustness_report(rec_path)
     assert rc == 0
     fit = json.loads(capsys.readouterr().out)
     assert fit["slope"] == pytest.approx(0.5)
     assert fit["residuals"][0] == pytest.approx(0.5 - (0.5 * 0.2 + 0.15))
+
+
+@pytest.mark.parametrize("damage", ["missing", "not-utf8", "short-row", "header", "value"])
+def test_bad_records_file_is_validation_error(tmp_path, capsys, damage):
+    rec_path = tmp_path / "records.csv"
+    lines = list(RECORDS)
+    if damage == "not-utf8":
+        lines[3] = "base,A,2,id,ssim,0.3,0,\udcff"
+    elif damage == "short-row":
+        lines[3] = "base,A,2"
+    elif damage == "header":
+        lines[0] = lines[0].replace("mask_seed", "seed")
+    elif damage == "value":
+        lines[3] = lines[3].replace("0.3", "high")
+    if damage != "missing":
+        rec_path.write_bytes(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
+    rc = _robustness_report(rec_path)
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_run_template_and_determinism(tmp_path):
@@ -218,14 +244,21 @@ def _damage_manifest(data_dir, damage):
         (data_dir / "data.bin").unlink()
     else:
         manifest = json.loads(path.read_text())
+        item = manifest["items"][0]
         if damage == "key":
-            del manifest["items"][0]["height"]
+            del item["height"]
+        elif damage == "coils":
+            item["coils"] += 1
+        elif damage == "spec":
+            item["spec"] = 5
         else:
-            manifest["items"][0]["coils"] += 1
+            item["snr_db"] = {"snr-text": "abc", "snr-nan": float("nan"), "snr-null": None,
+                              "snr-minus-inf": float("-inf"), "snr-bool": True}[damage]
         path.write_text(json.dumps(manifest))
 
 
-@pytest.mark.parametrize("damage", ["json", "blob", "key", "coils"])
+@pytest.mark.parametrize("damage", ["json", "blob", "key", "coils", "spec", "snr-text",
+                                    "snr-nan", "snr-null", "snr-minus-inf", "snr-bool"])
 def test_damaged_dataset_manifest_is_validation_error(tmp_path, capsys, damage):
     data_dir = gen_dataset(tmp_path)
     _damage_manifest(data_dir, damage)
@@ -248,6 +281,25 @@ def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, damage):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_missing_checkpoint_is_validation_error(tmp_path, capsys):
+    data_dir = gen_dataset(tmp_path)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(tmp_path / "none.ckpt"), "--dataset", str(data_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: no checkpoint at ")
+
+
+def test_train_dataset_not_a_path_is_validation_error(tmp_path, capsys):
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({"dataset": 5, "train": {"epochs": 1}}))
+    rc = cli.main(["--out", str(tmp_path / "o"), "train", "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_checkpoint_with_nan_parameter_is_validation_error(tmp_path, capsys):

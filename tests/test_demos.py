@@ -1,4 +1,4 @@
-"""The demos that drive the forward model, FISTA and the toy problem run to completion."""
+"""The demos run to completion and print their headline results."""
 
 import os
 import subprocess
@@ -33,3 +33,16 @@ def test_toy_subspace_demo_runs():
     assert proc.returncode == 0, proc.stderr
     for which in ("P", "Q"):
         assert f"pooled is suboptimal on {which} by" in proc.stdout
+
+
+def test_learned_reconstruction_demo_runs():
+    proc = _run_demo("04_learned_reconstruction.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "inference deterministic: True" in proc.stdout
+    assert "-> output (16, 16)" in proc.stdout
+
+
+def test_distributional_overfitting_demo_runs():
+    proc = _run_demo("06_distributional_overfitting.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "overfitting detected:  True" in proc.stdout

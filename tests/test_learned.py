@@ -119,6 +119,36 @@ def test_varnet_data_consistency_gradients_match_finite_differences():
     assert ad.grad_check(loss_fn, params, h=1e-5) < 1e-4
 
 
+def test_varnet_two_cascade_tape_length():
+    # the first cascade's input is constant, so only the second cascade's two
+    # transforms are on the tape: 8 nodes each
+    model, params, y, sens, mask, target = _varnet_problem(3, seed=50, extents=(8, 8),
+                                                           cascades=2)
+    assert _taped(lambda ls: model.reconstruct(ls, y, sens, mask), params, target)[2] == 56
+
+
+@pytest.mark.parametrize("shape", [(2, 6, 10), (2, 3, 12, 8)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_tape_fft2c_matches_centered_fft(shape, inverse):
+    x = np.random.default_rng(len(shape) + 2 * inverse).standard_normal(shape)
+    got = learned.tape_fft2c(ad.Tensor(x), inverse=inverse).data
+    want = (kspace.ifft2c if inverse else kspace.fft2c)(x[0] + 1j * x[1])
+    err = np.max(np.abs(got[0] + 1j * got[1] - want))
+    assert err <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 6), (2, 2, 6, 4)])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_tape_fft2c_gradient_matches_finite_differences(shape, inverse):
+    rng = np.random.default_rng(7 + len(shape) + 2 * inverse)
+    weights = ad.Tensor(rng.standard_normal(shape))
+
+    def loss_fn(leaves):
+        return ad.reduce_mean(ad.mul(weights, learned.tape_fft2c(leaves[0], inverse=inverse)))
+
+    assert ad.grad_check(loss_fn, [rng.standard_normal(shape)]) < 1e-4
+
+
 @pytest.mark.parametrize("y_coils,sens_coils", [(8, 4), (4, 8)])
 def test_varnet_rejects_mismatched_coil_counts(y_coils, sens_coils):
     model, params, y, sens, mask, _ = _varnet_problem(max(y_coils, sens_coils), seed=60)
