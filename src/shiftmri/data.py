@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,10 +43,17 @@ def from_fields(cls, d: dict, **convert):
 
     Defaults live only on the dataclass, so a missing required key or an
     unknown key raises TypeError. `convert` maps a key to the coercion applied
-    to its value.
+    to its value; any other value must have the type of its field's int, float
+    or str default (an int passes as a float, a bool never as a number), or
+    TypeError names the field.
     """
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+    for f in fields(cls):
+        kinds = {int: (int,), float: (int, float), str: (str,)}.get(type(f.default))
+        if kinds and f.name in d and f.name not in convert and type(d[f.name]) not in kinds:
+            raise TypeError(f"{cls.__name__}.{f.name} must be {type(f.default).__name__}, "
+                            f"got {d[f.name]!r}")
     return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
 
 
@@ -452,8 +459,9 @@ def save(dataset: Dataset, path: str | Path) -> None:
         "specs": dataset.specs,
         "items": records,
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    # the blob first, so a failed write never leaves a manifest beside it
     (path / "data.bin").write_bytes(bytes(blob))
+    (path / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
 def _load_item(rec: dict, blob: bytes) -> Item:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import data as datamod
 from . import kspace
-from .metrics import SsimConfig, ssim
+from .metrics import ssim
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +211,7 @@ def tune_lambda(dataset, grid, config: FistaConfig = FistaConfig(),
         vals = []
         for item, (y, mask, target) in zip(items, measured):
             recon = np.abs(fista_l1(y, item.sens, mask, cfg).image)
-            vals.append(ssim(recon, target, SsimConfig(data_range=float(target.max()))))
+            vals.append(ssim(recon, target))
         mean_ssims.append(float(np.mean(vals)))
     best_idx = 0
     for i in range(1, len(grid)):

@@ -73,10 +73,7 @@ def detect_distributional_overfitting(id_trace, ood_trace, window: int = 3,
 # Experiment configuration.
 # ---------------------------------------------------------------------------
 
-TEMPLATES = (
-    "joint_vs_separate", "skewed", "diversity_robustness", "pathology",
-    "accel_combo", "coil_shift", "overfit_monitor", "finetune_ablation",
-)
+DISTRIBUTION_KEYS = ("P", "Q")
 
 
 class ConfigError(ValueError):
@@ -109,7 +106,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.template not in TEMPLATES:
-            raise ConfigError(f"unknown template {self.template!r}; valid: {TEMPLATES}")
+            raise ConfigError(f"unknown template {self.template!r}; valid: {tuple(TEMPLATES)}")
+        for need in TEMPLATES[self.template][1]:
+            if need in DISTRIBUTION_KEYS and need not in self.distributions:
+                raise ConfigError(f"template {self.template!r} needs distribution {need!r}")
+            if need not in DISTRIBUTION_KEYS and not getattr(self, need):
+                raise ConfigError(f"template {self.template!r} needs {need}")
         # the overfitting scan needs window + 1 epochs; fail before training
         if self.template == "overfit_monitor" and self.train.epochs < self.overfit_window + 1:
             raise ConfigError(f"overfit_monitor needs train.epochs >= overfit_window + 1 = "
@@ -118,11 +120,25 @@ class ExperimentConfig:
         # which defaults to P; fail before any data is generated
         if self.template == "pathology":
             for key, spec in self.distributions.items():
-                if key in ("P", "Q") and not datamod.small_lesion_fits(*spec.extents):
+                if key in DISTRIBUTION_KEYS and not datamod.small_lesion_fits(*spec.extents):
                     raise ConfigError(f"pathology distribution {key!r} extents "
                                       f"{spec.extents[0]}x{spec.extents[1]} are too small "
                                       f"for a small-class lesion (need height * width >= "
                                       f"{100 * datamod.SCOREABLE_MIN_SIDE ** 2})")
+        # every acceleration trained or scored at must leave the mask policies
+        # room for outer lines on every distribution's width
+        accels = ([*self.accelerations, self.unseen_acceleration]
+                  if self.template == "accel_combo" else [self.train.acceleration])
+        accels = [r for r in [*accels, *(self.train.accelerations or ())] if r is not None]
+        for spec in [*self.distributions.values(), *self.sources, *filter(None, [self.target])]:
+            width = spec.extents[1]
+            for r in accels:
+                try:
+                    kspace.make_equispaced_mask(width, r, kspace.feasible_center_fraction(
+                        width, r, self.train.center_fraction))
+                except ValueError as e:
+                    raise ConfigError(f"acceleration {r!r} on distribution {spec.name!r} "
+                                      f"({width} columns): {e}") from e
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -158,20 +174,8 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _dist(cfg: ExperimentConfig, key: str) -> datamod.DistributionSpec:
-    if key not in cfg.distributions:
-        raise ConfigError(f"template {cfg.template!r} needs distribution {key!r}")
-    return cfg.distributions[key]
-
-
 def _seeded(spec: datamod.DistributionSpec, seed: int) -> datamod.DistributionSpec:
     return replace(spec, seed=spec.seed + 1_000_003 * seed)
-
-
-def _train_model(cfg: ExperimentConfig, train_set, seed: int, **train_overrides):
-    tc = replace(cfg.train, seed=seed, **train_overrides)
-    mc = replace(cfg.model, seed=seed)
-    return learned.train(mc, train_set, tc)
 
 
 def _eval_records(cfg: ExperimentConfig, model_id: str, sources: str,
@@ -200,13 +204,23 @@ def _save_checkpoints(outdir: Path, model_id: str, checkpoints) -> None:
         ck.save(d / f"epoch_{ck.epoch:03d}.ckpt")
 
 
+def _fit(cfg: ExperimentConfig, outdir: Path, model_id: str, train_set, seed: int,
+         **train_overrides) -> list[learned.Checkpoint]:
+    """Train the config's model at `seed`, save every epoch's checkpoint under
+    `model_id` and return them."""
+    cks, _ = learned.train(replace(cfg.model, seed=seed), train_set,
+                           replace(cfg.train, seed=seed, **train_overrides))
+    _save_checkpoints(outdir, model_id, cks)
+    return cks
+
+
 # ---------------------------------------------------------------------------
 # Templates.
 # ---------------------------------------------------------------------------
 
 
 def _tpl_joint_vs_separate(cfg: ExperimentConfig, outdir: Path):
-    p_spec, q_spec = _dist(cfg, "P"), _dist(cfg, "Q")
+    p_spec, q_spec = cfg.distributions["P"], cfg.distributions["Q"]
     seeds = cfg.seeds or [cfg.seed]
     records: list[EvalRecord] = []
     cells: dict[tuple[str, str], list[float]] = {}
@@ -218,36 +232,29 @@ def _tpl_joint_vs_separate(cfg: ExperimentConfig, outdir: Path):
         tests = {"P-test": test_p, "Q-test": test_q}
         for model_id, train_set in (("P", train_p), ("Q", train_q),
                                     ("P+Q", union), ("P+Q-half", half)):
-            cks, _ = _train_model(cfg, train_set, seed)
-            _save_checkpoints(outdir, f"{model_id}-s{seed}", cks)
+            cks = _fit(cfg, outdir, f"{model_id}-s{seed}", train_set, seed)
             recs = _eval_records(cfg, model_id, train_set.name, cks[-1], tests, seed)
             records.extend(recs)
             for r in recs:
                 cells.setdefault((model_id, r.test_set), []).append(r.value)
-    bands = {
-        f"{mid}|{ts}": {
-            "mean": float(np.mean(vs)),
-            "std": float(np.std(vs, ddof=1)) if len(vs) > 1 else 0.0,
-            "band": [float(np.mean(vs) - 2 * np.std(vs, ddof=1)) if len(vs) > 1 else float(np.mean(vs)),
-                     float(np.mean(vs) + 2 * np.std(vs, ddof=1)) if len(vs) > 1 else float(np.mean(vs))],
-            "values": [float(v) for v in vs],
-        }
-        for (mid, ts), vs in sorted(cells.items())
-    }
+    bands = {}
+    for (mid, ts), vs in sorted(cells.items()):
+        mean = float(np.mean(vs))
+        std = float(np.std(vs, ddof=1)) if len(vs) > 1 else 0.0
+        bands[f"{mid}|{ts}"] = {"mean": mean, "std": std, "band": [mean - 2 * std, mean + 2 * std],
+                                "values": [float(v) for v in vs]}
     return records, {}, {"seed_bands": bands, "n_seeds": len(seeds)}
 
 
 def _tpl_skewed(cfg: ExperimentConfig, outdir: Path):
-    p_spec, q_spec = _dist(cfg, "P"), _dist(cfg, "Q")
-    pool_p, test_p = datamod.train_test(p_spec, cfg.train_count, cfg.test_count)
-    train_q, test_q = datamod.train_test(q_spec, cfg.train_count, cfg.test_count)
+    pool_p, test_p = datamod.train_test(cfg.distributions["P"], cfg.train_count, cfg.test_count)
+    train_q, test_q = datamod.train_test(cfg.distributions["Q"], cfg.train_count, cfg.test_count)
     _, small_p = datamod.skew(pool_p, cfg.skew_factor, cfg.seed)
     joint = datamod.combine([small_p, train_q])
     tests = {"P-test": test_p, "Q-test": test_q}
     records = []
     for model_id, train_set in (("P-small", small_p), ("Q", train_q), ("P+Q", joint)):
-        cks, _ = _train_model(cfg, train_set, cfg.seed)
-        _save_checkpoints(outdir, model_id, cks)
+        cks = _fit(cfg, outdir, model_id, train_set, cfg.seed)
         records.extend(_eval_records(cfg, model_id, train_set.name, cks[-1], tests, cfg.seed))
     return records, {}, {"small_set_size": len(small_p.items), "skew_factor": cfg.skew_factor}
 
@@ -271,16 +278,10 @@ def select_best_source(sources: list[datamod.Dataset], target_test: datamod.Data
             train_config.center_fraction)
         means.append(mean)
         specialists.append(cks)
-    best = 0
-    for i in range(1, len(means)):
-        if means[i] > means[best]:
-            best = i
-    return best, specialists, means
+    return int(np.argmax(means)), specialists, means
 
 
 def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
-    if not cfg.sources or cfg.target is None:
-        raise ConfigError("diversity_robustness needs sources and target")
     source_sets = []
     source_tests = []
     for spec in cfg.sources:
@@ -294,11 +295,9 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
         source_sets, target_test, mc, tc, cfg.seed)
     id_test = source_tests[best_idx]
     union = datamod.combine(source_sets)
-    union_cks, _ = _train_model(cfg, union, cfg.seed)
-    both_cks, _ = _train_model(cfg, datamod.combine([union, target_train]), cfg.seed)
     _save_checkpoints(outdir, "P_best", specialists[best_idx])
-    _save_checkpoints(outdir, "P-union", union_cks)
-    _save_checkpoints(outdir, "P+Q", both_cks)
+    union_cks = _fit(cfg, outdir, "P-union", union, cfg.seed)
+    both_cks = _fit(cfg, outdir, "P+Q", datamod.combine([union, target_train]), cfg.seed)
 
     # per-epoch (id, ood) points; each checkpoint's two records alternate
     tests = {"ID(P_best)-test": id_test, "Q-test": target_test}
@@ -328,7 +327,7 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
 
 
 def _tpl_pathology(cfg: ExperimentConfig, outdir: Path):
-    p_spec = _dist(cfg, "P")
+    p_spec = cfg.distributions["P"]
     q_spec = cfg.distributions.get("Q", p_spec)
     train_p, test_p = datamod.train_test(p_spec, cfg.train_count, cfg.test_count)
     train_q_clean, test_q_clean = datamod.train_test(_seeded(q_spec, 1), cfg.train_count,
@@ -345,9 +344,7 @@ def _tpl_pathology(cfg: ExperimentConfig, outdir: Path):
     train_q = datamod.add_lesions(train_q_clean, cfg.seed + 2, "small", cfg.lesion_amplitude)
     records = []
     for model_id, train_set in (("P", train_p), ("P+Q", datamod.combine([train_p, train_q]))):
-        cks, _ = _train_model(cfg, train_set, cfg.seed)
-        _save_checkpoints(outdir, model_id, cks)
-        ck = cks[-1]
+        ck = _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1]
         records.extend(_eval_records(cfg, model_id, train_set.name, ck,
                                      {"P-test": test_p}, cfg.seed))
         by_class = {"small": [], "large": []}
@@ -356,9 +353,8 @@ def _tpl_pathology(cfg: ExperimentConfig, outdir: Path):
                                               cfg.train.center_fraction,
                                               datamod.EVAL_NOISE_TAG)
             recon = learned.infer(ck, y, item.sens, mask)
-            sc = metrics.SsimConfig(data_range=float(target.max()) or 1.0)
             by_class[item.lesion.size_class].append(
-                metrics.region_ssim(recon, target, item.lesion.box(), sc))
+                metrics.region_ssim(recon, target, item.lesion.box()))
         for cls, vals in by_class.items():
             if vals:
                 records.append(EvalRecord(model_id, train_set.name, ck.epoch,
@@ -370,8 +366,8 @@ def _tpl_pathology(cfg: ExperimentConfig, outdir: Path):
 
 
 def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
-    spec = _dist(cfg, "P")
-    train_set, test_set = datamod.train_test(spec, cfg.train_count, cfg.test_count)
+    train_set, test_set = datamod.train_test(cfg.distributions["P"], cfg.train_count,
+                                             cfg.test_count)
     accels = list(cfg.accelerations)
     unseen = [] if cfg.unseen_acceleration is None else [cfg.unseen_acceleration]
     models = [(f"R{r:g}", {"acceleration": r}, [r]) for r in accels]
@@ -379,8 +375,7 @@ def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
         models.append(("R-all", {"accelerations": tuple(accels)}, accels))
     records = []
     for model_id, overrides, trained_at in models:
-        cks, _ = _train_model(cfg, train_set, cfg.seed, **overrides)
-        _save_checkpoints(outdir, model_id, cks)
+        cks = _fit(cfg, outdir, model_id, train_set, cfg.seed, **overrides)
         for r in trained_at + unseen:
             records.extend(_eval_records(cfg, model_id, train_set.name, cks[-1],
                                          {f"P-test@R{r:g}": test_set}, cfg.seed,
@@ -389,26 +384,23 @@ def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
 
 
 def _tpl_coil_shift(cfg: ExperimentConfig, outdir: Path):
-    p_spec, q_spec = _dist(cfg, "P"), _dist(cfg, "Q")
+    p_spec, q_spec = cfg.distributions["P"], cfg.distributions["Q"]
     train_p, test_p = datamod.train_test(p_spec, cfg.train_count, cfg.test_count)
     train_q, test_q = datamod.train_test(q_spec, cfg.train_count, cfg.test_count)
     tests = {"P-test": test_p, "Q-test": test_q}
     records = []
     for model_id, train_set in (("P", train_p), ("Q", train_q),
                                 ("P+Q", datamod.combine([train_p, train_q]))):
-        cks, _ = _train_model(cfg, train_set, cfg.seed)
-        _save_checkpoints(outdir, model_id, cks)
+        cks = _fit(cfg, outdir, model_id, train_set, cfg.seed)
         records.extend(_eval_records(cfg, model_id, train_set.name, cks[-1], tests,
                                      cfg.seed, normalize=True))
     return records, {}, {"coils": {"P": p_spec.coils, "Q": q_spec.coils}}
 
 
 def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
-    p_spec, q_spec = _dist(cfg, "P"), _dist(cfg, "Q")
-    train_p, test_p = datamod.train_test(p_spec, cfg.train_count, cfg.test_count)
-    _, test_q = datamod.train_test(q_spec, cfg.train_count, cfg.test_count)
-    cks, _ = _train_model(cfg, train_p, cfg.seed)
-    _save_checkpoints(outdir, "P", cks)
+    train_p, test_p = datamod.train_test(cfg.distributions["P"], cfg.train_count, cfg.test_count)
+    _, test_q = datamod.train_test(cfg.distributions["Q"], cfg.train_count, cfg.test_count)
+    cks = _fit(cfg, outdir, "P", train_p, cfg.seed)
     tests = {"P-test": test_p, "Q-test": test_q}
     records = [r for ck in cks[1:]
                for r in _eval_records(cfg, "P", train_p.name, ck, tests, cfg.seed)]
@@ -427,37 +419,33 @@ def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
 
 
 def _tpl_finetune_ablation(cfg: ExperimentConfig, outdir: Path):
-    if not cfg.sources:
-        raise ConfigError("finetune_ablation needs sources (parent pool) and targets in distributions")
-    targets = {k: v for k, v in cfg.distributions.items()}
-    if not targets:
-        raise ConfigError("finetune_ablation needs target distributions")
-    parent_sets = [datamod.train_test(s, cfg.train_count, cfg.test_count)[0] for s in cfg.sources]
-    parent_train = datamod.combine(parent_sets) if len(parent_sets) > 1 else parent_sets[0]
+    parent_train = datamod.combine([datamod.train_test(s, cfg.train_count, cfg.test_count)[0]
+                                    for s in cfg.sources])
     target_data = {k: datamod.train_test(v, cfg.train_count, cfg.test_count)
-                   for k, v in targets.items()}
+                   for k, v in cfg.distributions.items()}
     tests = {f"{k}-test": tt for k, (_, tt) in target_data.items()}
-    parent_cks, _ = _train_model(cfg, parent_train, cfg.seed)
-    _save_checkpoints(outdir, "P", parent_cks)
+    parent_cks = _fit(cfg, outdir, "P", parent_train, cfg.seed)
     records = _eval_records(cfg, "P", parent_train.name, parent_cks[-1], tests, cfg.seed)
+    tc = replace(cfg.train, seed=cfg.seed)
     for k, (ttrain, _) in target_data.items():
-        tc = replace(cfg.train, seed=cfg.seed)
         cks, _ = learned.finetune(parent_cks[-1], ttrain, tc)
         _save_checkpoints(outdir, f"P_{k}", cks)
         records.extend(_eval_records(cfg, f"P_{k}", f"{parent_train.name}->{ttrain.name}",
                                      cks[-1], tests, cfg.seed))
-    return records, {}, {"targets": sorted(targets)}
+    return records, {}, {"targets": sorted(cfg.distributions)}
 
 
-_TEMPLATE_FNS = {
-    "joint_vs_separate": _tpl_joint_vs_separate,
-    "skewed": _tpl_skewed,
-    "diversity_robustness": _tpl_diversity_robustness,
-    "pathology": _tpl_pathology,
-    "accel_combo": _tpl_accel_combo,
-    "coil_shift": _tpl_coil_shift,
-    "overfit_monitor": _tpl_overfit_monitor,
-    "finetune_ablation": _tpl_finetune_ablation,
+# name -> (template function, the inputs it reads: keys of `distributions` in
+# DISTRIBUTION_KEYS, or config fields that must be non-empty)
+TEMPLATES = {
+    "joint_vs_separate": (_tpl_joint_vs_separate, ("P", "Q")),
+    "skewed": (_tpl_skewed, ("P", "Q")),
+    "diversity_robustness": (_tpl_diversity_robustness, ("sources", "target")),
+    "pathology": (_tpl_pathology, ("P",)),
+    "accel_combo": (_tpl_accel_combo, ("P",)),
+    "coil_shift": (_tpl_coil_shift, ("P", "Q")),
+    "overfit_monitor": (_tpl_overfit_monitor, ("P", "Q")),
+    "finetune_ablation": (_tpl_finetune_ablation, ("sources", "distributions")),
 }
 
 
@@ -537,7 +525,7 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     stage = "setup"
     try:
-        fn = _TEMPLATE_FNS[config.template]
+        fn = TEMPLATES[config.template][0]
         stage = config.template
         records, fits, details = fn(config, outdir)
         stage = "emit"

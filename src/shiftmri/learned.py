@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from . import data as datamod
 from . import kspace
-from .metrics import SsimConfig, normalize_output, ssim
+from .metrics import normalize_output, ssim
 
 MAGIC = b"SMRI"
 CHECKPOINT_VERSION = 1
@@ -418,8 +418,7 @@ class _Optimizer:
 
 def _loss_node(out: ad.Tensor, target: np.ndarray, kind: str) -> ad.Tensor:
     if kind == "one_minus_ssim":
-        cfg = SsimConfig(data_range=float(target.max()) or 1.0)
-        return ad.ssim_loss(out, ad.Tensor(target), cfg)
+        return ad.ssim_loss(out, ad.Tensor(target))
     diff = ad.add(out, ad.scale(ad.Tensor(target), -1.0))
     return ad.reduce_mean(ad.mul(diff, diff))
 
@@ -562,7 +561,7 @@ def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
         if normalize:
             out, used_fallback = normalize_output(out, target)
             fallback = fallback or used_fallback
-        vals.append(ssim(out, target, SsimConfig(data_range=float(target.max()) or 1.0)))
+        vals.append(ssim(out, target))
     return float(np.mean(vals)), vals, fallback
 
 

@@ -16,9 +16,9 @@ import numpy as np
 class SsimConfig:
     """Windowed SSIM parameters.
 
-    data_range None means "max of the target passed in"; evaluation code that
-    scores a whole volume should compute the volume max once and pass it
-    explicitly so every slice shares the same range.
+    data_range None means "max of the target passed in" (1.0 when that is not
+    positive); evaluation code that scores a whole volume should compute the
+    volume max once and pass it explicitly so every slice shares the same range.
     """
 
     window: int = 7
@@ -136,8 +136,8 @@ def ssim_and_grad(recon, target, config: SsimConfig = DEFAULT_SSIM):
 def region_ssim(recon, target, box, config: SsimConfig = DEFAULT_SSIM) -> float:
     """SSIM restricted to a (row, col, height, width) box.
 
-    The caller is expected to fix config.data_range from the full target so
-    the crop does not change the intensity scale.
+    data_range None takes the full target's max, so the crop does not change
+    the intensity scale.
     """
     recon = np.asarray(recon, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shiftmri import cli
+from shiftmri import cli, harness
 from shiftmri import data as dm
 from shiftmri import learned
 
@@ -214,17 +214,29 @@ def test_run_bad_template_validation_exit(tmp_path):
     assert rc == 2
 
 
-def test_run_runtime_failure_exit(tmp_path):
-    # valid config shape, but the template preconditions fail at runtime
+def test_run_runtime_failure_exit(tmp_path, capsys, monkeypatch):
+    # a valid config whose training fails once the template runs
     config = {
-        "template": "diversity_robustness", "seed": 0,
-        "model": {"kind": "unet_lite", "seed": 0},
+        "template": "accel_combo", "seed": 0, "train_count": 2, "test_count": 1,
+        "model": {"kind": "unet_lite", "channels": 4, "pool_levels": 2, "seed": 0},
         "train": {"epochs": 1, "seed": 0},
+        "distributions": {"P": {"name": "P", "extents": [32, 32], "coils": 2, "seed": 1}},
     }
+
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("non-finite loss at epoch 0 step 1")
+
+    monkeypatch.setattr(learned, "train", diverge)
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
     rc = cli.main(["--out", str(tmp_path / "o"), "run", "--config", str(cfg_path)])
     assert rc == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime failure: ") and "non-finite" in err[0]
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["complete"] is False
+    assert manifest["failed_stage"] == "accel_combo"
 
 
 def test_corrupt_dataset_is_validation_error(tmp_path):
@@ -361,6 +373,86 @@ def test_run_pathology_too_small_for_lesions_exits_before_data(tmp_path, capsys)
     assert rc == 2
     assert "small-class lesion" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def _spec(name, width=32):
+    return {"name": name, "extents": [32, width], "coils": 1, "seed": 1}
+
+
+# one config per template, each lacking an input the template reads
+MISSING_INPUT = {
+    "joint_vs_separate": ({"distributions": {"P": _spec("P")}}, "distribution 'Q'"),
+    "skewed": ({"distributions": {"Q": _spec("Q")}}, "distribution 'P'"),
+    "coil_shift": ({"distributions": {"P": _spec("P")}}, "distribution 'Q'"),
+    "overfit_monitor": ({"train": {"epochs": 4}}, "distribution 'P'"),
+    "pathology": ({"distributions": {"Q": _spec("Q")}}, "distribution 'P'"),
+    "accel_combo": ({}, "distribution 'P'"),
+    "diversity_robustness": ({"sources": [_spec("S")]}, "target"),
+    "diversity_robustness-no-sources": ({"target": _spec("Q")}, "sources"),
+    "finetune_ablation": ({"sources": [_spec("S")]}, "distributions"),
+    "finetune_ablation-no-sources": ({"distributions": {"Q1": _spec("Q1")}}, "sources"),
+}
+
+
+def _run_cli(tmp_path, capsys, config):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    rc = cli.main(["--out", str(tmp_path / "o"), "run", "--config", str(cfg_path)])
+    return rc, capsys.readouterr().err.strip().splitlines()
+
+
+@pytest.mark.parametrize("case", MISSING_INPUT)
+def test_run_missing_template_input_exits_2_before_data(tmp_path, capsys, monkeypatch, case):
+    extra, needed = MISSING_INPUT[case]
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    rc, err = _run_cli(tmp_path, capsys, {"template": case.split("-")[0], "seed": 0, **extra})
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: template ") and needed in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_pathology_without_q_still_runs(tmp_path, capsys):
+    # Q defaults to P, so P is pathology's only required distribution
+    config = {"template": "pathology", "seed": 0, "train_count": 1, "test_count": 2,
+              "model": {"channels": 2, "seed": 0}, "train": {"epochs": 0},
+              "distributions": {"P": {"name": "P", "extents": [72, 72], "coils": 1}}}
+    rc, err = _run_cli(tmp_path, capsys, config)
+    assert rc == 0 and err == []
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["complete"]
+
+
+# R 32 on 16 columns leaves round(16/32) = 1 line beside an emptied center band;
+# R 33 leaves none, whatever the band
+@pytest.mark.parametrize("template, extra", [
+    ("accel_combo", {"accelerations": [4, 33]}),
+    ("accel_combo", {"accelerations": [4], "unseen_acceleration": 33}),
+    ("skewed", {"train": {"acceleration": 33}}),
+    ("coil_shift", {"train": {"accelerations": [4, 33]}}),
+    ("diversity_robustness", {"train": {"acceleration": 33}}),
+    ("finetune_ablation", {"train": {"acceleration": 0.5}}),
+], ids=["trained", "unseen", "train-acceleration", "train-accelerations", "sources",
+        "below-1"])
+def test_run_infeasible_acceleration_exits_2_before_data(tmp_path, capsys, monkeypatch,
+                                                        template, extra):
+    config = {"template": template, "seed": 0,
+              "distributions": {"P": _spec("P", 16), "Q": _spec("Q", 16)},
+              "sources": [_spec("S", 16)], "target": _spec("T", 16), **extra}
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    rc, err = _run_cli(tmp_path, capsys, config)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: acceleration ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_acceleration_check_matches_the_mask_rule():
+    spec = dm.DistributionSpec("P", extents=(32, 16))
+    ok = harness.ExperimentConfig("accel_combo", 0, distributions={"P": spec},
+                                  accelerations=[32.0])
+    assert ok.accelerations == [32.0]
+    with pytest.raises(harness.ConfigError, match="16 columns"):
+        harness.ExperimentConfig("accel_combo", 0, distributions={"P": spec},
+                                 accelerations=[33.0])
 
 
 @pytest.mark.parametrize("grid", ["nan", "inf", "-1", "1e-3,-inf", "1e-3,0.001", "0,1e-2,0.0"])

@@ -12,6 +12,10 @@ from shiftmri import data as dm
 SPEC = dm.DistributionSpec("P", "textured-phantom", {"kind": "gamma", "gamma": 1.8},
                            15.0, 6, (48, 32), 7)
 
+# skewed reads distributions P and Q and nothing else it lacks a default for
+MINIMAL_EXPERIMENT = {"template": "skewed", "seed": 0,
+                      "distributions": {"P": {"name": "P"}, "Q": {"name": "Q"}}}
+
 # (class, minimal JSON object, value it must equal, non-default value to round-trip)
 CASES = {
     "DistributionSpec": (dm.DistributionSpec, {"name": "P"}, dm.DistributionSpec("P"), SPEC),
@@ -20,8 +24,9 @@ CASES = {
     "TrainConfig": (learned.TrainConfig, {}, learned.TrainConfig(),
                     learned.TrainConfig(epochs=2, accelerations=(2.0, 4.0), seed=3)),
     "ExperimentConfig": (
-        harness.ExperimentConfig, {"template": "skewed", "seed": 0},
-        harness.ExperimentConfig("skewed", 0),
+        harness.ExperimentConfig, MINIMAL_EXPERIMENT,
+        harness.ExperimentConfig("skewed", 0, distributions={
+            "P": dm.DistributionSpec("P"), "Q": dm.DistributionSpec("Q")}),
         harness.ExperimentConfig(
             "accel_combo", 5, learned.ModelConfig(channels=4),
             learned.TrainConfig(epochs=1), {"P": SPEC}, [SPEC], SPEC, 4, 2, [0, 1],
@@ -82,11 +87,12 @@ def test_missing_required_key_is_rejected():
 
 
 def test_experiment_config_keeps_out_and_raw():
-    d = {"template": "skewed", "seed": "3", "train_count": "4", "out": "somewhere"}
+    d = {**MINIMAL_EXPERIMENT, "seed": "3", "train_count": "4", "out": "somewhere"}
     cfg = harness.ExperimentConfig.from_dict(d)
     assert (cfg.seed, cfg.train_count) == (3, 4)
     assert cfg.raw is d
-    assert cfg.canonical_json() == '{"seed":"3","template":"skewed","train_count":"4"}'
+    assert cfg.canonical_json() == ('{"distributions":{"P":{"name":"P"},"Q":{"name":"Q"}},'
+                                    '"seed":"3","template":"skewed","train_count":"4"}')
     with pytest.raises(harness.ConfigError, match="raw"):
         harness.ExperimentConfig.from_dict({"template": "skewed", "seed": 0, "raw": {}})
 
@@ -175,3 +181,37 @@ def test_train_unknown_key_exits_2(tmp_path, capsys, section):
     rc, err = _cli(tmp_path, capsys, "train", "--config", _write(tmp_path, "train.json", config))
     assert rc == 2
     assert len(err) == 1 and "sed" in err[0]
+
+
+# (section, field, value) that a model or train field's type rejects
+MISTYPED = [("train", "epochs", "3"), ("train", "lr_max", "0.01"), ("train", "epochs", 1.5),
+            ("train", "seed", "3"), ("train", "epochs", True), ("train", "lr_max", False),
+            ("model", "channels", "4"), ("model", "kind", 3)]
+MISTYPED_IDS = [f"{section}-{name}-{value!r}" for section, name, value in MISTYPED]
+SECTION_CLASS = {"model": learned.ModelConfig, "train": learned.TrainConfig}
+
+
+@pytest.mark.parametrize("section, name, value", MISTYPED, ids=MISTYPED_IDS)
+def test_mistyped_field_names_the_field(section, name, value):
+    cls = SECTION_CLASS[section]
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.{name} must be "):
+        cls.from_dict({name: value})
+    with pytest.raises(harness.ConfigError, match=rf"{cls.__name__}\.{name}"):
+        harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, section: {name: value}})
+
+
+@pytest.mark.parametrize("section, name, value", MISTYPED, ids=MISTYPED_IDS)
+def test_train_mistyped_field_exits_2_naming_it(tmp_path, capsys, section, name, value):
+    # the dataset does not exist: the field is rejected before it is read
+    config = {"dataset": str(tmp_path / "none"), section: {name: value}}
+    rc, err = _cli(tmp_path, capsys, "train", "--config", _write(tmp_path, "train.json", config))
+    assert rc == 2
+    cls = SECTION_CLASS[section].__name__
+    assert len(err) == 1 and err[0].startswith(f"error: {cls}.{name} must be ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_float_field_takes_an_int():
+    cfg = learned.TrainConfig.from_dict({"lr_max": 1, "acceleration": 8, "beta1": 0})
+    assert (cfg.lr_max, cfg.acceleration, cfg.beta1) == (1.0, 8.0, 0.0)
+    assert learned.TrainConfig.from_dict({"lr_max": 1.5}).lr_max == 1.5

@@ -239,6 +239,13 @@ def test_save_load_roundtrip(tmp_path):
         assert loaded.name == d.name
 
 
+def test_failed_blob_write_leaves_no_manifest(tmp_path):
+    (tmp_path / "data.bin").mkdir()  # the blob cannot be written over a directory
+    with pytest.raises(IsADirectoryError):
+        dm.save(dm.generate(spec(11), 1), tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_load_detects_corruption(tmp_path):
     ds = dm.generate(spec(13), 2)
     dm.save(ds, tmp_path)

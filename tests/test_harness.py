@@ -414,10 +414,16 @@ def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):
         assert r.value == fresh, (r.model_id, r.epoch, r.test_set)
 
 
-def test_run_experiment_marks_failures(tmp_path):
-    cfg_d = _base_config(template="diversity_robustness")  # missing sources/target
-    cfg = harness.ExperimentConfig.from_dict(cfg_d)
-    with pytest.raises(RuntimeError, match="diversity_robustness"):
+def test_run_experiment_marks_failures(tmp_path, monkeypatch):
+    p = _base_config()["distributions"]["P"]
+    cfg = harness.ExperimentConfig.from_dict(_base_config(
+        template="diversity_robustness", sources=[p], target=dict(p, name="Q")))
+
+    def diverge(*args, **kwargs):
+        raise FloatingPointError("non-finite loss at epoch 0 step 1")
+
+    monkeypatch.setattr(learned, "train", diverge)
+    with pytest.raises(RuntimeError, match="diversity_robustness.*non-finite loss"):
         harness.run_experiment(cfg, tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["complete"] is False
