@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 
@@ -47,7 +47,7 @@ def _out_dir(args) -> Path:
 
 def cmd_gen_data(args) -> int:
     try:
-        spec = datamod.DistributionSpec.from_dict(_load_json(args.spec))
+        spec = datamod.from_fields(datamod.DistributionSpec, _load_json(args.spec))
     except (TypeError, ValueError) as e:
         raise ValidationError(f"bad spec {args.spec}: {e}") from e
     if args.seed is not None:
@@ -60,20 +60,24 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class TrainJob:
+    """A `train` config file: the dataset's path and the two config sections."""
+
+    dataset: str
+    model: learned.ModelConfig = field(default_factory=learned.ModelConfig)
+    train: learned.TrainConfig = field(default_factory=learned.TrainConfig)
+
+
 def cmd_train(args) -> int:
-    cfg = _load_json(args.config)
     try:
-        model_cfg = learned.ModelConfig.from_dict(cfg.get("model", {}))
-        train_cfg = learned.TrainConfig.from_dict(cfg.get("train", {}))
+        job = datamod.from_fields(TrainJob, _load_json(args.config))
     except (TypeError, ValueError) as e:
         raise ValidationError(str(e)) from e
-    if args.seed is not None:
-        train_cfg = replace(train_cfg, seed=args.seed)
-    if not isinstance(cfg.get("dataset"), str):
-        raise ValidationError("train config needs a 'dataset' path string")
-    train_set = datamod.load(cfg["dataset"])
+    train_cfg = job.train if args.seed is None else replace(job.train, seed=args.seed)
+    train_set = datamod.load(job.dataset)
     out = _out_dir(args)
-    checkpoints, traces = learned.train(model_cfg, train_set, train_cfg)
+    checkpoints, traces = learned.train(job.model, train_set, train_cfg)
     for ck in checkpoints:
         ck.save(out / f"epoch_{ck.epoch:03d}.ckpt")
     (out / "traces.json").write_text(json.dumps(traces, sort_keys=True, indent=1))

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,23 +39,41 @@ class ChecksumError(DatasetFormatError):
     pass
 
 
-def from_fields(cls, d: dict, **convert):
-    """Build the dataclass `cls` from a JSON object keyed by its field names.
-
-    Defaults live only on the dataclass, so a missing required key or an
-    unknown key raises TypeError. `convert` maps a key to the coercion applied
-    to its value; any other value must have the type of its field's int, float
-    or str default (an int passes as a float, a bool never as a number), or
-    TypeError names the field.
-    """
+def from_fields(cls, d: dict):
+    """Build the dataclass `cls` from a JSON object keyed by its field names,
+    each value read by its field's annotation (`_read`). Defaults live only on
+    the dataclass; a missing required key or an unknown key raises TypeError."""
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    for f in fields(cls):
-        kinds = {int: (int,), float: (int, float), str: (str,)}.get(type(f.default))
-        if kinds and f.name in d and f.name not in convert and type(d[f.name]) not in kinds:
-            raise TypeError(f"{cls.__name__}.{f.name} must be {type(f.default).__name__}, "
-                            f"got {d[f.name]!r}")
-    return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _read(hints[k], v, f"{cls.__name__}.{k}") if k in hints else v
+                  for k, v in d.items()})
+
+
+def _read(tp, value, where: str):
+    """`value` read as the annotation `tp`: `X | None`, `list[X]`, a tuple from
+    a JSON list (of its length if fixed), `dict[K, V]`, a dataclass from a JSON
+    object, or a plain type. An int passes as a float and becomes one; a bool
+    is never a number. Any other value raises TypeError naming `where`."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if type(None) in args:
+        return None if value is None else _read(args[0], value, where)
+    if origin in (list, tuple):
+        value = _read(list, value, where)
+        fixed = args if origin is tuple and args[-1] is not Ellipsis else ()
+        if fixed and len(value) != len(fixed):
+            raise TypeError(f"{where} must hold {len(fixed)} items, got {value!r}")
+        kinds = fixed or args[:1] * len(value)
+        return origin(_read(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    if origin is dict:
+        return {_read(args[0], k, where): _read(args[1], v, f"{where}[{k!r}]")
+                for k, v in _read(dict, value, where).items()}
+    if is_dataclass(tp):
+        return from_fields(tp, value)
+    if (isinstance(value, bool) and tp is not bool
+            or not isinstance(value, (int, float) if tp is float else tp)):
+        raise TypeError(f"{where} must be {tp.__name__}, got {value!r}")
+    return float(value) if tp is float else value
 
 
 FORMAT_VERSION = 1
@@ -86,11 +105,6 @@ class DistributionSpec:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "extents": list(self.extents)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DistributionSpec":
-        return from_fields(DistributionSpec, d, snr_db=float, coils=int, extents=tuple,
-                           seed=int)
 
 
 @dataclass(frozen=True)
@@ -490,7 +504,7 @@ def _load_item(rec: dict, blob: bytes) -> Item:
     img_bytes = h * w * 16
     image = np.frombuffer(payload[:img_bytes], dtype="<c16").reshape(h, w).copy()
     sens = np.frombuffer(payload[img_bytes:], dtype="<c16").reshape(c, h, w).copy()
-    lesion = LesionAnnotation(**rec["lesion"]) if rec["lesion"] else None
+    lesion = from_fields(LesionAnnotation, rec["lesion"]) if rec["lesion"] else None
     return Item(image, sens, spec, snr_db, lesion)
 
 

@@ -112,6 +112,10 @@ class ExperimentConfig:
                 raise ConfigError(f"template {self.template!r} needs distribution {need!r}")
             if need not in DISTRIBUTION_KEYS and not getattr(self, need):
                 raise ConfigError(f"template {self.template!r} needs {need}")
+        # accel_combo's own `accelerations` field says what each model trains at
+        if self.template == "accel_combo" and self.train.accelerations is not None:
+            raise ConfigError("accel_combo sets each model's training accelerations from "
+                              "its own 'accelerations'; remove train.accelerations")
         # the overfitting scan needs window + 1 epochs; fail before training
         if self.template == "overfit_monitor" and self.train.epochs < self.overfit_window + 1:
             raise ConfigError(f"overfit_monitor needs train.epochs >= overfit_window + 1 = "
@@ -142,24 +146,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        spec = datamod.DistributionSpec.from_dict
         try:
-            if "seed" not in d:
-                raise ConfigError("seed must be explicit")
-            cfg = datamod.from_fields(
-                ExperimentConfig, {k: v for k, v in d.items() if k != "out"},
-                seed=int, model=learned.ModelConfig.from_dict,
-                train=learned.TrainConfig.from_dict,
-                distributions=lambda ds: {k: spec(v) for k, v in ds.items()},
-                sources=lambda vs: [spec(v) for v in vs], target=spec,
-                train_count=int, test_count=int, seeds=lambda vs: [int(s) for s in vs],
-                accelerations=lambda vs: [float(a) for a in vs],
-                unseen_acceleration=lambda a: None if a is None else float(a),
-                skew_factor=float, lesion_amplitude=float, overfit_window=int,
-                overfit_eps=float, overfit_delta=float)
-        except (AttributeError, TypeError, ValueError) as e:
-            if isinstance(e, ConfigError):
-                raise
+            cfg = datamod.from_fields(ExperimentConfig, {k: v for k, v in d.items() if k != "out"})
+        except (TypeError, ValueError) as e:  # a ConfigError too, with its message kept
             raise ConfigError(str(e)) from e
         cfg.raw = d
         return cfg

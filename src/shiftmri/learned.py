@@ -54,10 +54,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return datamod.from_fields(ModelConfig, d)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -88,11 +84,6 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size >= 1 and epochs >= 0 required")
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return datamod.from_fields(TrainConfig, d, accelerations=lambda a: (
-            None if a is None else tuple(float(r) for r in a)))
 
 
 def learning_rate_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -334,25 +325,26 @@ class Checkpoint:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(raw[16 : 16 + hlen])
-            config = ModelConfig.from_dict(header["model"])
-            fields = (header["epoch"], header["fingerprint"], header["rng_state"],
-                      tuple(header["train_extents"]), header.get("provenance", []))
+            # the header holds every field but the parameters, the config as "model"
+            if "config" in header or "params" in header:
+                raise ValueError(f"unexpected key in {sorted(header)}")
+            ck = datamod.from_fields(Checkpoint, {"config": header.pop("model"), "params": [],
+                                                  **header})
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise CheckpointFormatError(f"undecodable checkpoint header: {e}") from e
-        shapes = construct_model(config).param_shapes
+        shapes = construct_model(ck.config).param_shapes
         sizes = [int(np.prod(shape)) for shape in shapes]
         expected = 16 + hlen + 8 * sum(sizes)
         if len(raw) != expected:
             kind = "truncated checkpoint" if len(raw) < expected else "trailing bytes in checkpoint"
             raise CheckpointFormatError(f"{kind}: {len(raw)} bytes, expected {expected}")
-        params = []
         off = 16 + hlen
         for i, (shape, n) in enumerate(zip(shapes, sizes)):
-            params.append(np.frombuffer(raw, "<f8", n, off).reshape(shape).copy())
-            if not np.isfinite(params[-1]).all():
+            ck.params.append(np.frombuffer(raw, "<f8", n, off).reshape(shape).copy())
+            if not np.isfinite(ck.params[-1]).all():
                 raise CheckpointFormatError(f"non-finite value in checkpoint parameter {i}")
             off += 8 * n
-        return Checkpoint(config, params, *fields)
+        return ck
 
     def save(self, path: str | Path) -> None:
         Path(path).write_bytes(self.to_bytes())

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -26,9 +27,10 @@ def gen_dataset(tmp_path, count=2, **kw):
 
 
 def _init_checkpoint(tmp_path, data_dir):
-    model = learned.ModelConfig.from_dict({"kind": "unet_lite", "channels": 4,
-                                           "pool_levels": 2, "seed": 0})
-    cks, _ = learned.train(model, dm.load(data_dir), learned.TrainConfig.from_dict({"epochs": 0}))
+    model = dm.from_fields(learned.ModelConfig, {"kind": "unet_lite", "channels": 4,
+                                                 "pool_levels": 2, "seed": 0})
+    cks, _ = learned.train(model, dm.load(data_dir),
+                           dm.from_fields(learned.TrainConfig, {"epochs": 0}))
     path = tmp_path / "init.ckpt"
     cks[0].save(path)
     return path
@@ -312,6 +314,41 @@ def test_train_dataset_not_a_path_is_validation_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "o").exists()
+
+
+def _with_header(raw: bytes, **changes) -> bytes:
+    """Checkpoint bytes with header fields replaced, the header written as
+    Checkpoint.to_bytes writes it."""
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = {**json.loads(raw[16 : 16 + hlen]), **changes}
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:8] + len(hjson).to_bytes(8, "little") + hjson + raw[16 + hlen :]
+
+
+@pytest.mark.parametrize("name, value, named", [
+    ("epoch", 2.5, "Checkpoint.epoch"), ("epoch", True, "Checkpoint.epoch"),
+    ("fingerprint", 7, "Checkpoint.fingerprint"),
+    ("train_extents", ["a", None], "Checkpoint.train_extents[0]"),
+    ("train_extents", [32], "Checkpoint.train_extents"),
+    ("provenance", "xy", "Checkpoint.provenance"), ("provenance", [3], "Checkpoint.provenance[0]"),
+    ("rng_state", [0], "Checkpoint.rng_state"),
+    ("model", {"kind": "unet_lite", "channels": 4.0}, "ModelConfig.channels"),
+    ("spare", 1, "spare"), ("config", {"kind": "unet_lite"}, "unexpected key"),
+    ("params", [], "unexpected key"),
+])
+def test_mistyped_checkpoint_header_is_validation_error(tmp_path, capsys, name, value, named):
+    data_dir = gen_dataset(tmp_path)
+    path = _init_checkpoint(tmp_path, data_dir)
+    raw = path.read_bytes()
+    assert _with_header(raw) == raw
+    path.write_bytes(_with_header(raw, **{name: value}))
+    with pytest.raises(learned.CheckpointFormatError, match=re.escape(named)):
+        learned.Checkpoint.load(path)
+    capsys.readouterr()
+    rc = cli.main(["eval", "--checkpoint", str(path), "--dataset", str(data_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: undecodable checkpoint header: ")
 
 
 def test_checkpoint_with_nan_parameter_is_validation_error(tmp_path, capsys):

@@ -34,6 +34,11 @@ CASES = {
 }
 
 
+def _read(cls, d):
+    """`cls` as read from the JSON object d."""
+    return cls.from_dict(d) if cls is harness.ExperimentConfig else dm.from_fields(cls, d)
+
+
 def _as_json(x) -> dict:
     """What a config file holding x reads back as."""
     d = x.to_dict() if hasattr(x, "to_dict") else asdict(x)
@@ -44,13 +49,13 @@ def _as_json(x) -> dict:
 @pytest.mark.parametrize("name", CASES)
 def test_minimal_dict_equals_dataclass_defaults(name):
     cls, minimal, expected, _ = CASES[name]
-    assert cls.from_dict(minimal) == expected
+    assert _read(cls, minimal) == expected
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_from_dict_inverts_to_dict(name):
     cls, _, _, value = CASES[name]
-    assert cls.from_dict(_as_json(value)) == value
+    assert _read(cls, _as_json(value)) == value
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -58,7 +63,7 @@ def test_unknown_key_is_rejected(name):
     cls, minimal, _, _ = CASES[name]
     error = harness.ConfigError if cls is harness.ExperimentConfig else TypeError
     with pytest.raises(error, match="unexpected keyword argument 'snr_dB'"):
-        cls.from_dict({**minimal, "snr_dB": 5})
+        _read(cls, {**minimal, "snr_dB": 5})
 
 
 @pytest.mark.parametrize("where", ["model", "train", "target", "sources", "distributions"])
@@ -79,20 +84,20 @@ def test_wrongly_typed_section_is_a_config_error(where, value):
 
 def test_missing_required_key_is_rejected():
     with pytest.raises(TypeError, match="name"):
-        dm.DistributionSpec.from_dict({"coils": 2})
+        dm.from_fields(dm.DistributionSpec, {"coils": 2})
     with pytest.raises(harness.ConfigError, match="template"):
         harness.ExperimentConfig.from_dict({"seed": 0})
     with pytest.raises(TypeError, match="JSON object"):
-        dm.DistributionSpec.from_dict(["P"])
+        dm.from_fields(dm.DistributionSpec, ["P"])
 
 
 def test_experiment_config_keeps_out_and_raw():
-    d = {**MINIMAL_EXPERIMENT, "seed": "3", "train_count": "4", "out": "somewhere"}
+    d = {**MINIMAL_EXPERIMENT, "seed": 3, "train_count": 4, "out": "somewhere"}
     cfg = harness.ExperimentConfig.from_dict(d)
     assert (cfg.seed, cfg.train_count) == (3, 4)
     assert cfg.raw is d
     assert cfg.canonical_json() == ('{"distributions":{"P":{"name":"P"},"Q":{"name":"Q"}},'
-                                    '"seed":"3","template":"skewed","train_count":"4"}')
+                                    '"seed":3,"template":"skewed","train_count":4}')
     with pytest.raises(harness.ConfigError, match="raw"):
         harness.ExperimentConfig.from_dict({"template": "skewed", "seed": 0, "raw": {}})
 
@@ -186,7 +191,7 @@ def test_train_unknown_key_exits_2(tmp_path, capsys, section):
 # (section, field, value) that a model or train field's type rejects
 MISTYPED = [("train", "epochs", "3"), ("train", "lr_max", "0.01"), ("train", "epochs", 1.5),
             ("train", "seed", "3"), ("train", "epochs", True), ("train", "lr_max", False),
-            ("model", "channels", "4"), ("model", "kind", 3)]
+            ("model", "channels", "4"), ("model", "kind", 3), ("train", "accelerations", "48")]
 MISTYPED_IDS = [f"{section}-{name}-{value!r}" for section, name, value in MISTYPED]
 SECTION_CLASS = {"model": learned.ModelConfig, "train": learned.TrainConfig}
 
@@ -195,7 +200,7 @@ SECTION_CLASS = {"model": learned.ModelConfig, "train": learned.TrainConfig}
 def test_mistyped_field_names_the_field(section, name, value):
     cls = SECTION_CLASS[section]
     with pytest.raises(TypeError, match=rf"^{cls.__name__}\.{name} must be "):
-        cls.from_dict({name: value})
+        dm.from_fields(cls, {name: value})
     with pytest.raises(harness.ConfigError, match=rf"{cls.__name__}\.{name}"):
         harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, section: {name: value}})
 
@@ -212,6 +217,105 @@ def test_train_mistyped_field_exits_2_naming_it(tmp_path, capsys, section, name,
 
 
 def test_float_field_takes_an_int():
-    cfg = learned.TrainConfig.from_dict({"lr_max": 1, "acceleration": 8, "beta1": 0})
+    cfg = dm.from_fields(learned.TrainConfig, {"lr_max": 1, "acceleration": 8, "beta1": 0})
     assert (cfg.lr_max, cfg.acceleration, cfg.beta1) == (1.0, 8.0, 0.0)
-    assert learned.TrainConfig.from_dict({"lr_max": 1.5}).lr_max == 1.5
+    assert dm.from_fields(learned.TrainConfig, {"lr_max": 1.5}).lr_max == 1.5
+
+
+# (class, field, value) that the field's annotation rejects; the error names
+# the field (and the element of a list)
+MISTYPED_FIELDS = [
+    (dm.DistributionSpec, "coils", 2.5), (dm.DistributionSpec, "coils", True),
+    (dm.DistributionSpec, "snr_db", "30"), (dm.DistributionSpec, "name", 5),
+    (dm.DistributionSpec, "seed", 1.9), (dm.DistributionSpec, "extents", [32.0, 32]),
+    (dm.DistributionSpec, "extents", [32, 32, 32]), (dm.DistributionSpec, "extents", "32"),
+    (dm.DistributionSpec, "contrast", "gamma"),
+    (harness.ExperimentConfig, "seed", 2.7), (harness.ExperimentConfig, "seed", "3"),
+    (harness.ExperimentConfig, "train_count", 4.9), (harness.ExperimentConfig, "seeds", [0.5]),
+    (harness.ExperimentConfig, "unseen_acceleration", True),
+    (harness.ExperimentConfig, "accelerations", ["4"]),
+    (harness.ExperimentConfig, "accelerations", 4), (harness.ExperimentConfig, "skew_factor", "10"),
+    (harness.ExperimentConfig, "template", 5),
+]
+MISTYPED_FIELD_IDS = [f"{cls.__name__}-{name}-{value!r}" for cls, name, value in MISTYPED_FIELDS]
+
+
+def _mistyped_config(cls, name, value) -> dict:
+    """MINIMAL_EXPERIMENT with the field set, on itself or on distribution Q."""
+    if cls is harness.ExperimentConfig:
+        return {**MINIMAL_EXPERIMENT, name: value}
+    return {**MINIMAL_EXPERIMENT, "distributions": {"P": {"name": "P"},
+                                                    "Q": {"name": "Q", name: value}}}
+
+
+@pytest.mark.parametrize("cls, name, value", MISTYPED_FIELDS, ids=MISTYPED_FIELD_IDS)
+def test_mistyped_spec_or_experiment_field_names_it(cls, name, value):
+    named = rf"^{cls.__name__}\.{name}(\[\d+\])? must "
+    if cls is dm.DistributionSpec:
+        with pytest.raises(TypeError, match=named):
+            dm.from_fields(cls, {"name": "P", name: value})
+    with pytest.raises(harness.ConfigError, match=named):
+        harness.ExperimentConfig.from_dict(_mistyped_config(cls, name, value))
+
+
+@pytest.mark.parametrize("cls, name, value", MISTYPED_FIELDS, ids=MISTYPED_FIELD_IDS)
+def test_mistyped_spec_or_experiment_field_exits_2(tmp_path, capsys, monkeypatch, cls, name,
+                                                   value):
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    if cls is dm.DistributionSpec:
+        path = _write(tmp_path, "spec.json", {"name": "P", name: value})
+        rc, err = _cli(tmp_path, capsys, "gen-data", "--spec", path, "--count", "1")
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("error: bad spec ")
+        assert f"DistributionSpec.{name}" in err[0]
+    config = _write(tmp_path, "exp.json", _mistyped_config(cls, name, value))
+    rc, err = _cli(tmp_path, capsys, "run", "--config", config)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {cls.__name__}.{name}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_int_becomes_float_where_a_float_is_declared():
+    # these values reach dataset manifests, content hashes and details.json
+    spec = dm.from_fields(dm.DistributionSpec, {"name": "P", "snr_db": 30})
+    assert json.dumps(spec.to_dict()["snr_db"]) == "30.0"
+    cfg = harness.ExperimentConfig.from_dict({
+        **MINIMAL_EXPERIMENT, "accelerations": [4, 8], "unseen_acceleration": 6,
+        "skew_factor": 10, "train": {"accelerations": [2, 4]}})
+    assert json.dumps([*cfg.accelerations, cfg.unseen_acceleration, cfg.skew_factor,
+                       *cfg.train.accelerations]) == "[4.0, 8.0, 6.0, 10.0, 2.0, 4.0]"
+    assert type(cfg.train.accelerations) is tuple
+    assert harness.ExperimentConfig.from_dict(MINIMAL_EXPERIMENT).unseen_acceleration is None
+
+
+ACCEL_COMBO = {"template": "accel_combo", "seed": 0, "accelerations": [4],
+               "distributions": {"P": {"name": "P"}}}
+
+
+def test_accel_combo_rejects_train_accelerations(tmp_path, capsys, monkeypatch):
+    config = {**ACCEL_COMBO, "train": {"accelerations": [2]}}
+    with pytest.raises(harness.ConfigError, match="train.accelerations"):
+        harness.ExperimentConfig.from_dict(config)
+    harness.ExperimentConfig.from_dict(ACCEL_COMBO)
+    harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, "train": config["train"]})
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    rc, err = _cli(tmp_path, capsys, "run", "--config", _write(tmp_path, "exp.json", config))
+    assert rc == 2
+    assert len(err) == 1 and "train.accelerations" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"trian": {"epochs": 1}}, "trian"),
+    ({"dataset": None, "train": {"epochs": 1}}, "dataset"),
+    ({"model": []}, "ModelConfig must be a JSON object"),
+], ids=["unknown-key", "no-dataset", "model-not-object"])
+def test_train_config_top_level_is_read_by_its_fields(tmp_path, capsys, config, named):
+    # a real dataset, so only the config can make the command fail
+    dm.save(dm.generate(dm.DistributionSpec("P", coils=1), 1), tmp_path / "ds")
+    config = {k: v for k, v in {"dataset": str(tmp_path / "ds"), **config}.items()
+              if v is not None}
+    rc, err = _cli(tmp_path, capsys, "train", "--config", _write(tmp_path, "train.json", config))
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not (tmp_path / "o").exists()

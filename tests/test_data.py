@@ -304,6 +304,17 @@ def _edit_manifest(path, edit):
     (path / "manifest.json").write_text(json.dumps(manifest))
 
 
+@pytest.mark.parametrize("lesion", [
+    {"row": "3"}, {"col": 1.5}, {"height": None}, {"area_fraction": True}, {"size_class": 1},
+    {"row": "3", "col": 1.5, "height": None}, {"depth": 2},
+], ids=["row", "col", "height", "area", "class", "several", "unknown"])
+def test_load_rejects_mistyped_lesion_annotation(tmp_path, lesion):
+    dm.save(dm.add_lesions(dm.generate(spec(12, extents=(80, 80)), 1), 0), tmp_path)
+    _edit_manifest(tmp_path, lambda m: m["items"][0]["lesion"].update(lesion))
+    with pytest.raises(dm.DatasetFormatError, match=rf"LesionAnnotation.*({'|'.join(lesion)})"):
+        dm.load(tmp_path)
+
+
 def _saved(tmp_path, count=2):
     dm.save(dm.generate(spec(16, coils=2), count), tmp_path)
     return tmp_path

@@ -222,7 +222,7 @@ def test_accel_combo_single_acceleration_reduces_to_plain_run(tmp_path):
     recs = harness.parse_records_csv((tmp_path / "exp" / "records.csv").read_text())
     assert [r.model_id for r in recs] == ["R4"]
     # oracle: train/eval the same model directly with the same seeds
-    spec = dm.DistributionSpec.from_dict(cfg_d["distributions"]["P"])
+    spec = dm.from_fields(dm.DistributionSpec, cfg_d["distributions"]["P"])
     train_set, test_set = dm.train_test(spec, 4, 2)
     cks, _ = learned.train(learned.ModelConfig("unet_lite", channels=4, pool_levels=2,
                                                seed=0),
