@@ -221,24 +221,45 @@ def relu(a: Tensor) -> Tensor:
     return _record_op("relu", np.where(mask, a.data, 0.0), [a], lambda g: [g * mask])
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-padded same-size patches of x (cin,h,w) as (cin*kh*kw, h*w)."""
-    cin, h, w = x.shape
+def _row_shifts(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The kw horizontal shifts of x (c,h,w), zero-padded by kh//2 rows above
+    and below, as (c*kw, (h+2*(kh//2))*w). Row (ci, j) holds x[ci] moved by
+    j - kw//2 columns, so kernel row i of a same-padded correlation reads the
+    contiguous window [i*w, i*w + h*w) of every row."""
+    c, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.zeros((cin, h + 2 * ph, w + 2 * pw))
-    xp[:, ph : ph + h, pw : pw + w] = x
-    cols = np.empty((cin, kh, kw, h, w))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + h, j : j + w]
-    return cols.reshape(cin * kh * kw, h * w)
+    buf = np.zeros((c, kw, h + 2 * ph, w))
+    for j in range(kw):
+        s = j - pw
+        n = w - abs(s)  # kernel columns wider than the image read only zeros
+        if n > 0:
+            dst, src = max(0, -s), max(0, s)
+            buf[:, j, ph : ph + h, dst : dst + n] = x[:, :, src : src + n]
+    return buf.reshape(c * kw, (h + 2 * ph) * w)
+
+
+def _correlate(rows: np.ndarray, wrows: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Same-padded correlation from a _row_shifts buffer and the kernel's rows
+    wrows (kh, cout, c*kw): the sum over i of wrows[i] @ window i, (cout, h*w).
+    BLAS reads each window in place, as a matrix with leading dimension
+    rows.shape[1]."""
+    out = wrows[0] @ rows[:, : h * w]
+    for i in range(1, len(wrows)):
+        out += wrows[i] @ rows[:, i * w : i * w + h * w]
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Stride-1 zero-pad-same convolution of (cin,h,w) with (cout,cin,kh,kw).
 
-    The input gradient is itself a same-padded correlation of the output
-    gradient, with the kernel flipped in space and transposed in/out.
+    The input is lowered along its columns only: a _row_shifts buffer holds its
+    kw horizontal shifts (3x the input for a 3-wide kernel, where an im2col
+    patch matrix would be kh*kw = 9x), and kernel row i multiplies the window
+    of that buffer shifted down by i rows, so the output is kh GEMMs on views.
+    The input gradient is the same correlation of the output gradient with the
+    kernel flipped in space and transposed in/out; the weight gradient for
+    kernel row i is window i times the output gradient, read from the buffer
+    the forward pass kept.
     """
     if x.data.ndim != 3 or weight.data.ndim != 4:
         raise ShapeMismatch("conv2d", x.shape, weight.shape)
@@ -248,23 +269,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None and bias.shape != (cout,):
         raise ShapeMismatch("conv2d bias", bias.shape, (cout,))
     _, h, w = x.shape
-    cols = _im2col(x.data, kh, kw)
-    wmat = weight.data.reshape(cout, cin * kh * kw)
-    out = (wmat @ cols).reshape(cout, h, w)
+    rows = _row_shifts(x.data, kh, kw)
+    wrows = weight.data.transpose(2, 0, 1, 3).reshape(kh, cout, cin * kw)
+    out = _correlate(rows, wrows, h, w).reshape(cout, h, w)
     if bias is not None:
-        out = out + bias.data[:, None, None]
+        out += bias.data[:, None, None]
     inputs = [x, weight] if bias is None else [x, weight, bias]
 
     def bw(g):
-        gmat = g.reshape(cout, h * w)
         grads = []
         if x.requires_grad:
-            wflip = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-            grads.append((wflip @ _im2col(g, kh, kw)).reshape(cin, h, w))
+            wflip = weight.data[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh, cin, cout * kw)
+            grads.append(_correlate(_row_shifts(g, kh, kw), wflip, h, w).reshape(cin, h, w))
         else:
             grads.append(None)
         if weight.requires_grad:
-            grads.append((gmat @ cols.T).reshape(cout, cin, kh, kw))
+            gt = g.reshape(cout, h * w).T
+            gw = np.empty((kh, cin * kw, cout))
+            for i in range(kh):
+                np.matmul(rows[:, i * w : i * w + h * w], gt, out=gw[i])
+            gw = gw.reshape(kh, cin, kw, cout).transpose(3, 1, 0, 2)
+            grads.append(np.ascontiguousarray(gw))  # backward would copy a strided one
         else:
             grads.append(None)
         if bias is not None:

@@ -525,9 +525,15 @@ def load(path: str | Path) -> Dataset:
         blob = (path / "data.bin").read_bytes()
     except FileNotFoundError as e:
         raise DatasetFormatError(f"no data.bin at {path}") from e
+    name, specs = manifest.get("name"), manifest.get("specs", {})
+    if not isinstance(name, str):
+        raise DatasetFormatError(f"malformed manifest at {path}: name {name!r} is not a string")
+    if not (isinstance(specs, dict) and all(isinstance(s, dict) for s in specs.values())):
+        raise DatasetFormatError(f"malformed manifest at {path}: specs {specs!r} is not "
+                                 f"an object of JSON objects")
     try:
         items = [_load_item(rec, blob) for rec in manifest["items"]]
-        return Dataset(manifest["name"], items, manifest.get("specs", {}))
+        return Dataset(name, items, specs)
     except (KeyError, TypeError) as e:
         raise DatasetFormatError(f"malformed manifest at {path}: "
                                  f"{type(e).__name__}: {e}") from e

@@ -188,6 +188,22 @@ def varnet_per_coil_reference(config, params, y, sens, mask):
     return ad.magnitude_2ch(x)
 
 
+# conv2d's former lowering: every kernel tap's shifted copy of x, a (cin*kh*kw,
+# h*w) patch matrix. Its forward was wmat @ cols plus the bias, its weight
+# gradient gmat @ cols.T and its input gradient wflip @ _im2col(g, kh, kw).
+def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero-padded same-size patches of x (cin,h,w) as (cin*kh*kw, h*w)."""
+    cin, h, w = x.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((cin, h + 2 * ph, w + 2 * pw))
+    xp[:, ph : ph + h, pw : pw + w] = x
+    cols = np.empty((cin, kh, kw, h, w))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, i : i + h, j : j + w]
+    return cols.reshape(cin * kh * kw, h * w)
+
+
 # conv2d's former input gradient is _col2im(wmat.T @ gmat, ...), with wmat the
 # (cout, cin*kh*kw) kernel matrix and gmat the (cout, h*w) output gradient:
 # each patch row of the gradient columns is added back where im2col read it.

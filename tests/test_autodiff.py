@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import shiftmri.autodiff as ad
 from shiftmri import learned
 from shiftmri.metrics import SsimConfig
-from oracles import _col2im
+from oracles import _col2im, _im2col
 
 
 def rng_for(seed):
@@ -363,23 +365,87 @@ def test_conv_input_gradient_matches_col2im_on_rectangles(kernel, extents):
         _check_input_gradient(rng, cout, cin, *kernel, *extents)
 
 
+def _check_against_im2col(rng, cout, cin, kh, kw, h, w):
+    """conv2d's output and its input, weight and bias gradients, from its
+    backward closure, against the products of the im2col patch matrix."""
+    x = rng.standard_normal((cin, h, w))
+    weight = rng.standard_normal((cout, cin, kh, kw))
+    bias = rng.standard_normal(cout)
+    with ad.Tape() as tape:
+        out = ad.conv2d(*(tape.leaf(a) for a in (x, weight, bias)))
+    g = rng.standard_normal((cout, h, w))
+    got = [out.data, *tape.nodes[out.node_id].backward_fn(g)]
+    cols, gmat = _im2col(x, kh, kw), g.reshape(cout, h * w)
+    wflip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+    ref = [(weight.reshape(cout, -1) @ cols + bias[:, None]).reshape(cout, h, w),
+           (wflip @ _im2col(g, kh, kw)).reshape(cin, h, w),
+           (gmat @ cols.T).reshape(cout, cin, kh, kw),
+           gmat.sum(axis=1)]
+    for name, a, b in zip(("output", "input grad", "weight grad", "bias grad"), got, ref):
+        assert a.shape == b.shape, name
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+@pytest.mark.parametrize("layer", [*UNET_CONVS.values(), *VARNET_CONVS.values()],
+                         ids=[*UNET_CONVS, *(f"varnet-{n}" for n in VARNET_CONVS)])
+def test_conv_matches_im2col_at_model_shapes(layer):
+    cout, cin, h, w = layer
+    _check_against_im2col(rng_for([cout, cin, h, 1]), cout, cin, 3, 3, h, w)
+
+
+@pytest.mark.parametrize("kernel", [(1, 1), (1, 5), (5, 3), (3, 3)])
+@pytest.mark.parametrize("extents", [(1, 7), (9, 4), (6, 6)])
+def test_conv_matches_im2col_on_rectangles(kernel, extents):
+    rng = rng_for([*kernel, *extents, 1])
+    for _ in range(10):
+        cout, cin = (int(c) for c in rng.integers(1, 5, size=2))
+        _check_against_im2col(rng, cout, cin, *kernel, *extents)
+
+
+def test_conv_matches_im2col_with_kernels_wider_than_the_image():
+    """Kernel columns that fall wholly outside the image read only padding."""
+    rng = rng_for(13)
+    for kernel, extents in [((5, 7), (2, 2)), ((7, 1), (3, 1)), ((3, 9), (1, 3))]:
+        _check_against_im2col(rng, 3, 2, *kernel, *extents)
+
+
 def test_conv_input_gradient_is_c_contiguous_and_not_copied_by_backward():
-    """backward's Tensor wrapper would copy a non-contiguous gradient."""
+    """backward's Tensor wrapper would copy a non-contiguous gradient; the
+    weight and bias gradients are checked the same way."""
     rng = rng_for(12)
     returned = []
     with ad.Tape() as tape:
         x = tape.leaf(rng.standard_normal((3, 6, 5)))
-        out = ad.conv2d(x, ad.Tensor(rng.standard_normal((4, 3, 3, 5))))
+        weight = tape.leaf(rng.standard_normal((4, 3, 3, 5)))
+        bias = tape.leaf(rng.standard_normal(4))
+        out = ad.conv2d(x, weight, bias)
         loss = ad.reduce_mean(ad.mul(out, ad.Tensor(rng.standard_normal(out.shape))))
         node = tape.nodes[out.node_id]
         closure = node.backward_fn
 
         def recording(g):
             input_grads = closure(g)
-            returned.append(input_grads[0])
+            returned.extend(input_grads)
             return input_grads
 
         node.backward_fn = recording
         grads = ad.backward(tape, loss)
-    assert returned[0].flags.c_contiguous
-    assert np.shares_memory(grads[x.node_id].data, returned[0])
+    for leaf, grad in zip((x, weight, bias), returned):
+        assert grad.flags.c_contiguous
+        assert np.shares_memory(grads[leaf.node_id].data, grad)
+
+
+def test_conv_forward_peak_memory_stays_below_five_inputs():
+    """One forward at the dec0 shape: the row-shift buffer is about 3.2x the
+    input; a kh*kw patch matrix with its padded copy would be about 10x."""
+    rng = rng_for(14)
+    x = ad.Tensor(rng.standard_normal((24, 32, 32)))
+    weight = ad.Tensor(rng.standard_normal((8, 24, 3, 3)))
+    bias = ad.Tensor(rng.standard_normal(8))
+    tracemalloc.start()
+    try:
+        ad.conv2d(x, weight, bias)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * x.data.nbytes

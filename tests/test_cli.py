@@ -283,6 +283,30 @@ def test_damaged_dataset_manifest_is_validation_error(tmp_path, capsys, damage):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+def _dataset_command(command, tmp_path, data_dir):
+    if command == "similarity":
+        return ["similarity", "--train-dataset", str(data_dir), "--test-dataset", str(data_dir)]
+    if command == "tune-lambda":
+        return ["tune-lambda", "--dataset", str(data_dir), "--grid", "1e-3"]
+    cfg_path = tmp_path / "train.json"
+    cfg_path.write_text(json.dumps({"dataset": str(data_dir), "train": {"epochs": 1}}))
+    return ["--out", str(tmp_path / "o"), "train", "--config", str(cfg_path)]
+
+
+@pytest.mark.parametrize("field, value", [("name", 5), ("specs", "x"), ("specs", {"P": 1})])
+@pytest.mark.parametrize("command", ["similarity", "tune-lambda", "train"])
+def test_mistyped_manifest_name_or_specs_is_validation_error(tmp_path, capsys, command,
+                                                             field, value):
+    data_dir = gen_dataset(tmp_path)
+    path = data_dir / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+    capsys.readouterr()
+    assert cli.main(_dataset_command(command, tmp_path, data_dir)) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("damage", ["append", "cut-header", "cut-payload"])
 def test_malformed_checkpoint_is_validation_error(tmp_path, capsys, damage):
     data_dir = gen_dataset(tmp_path)

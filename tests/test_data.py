@@ -331,6 +331,15 @@ def test_load_malformed_manifest_json(tmp_path):
         dm.load(path)
 
 
+@pytest.mark.parametrize("field, value", [("name", 5), ("name", None), ("specs", "x"),
+                                          ("specs", {"P": [1]})])
+def test_load_rejects_mistyped_name_or_specs(tmp_path, field, value):
+    path = _saved(tmp_path)
+    _edit_manifest(path, lambda m: m.update({field: value}))
+    with pytest.raises(dm.DatasetFormatError, match=rf"malformed manifest .*: {field} "):
+        dm.load(path)
+
+
 def test_load_missing_blob(tmp_path):
     path = _saved(tmp_path)
     (path / "data.bin").unlink()
