@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 
@@ -25,12 +25,11 @@ class ValidationError(Exception):
 
 
 def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"no such file: {path}")
     try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+        obj = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e.strerror}") from e
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         raise ValidationError(f"invalid JSON in {path}: {e}") from e
     if not isinstance(obj, dict):
         raise ValidationError(f"{path} must hold a JSON object, not {type(obj).__name__}")
@@ -132,8 +131,8 @@ def cmd_tune_lambda(args) -> int:
     grid = _parse_grid(args.grid)
     dataset = datamod.load(args.dataset)
     seed = args.seed if args.seed is not None else 0
-    best, table = tune_lambda(dataset, grid, FistaConfig(), acceleration=args.acceleration,
-                              seed=seed)
+    cfg = FistaConfig()
+    best, table = tune_lambda(dataset, grid, cfg, acceleration=args.acceleration, seed=seed)
     lines = ["lambda,mean_ssim,n_items"]
     for lam in grid:
         lines.append(f"{lam!r},{table[lam]!r},{len(dataset.items)}")
@@ -142,12 +141,10 @@ def cmd_tune_lambda(args) -> int:
         out = _out_dir(args)
         (out / "tune_lambda.csv").write_text(text)
         # solver settings recorded alongside the table for auditability
-        cfg = FistaConfig()
+        settings = {k: v for k, v in asdict(cfg).items() if k != "lam"}
         (out / "tune_lambda.json").write_text(json.dumps({
             "best_lambda": best, "grid": grid, "acceleration": args.acceleration,
-            "seed": seed, "max_iters": cfg.max_iters, "tolerance": cfg.tolerance,
-            "step_size": cfg.step_size, "wavelet_levels": cfg.wavelet_levels,
-        }, sort_keys=True, indent=1))
+            "seed": seed, **settings}, sort_keys=True, indent=1))
     sys.stdout.write(text)
     print(f"best lambda: {best!r}", file=sys.stderr)
     return 0
@@ -173,12 +170,13 @@ def cmd_robustness_report(args) -> int:
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read records {args.records}: {e}") from e
     records = harness.parse_records_csv(text)
-    baseline = [(r.value, r2.value) for r, r2 in _paired(records, args.baseline_model,
-                                                         args.id_set, args.ood_set)]
-    candidates = []
-    for mid in args.candidate_model or []:
-        candidates.extend((r.value, r2.value)
-                          for r, r2 in _paired(records, mid, args.id_set, args.ood_set))
+
+    def points(model_id):
+        return [(i.value, o.value)
+                for i, o in harness.paired(records, model_id, args.id_set, args.ood_set)]
+
+    baseline = points(args.baseline_model)
+    candidates = [pt for mid in args.candidate_model or [] for pt in points(mid)]
     if len(baseline) < 2:
         raise ValidationError("need at least two baseline (id, ood) pairs")
     fit = metrics.effective_robustness_fit(baseline, candidates)
@@ -189,21 +187,6 @@ def cmd_robustness_report(args) -> int:
     return 0
 
 
-def _paired(records, model_id, id_set, ood_set):
-    by_epoch = {}
-    for r in records:
-        if r.model_id == model_id and r.metric == "ssim":
-            if r.test_set == id_set:
-                by_epoch.setdefault(r.epoch, [None, None])[0] = r
-            elif r.test_set == ood_set:
-                by_epoch.setdefault(r.epoch, [None, None])[1] = r
-    pairs = [(v[0], v[1]) for _, v in sorted(by_epoch.items()) if v[0] and v[1]]
-    if not pairs:
-        raise ValidationError(
-            f"no (id, ood) pairs for model {model_id!r} on {id_set!r}/{ood_set!r}")
-    return pairs
-
-
 def cmd_toy_subspace(args) -> int:
     try:
         world = toy.SubspaceWorld(args.n, args.d, args.sigma_p, args.sigma_q,
@@ -211,11 +194,8 @@ def cmd_toy_subspace(args) -> int:
         table = toy.mse_table(world, count=args.samples, seed=world.seed)
     except ValueError as e:
         raise ValidationError(str(e)) from e
-    payload = {
-        "n": args.n, "d": args.d, "sigma_p": args.sigma_p, "sigma_q": args.sigma_q,
-        "samples": args.samples, "seed": world.seed, "mse": table,
-    }
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    text = json.dumps({**asdict(world), "samples": args.samples, "mse": table},
+                      sort_keys=True, indent=1)
     if args.out:
         (_out_dir(args) / "toy_subspace.json").write_text(text)
     print(text)

@@ -439,6 +439,33 @@ def measure(item: Item, index: int, seed: int, acceleration: float,
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ItemRecord:
+    """One item of a manifest: where its payload sits in data.bin and what it holds."""
+
+    index: int
+    spec: str
+    snr_db: float
+    height: int
+    width: int
+    coils: int
+    offset: int
+    nbytes: int
+    sha256: str
+    lesion: LesionAnnotation | None
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A dataset's manifest.json; `items` lists the payloads of data.bin in order."""
+
+    format_version: int
+    name: str
+    count: int
+    specs: dict[str, dict]
+    items: list[ItemRecord]
+
+
 def _payload_bytes(item: Item) -> bytes:
     return (item.image.astype("<c16").tobytes()
             + item.sens.astype("<c16").tobytes())
@@ -449,94 +476,67 @@ def save(dataset: Dataset, path: str | Path) -> None:
     path.mkdir(parents=True, exist_ok=True)
     records = []
     offset = 0
-    blob = bytearray()
-    for idx, item in enumerate(dataset.items):
-        payload = _payload_bytes(item)
-        records.append({
-            "index": idx,
-            "spec": item.spec_name,
-            "snr_db": item.snr_db,
-            "height": item.image.shape[0],
-            "width": item.image.shape[1],
-            "coils": item.sens.shape[0],
-            "offset": offset,
-            "nbytes": len(payload),
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "lesion": asdict(item.lesion) if item.lesion else None,
-        })
-        blob.extend(payload)
-        offset += len(payload)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "name": dataset.name,
-        "count": len(dataset.items),
-        "specs": dataset.specs,
-        "items": records,
-    }
     # the blob first, so a failed write never leaves a manifest beside it
-    (path / "data.bin").write_bytes(bytes(blob))
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    with open(path / "data.bin", "wb") as blob:
+        for index, item in enumerate(dataset.items):
+            payload = _payload_bytes(item)
+            blob.write(payload)
+            records.append(ItemRecord(index, item.spec_name, item.snr_db, *item.image.shape,
+                                      item.sens.shape[0], offset, len(payload),
+                                      hashlib.sha256(payload).hexdigest(), item.lesion))
+            offset += len(payload)
+    manifest = Manifest(FORMAT_VERSION, dataset.name, len(records), dataset.specs, records)
+    (path / "manifest.json").write_text(json.dumps(asdict(manifest), indent=1, sort_keys=True))
 
 
-def _load_item(rec: dict, blob: bytes) -> Item:
-    h, w, c = rec["height"], rec["width"], rec["coils"]
-    offset, nbytes = rec["offset"], rec["nbytes"]
-    if not all(type(v) is int and v > 0 for v in (h, w, c, nbytes)):
-        raise DatasetFormatError(f"item {rec['index']}: height, width, coils and nbytes "
-                                 f"must be positive integers")
+def _load_item(rec: ItemRecord, blob: bytes) -> Item:
+    h, w, c, offset, nbytes = rec.height, rec.width, rec.coils, rec.offset, rec.nbytes
+    if min(h, w, c, nbytes) <= 0 or offset < 0:
+        raise DatasetFormatError(f"item {rec.index}: height, width, coils and nbytes must "
+                                 f"be positive and offset non-negative")
     if nbytes != (1 + c) * h * w * 16:
-        raise DatasetFormatError(f"item {rec['index']}: nbytes {nbytes} != (1 + coils) * "
+        raise DatasetFormatError(f"item {rec.index}: nbytes {nbytes} != (1 + coils) * "
                                  f"height * width * 16 = {(1 + c) * h * w * 16}")
-    if type(offset) is not int or offset < 0:
-        raise DatasetFormatError(f"item {rec['index']}: offset {offset!r} is not a "
-                                 f"non-negative integer")
-    snr_db, spec = rec["snr_db"], rec["spec"]
-    if type(snr_db) not in (int, float) or not np.isfinite(snr_db):
-        raise DatasetFormatError(f"item {rec['index']}: snr_db {snr_db!r} is not a finite number")
-    if not isinstance(spec, str):
-        raise DatasetFormatError(f"item {rec['index']}: spec {spec!r} is not a string")
+    if not np.isfinite(rec.snr_db):
+        raise DatasetFormatError(f"item {rec.index}: snr_db {rec.snr_db!r} is not finite")
     end = offset + nbytes
     if end > len(blob):
-        raise TruncatedPayloadError(f"item {rec['index']} extends past end of blob")
+        raise TruncatedPayloadError(f"item {rec.index} extends past end of blob")
     payload = blob[offset:end]
-    if hashlib.sha256(payload).hexdigest() != rec["sha256"]:
-        raise ChecksumError(f"checksum mismatch for item {rec['index']}")
+    if hashlib.sha256(payload).hexdigest() != rec.sha256:
+        raise ChecksumError(f"checksum mismatch for item {rec.index}")
     img_bytes = h * w * 16
     image = np.frombuffer(payload[:img_bytes], dtype="<c16").reshape(h, w).copy()
     sens = np.frombuffer(payload[img_bytes:], dtype="<c16").reshape(c, h, w).copy()
-    lesion = from_fields(LesionAnnotation, rec["lesion"]) if rec["lesion"] else None
-    return Item(image, sens, spec, snr_db, lesion)
+    return Item(image, sens, rec.spec, rec.snr_db, rec.lesion)
 
 
 def load(path: str | Path) -> Dataset:
     """Read a saved dataset; any damage to it raises DatasetFormatError."""
     path = Path(path)
     try:
-        manifest = json.loads((path / "manifest.json").read_text())
-    except FileNotFoundError as e:
-        raise DatasetFormatError(f"no manifest at {path}") from e
+        raw = json.loads((path / "manifest.json").read_text())
+    except OSError as e:
+        raise DatasetFormatError(f"no readable manifest.json at {path}: {e.strerror}") from e
     except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
         raise DatasetFormatError(f"malformed manifest at {path}: {e}") from e
-    if not isinstance(manifest, dict):
+    if not isinstance(raw, dict):
         raise DatasetFormatError(f"malformed manifest at {path}: not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise VersionError(f"unsupported format version {manifest.get('format_version')!r}")
+    if raw.get("format_version") != FORMAT_VERSION:
+        raise VersionError(f"unsupported format version {raw.get('format_version')!r}")
+    try:
+        manifest = from_fields(Manifest, raw)
+    except TypeError as e:
+        raise DatasetFormatError(f"malformed manifest at {path}: {e}") from e
+    if [r.index for r in manifest.items] != list(range(manifest.count)):
+        raise DatasetFormatError(f"malformed manifest at {path}: count {manifest.count} with "
+                                 f"item indices {[r.index for r in manifest.items]}")
     try:
         blob = (path / "data.bin").read_bytes()
-    except FileNotFoundError as e:
-        raise DatasetFormatError(f"no data.bin at {path}") from e
-    name, specs = manifest.get("name"), manifest.get("specs", {})
-    if not isinstance(name, str):
-        raise DatasetFormatError(f"malformed manifest at {path}: name {name!r} is not a string")
-    if not (isinstance(specs, dict) and all(isinstance(s, dict) for s in specs.values())):
-        raise DatasetFormatError(f"malformed manifest at {path}: specs {specs!r} is not "
-                                 f"an object of JSON objects")
-    try:
-        items = [_load_item(rec, blob) for rec in manifest["items"]]
-        return Dataset(name, items, specs)
-    except (KeyError, TypeError) as e:
-        raise DatasetFormatError(f"malformed manifest at {path}: "
-                                 f"{type(e).__name__}: {e}") from e
+    except OSError as e:
+        raise DatasetFormatError(f"no readable data.bin at {path}: {e.strerror}") from e
+    return Dataset(manifest.name, [_load_item(rec, blob) for rec in manifest.items],
+                   manifest.specs)
 
 
 def content_hash(dataset: Dataset) -> str:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ class EvalRecord:
     flags: str = ""
 
 
-CSV_HEADER = "model_id,sources,epoch,test_set,metric,value,mask_seed,flags"
+CSV_HEADER = ",".join(f.name for f in fields(EvalRecord))
 
 
 @dataclass
@@ -288,14 +289,13 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
     union_cks = _fit(cfg, outdir, "P-union", union, cfg.seed)
     both_cks = _fit(cfg, outdir, "P+Q", datamod.combine([union, target_train]), cfg.seed)
 
-    # per-epoch (id, ood) points; each checkpoint's two records alternate
+    # per-epoch (id, ood) points
     tests = {"ID(P_best)-test": id_test, "Q-test": target_test}
     records, pts = [], {}
     for mid, cks in (("P_best", specialists[best_idx]), ("P-union", union_cks),
                      ("P+Q", both_cks)):
-        recs = [r for ck in cks[1:] for r in _eval_records(cfg, mid, mid, ck, tests, cfg.seed)]
-        records.extend(recs)
-        pts[mid] = [(i.value, o.value) for i, o in zip(recs[0::2], recs[1::2])]
+        records += [r for ck in cks[1:] for r in _eval_records(cfg, mid, mid, ck, tests, cfg.seed)]
+        pts[mid] = [(i.value, o.value) for i, o in paired(records, mid, *tests)]
     fit = metrics.effective_robustness_fit(pts["P_best"], pts["P-union"] + pts["P+Q"])
 
     # train-set similarity to the target test set, per source and for the union
@@ -393,8 +393,9 @@ def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
     tests = {"P-test": test_p, "Q-test": test_q}
     records = [r for ck in cks[1:]
                for r in _eval_records(cfg, "P", train_p.name, ck, tests, cfg.seed)]
-    id_trace = [r.value for r in records[0::2]]
-    ood_trace = [r.value for r in records[1::2]]
+    pairs = paired(records, "P", *tests)
+    id_trace = [i.value for i, _ in pairs]
+    ood_trace = [o.value for _, o in pairs]
     verdict = detect_distributional_overfitting(
         id_trace, ood_trace, cfg.overfit_window, cfg.overfit_eps, cfg.overfit_delta)
     details = {
@@ -450,8 +451,7 @@ def _fmt(v) -> str:
 def records_to_csv(records: list[EvalRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join([r.model_id, r.sources, str(r.epoch), r.test_set,
-                               r.metric, _fmt(r.value), str(r.mask_seed), r.flags]))
+        lines.append(",".join(_fmt(getattr(r, f.name)) for f in fields(EvalRecord)))
     return "\n".join(lines) + "\n"
 
 
@@ -460,20 +460,37 @@ class RecordsFormatError(datamod.FormatError):
 
 
 def parse_records_csv(text: str) -> list[EvalRecord]:
+    """Records from records_to_csv's text, each column read by its field's type."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise RecordsFormatError("unexpected records header")
+    kinds = list(typing.get_type_hints(EvalRecord).values())
     out = []
     for row, ln in enumerate(lines[1:], start=1):
         parts = ln.split(",")
-        if len(parts) != 8:
-            raise RecordsFormatError(f"records row {row}: {len(parts)} fields, expected 8")
+        if len(parts) != len(kinds):
+            raise RecordsFormatError(f"records row {row}: {len(parts)} fields, "
+                                     f"expected {len(kinds)}")
         try:
-            out.append(EvalRecord(parts[0], parts[1], int(parts[2]), parts[3], parts[4],
-                                  float(parts[5]), int(parts[6]), parts[7]))
+            out.append(EvalRecord(*(kind(p) for kind, p in zip(kinds, parts))))
         except ValueError as e:
             raise RecordsFormatError(f"records row {row}: {e}") from e
     return out
+
+
+def paired(records: list[EvalRecord], model_id: str, id_set: str, ood_set: str):
+    """(ID, OOD) SSIM record pairs of one model, one per epoch that has both, in
+    epoch order. No pair at all raises RecordsFormatError."""
+    by_epoch: dict[int, dict[str, EvalRecord]] = {}
+    for r in records:
+        if r.model_id == model_id and r.metric == "ssim" and r.test_set in (id_set, ood_set):
+            by_epoch.setdefault(r.epoch, {})[r.test_set] = r
+    pairs = [(sets[id_set], sets[ood_set]) for _, sets in sorted(by_epoch.items())
+             if len(sets) == 2]
+    if not pairs:
+        raise RecordsFormatError(
+            f"no (id, ood) pairs for model {model_id!r} on {id_set!r}/{ood_set!r}")
+    return pairs
 
 
 def emit_report(records: list[EvalRecord], fits: dict[str, metrics.RobustnessFit],

@@ -42,14 +42,14 @@ def rng_from(*keys: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _centered2(x: np.ndarray, transform) -> np.ndarray:
-    """Centered 1-D passes over the last two axes, axis -1 then axis -2
-    (np.fft.fft2's order), in place on the ifftshifted copy so that a call
-    allocates two full-size arrays."""
-    k = np.fft.ifftshift(np.asarray(x, dtype=np.complex128), axes=(-2, -1))
-    transform(k, axis=-1, norm="ortho", out=k)
-    transform(k, axis=-2, norm="ortho", out=k)
-    return np.fft.fftshift(k, axes=(-2, -1))
+def _centered(x: np.ndarray, transform, axes: tuple[int, ...]) -> np.ndarray:
+    """Centered unitary 1-D passes of `transform` over `axes`, the last listed
+    first (np.fft.fftn's order), in place on the ifftshifted copy so that a
+    call allocates two full-size arrays."""
+    k = np.fft.ifftshift(np.asarray(x, dtype=np.complex128), axes=axes)
+    for axis in reversed(axes):
+        transform(k, axis=axis, norm="ortho", out=k)
+    return np.fft.fftshift(k, axes=axes)
 
 
 def fft2c(image: np.ndarray) -> np.ndarray:
@@ -57,23 +57,21 @@ def fft2c(image: np.ndarray) -> np.ndarray:
     DC component at index (h//2, w//2). Axis -1 is transformed first, then
     axis -2, as in np.fft.fft2, so each slice equals
     fftshift(fft2(ifftshift(slice), norm="ortho")) byte for byte."""
-    return _centered2(image, np.fft.fft)
+    return _centered(image, np.fft.fft, (-2, -1))
 
 
 def ifft2c(kspace: np.ndarray) -> np.ndarray:
     """Inverse of fft2c over the last two axes of an (..., h, w) stack, in
     np.fft.ifft2's axis order (-1, then -2)."""
-    return _centered2(kspace, np.fft.ifft)
+    return _centered(kspace, np.fft.ifft, (-2, -1))
 
 
 def fft1c(x: np.ndarray, axis: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(x, axes=axis), norm="ortho", axis=axis), axes=axis)
+    return _centered(x, np.fft.fft, (axis,))
 
 
 def ifft1c(x: np.ndarray, axis: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(x, axes=axis), norm="ortho", axis=axis), axes=axis)
+    return _centered(x, np.fft.ifft, (axis,))
 
 
 # ---------------------------------------------------------------------------

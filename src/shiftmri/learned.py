@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -295,15 +295,10 @@ class Checkpoint:
     provenance: list[str] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
-        header = {
-            "model": self.config.to_dict(),
-            "epoch": self.epoch,
-            "fingerprint": self.fingerprint,
-            "rng_state": self.rng_state,
-            "train_extents": list(self.train_extents),
-            "provenance": self.provenance,
-        }
-        hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        header = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("config", "params")}
+        hjson = json.dumps({**header, "model": self.config.to_dict()},
+                           sort_keys=True, separators=(",", ":")).encode()
         buf = io.BytesIO()
         buf.write(MAGIC)
         buf.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -353,8 +348,8 @@ class Checkpoint:
     def load(path: str | Path) -> "Checkpoint":
         try:
             raw = Path(path).read_bytes()
-        except FileNotFoundError as e:
-            raise CheckpointFormatError(f"no checkpoint at {path}") from e
+        except OSError as e:
+            raise CheckpointFormatError(f"no checkpoint at {path}: {e.strerror}") from e
         return Checkpoint.from_bytes(raw)
 
 

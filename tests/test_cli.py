@@ -261,6 +261,15 @@ def _damage_manifest(data_dir, damage):
         item = manifest["items"][0]
         if damage == "key":
             del item["height"]
+        elif damage == "unknown-key":
+            item["depth"] = 2
+        elif damage == "unknown-top-key":
+            manifest["complete"] = True
+        elif damage == "count":
+            manifest["count"] = 7
+        elif damage == "indices":
+            for item, index in zip(manifest["items"], (5, 1)):
+                item["index"] = index
         elif damage == "coils":
             item["coils"] += 1
         elif damage == "spec":
@@ -271,7 +280,8 @@ def _damage_manifest(data_dir, damage):
         path.write_text(json.dumps(manifest))
 
 
-@pytest.mark.parametrize("damage", ["json", "blob", "key", "coils", "spec", "snr-text",
+@pytest.mark.parametrize("damage", ["json", "blob", "key", "unknown-key", "unknown-top-key",
+                                    "count", "indices", "coils", "spec", "snr-text",
                                     "snr-nan", "snr-null", "snr-minus-inf", "snr-bool"])
 def test_damaged_dataset_manifest_is_validation_error(tmp_path, capsys, damage):
     data_dir = gen_dataset(tmp_path)
@@ -328,6 +338,24 @@ def test_missing_checkpoint_is_validation_error(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: no checkpoint at ")
+
+
+@pytest.mark.parametrize("command", ["run", "eval", "similarity"])
+def test_unreadable_path_is_validation_error(tmp_path, capsys, command):
+    data_dir = gen_dataset(tmp_path)
+    if command == "run":
+        argv = ["run", "--config", str(tmp_path), "--out", str(tmp_path / "o")]
+    elif command == "eval":
+        argv = ["eval", "--checkpoint", str(tmp_path), "--dataset", str(data_dir)]
+    else:
+        (data_dir / "manifest.json").unlink()
+        (data_dir / "manifest.json").mkdir()
+        argv = _dataset_command(command, tmp_path, data_dir)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "Is a directory" in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_dataset_not_a_path_is_validation_error(tmp_path, capsys):

@@ -336,7 +336,38 @@ def test_load_malformed_manifest_json(tmp_path):
 def test_load_rejects_mistyped_name_or_specs(tmp_path, field, value):
     path = _saved(tmp_path)
     _edit_manifest(path, lambda m: m.update({field: value}))
-    with pytest.raises(dm.DatasetFormatError, match=rf"malformed manifest .*: {field} "):
+    with pytest.raises(dm.DatasetFormatError, match=rf"malformed manifest .*: Manifest\.{field}"):
+        dm.load(path)
+
+
+@pytest.mark.parametrize("damage", ["count", "indices", "item-key", "top-key"])
+def test_load_rejects_manifest_not_listing_its_items(tmp_path, damage):
+    path = _saved(tmp_path, count=3)
+
+    def edit(m):
+        if damage == "count":
+            m["count"] = 7
+        elif damage == "indices":
+            for item, index in zip(m["items"], (5, 1, 2)):
+                item["index"] = index
+        elif damage == "item-key":
+            m["items"][1]["depth"] = 2
+        else:
+            m["complete"] = True
+
+    _edit_manifest(path, edit)
+    match = {"count": "count 7", "indices": r"\[5, 1, 2\]", "item-key": "ItemRecord.*depth",
+             "top-key": "Manifest.*complete"}[damage]
+    with pytest.raises(dm.DatasetFormatError, match=match):
+        dm.load(path)
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "data.bin"])
+def test_load_unreadable_file_is_format_error(tmp_path, name):
+    path = _saved(tmp_path)
+    (path / name).unlink()
+    (path / name).mkdir()
+    with pytest.raises(dm.DatasetFormatError, match=f"no readable {name}"):
         dm.load(path)
 
 
@@ -384,7 +415,8 @@ def test_load_nbytes_disagreeing_with_extents(tmp_path):
 def test_load_rejects_bad_item_numbers(tmp_path, field, value):
     path = _saved(tmp_path)
     _edit_manifest(path, lambda m: m["items"][1].update({field: value}))
-    with pytest.raises(dm.DatasetFormatError, match=field if field == "offset" else "positive"):
+    expected = {"offset": "offset", "height": "positive", "width": r"ItemRecord\.width "}
+    with pytest.raises(dm.DatasetFormatError, match=expected[field]):
         dm.load(path)
 
 

@@ -155,6 +155,24 @@ def test_records_csv_roundtrip(tmp_path):
     assert parsed == recs
 
 
+def test_paired_matches_rows_by_epoch():
+    R = harness.EvalRecord
+    rows = [R("m", "A", e, ts, "ssim", 10 * e + (ts == "ood"), 0)
+            for e in (1, 2, 3) for ts in ("id", "ood")]
+    rows = [rows[i] for i in (5, 0, 3, 1, 4, 2)]
+    rows.pop(rows.index(R("m", "A", 2, "ood", "ssim", 21, 0)))  # epoch 2 loses its OOD row
+    rows += [R("other", "A", 1, "id", "ssim", 0.5, 0), R("other", "A", 1, "ood", "ssim", 0.5, 0),
+             R("m", "A", 1, "id", "region_ssim_small", 0.5, 0),
+             R("m", "A", 4, "ood", "region_ssim_small", 0.5, 0),
+             R("m", "A", 4, "id", "ssim", 40, 0), R("m", "A", 3, "elsewhere", "ssim", 0.5, 0)]
+    pairs = harness.paired(rows, "m", "id", "ood")
+    assert [(i.epoch, i.test_set, o.epoch, o.test_set) for i, o in pairs] == [
+        (1, "id", 1, "ood"), (3, "id", 3, "ood")]
+    assert [(i.value, o.value) for i, o in pairs] == [(10, 11), (30, 31)]
+    with pytest.raises(harness.RecordsFormatError, match="no \\(id, ood\\) pairs"):
+        harness.paired(rows, "m", "id", "missing")
+
+
 # ---------------------------------------------------------------------------
 # Experiment templates.
 # ---------------------------------------------------------------------------
