@@ -36,12 +36,16 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _out_dir(args) -> Path:
-    if not args.out:
+def _out_dir(args, default: str | None = None) -> Path:
+    """`--out`, else `default`, as a directory, made if missing."""
+    out = args.out or default
+    if not out:
         raise ValidationError("--out is required for this command")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ValidationError(f"cannot make output directory {out}: {e.strerror}") from e
+    return Path(out)
 
 
 def cmd_gen_data(args) -> int:
@@ -210,10 +214,7 @@ def cmd_run(args) -> int:
         cfg = harness.ExperimentConfig.from_dict(raw)
     except harness.ConfigError as e:
         raise ValidationError(str(e)) from e
-    out = args.out or raw.get("out")
-    if not out:
-        raise ValidationError("output directory required (--out or config 'out')")
-    path = harness.run_experiment(cfg, out)
+    path = harness.run_experiment(cfg, _out_dir(args, raw.get("out")))
     print(f"report written to {path}")
     return 0
 

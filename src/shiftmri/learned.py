@@ -9,6 +9,10 @@ Fourier transform inside the unroll is the exact centered unitary DFT realized
 as real constant matrix products on the 2-channel coil stack, so each cascade
 records one data-consistency graph whatever the coil count.
 
+A model's parameters are one float64 vector in its layer order: training,
+the optimizer and checkpoints work on the whole vector, and `split` gives the
+per-layer arrays as views of it.
+
 The training loop follows the standard recipe: SSIM (or MSE) loss against the
 RSS target, Adam or SGD, linear warmup then linear decay, global gradient-norm
 clipping, a fresh undersampling mask per mini-batch and fixed per-volume masks
@@ -17,8 +21,9 @@ for evaluation. A checkpoint is written after every epoch.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -74,6 +79,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, top in (("beta1", 1), ("beta2", 1), ("momentum", math.inf),
+                          ("lr_max", math.inf), ("lr_min", math.inf), ("clip_norm", math.inf)):
+            if not 0 <= getattr(self, name) < top:  # NaN fails too
+                raise ValueError(f"{name} must be in [0, {top}), got {getattr(self, name)!r}")
         if not (0 <= self.warmup_fraction <= 1):
             raise ValueError("warmup_fraction must be in [0, 1]")
         if self.clip_norm <= 0 or self.lr_max < self.lr_min or self.lr_min <= 0:
@@ -102,17 +111,41 @@ def learning_rate_at(step: int, total_steps: int, config: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _he_init(rng, cout, cin, k):
-    return rng.standard_normal((cout, cin, k, k)) * np.sqrt(2.0 / (cin * k * k))
+def _he_init(rng, shape, gain=2.0):
+    return rng.standard_normal(shape) * np.sqrt(gain / np.prod(shape[1:]))
 
 
-class UnetLite:
+class _Layout:
+    """Parameters as one float64 vector in the layer order of `layer_shapes`,
+    the (name, shape) list each model fills in its constructor."""
+
+    layer_shapes: list[tuple[str, tuple]]
+
+    @property
+    def param_shapes(self) -> list[tuple]:
+        return [s for _, s in self.layer_shapes]
+
+    @property
+    def size(self) -> int:
+        return sum(math.prod(s) for s in self.param_shapes)
+
+    def split(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Per-layer views of `theta`, no copies."""
+        ends = list(itertools.accumulate(math.prod(s) for s in self.param_shapes))
+        return [v.reshape(s) for v, s in zip(np.split(theta, ends[:-1]), self.param_shapes)]
+
+    def _add_conv(self, name, cout, cin, k=3):
+        self.layer_shapes.append((f"{name}.w", (cout, cin, k, k)))
+        self.layer_shapes.append((f"{name}.b", (cout,)))
+
+
+class UnetLite(_Layout):
     """Image-domain post-processor of the normalized zero-filled RSS image."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
         ch, levels = config.channels, config.pool_levels
-        self.layer_shapes: list[tuple[str, tuple]] = []
+        self.layer_shapes = []
         self._add_conv("in", ch, 1)
         for i in range(1, levels + 1):
             self._add_conv(f"enc{i}", ch * 2**i, ch * 2 ** (i - 1))
@@ -120,25 +153,13 @@ class UnetLite:
             self._add_conv(f"dec{i}", ch * 2**i, ch * 2 ** (i + 1) + ch * 2**i)
         self._add_conv("out", 1, ch)
 
-    def _add_conv(self, name, cout, cin, k=3):
-        self.layer_shapes.append((f"{name}.w", (cout, cin, k, k)))
-        self.layer_shapes.append((f"{name}.b", (cout,)))
-
-    @property
-    def param_shapes(self):
-        return [s for _, s in self.layer_shapes]
-
-    def init_params(self) -> list[np.ndarray]:
+    def init_params(self) -> np.ndarray:
         rng = kspace.rng_from(self.config.seed, 0x0DE1)
-        params = []
-        for name, shape in self.layer_shapes:
-            if name.endswith(".b"):
-                params.append(np.zeros(shape))
-            elif name.startswith("out"):
-                params.append(rng.standard_normal(shape) * np.sqrt(1.0 / np.prod(shape[1:])))
-            else:
-                params.append(_he_init(rng, shape[0], shape[1], shape[2]))
-        return params
+        theta = np.zeros(self.size)
+        for (name, shape), p in zip(self.layer_shapes, self.split(theta)):
+            if name.endswith(".w"):  # biases start at zero
+                p[...] = _he_init(rng, shape, 1.0 if name == "out.w" else 2.0)
+        return theta
 
     def _check_extents(self, h, w):
         div = 2**self.config.pool_levels
@@ -203,7 +224,7 @@ def _as2ch(z: np.ndarray) -> np.ndarray:
     return np.stack([np.real(z), np.imag(z)])
 
 
-class VarnetLite:
+class VarnetLite(_Layout):
     """Unrolled reconstruction with learnable per-cascade step sizes.
 
     Consumes the simulated sensitivity maps directly. The final denoiser conv
@@ -214,29 +235,22 @@ class VarnetLite:
     def __init__(self, config: ModelConfig):
         self.config = config
         dch = config.denoiser_channels
-        self.layer_shapes: list[tuple[str, tuple]] = []
+        self.layer_shapes = []
         for c in range(config.cascades):
             self.layer_shapes.append((f"c{c}.eta", ()))
             for name, cout, cin in ((f"c{c}.d1", dch, 2), (f"c{c}.d2", dch, dch),
                                     (f"c{c}.d3", 2, dch)):
-                self.layer_shapes.append((f"{name}.w", (cout, cin, 3, 3)))
-                self.layer_shapes.append((f"{name}.b", (cout,)))
+                self._add_conv(name, cout, cin)
 
-    @property
-    def param_shapes(self):
-        return [s for _, s in self.layer_shapes]
-
-    def init_params(self) -> list[np.ndarray]:
+    def init_params(self) -> np.ndarray:
         rng = kspace.rng_from(self.config.seed, 0x7A12)
-        params = []
-        for name, shape in self.layer_shapes:
+        theta = np.zeros(self.size)
+        for (name, shape), p in zip(self.layer_shapes, self.split(theta)):
             if name.endswith(".eta"):
-                params.append(np.ones(()))
-            elif ".d3" in name or name.endswith(".b"):
-                params.append(np.zeros(shape))
-            else:
-                params.append(_he_init(rng, shape[0], shape[1], shape[2]))
-        return params
+                p[...] = 1.0
+            elif name.endswith(".w") and ".d3" not in name:  # the rest start at zero
+                p[...] = _he_init(rng, shape)
+        return theta
 
     def _check_extents(self, h, w):
         div = 2  # denoiser is pool-free; only the FFT matrices constrain extents
@@ -272,7 +286,7 @@ def construct_model(config: ModelConfig):
 
 
 def parameter_count(config: ModelConfig) -> int:
-    return int(sum(np.prod(s) for s in construct_model(config).param_shapes))
+    return construct_model(config).size
 
 
 # ---------------------------------------------------------------------------
@@ -287,26 +301,26 @@ class CheckpointFormatError(datamod.FormatError):
 @dataclass
 class Checkpoint:
     config: ModelConfig
-    params: list[np.ndarray]
+    params: np.ndarray  # one float64 vector in the model's layer order
     epoch: int
     fingerprint: str  # content hash of the training set
     rng_state: dict
     train_extents: tuple[int, int]
     provenance: list[str] = field(default_factory=list)
 
+    def _check_finite(self, error: type[Exception]) -> None:
+        finite = np.isfinite(self.params)
+        if not finite.all():
+            raise error(f"non-finite value in checkpoint parameter {int(np.argmin(finite))}")
+
     def to_bytes(self) -> bytes:
+        self._check_finite(ValueError)
         header = {f.name: getattr(self, f.name) for f in fields(self)
                   if f.name not in ("config", "params")}
         hjson = json.dumps({**header, "model": self.config.to_dict()},
                            sort_keys=True, separators=(",", ":")).encode()
-        buf = io.BytesIO()
-        buf.write(MAGIC)
-        buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-        buf.write(struct.pack("<Q", len(hjson)))
-        buf.write(hjson)
-        for p in self.params:
-            buf.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-        return buf.getvalue()
+        return (MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(hjson)) + hjson
+                + np.ascontiguousarray(self.params, dtype="<f8").tobytes())
 
     @staticmethod
     def from_bytes(raw: bytes) -> "Checkpoint":
@@ -323,22 +337,16 @@ class Checkpoint:
             # the header holds every field but the parameters, the config as "model"
             if "config" in header or "params" in header:
                 raise ValueError(f"unexpected key in {sorted(header)}")
-            ck = datamod.from_fields(Checkpoint, {"config": header.pop("model"), "params": [],
-                                                  **header})
+            ck = datamod.from_fields(Checkpoint, {"config": header.pop("model"),
+                                                  "params": np.empty(0), **header})
         except (ValueError, KeyError, TypeError, AttributeError) as e:
             raise CheckpointFormatError(f"undecodable checkpoint header: {e}") from e
-        shapes = construct_model(ck.config).param_shapes
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        expected = 16 + hlen + 8 * sum(sizes)
+        expected = 16 + hlen + 8 * construct_model(ck.config).size
         if len(raw) != expected:
             kind = "truncated checkpoint" if len(raw) < expected else "trailing bytes in checkpoint"
             raise CheckpointFormatError(f"{kind}: {len(raw)} bytes, expected {expected}")
-        off = 16 + hlen
-        for i, (shape, n) in enumerate(zip(shapes, sizes)):
-            ck.params.append(np.frombuffer(raw, "<f8", n, off).reshape(shape).copy())
-            if not np.isfinite(ck.params[-1]).all():
-                raise CheckpointFormatError(f"non-finite value in checkpoint parameter {i}")
-            off += 8 * n
+        ck.params = np.frombuffer(raw, "<f8", offset=16 + hlen).copy()
+        ck._check_finite(CheckpointFormatError)
         return ck
 
     def save(self, path: str | Path) -> None:
@@ -365,42 +373,36 @@ GRAD_FLOOR = 1e-12
 
 
 def _global_norm(grads: list[np.ndarray]) -> float:
+    """Euclidean norm of the per-layer gradients, summed layer by layer."""
     return np.sqrt(sum(float(np.sum(g * g)) for g in grads))
 
 
-def _clip_gradients(grads: list[np.ndarray], clip_norm: float,
-                    total: float) -> list[np.ndarray]:
-    """Scale grads, whose global norm is `total`, down to norm clip_norm."""
-    if total > clip_norm:
-        factor = clip_norm / total
-        return [g * factor for g in grads]
-    return grads
+def _clip_gradients(grad: np.ndarray, clip_norm: float, total: float) -> np.ndarray:
+    """Scale `grad`, whose norm is `total`, down to norm clip_norm."""
+    return grad * (clip_norm / total) if total > clip_norm else grad
 
 
 class _Optimizer:
-    def __init__(self, config: TrainConfig, shapes):
+    """Adam, or SGD with momentum, updating the parameter vector in place."""
+
+    def __init__(self, config: TrainConfig, size: int):
         self.config = config
         self.t = 0
-        if config.optimizer == "adam":
-            self.m = [np.zeros(s) for s in shapes]
-            self.v = [np.zeros(s) for s in shapes]
-        else:
-            self.buf = [np.zeros(s) for s in shapes]
+        self.m = np.zeros(size)  # Adam's first moment, or SGD's momentum buffer
+        self.v = np.zeros(size) if config.optimizer == "adam" else None
 
-    def step(self, params, grads, lr):
+    def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
         c = self.config
         if c.optimizer == "adam":
-            for i, g in enumerate(grads):
-                self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
-                self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g * g
-                mhat = self.m[i] / (1 - c.beta1**self.t)
-                vhat = self.v[i] / (1 - c.beta2**self.t)
-                params[i] = params[i] - lr * mhat / (np.sqrt(vhat) + 1e-8)
+            self.m = c.beta1 * self.m + (1 - c.beta1) * grad
+            self.v = c.beta2 * self.v + (1 - c.beta2) * grad * grad
+            mhat = self.m / (1 - c.beta1**self.t)
+            vhat = self.v / (1 - c.beta2**self.t)
+            theta -= lr * mhat / (np.sqrt(vhat) + 1e-8)
         else:
-            for i, g in enumerate(grads):
-                self.buf[i] = c.momentum * self.buf[i] + g
-                params[i] = params[i] - lr * self.buf[i]
+            self.m = c.momentum * self.m + grad
+            theta -= lr * self.m
 
 
 def _loss_node(out: ad.Tensor, target: np.ndarray, kind: str) -> ad.Tensor:
@@ -411,7 +413,7 @@ def _loss_node(out: ad.Tensor, target: np.ndarray, kind: str) -> ad.Tensor:
 
 
 def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainConfig,
-          init_params: list[np.ndarray] | None = None,
+          init_params: np.ndarray | None = None,
           provenance: list[str] | None = None):
     """Train on simulated measurements with a fresh mask per mini-batch.
 
@@ -422,22 +424,19 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
     if not train_set.items:
         raise ValueError("empty training set")
     model = construct_model(model_config)
-    params = [p.copy() for p in (init_params or model.init_params())]
-    if len(params) != len(model.param_shapes):
-        raise ValueError(f"{len(params)} parameters given, config has "
-                         f"{len(model.param_shapes)}")
-    for p, s in zip(params, model.param_shapes):
-        if p.shape != tuple(s):
-            raise ValueError(f"parameter shape {p.shape} does not match config {s}")
+    theta = np.array(model.init_params() if init_params is None else init_params,
+                     dtype=np.float64)
+    if theta.shape != (model.size,):
+        raise ValueError(f"{theta.size} parameters given, config has {model.size}")
     fingerprint = datamod.content_hash(train_set)
     extents = train_set.items[0].image.shape
-    opt = _Optimizer(config, model.param_shapes)
+    opt = _Optimizer(config, model.size)
     n = len(train_set.items)
     steps_per_epoch = int(np.ceil(n / config.batch_size))
     total_steps = max(1, config.epochs * steps_per_epoch)
 
     def snapshot(epoch):
-        return Checkpoint(model_config, [p.copy() for p in params], epoch, fingerprint,
+        return Checkpoint(model_config, theta.copy(), epoch, fingerprint,
                           {"seed": config.seed, "epochs_completed": epoch},
                           extents, list(provenance or []))
 
@@ -459,7 +458,7 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
             mask = kspace.mask_for_batch(extents[1], accel, config.center_fraction,
                                          config.seed, step)
             with ad.Tape() as tape:
-                leaves = [tape.leaf(p) for p in params]
+                leaves = [tape.leaf(p) for p in model.split(theta)]
                 loss = None
                 for j, idx in enumerate(batch):
                     item = train_set.items[int(idx)]
@@ -474,12 +473,11 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
                     raise FloatingPointError(
                         f"non-finite loss at epoch {epoch} step {step}")
                 grads_map = ad.backward(tape, loss)
-            grads = [grads_map[leaf.node_id].data for leaf in leaves]
-            gnorm = _global_norm(grads)
+            grad = np.concatenate([grads_map[leaf.node_id].data.ravel() for leaf in leaves])
+            gnorm = _global_norm(model.split(grad))
             lr = learning_rate_at(step, total_steps, config)
             if gnorm > GRAD_FLOOR:
-                grads = _clip_gradients(grads, config.clip_norm, gnorm)
-                opt.step(params, grads, lr)
+                opt.step(theta, _clip_gradients(grad, config.clip_norm, gnorm), lr)
             epoch_losses.append(float(loss.data))
         loss_trace.append(float(np.mean(epoch_losses)))
         checkpoints.append(snapshot(epoch + 1))
@@ -513,7 +511,7 @@ def infer(checkpoint: Checkpoint, y: np.ndarray, sens: np.ndarray,
     output is center-cropped back.
     """
     model = construct_model(checkpoint.config)
-    params = [ad.Tensor(p) for p in checkpoint.params]
+    params = [ad.Tensor(p) for p in model.split(checkpoint.params)]
     h, w = y.shape[-2:]
     th, tw = checkpoint.train_extents
     if (h, w) == (th, tw):
@@ -527,16 +525,16 @@ def infer(checkpoint: Checkpoint, y: np.ndarray, sens: np.ndarray,
         f"extents {(h, w)} not resolvable against training extents {(th, tw)}")
 
 
-def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
+def evaluate_params(model_config: ModelConfig, params: np.ndarray,
                     dataset: datamod.Dataset, mask_seed: int,
                     acceleration: float = 4.0, center_fraction: float = 0.08,
                     normalize: bool = False):
-    """Mean SSIM of a parameter set over a dataset under per-volume masks.
+    """Mean SSIM of a parameter vector over a dataset under per-volume masks.
 
     Returns (mean ssim, per-item ssims, any-normalization-fallback flag).
     """
     model = construct_model(model_config)
-    tensors = [ad.Tensor(p) for p in params]
+    tensors = [ad.Tensor(p) for p in model.split(params)]
     vals = []
     fallback = False
     for idx, item in enumerate(dataset.items):

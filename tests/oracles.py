@@ -5,8 +5,9 @@ plain loops, no shared code with the package internals. Two exceptions keep
 a former package path as the reference for the one that replaced it: the
 per-coil VarNet unroll is built from the autodiff ops so that its gradients
 can be compared with the coil-batched model's, the full k-space FISTA
-loop runs on the package's full k-space operators and Haar transform, and
-the toy MSE table is scored on whole arrays with the package's estimators.
+loop runs on the package's full k-space operators and Haar transform,
+the toy MSE table is scored on whole arrays with the package's estimators,
+and the optimizer steps and clips one array per layer.
 """
 
 import numpy as np
@@ -304,3 +305,43 @@ def toy_mse_table_reference(world, count, seed):
             "adaptive_nonlinear_se": nonlin_se,
         }
     return results
+
+
+def global_norm_reference(grads):
+    return np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+
+
+def clip_reference(grads, clip_norm, total):
+    """Per-layer gradients, whose global norm is `total`, scaled down to clip_norm."""
+    if total > clip_norm:
+        factor = clip_norm / total
+        return [g * factor for g in grads]
+    return grads
+
+
+class OptimizerReference:
+    """Adam, or SGD with momentum, stepping each layer's array on its own."""
+
+    def __init__(self, config, shapes):
+        self.config = config
+        self.t = 0
+        if config.optimizer == "adam":
+            self.m = [np.zeros(s) for s in shapes]
+            self.v = [np.zeros(s) for s in shapes]
+        else:
+            self.buf = [np.zeros(s) for s in shapes]
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        c = self.config
+        if c.optimizer == "adam":
+            for i, g in enumerate(grads):
+                self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
+                self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g * g
+                mhat = self.m[i] / (1 - c.beta1**self.t)
+                vhat = self.v[i] / (1 - c.beta2**self.t)
+                params[i] = params[i] - lr * mhat / (np.sqrt(vhat) + 1e-8)
+        else:
+            for i, g in enumerate(grads):
+                self.buf[i] = c.momentum * self.buf[i] + g
+                params[i] = params[i] - lr * self.buf[i]

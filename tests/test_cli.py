@@ -596,3 +596,62 @@ def test_run_bad_contrast_exits_before_data(tmp_path, capsys, contrast):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "contrast" in err[0]
     assert not (tmp_path / "o").exists()
+
+
+# optimizer settings a training run cannot use: each would train to NaNs
+BAD_OPTIMIZER = [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
+                 ("momentum", -0.5), ("momentum", float("inf")), ("lr_max", float("nan")),
+                 ("lr_max", float("inf")), ("lr_min", float("nan")),
+                 ("clip_norm", float("nan")), ("clip_norm", float("inf"))]
+
+
+@pytest.mark.parametrize("name, value", BAD_OPTIMIZER,
+                         ids=[f"{n}-{v!r}" for n, v in BAD_OPTIMIZER])
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_unusable_optimizer_setting_exits_2_before_data(tmp_path, capsys, monkeypatch,
+                                                        command, name, value):
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    monkeypatch.setattr(dm, "load", None)  # and so would any dataset read
+    train = {"epochs": 1, "optimizer": "sgd", name: value}
+    if command == "train":
+        config = {"dataset": str(tmp_path / "ds"), "train": train}
+    else:
+        config = {"template": "accel_combo", "seed": 0, "train": train,
+                  "distributions": {"P": {"name": "P", "extents": [32, 32], "coils": 1}}}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))  # NaN and Infinity as Python's json writes them
+    capsys.readouterr()
+    rc = cli.main(["--out", str(tmp_path / "o"), command, "--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{name} must be in" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def _out_command(command, tmp_path):
+    if command == "gen-data":
+        return ["gen-data", "--spec", str(write_spec(tmp_path)), "--count", "1"]
+    if command == "train":
+        config = {"dataset": str(gen_dataset(tmp_path, count=1)), "train": {"epochs": 0},
+                  "model": {"channels": 2, "pool_levels": 1}}
+    else:
+        config = {"template": "accel_combo", "seed": 0, "train_count": 1, "test_count": 1,
+                  "model": {"channels": 2, "pool_levels": 1}, "train": {"epochs": 0},
+                  "distributions": {"P": {"name": "P", "extents": [32, 32], "coils": 1}}}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(config))
+    return [command, "--config", str(cfg_path)]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "run"])
+def test_out_that_cannot_be_a_directory_is_validation_error(tmp_path, capsys, command, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if below else blocker
+    argv = _out_command(command, tmp_path)
+    capsys.readouterr()
+    assert cli.main(["--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot make output directory {out}: ")
+    assert blocker.read_text() == "not a directory"

@@ -216,6 +216,30 @@ def test_train_mistyped_field_exits_2_naming_it(tmp_path, capsys, section, name,
     assert not (tmp_path / "o").exists()
 
 
+# optimizer settings TrainConfig refuses, each named in the error
+BAD_OPTIMIZER = [("beta1", 1.0), ("beta1", -1e-3), ("beta2", 1.5), ("beta2", float("nan")),
+                 ("momentum", -0.1), ("momentum", float("nan")), ("lr_max", float("nan")),
+                 ("lr_max", float("inf")), ("lr_min", float("inf")),
+                 ("clip_norm", float("nan")), ("clip_norm", float("inf"))]
+
+
+@pytest.mark.parametrize("name, value", BAD_OPTIMIZER,
+                         ids=[f"{n}-{v!r}" for n, v in BAD_OPTIMIZER])
+def test_unusable_optimizer_setting_names_the_field(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be in \[0, "):
+        learned.TrainConfig(**{name: value})
+    with pytest.raises(ValueError, match=rf"^{name} must be in "):
+        dm.from_fields(learned.TrainConfig, {name: value})
+    with pytest.raises(harness.ConfigError, match=rf"^{name} must be in "):
+        harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, "train": {name: value}})
+
+
+def test_optimizer_settings_at_their_edges_are_accepted():
+    cfg = learned.TrainConfig(beta1=0.0, beta2=0.0, momentum=0.0, lr_max=1.0)
+    assert (cfg.beta1, cfg.beta2, cfg.momentum) == (0.0, 0.0, 0.0)
+    assert learned.TrainConfig(beta1=0.999999, momentum=5.0).momentum == 5.0
+
+
 def test_float_field_takes_an_int():
     cfg = dm.from_fields(learned.TrainConfig, {"lr_max": 1, "acceleration": 8, "beta1": 0})
     assert (cfg.lr_max, cfg.acceleration, cfg.beta1) == (1.0, 8.0, 0.0)

@@ -53,7 +53,7 @@ def test_records_csv_keeps_its_bytes():
 def _golden_checkpoint() -> learned.Checkpoint:
     return learned.Checkpoint(
         learned.ModelConfig(channels=2, pool_levels=1, seed=7),
-        [np.arange(6, dtype=np.float64).reshape(2, 3) / 7, np.array([-0.5])],
+        np.append(np.arange(6, dtype=np.float64) / 7, -0.5),
         3, "ab" * 32, {"bit_generator": "PCG64", "state": {"state": 5, "inc": 9}},
         (16, 20), ["parent.ckpt"])
 

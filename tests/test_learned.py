@@ -5,7 +5,8 @@ import shiftmri.autodiff as ad
 from shiftmri import data as dm
 from shiftmri import kspace, learned
 from shiftmri.metrics import SsimConfig
-from oracles import varnet_per_coil_reference
+from oracles import (OptimizerReference, clip_reference, global_norm_reference,
+                     varnet_per_coil_reference)
 
 
 def small_dataset(seed=0, count=4, extents=(32, 32), snr_db=30.0, coils=3):
@@ -24,7 +25,7 @@ def test_unet_output_shape():
     item = small_dataset().items[0]
     mask = kspace.mask_for_volume(32, 4, 0.08, 0, 0)
     y = dm.simulate_measurements(item, mask, 1)
-    out = model.reconstruct([ad.Tensor(p) for p in model.init_params()],
+    out = model.reconstruct([ad.Tensor(p) for p in model.split(model.init_params())],
                             y, item.sens, mask)
     assert out.data.shape == (32, 32)
 
@@ -35,14 +36,14 @@ def test_unet_rejects_indivisible_extents():
     mask = kspace.full_mask(20)
     y = kspace.apply_forward(item.image, kspace.Encoding(item.sens, mask))
     with pytest.raises(ValueError, match="divisible"):
-        model.reconstruct([ad.Tensor(p) for p in model.init_params()],
+        model.reconstruct([ad.Tensor(p) for p in model.split(model.init_params())],
                           y, item.sens, mask)
 
 
 def test_varnet_single_cascade_full_mask_is_adjoint():
     config = learned.ModelConfig("varnet_lite", cascades=1, denoiser_channels=4, seed=0)
     model = learned.construct_model(config)
-    params = model.init_params()  # final denoiser conv zero-initialized
+    params = model.split(model.init_params())  # final denoiser conv zero-initialized
     item = small_dataset(seed=3).items[0]
     fm = kspace.full_mask(32)
     y = kspace.apply_forward(item.image, kspace.Encoding(item.sens, fm))
@@ -58,7 +59,7 @@ def _varnet_problem(coils, seed, extents=(16, 24), cascades=3):
     config = learned.ModelConfig("varnet_lite", cascades=cascades, denoiser_channels=4,
                                  seed=seed)
     model = learned.construct_model(config)
-    params = [p + 0.1 * rng.standard_normal(p.shape) for p in model.init_params()]
+    params = [p + 0.1 * rng.standard_normal(p.shape) for p in model.split(model.init_params())]
     image = rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
     sens = kspace.simulate_sensitivities(h, w, coils, rng=rng)
     mask = kspace.make_equispaced_mask(w, 4, 0.16, rng)
@@ -207,14 +208,49 @@ def test_learning_rate_schedule_pointwise():
 
 
 def test_clipping_scales_by_norm():
-    grads = [np.full(4, 5.0)]  # norm 10
-    assert learned._global_norm(grads) == 10.0
-    clipped = learned._clip_gradients(grads, 1.0, learned._global_norm(grads))
-    np.testing.assert_allclose(clipped[0], grads[0] * 0.1, atol=1e-15)
-    assert np.sqrt(np.sum(clipped[0] ** 2)) <= 1.0 + 1e-12
-    small = [np.full(4, 0.1)]
+    grad = np.full(4, 5.0)  # norm 10
+    assert learned._global_norm([grad]) == 10.0
+    clipped = learned._clip_gradients(grad, 1.0, learned._global_norm([grad]))
+    np.testing.assert_allclose(clipped, grad * 0.1, atol=1e-15)
+    assert np.sqrt(np.sum(clipped**2)) <= 1.0 + 1e-12
+    small = np.full(4, 0.1)
     np.testing.assert_array_equal(
-        learned._clip_gradients(small, 1.0, learned._global_norm(small))[0], small[0])
+        learned._clip_gradients(small, 1.0, learned._global_norm([small])), small)
+
+
+@pytest.mark.parametrize("kind", ["unet_lite", "varnet_lite"])
+@pytest.mark.parametrize("optimizer, momentum", [("adam", 0.0), ("sgd", 0.0), ("sgd", 0.9)])
+def test_flat_optimizer_step_bytes_equal_per_layer_reference(kind, optimizer, momentum):
+    model = learned.construct_model(learned.ModelConfig(kind))
+    assert len(model.layer_shapes) == {"unet_lite": 12, "varnet_lite": 21}[kind]
+    cfg = learned.TrainConfig(optimizer=optimizer, momentum=momentum, clip_norm=0.05)
+    rng = np.random.default_rng([len(kind), int(10 * momentum)])
+    theta = model.init_params()
+    params = [p.copy() for p in model.split(theta)]
+    opt, ref = learned._Optimizer(cfg, model.size), OptimizerReference(cfg, model.param_shapes)
+    clipped = []
+    for step in range(1, 7):
+        scale = 1e-5 if step % 2 else 1.0  # clipping inactive on odd steps
+        grads = [scale * rng.standard_normal(s) for s in model.param_shapes]
+        total = global_norm_reference(grads)
+        clipped.append(total > cfg.clip_norm)
+        ref.step(params, clip_reference(grads, cfg.clip_norm, total), 1e-3 * step)
+        grad = np.concatenate([np.ravel(g) for g in grads])
+        norm = learned._global_norm(model.split(grad))
+        assert norm == total
+        opt.step(theta, learned._clip_gradients(grad, cfg.clip_norm, norm), 1e-3 * step)
+        assert theta.tobytes() == np.concatenate([np.ravel(p) for p in params]).tobytes()
+    assert clipped == [False, True] * 3
+
+
+def test_split_views_the_vector_in_layer_order():
+    model = learned.construct_model(VARNET)
+    theta = np.arange(model.size, dtype=np.float64)
+    views = model.split(theta)
+    assert [v.shape for v in views] == model.param_shapes
+    assert all(np.shares_memory(v, theta) for v in views)
+    assert np.concatenate([v.ravel() for v in views]).tobytes() == theta.tobytes()
+    assert learned.parameter_count(VARNET) == model.size == theta.size
 
 
 def test_train_zero_epochs_returns_init():
@@ -296,10 +332,22 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_rejects_non_finite_parameters(bad):
     ck = learned.Checkpoint(VARNET, learned.construct_model(VARNET).init_params(), 0, "x",
                             {}, (32, 32))
-    ck.params[3] = ck.params[3].copy()
-    ck.params[3].flat[1] = bad
-    with pytest.raises(learned.CheckpointFormatError, match="non-finite .* parameter 3"):
-        learned.Checkpoint.from_bytes(ck.to_bytes())
+    raw = bytearray(ck.to_bytes())
+    payload = len(raw) - 8 * ck.params.size
+    for i in (37, 40):  # the first bad value is named
+        raw[payload + 8 * i : payload + 8 * i + 8] = np.float64(bad).tobytes()
+    with pytest.raises(learned.CheckpointFormatError, match="non-finite .* parameter 37$"):
+        learned.Checkpoint.from_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_never_writes_non_finite_parameters(tmp_path, bad):
+    params = learned.construct_model(VARNET).init_params()
+    params[[5, 9]] = bad
+    ck = learned.Checkpoint(VARNET, params, 0, "x", {}, (32, 32))
+    with pytest.raises(ValueError, match="non-finite .* parameter 5$"):
+        ck.save(tmp_path / "bad.ckpt")
+    assert not (tmp_path / "bad.ckpt").exists()
 
 
 def test_evaluate_rejects_non_finite_reconstruction():
@@ -370,7 +418,7 @@ def test_infer_interleave_path_close_to_direct(seeded_phantom_item):
     y = dm.simulate_measurements(item, mask, 5)
     routed = learned.infer(cks[-1], y, item.sens, mask)
     model = learned.construct_model(cks[-1].config)
-    direct = model.reconstruct([ad.Tensor(p) for p in cks[-1].params],
+    direct = model.reconstruct([ad.Tensor(p) for p in model.split(cks[-1].params)],
                                y, item.sens, mask).data
     matched, _ = normalize_output(routed, direct)
     assert ssim(matched, direct, SsimConfig(data_range=float(direct.max()))) >= 0.9
@@ -443,6 +491,6 @@ def test_mse_loss_smoke():
 def test_train_rejects_parameter_count_mismatch(cut):
     ds = small_dataset(seed=18, count=1)
     params = learned.construct_model(UNET).init_params()
-    params = params[:-1] if cut < 0 else params + [params[-1]]
+    params = params[:-1] if cut < 0 else np.append(params, params[-1])
     with pytest.raises(ValueError, match="parameters given"):
         learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0), init_params=params)
