@@ -37,9 +37,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -214,7 +214,7 @@ def cmd_run(args) -> int:
         cfg = harness.ExperimentConfig.from_dict(raw)
     except harness.ConfigError as e:
         raise ValidationError(str(e)) from e
-    path = harness.run_experiment(cfg, _out_dir(args, raw.get("out")))
+    path = harness.run_experiment(cfg, _out_dir(args, cfg.out))
     print(f"report written to {path}")
     return 0
 

@@ -411,6 +411,7 @@ def add_lesions(dataset: Dataset, seed: int, size_class: str = "small",
 
 
 EVAL_NOISE_TAG = 0xE7A2  # noise stream of per-volume evaluation measurements
+TUNE_NOISE_TAG = 0x10153  # noise stream of fista.tune_lambda's measurements
 
 
 def simulate_measurements(item: Item, mask: kspace.SamplingMask, noise_seed: int) -> np.ndarray:
@@ -432,6 +433,28 @@ def measure(item: Item, index: int, seed: int, acceleration: float,
     noise_seed = int(kspace.rng_from(seed, noise_tag, index).integers(2**31))
     y = simulate_measurements(item, mask, noise_seed)
     return y, mask, kspace.ground_truth_rss(item.image, item.sens)
+
+
+def score(dataset: Dataset, reconstructors, mask_seed: int, acceleration: float,
+          center_fraction: float, noise_tag: int, metric) -> np.ndarray:
+    """(items x reconstructors) float64 matrix: each item, in order, is measured
+    once (`measure`), then each reconstructor in order runs on it as
+    `reconstruct(y, sens, mask)` and is scored as `metric(recon, target, item)`.
+    A non-finite image raises FloatingPointError naming the item."""
+    scores = np.empty((len(dataset.items), len(reconstructors)))
+    for i, item in enumerate(dataset.items):
+        y, mask, target = measure(item, i, mask_seed, acceleration, center_fraction, noise_tag)
+        for j, reconstruct in enumerate(reconstructors):
+            recon = reconstruct(y, item.sens, mask)
+            if not np.isfinite(recon).all():
+                raise FloatingPointError(f"non-finite reconstruction of item {i}")
+            scores[i, j] = metric(recon, target, item)
+    return scores
+
+
+def column_means(scores: np.ndarray) -> list[float]:
+    """Column means summed in item order (`scores.mean(axis=0)` can differ in the last bit)."""
+    return [float(np.mean(scores[:, j])) for j in range(scores.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +598,16 @@ class RawVolumeDescriptor:
 
 
 def ingest_raw_volume(path: str | Path, descriptor: RawVolumeDescriptor) -> Dataset:
-    raw = np.fromfile(str(path), dtype="<c16")
+    try:
+        raw = np.fromfile(str(path), dtype="<c16")
+    except OSError as e:
+        raise DatasetFormatError(f"no readable raw volume at {path}: {e.strerror}") from e
     expected = int(np.prod(descriptor.extents))
     if raw.size != expected:
         raise DatasetFormatError(
             f"payload holds {raw.size} values, descriptor declares {expected}")
+    if not np.isfinite(raw).all():
+        raise DatasetFormatError(f"payload value {np.argmin(np.isfinite(raw))} is not finite")
     volume = raw.reshape(descriptor.extents)
     if descriptor.kind == "3d_kspace":
         slices = kspace.views_from_3d(volume, descriptor.axis)

@@ -190,33 +190,22 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
 # ---------------------------------------------------------------------------
 
 
-def tune_lambda(dataset, grid, config: FistaConfig = FistaConfig(),
+def tune_lambda(dataset: datamod.Dataset, grid, config: FistaConfig = FistaConfig(),
                 acceleration: float = 4.0, center_fraction: float = 0.08,
                 seed: int = 0):
     """Reconstruct every item at every lambda; return (best lambda, mean SSIM
     per lambda). Ties break toward the smaller lambda.
 
-    Measurements are simulated per item with a fixed per-item mask and noise
-    at the item's distribution SNR, all derived from `seed`.
+    Each item is measured once (`data.score`), with a fixed per-item mask and
+    noise at its distribution SNR derived from `seed`, and solved at every lambda.
     """
     grid = [float(g) for g in grid]
-    items = list(getattr(dataset, "items", dataset))
-    if not grid or not items:
+    if not grid or not dataset.items:
         raise ValueError("empty grid or dataset")
-    measured = [datamod.measure(item, idx, seed, acceleration, center_fraction, 0x10153)
-                for idx, item in enumerate(items)]
-    mean_ssims = []
-    for lam in grid:
-        cfg = replace(config, lam=lam)
-        vals = []
-        for item, (y, mask, target) in zip(items, measured):
-            recon = np.abs(fista_l1(y, item.sens, mask, cfg).image)
-            vals.append(ssim(recon, target))
-        mean_ssims.append(float(np.mean(vals)))
-    best_idx = 0
-    for i in range(1, len(grid)):
-        if mean_ssims[i] > mean_ssims[best_idx] or (
-            mean_ssims[i] == mean_ssims[best_idx] and grid[i] < grid[best_idx]
-        ):
-            best_idx = i
-    return grid[best_idx], dict(zip(grid, mean_ssims))
+    solvers = [lambda y, sens, mask, cfg=replace(config, lam=lam):
+               np.abs(fista_l1(y, sens, mask, cfg).image) for lam in grid]
+    scores = datamod.score(dataset, solvers, seed, acceleration, center_fraction,
+                           datamod.TUNE_NOISE_TAG, lambda recon, target, item: ssim(recon, target))
+    mean_ssims = datamod.column_means(scores)
+    best = max(range(len(grid)), key=lambda i: (mean_ssims[i], -grid[i]))
+    return grid[best], dict(zip(grid, mean_ssims))

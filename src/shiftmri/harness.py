@@ -11,6 +11,7 @@ import hashlib
 import json
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """An experiment read from JSON whose keys are these fields (plus "out",
-    the CLI's output directory); `raw` keeps the JSON object as read."""
+    """An experiment read from JSON whose keys are these fields; `out` is the
+    CLI's output directory and `raw` keeps the JSON object as read."""
 
     template: str
     seed: int
@@ -103,6 +104,7 @@ class ExperimentConfig:
     overfit_window: int = 3
     overfit_eps: float = 1e-3
     overfit_delta: float = 0.0
+    out: str | None = None
     raw: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,7 +150,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         try:
-            cfg = datamod.from_fields(ExperimentConfig, {k: v for k, v in d.items() if k != "out"})
+            cfg = datamod.from_fields(ExperimentConfig, d)
         except (TypeError, ValueError) as e:  # a ConfigError too, with its message kept
             raise ConfigError(str(e)) from e
         cfg.raw = d
@@ -168,22 +170,22 @@ def _seeded(spec: datamod.DistributionSpec, seed: int) -> datamod.DistributionSp
     return replace(spec, seed=spec.seed + 1_000_003 * seed)
 
 
-def _eval_records(cfg: ExperimentConfig, model_id: str, sources: str,
-                  checkpoint: learned.Checkpoint, test_sets: dict[str, datamod.Dataset],
-                  mask_seed: int, normalize: bool = False,
-                  acceleration: float | None = None) -> list[EvalRecord]:
-    """One record per test set, at `acceleration` or else the training one."""
-    if acceleration is None:
-        acceleration = cfg.train.acceleration
-    records = []
+def _eval_records(cfg: ExperimentConfig, runs: list[tuple[str, str, learned.Checkpoint]],
+                  test_sets: dict[str, datamod.Dataset], mask_seed: int,
+                  normalize: bool = False, acceleration: float | None = None) -> list[EvalRecord]:
+    """One record per (run, test set), in that order, for `runs` of (model_id, sources,
+    checkpoint) of one model config, all scored in one pass per test set (`data.score`)."""
+    means, flags = {}, {}
     for name, ds in test_sets.items():
-        mean, _, fallback = learned.evaluate_checkpoint(
-            checkpoint, ds, mask_seed, acceleration, cfg.train.center_fraction,
-            normalize=normalize)
-        flags = "normalize_fallback" if fallback else ("normalized" if normalize else "")
-        records.append(EvalRecord(model_id, sources, checkpoint.epoch, name,
-                                  "ssim", mean, mask_seed, flags))
-    return records
+        scores, fell_back = learned.evaluate_params(
+            runs[0][2].config, [ck.params for _, _, ck in runs], ds, mask_seed,
+            acceleration or cfg.train.acceleration, cfg.train.center_fraction, normalize)
+        means[name] = datamod.column_means(scores)
+        flags[name] = ["normalize_fallback" if f else "normalized" if normalize else ""
+                       for f in fell_back]
+    return [EvalRecord(model_id, sources, ck.epoch, name, "ssim", means[name][j], mask_seed,
+                       flags[name][j])
+            for j, (model_id, sources, ck) in enumerate(runs) for name in test_sets]
 
 
 def _save_checkpoints(outdir: Path, model_id: str, checkpoints) -> None:
@@ -219,14 +221,13 @@ def _tpl_joint_vs_separate(cfg: ExperimentConfig, outdir: Path):
         train_q, test_q = datamod.train_test(_seeded(q_spec, seed), cfg.train_count, cfg.test_count)
         union = datamod.combine([train_p, train_q])
         half = datamod.subsample(union, 0.5, kspace.rng_from(seed, 0x4A1F))
-        tests = {"P-test": test_p, "Q-test": test_q}
-        for model_id, train_set in (("P", train_p), ("Q", train_q),
-                                    ("P+Q", union), ("P+Q-half", half)):
-            cks = _fit(cfg, outdir, f"{model_id}-s{seed}", train_set, seed)
-            recs = _eval_records(cfg, model_id, train_set.name, cks[-1], tests, seed)
-            records.extend(recs)
-            for r in recs:
-                cells.setdefault((model_id, r.test_set), []).append(r.value)
+        runs = [(model_id, train_set.name,
+                 _fit(cfg, outdir, f"{model_id}-s{seed}", train_set, seed)[-1])
+                for model_id, train_set in (("P", train_p), ("Q", train_q),
+                                            ("P+Q", union), ("P+Q-half", half))]
+        records += _eval_records(cfg, runs, {"P-test": test_p, "Q-test": test_q}, seed)
+    for r in records:
+        cells.setdefault((r.model_id, r.test_set), []).append(r.value)
     bands = {}
     for (mid, ts), vs in sorted(cells.items()):
         mean = float(np.mean(vs))
@@ -241,12 +242,10 @@ def _tpl_skewed(cfg: ExperimentConfig, outdir: Path):
     train_q, test_q = datamod.train_test(cfg.distributions["Q"], cfg.train_count, cfg.test_count)
     _, small_p = datamod.skew(pool_p, cfg.skew_factor, cfg.seed)
     joint = datamod.combine([small_p, train_q])
-    tests = {"P-test": test_p, "Q-test": test_q}
-    records = []
-    for model_id, train_set in (("P-small", small_p), ("Q", train_q), ("P+Q", joint)):
-        cks = _fit(cfg, outdir, model_id, train_set, cfg.seed)
-        records.extend(_eval_records(cfg, model_id, train_set.name, cks[-1], tests, cfg.seed))
-    return records, {}, {"small_set_size": len(small_p.items), "skew_factor": cfg.skew_factor}
+    runs = [(model_id, train_set.name, _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1])
+            for model_id, train_set in (("P-small", small_p), ("Q", train_q), ("P+Q", joint))]
+    return (_eval_records(cfg, runs, {"P-test": test_p, "Q-test": test_q}, cfg.seed), {},
+            {"small_set_size": len(small_p.items), "skew_factor": cfg.skew_factor})
 
 
 def select_best_source(sources: list[datamod.Dataset], target_test: datamod.Dataset,
@@ -259,15 +258,11 @@ def select_best_source(sources: list[datamod.Dataset], target_test: datamod.Data
     """
     if not sources:
         raise ValueError("no sources")
-    means = []
-    specialists = []
-    for src in sources:
-        cks, _ = learned.train(model_config, src, train_config)
-        mean, _, _ = learned.evaluate_checkpoint(
-            cks[-1], target_test, mask_seed, train_config.acceleration,
-            train_config.center_fraction)
-        means.append(mean)
-        specialists.append(cks)
+    specialists = [learned.train(model_config, src, train_config)[0] for src in sources]
+    scores, _ = learned.evaluate_params(model_config, [cks[-1].params for cks in specialists],
+                                        target_test, mask_seed, train_config.acceleration,
+                                        train_config.center_fraction)
+    means = datamod.column_means(scores)
     return int(np.argmax(means)), specialists, means
 
 
@@ -291,11 +286,11 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
 
     # per-epoch (id, ood) points
     tests = {"ID(P_best)-test": id_test, "Q-test": target_test}
-    records, pts = [], {}
-    for mid, cks in (("P_best", specialists[best_idx]), ("P-union", union_cks),
-                     ("P+Q", both_cks)):
-        records += [r for ck in cks[1:] for r in _eval_records(cfg, mid, mid, ck, tests, cfg.seed)]
-        pts[mid] = [(i.value, o.value) for i, o in paired(records, mid, *tests)]
+    models = {"P_best": specialists[best_idx], "P-union": union_cks, "P+Q": both_cks}
+    records = _eval_records(cfg, [(mid, mid, ck) for mid, cks in models.items()
+                                  for ck in cks[1:]], tests, cfg.seed)
+    pts = {mid: [(i.value, o.value) for i, o in paired(records, mid, *tests)]
+           for mid in models}
     fit = metrics.effective_robustness_fit(pts["P_best"], pts["P-union"] + pts["P+Q"])
 
     # train-set similarity to the target test set, per source and for the union
@@ -322,36 +317,29 @@ def _tpl_pathology(cfg: ExperimentConfig, outdir: Path):
     train_q_clean, test_q_clean = datamod.train_test(_seeded(q_spec, 1), cfg.train_count,
                                                      cfg.test_count)
     half = cfg.test_count // 2 or 1
+    items = test_q_clean.items
     test_q = datamod.combine([
-        datamod.add_lesions(datamod.Dataset(test_q_clean.name, test_q_clean.items[:half],
-                                            test_q_clean.specs),
-                            cfg.seed, "small", cfg.lesion_amplitude),
-        datamod.add_lesions(datamod.Dataset(test_q_clean.name, test_q_clean.items[half:],
-                                            test_q_clean.specs),
-                            cfg.seed + 1, "large", cfg.lesion_amplitude),
-    ])
+        datamod.add_lesions(replace(test_q_clean, items=items[:half]), cfg.seed, "small",
+                            cfg.lesion_amplitude),
+        datamod.add_lesions(replace(test_q_clean, items=items[half:]), cfg.seed + 1, "large",
+                            cfg.lesion_amplitude)])
     train_q = datamod.add_lesions(train_q_clean, cfg.seed + 2, "small", cfg.lesion_amplitude)
+    runs = [(model_id, train_set.name, _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1])
+            for model_id, train_set in (("P", train_p),
+                                        ("P+Q", datamod.combine([train_p, train_q])))]
+    ssim_records = _eval_records(cfg, runs, {"P-test": test_p}, cfg.seed)
+    region = datamod.score(test_q, [partial(learned.infer, ck) for _, _, ck in runs], cfg.seed,
+                           cfg.train.acceleration, cfg.train.center_fraction,
+                           datamod.EVAL_NOISE_TAG, lambda recon, target, item:
+                           metrics.region_ssim(recon, target, item.lesion.box()))
+    rows = {cls: [i for i, item in enumerate(test_q.items) if item.lesion.size_class == cls]
+            for cls in ("small", "large")}
     records = []
-    for model_id, train_set in (("P", train_p), ("P+Q", datamod.combine([train_p, train_q]))):
-        ck = _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1]
-        records.extend(_eval_records(cfg, model_id, train_set.name, ck,
-                                     {"P-test": test_p}, cfg.seed))
-        by_class = {"small": [], "large": []}
-        for idx, item in enumerate(test_q.items):
-            y, mask, target = datamod.measure(item, idx, cfg.seed, cfg.train.acceleration,
-                                              cfg.train.center_fraction,
-                                              datamod.EVAL_NOISE_TAG)
-            recon = learned.infer(ck, y, item.sens, mask)
-            by_class[item.lesion.size_class].append(
-                metrics.region_ssim(recon, target, item.lesion.box()))
-        for cls, vals in by_class.items():
-            if vals:
-                records.append(EvalRecord(model_id, train_set.name, ck.epoch,
-                                          "Q-lesion-test", f"region_ssim_{cls}",
-                                          float(np.mean(vals)), cfg.seed))
-    return records, {}, {"lesion_counts": {cls: sum(1 for it in test_q.items
-                                                    if it.lesion.size_class == cls)
-                                           for cls in ("small", "large")}}
+    for j, rec in enumerate(ssim_records):
+        records += [rec] + [EvalRecord(rec.model_id, rec.sources, rec.epoch, "Q-lesion-test",
+                                       f"region_ssim_{cls}", float(np.mean(region[r, j])),
+                                       cfg.seed) for cls, r in rows.items() if r]
+    return records, {}, {"lesion_counts": {cls: len(r) for cls, r in rows.items()}}
 
 
 def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
@@ -362,13 +350,14 @@ def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
     models = [(f"R{r:g}", {"acceleration": r}, [r]) for r in accels]
     if len(accels) > 1:
         models.append(("R-all", {"accelerations": tuple(accels)}, accels))
-    records = []
-    for model_id, overrides, trained_at in models:
-        cks = _fit(cfg, outdir, model_id, train_set, cfg.seed, **overrides)
-        for r in trained_at + unseen:
-            records.extend(_eval_records(cfg, model_id, train_set.name, cks[-1],
-                                         {f"P-test@R{r:g}": test_set}, cfg.seed,
-                                         acceleration=r))
+    runs = {mid: (mid, train_set.name, _fit(cfg, outdir, mid, train_set, cfg.seed, **kw)[-1])
+            for mid, kw, _ in models}
+    scored = {}  # every model scored at one acceleration shares its measurements
+    for r in dict.fromkeys(accels + unseen):
+        at_r = [runs[mid] for mid, _, trained_at in models if r in trained_at + unseen]
+        scored.update(((rec.model_id, r), rec) for rec in _eval_records(
+            cfg, at_r, {f"P-test@R{r:g}": test_set}, cfg.seed, acceleration=r))
+    records = [scored[mid, r] for mid, _, trained_at in models for r in trained_at + unseen]
     return records, {}, {"accelerations": accels}
 
 
@@ -377,13 +366,11 @@ def _tpl_coil_shift(cfg: ExperimentConfig, outdir: Path):
     train_p, test_p = datamod.train_test(p_spec, cfg.train_count, cfg.test_count)
     train_q, test_q = datamod.train_test(q_spec, cfg.train_count, cfg.test_count)
     tests = {"P-test": test_p, "Q-test": test_q}
-    records = []
-    for model_id, train_set in (("P", train_p), ("Q", train_q),
-                                ("P+Q", datamod.combine([train_p, train_q]))):
-        cks = _fit(cfg, outdir, model_id, train_set, cfg.seed)
-        records.extend(_eval_records(cfg, model_id, train_set.name, cks[-1], tests,
-                                     cfg.seed, normalize=True))
-    return records, {}, {"coils": {"P": p_spec.coils, "Q": q_spec.coils}}
+    runs = [(model_id, train_set.name, _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1])
+            for model_id, train_set in (("P", train_p), ("Q", train_q),
+                                        ("P+Q", datamod.combine([train_p, train_q])))]
+    return (_eval_records(cfg, runs, tests, cfg.seed, normalize=True), {},
+            {"coils": {"P": p_spec.coils, "Q": q_spec.coils}})
 
 
 def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
@@ -391,8 +378,7 @@ def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
     _, test_q = datamod.train_test(cfg.distributions["Q"], cfg.train_count, cfg.test_count)
     cks = _fit(cfg, outdir, "P", train_p, cfg.seed)
     tests = {"P-test": test_p, "Q-test": test_q}
-    records = [r for ck in cks[1:]
-               for r in _eval_records(cfg, "P", train_p.name, ck, tests, cfg.seed)]
+    records = _eval_records(cfg, [("P", train_p.name, ck) for ck in cks[1:]], tests, cfg.seed)
     pairs = paired(records, "P", *tests)
     id_trace = [i.value for i, _ in pairs]
     ood_trace = [o.value for _, o in pairs]
@@ -414,15 +400,14 @@ def _tpl_finetune_ablation(cfg: ExperimentConfig, outdir: Path):
     target_data = {k: datamod.train_test(v, cfg.train_count, cfg.test_count)
                    for k, v in cfg.distributions.items()}
     tests = {f"{k}-test": tt for k, (_, tt) in target_data.items()}
-    parent_cks = _fit(cfg, outdir, "P", parent_train, cfg.seed)
-    records = _eval_records(cfg, "P", parent_train.name, parent_cks[-1], tests, cfg.seed)
+    parent = _fit(cfg, outdir, "P", parent_train, cfg.seed)[-1]
+    runs = [("P", parent_train.name, parent)]
     tc = replace(cfg.train, seed=cfg.seed)
     for k, (ttrain, _) in target_data.items():
-        cks, _ = learned.finetune(parent_cks[-1], ttrain, tc)
+        cks, _ = learned.finetune(parent, ttrain, tc)
         _save_checkpoints(outdir, f"P_{k}", cks)
-        records.extend(_eval_records(cfg, f"P_{k}", f"{parent_train.name}->{ttrain.name}",
-                                     cks[-1], tests, cfg.seed))
-    return records, {}, {"targets": sorted(cfg.distributions)}
+        runs.append((f"P_{k}", f"{parent_train.name}->{ttrain.name}", cks[-1]))
+    return _eval_records(cfg, runs, tests, cfg.seed), {}, {"targets": sorted(cfg.distributions)}
 
 
 # name -> (template function, the inputs it reads: keys of `distributions` in

@@ -525,33 +525,33 @@ def infer(checkpoint: Checkpoint, y: np.ndarray, sens: np.ndarray,
         f"extents {(h, w)} not resolvable against training extents {(th, tw)}")
 
 
-def evaluate_params(model_config: ModelConfig, params: np.ndarray,
-                    dataset: datamod.Dataset, mask_seed: int,
-                    acceleration: float = 4.0, center_fraction: float = 0.08,
-                    normalize: bool = False):
-    """Mean SSIM of a parameter vector over a dataset under per-volume masks.
-
-    Returns (mean ssim, per-item ssims, any-normalization-fallback flag).
-    """
+def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
+                    dataset: datamod.Dataset, mask_seed: int, acceleration: float = 4.0,
+                    center_fraction: float = 0.08, normalize: bool = False):
+    """SSIM of each parameter vector in `params` on every item of a dataset,
+    one per-volume-mask measurement per item (`data.score`). Returns (items x
+    vectors SSIM matrix, per-vector flag: normalization fell back on an item)."""
     model = construct_model(model_config)
-    tensors = [ad.Tensor(p) for p in model.split(params)]
-    vals = []
-    fallback = False
-    for idx, item in enumerate(dataset.items):
-        y, mask, target = datamod.measure(item, idx, mask_seed, acceleration,
-                                          center_fraction, datamod.EVAL_NOISE_TAG)
-        out = model.reconstruct(tensors, y, item.sens, mask).data
-        if not np.isfinite(out).all():
-            raise FloatingPointError(f"non-finite reconstruction of item {idx}")
-        if normalize:
-            out, used_fallback = normalize_output(out, target)
-            fallback = fallback or used_fallback
-        vals.append(ssim(out, target))
-    return float(np.mean(vals)), vals, fallback
+    fell_back = []  # one normalization flag per score, in data.score's call order
+
+    def reconstructor(theta):
+        tensors = [ad.Tensor(p) for p in model.split(theta)]
+        return lambda y, sens, mask: model.reconstruct(tensors, y, sens, mask).data
+
+    def metric(out, target, item):
+        out, used_fallback = normalize_output(out, target) if normalize else (out, False)
+        fell_back.append(used_fallback)
+        return ssim(out, target)
+
+    scores = datamod.score(dataset, [reconstructor(theta) for theta in params], mask_seed,
+                           acceleration, center_fraction, datamod.EVAL_NOISE_TAG, metric)
+    return scores, [any(fell_back[j :: len(params)]) for j in range(len(params))]
 
 
 def evaluate_checkpoint(checkpoint: Checkpoint, dataset: datamod.Dataset, mask_seed: int,
                         acceleration: float = 4.0, center_fraction: float = 0.08,
                         normalize: bool = False):
-    return evaluate_params(checkpoint.config, checkpoint.params, dataset, mask_seed,
-                           acceleration, center_fraction, normalize)
+    """(mean ssim, per-item ssims, normalization-fallback flag) of one checkpoint."""
+    scores, fallback = evaluate_params(checkpoint.config, [checkpoint.params], dataset,
+                                       mask_seed, acceleration, center_fraction, normalize)
+    return datamod.column_means(scores)[0], scores[:, 0].tolist(), fallback[0]

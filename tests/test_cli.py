@@ -501,6 +501,18 @@ def test_run_missing_template_input_exits_2_before_data(tmp_path, capsys, monkey
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("out", [5, ["o"], True])
+def test_run_non_string_config_out_exits_2_naming_it(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"template": "accel_combo", "seed": 0,
+                                    "distributions": {"P": _spec("P")}, "out": out}))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ExperimentConfig.out must be str")
+
+
 def test_run_pathology_without_q_still_runs(tmp_path, capsys):
     # Q defaults to P, so P is pathology's only required distribution
     config = {"template": "pathology", "seed": 0, "train_count": 1, "test_count": 2,

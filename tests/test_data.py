@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shiftmri import data as dm
-from shiftmri import kspace
+from shiftmri import kspace, metrics
 from oracles import centered_idft_reference
 
 
@@ -83,7 +83,7 @@ def test_simulate_measurements_bit_identical_to_two_forward_reference(snr):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("tag", [dm.EVAL_NOISE_TAG, 0x10153])
+@pytest.mark.parametrize("tag", [dm.EVAL_NOISE_TAG, dm.TUNE_NOISE_TAG])
 def test_measure_matches_per_item_loop(tag):
     items = dm.generate(spec(62), 4).items
     for idx, item in enumerate(items):
@@ -94,6 +94,49 @@ def test_measure_matches_per_item_loop(tag):
         assert mask.sampled.tobytes() == want_mask.sampled.tobytes()
         assert y.tobytes() == want_y.tobytes()
         assert target.tobytes() == kspace.ground_truth_rss(item.image, item.sens).tobytes()
+
+
+def test_score_measures_each_item_once_for_every_reconstructor(monkeypatch):
+    ds = dm.generate(spec(63, coils=2), 3)
+    recons = [lambda y, sens, mask, a=a: a * kspace.zero_filled_rss(y) for a in (1.0, 0.5, 2.0)]
+    seen = []
+
+    def metric(recon, target, item):
+        seen.append(item)
+        return metrics.ssim(recon, target)
+
+    simulate = dm.simulate_measurements
+    calls = []
+    monkeypatch.setattr(dm, "simulate_measurements",
+                        lambda *args: calls.append(args[0]) or simulate(*args))
+    scores = dm.score(ds, recons, 5, 4, 0.08, dm.EVAL_NOISE_TAG, metric)
+    # one measurement per item, then every reconstructor scored on it
+    assert [id(item) for item in calls] == [id(item) for item in ds.items]
+    assert [id(item) for item in seen] == [id(item) for item in ds.items for _ in recons]
+    assert scores.shape == (3, 3) and scores.dtype == np.float64
+    for j, recon in enumerate(recons):
+        alone = dm.score(ds, [recon], 5, 4, 0.08, dm.EVAL_NOISE_TAG, metric)
+        assert alone[:, 0].tobytes() == scores[:, j].tobytes()
+
+
+def test_score_rejects_non_finite_reconstruction():
+    ds = dm.generate(spec(64, coils=2), 3)
+
+    def recon(y, sens, mask):
+        out = kspace.zero_filled_rss(y)
+        return out * np.nan if sens is ds.items[1].sens else out
+
+    with pytest.raises(FloatingPointError, match="item 1"):
+        dm.score(ds, [recon], 0, 4, 0.08, dm.EVAL_NOISE_TAG,
+                 lambda recon, target, item: metrics.ssim(recon, target))
+
+
+def test_column_means_sum_in_item_order():
+    rng = np.random.default_rng(65)
+    for rows in (1, 3, 8, 9, 16, 40):
+        scores = rng.random((rows, 7))
+        assert dm.column_means(scores) == [float(np.mean(scores[:, j].tolist()))
+                                           for j in range(7)]
 
 
 def test_contrast_transforms_monotone_and_validated():
@@ -460,6 +503,23 @@ def test_ingest_separable_volume_matches_views(tmp_path):
     f_img = centered_idft_reference(f)
     for d, item in enumerate(ds.items):
         np.testing.assert_allclose(item.image, kspace.ifft2c(f_img[d] * g), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, extents", [("2d_stack", (4, 8, 8)), ("3d_kspace", (4, 4, 4))])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_ingest_rejects_non_finite_payload(tmp_path, kind, extents, bad):
+    vol = np.ones(extents, dtype="<c16")
+    vol.flat[5] = bad
+    path = tmp_path / "vol.bin"
+    vol.tofile(path)
+    with pytest.raises(dm.DatasetFormatError, match="payload value 5 is not finite"):
+        dm.ingest_raw_volume(path, dm.RawVolumeDescriptor(extents=extents, kind=kind))
+
+
+def test_ingest_rejects_unreadable_path(tmp_path):
+    for path in (tmp_path / "missing.bin", tmp_path):
+        with pytest.raises(dm.DatasetFormatError, match="no readable raw volume"):
+            dm.ingest_raw_volume(path, dm.RawVolumeDescriptor(extents=(4, 4, 4)))
 
 
 def test_ingest_validates_payload(tmp_path):

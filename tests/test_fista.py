@@ -177,6 +177,17 @@ def test_tune_lambda_deterministic_across_duplicates():
     assert t1 == t2
 
 
+def test_tune_lambda_ties_break_toward_smaller_lambda():
+    # lambda 1e-300 shrinks no coefficient and adds nothing to the objective,
+    # so it scores exactly as lambda 0 does
+    spec = dm.DistributionSpec("p", extents=(32, 32), coils=2, snr_db=30, seed=7)
+    ds = dm.generate(spec, 2)
+    for grid in ([1e-300, 0.0], [0.0, 1e-300]):
+        best, table = fista.tune_lambda(ds, grid, fista.FistaConfig(max_iters=10))
+        assert table[0.0] == table[1e-300]
+        assert best == 0.0
+
+
 def test_tune_lambda_noise_direction():
     grid = [1e-4, 1e-3, 1e-2, 1e-1]
     cfg = fista.FistaConfig(max_iters=60)

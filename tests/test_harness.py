@@ -255,12 +255,17 @@ def test_accel_combo_matrix(tmp_path):
                      unseen_acceleration=3.0))
     harness.run_experiment(cfg, tmp_path)
     recs = harness.parse_records_csv((tmp_path / "records.csv").read_text())
-    by_model = {}
+    # per model, its training accelerations and then the unseen one
+    assert [(r.model_id, r.test_set) for r in recs] == [
+        ("R2", "P-test@R2"), ("R2", "P-test@R3"), ("R4", "P-test@R4"), ("R4", "P-test@R3"),
+        ("R-all", "P-test@R2"), ("R-all", "P-test@R4"), ("R-all", "P-test@R3")]
+    # every record equals a fresh evaluation of its saved checkpoint
+    test_set = dm.train_test(cfg.distributions["P"], cfg.train_count, cfg.test_count)[1]
     for r in recs:
-        by_model.setdefault(r.model_id, set()).add(r.test_set)
-    assert by_model["R2"] == {"P-test@R2", "P-test@R3"}
-    assert by_model["R4"] == {"P-test@R4", "P-test@R3"}
-    assert by_model["R-all"] == {"P-test@R2", "P-test@R4", "P-test@R3"}
+        fresh, _, _ = learned.evaluate_checkpoint(
+            _saved_checkpoint(tmp_path, r.model_id, r.epoch), test_set, cfg.seed,
+            float(r.test_set.split("@R")[1]), cfg.train.center_fraction)
+        assert r.value == fresh, (r.model_id, r.test_set)
 
 
 def test_skewed_template_counts(tmp_path):
@@ -401,17 +406,18 @@ def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):
     cfg_d["train"] = {"epochs": 2, "seed": 0}
     cfg = harness.ExperimentConfig.from_dict(cfg_d)
     calls = []
-    evaluate_params = learned.evaluate_params
+    measure = dm.measure
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return evaluate_params(*args, **kwargs)
+        return measure(*args, **kwargs)
 
-    monkeypatch.setattr(learned, "evaluate_params", counting)
+    monkeypatch.setattr(dm, "measure", counting)
     harness.run_experiment(cfg, tmp_path)
     monkeypatch.undo()
-    # one per source specialist, then one per (model, epoch, test set)
-    assert len(calls) == len(cfg.sources) + 2 * 3 * cfg.train.epochs
+    # each test item is measured once to pick the source, then once per test
+    # set for the records of every model and epoch
+    assert len(calls) == cfg.test_count + 2 * cfg.test_count
     fits = json.loads((tmp_path / "fits.json").read_text())
     assert "ood_vs_id" in fits
     details = json.loads((tmp_path / "details.json").read_text())

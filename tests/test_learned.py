@@ -355,7 +355,7 @@ def test_evaluate_rejects_non_finite_reconstruction():
     params = learned.construct_model(VARNET).init_params()
     params[0] = np.array(np.nan)  # first cascade's step size
     with pytest.raises(FloatingPointError, match="item 0"):
-        learned.evaluate_params(VARNET, params, ds, 0)
+        learned.evaluate_params(VARNET, [params], ds, 0)
 
 
 def _header_boundaries(raw):
