@@ -9,9 +9,11 @@ monotone.
 The data term and its gradient are taken in hybrid (h, k_w) space through
 one kspace.HybridEncoding per solve: the masks sample whole columns, so the
 unitary transform along h drops out of both, and the residual lives on the
-sampled columns only. W is orthonormal, so ||W x||_1 of a candidate is read
-off the thresholded coefficients its proximal step produced: one DWT and one
-IDWT per proximal step.
+sampled columns only. There the transform along w is pruned to those
+columns: B x and B^H r are each one GEMM with the sampled DFT columns, and
+no FFT runs inside the loop. W is orthonormal, so ||W x||_1 of a candidate
+is read off the thresholded coefficients its proximal step produced: one DWT
+and one IDWT per proximal step.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
     """FISTA with restart on objective increase; the trace is non-increasing."""
     _check_levels(y.shape[-2:], config.wavelet_levels)
     step, lam, levels = config.step_size, config.lam, config.wavelet_levels
-    op = kspace.Encoding(sens, mask).hybrid(y)
+    op = kspace.HybridEncoding(sens, mask, y)
 
     def residual(x):
         return kspace.apply_forward(x, op) - op.y_h

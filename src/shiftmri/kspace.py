@@ -13,12 +13,15 @@ The forward and adjoint operators take an Encoding bound to one set of coil
 maps and one mask, and run their own passes over the whole coil stack, one
 of the two on the sampled columns only.
 
-They also take a HybridEncoding, which FISTA alone uses: Encoding.hybrid(y)
-binds one measurement for one solve. Masks sample whole columns, so
-E = F_h M F_w S with F_h the centered transform along h, and since F_h is
-unitary the data term and its gradient need no pass along h:
+They also take a HybridEncoding, which FISTA alone uses, bound to one
+measurement for one solve. Masks sample whole columns, so E = F_h M F_w S
+with F_h the centered transform along h, and since F_h is unitary the data
+term and its gradient need no pass along h:
 ||E x - y|| = ||B x - y_h|| and E^H (E x - y) = B^H (B x - y_h), with
-B = M F_w S and y_h = F_h^H y on the sampled columns.
+B = M F_w S and y_h = F_h^H y on the sampled columns. M F_w is a pruned DFT
+(Markel 1971): only n_sampled of its w outputs are kept, so B applies it as
+one GEMM with the (w, n_sampled) matrix of the sampled DFT columns, and B^H
+as one GEMM with its conjugate transpose, with no FFT, gather or scatter.
 """
 
 from __future__ import annotations
@@ -228,7 +231,27 @@ class NoiseModel:
             raise ValueError("sigma must be finite and >= 0")
 
 
-class Encoding:
+class _CoilBinding:
+    """The coil count and extents of one set of coil maps bound to one mask,
+    and the shape checks the operators run against them."""
+
+    def __init__(self, sens: np.ndarray, mask: SamplingMask):
+        if sens.ndim != 3:
+            raise ValueError(f"sensitivities must be a (coils, h, w) stack, got shape {sens.shape}")
+        self.coils, h, w = sens.shape
+        self.extents = (h, w)
+        if mask.width != w:
+            raise ValueError(f"mask width {mask.width} != k-space width {w}")
+
+    def check(self, x: np.ndarray) -> None:
+        """x is an (h, w) image or a (coils, h, w) k-space stack."""
+        if x.shape[-2:] != self.extents:
+            raise ValueError(f"sensitivity extents {self.extents} != image extents {x.shape[-2:]}")
+        if x.ndim == 3 and x.shape[0] != self.coils:
+            raise ValueError(f"k-space has {x.shape[0]} coils, sensitivities {self.coils}")
+
+
+class Encoding(_CoilBinding):
     """The multi-coil encoding operator E = M F S for one set of coil maps and
     one column mask, bound once per solve for apply_forward and apply_adjoint.
 
@@ -241,51 +264,40 @@ class Encoding:
 
     def __init__(self, sens: np.ndarray, mask: SamplingMask):
         sens = np.asarray(sens, dtype=np.complex128)
-        if sens.ndim != 3:
-            raise ValueError(f"sensitivities must be a (coils, h, w) stack, got shape {sens.shape}")
-        self.coils, h, w = sens.shape
-        self.extents = (h, w)
-        if mask.width != w:
-            raise ValueError(f"mask width {mask.width} != k-space width {w}")
+        super().__init__(sens, mask)
         self.sens_u = _read_only(np.fft.ifftshift(sens, axes=(-2, -1)))
         self.conj_u = _read_only(np.conj(self.sens_u))
         self.cols_u = _read_only(np.flatnonzero(np.fft.ifftshift(mask.sampled)))
+        w = self.extents[1]
         self.cols = _read_only((self.cols_u + w // 2) % w)
 
-    def check(self, x: np.ndarray) -> None:
-        """x is an (h, w) image or a (coils, h, w) k-space stack."""
-        if x.shape[-2:] != self.extents:
-            raise ValueError(f"sensitivity extents {self.extents} != image extents {x.shape[-2:]}")
-        if x.ndim == 3 and x.shape[0] != self.coils:
-            raise ValueError(f"k-space has {x.shape[0]} coils, sensitivities {self.coils}")
 
-    def hybrid(self, y: np.ndarray) -> HybridEncoding:
-        """The hybrid operator B = M F_w S bound to the measurement y."""
-        return HybridEncoding(self, y)
-
-
-class HybridEncoding:
+class HybridEncoding(_CoilBinding):
     """B = M F_w S with y_h = F_h^H y, bound to one measurement for one solve.
 
-    It shares the Encoding's maps and uncentered sampled columns and holds
-    `y_h`, the inverse transform along h of y's sampled columns: a
-    (coils, h, n_sampled) array with its columns in cols_u order and its rows
-    in the maps' uncentered order (a permutation, so norms and gradients are
-    unchanged). apply_forward and apply_adjoint map images to and from that
-    layout with the Encoding's pass along w and none along h. y's unsampled
-    columns are not measurements and are ignored, as apply_adjoint ignores
-    them. Its arrays are read-only.
+    `dft` is the (w, n_sampled) matrix of the centered unitary DFT's columns
+    at the sampled frequencies `cols`, so B x is (S_i x) @ dft for every
+    coil, and `idft` is its conjugate transpose. Centering along w is folded
+    into both, and the maps (`sens`, `conj`) and `y_h`, the inverse centered
+    transform along h of y's sampled columns, keep the image's row order, so
+    no plane is shifted per call. y's unsampled columns are not measurements
+    and are ignored, as apply_adjoint ignores them. Its arrays are read-only;
+    the maps are its own copy, as a solve builds no Encoding.
     """
 
-    def __init__(self, enc: Encoding, y: np.ndarray):
+    def __init__(self, sens: np.ndarray, mask: SamplingMask, y: np.ndarray):
+        sens = np.array(sens, dtype=np.complex128)  # a copy: it is made read-only
+        super().__init__(sens, mask)
         y = np.asarray(y, dtype=np.complex128)
         if y.ndim != 3:
             raise ValueError(f"k-space must be a (coils, h, w) stack, got shape {y.shape}")
-        enc.check(y)
-        self.coils, self.extents = enc.coils, enc.extents
-        self.sens_u, self.conj_u, self.cols_u = enc.sens_u, enc.conj_u, enc.cols_u
-        y_h = np.fft.ifftshift(y[..., enc.cols], axes=-2)
-        self.y_h = _read_only(np.fft.ifft(y_h, axis=-2, norm="ortho", out=y_h))
+        self.check(y)
+        self.sens = _read_only(sens)
+        self.conj = _read_only(np.conj(sens))
+        self.cols = _read_only(np.flatnonzero(mask.sampled))
+        self.dft = _read_only(fft1c(np.eye(mask.width), -1)[:, self.cols])
+        self.idft = _read_only(np.ascontiguousarray(np.conj(self.dft).T))
+        self.y_h = _read_only(ifft1c(y[..., self.cols], -2))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -301,15 +313,12 @@ def _coil_row_pass(sens_u: np.ndarray, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _row_pass_coil_sum(k: np.ndarray, conj_u: np.ndarray) -> np.ndarray:
-    """The inverse row pass (axis -1) on uncentered k in place, then
-    sum_i conj_u[i] * k[i] in coil order; only the summed plane is shifted
-    back."""
-    np.fft.ifft(k, axis=-1, norm="ortho", out=k)
+def _coil_sum(k: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """sum_i conj[i] * k[i], in coil order."""
     out = np.zeros(k.shape[-2:], dtype=np.complex128)
-    for i in range(len(conj_u)):
-        out += conj_u[i] * k[i]
-    return np.fft.fftshift(out)
+    for i in range(len(conj)):
+        out += conj[i] * k[i]
+    return out
 
 
 def apply_forward(x: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
@@ -320,14 +329,15 @@ def apply_forward(x: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
     then scattered into zeroed k-space. Only the image plane is shifted in;
     sampled values equal fft2c's bytes.
 
-    With a HybridEncoding it returns B x, the row pass alone, gathered on the
-    sampled columns: a (coils, h, n_sampled) array laid out like enc.y_h.
+    With a HybridEncoding it returns B x, a (coils, h, n_sampled) array laid
+    out like enc.y_h: the coil images times enc.dft, as one GEMM over every
+    (coil, row).
     """
     x = np.asarray(x, dtype=np.complex128)
     if isinstance(enc, HybridEncoding):
         if x.shape != enc.extents:
             raise ValueError(f"image shape {x.shape} != operator extents {enc.extents}")
-        return _coil_row_pass(enc.sens_u, x)[..., enc.cols_u]
+        return ((enc.sens * x).reshape(-1, x.shape[-1]) @ enc.dft).reshape(enc.y_h.shape)
     enc.check(x)
     k = _coil_row_pass(enc.sens_u, x)
     kept = np.fft.fft(k[..., enc.cols_u], axis=-2, norm="ortho")
@@ -348,16 +358,15 @@ def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
     bytes are the same.
 
     With a HybridEncoding, y is a (coils, h, n_sampled) residual laid out
-    like enc.y_h, and the result is B^H y: the scatter, row pass and coil sum
-    without the column pass.
+    like enc.y_h, and the result is B^H y: y times enc.idft, as one GEMM over
+    every (coil, row), then the coil sum in coil order.
     """
     y = np.asarray(y, dtype=np.complex128)
     if isinstance(enc, HybridEncoding):
         if y.shape != enc.y_h.shape:
             raise ValueError(f"residual shape {y.shape} != sampled k-space shape {enc.y_h.shape}")
-        k = np.zeros((enc.coils, *enc.extents), dtype=np.complex128)
-        k[..., enc.cols_u] = y
-        return _row_pass_coil_sum(k, enc.conj_u)
+        k = y.reshape(-1, y.shape[-1]) @ enc.idft
+        return _coil_sum(k.reshape(enc.sens.shape), enc.conj)
     enc.check(y)
     if enc.cols.size == enc.extents[1]:
         k = np.fft.ifftshift(y, axes=(-2, -1))
@@ -367,7 +376,8 @@ def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
         np.fft.ifft(kept, axis=-2, norm="ortho", out=kept)
         k = np.zeros(y.shape, dtype=np.complex128)
         k[..., enc.cols_u] = kept
-    return _row_pass_coil_sum(k, enc.conj_u)
+    np.fft.ifft(k, axis=-1, norm="ortho", out=k)
+    return np.fft.fftshift(_coil_sum(k, enc.conj_u))
 
 
 def add_noise(y: np.ndarray, mask: SamplingMask, noise: NoiseModel) -> np.ndarray:

@@ -218,6 +218,33 @@ def _col2im(cols: np.ndarray, cin: int, kh: int, kw: int, h: int, w: int) -> np.
     return xp[:, ph : ph + h, pw : pw + w]
 
 
+# The hybrid operator's former FFT passes, in HybridEncoding's layout (rows
+# and sampled columns in centered order): B x as a row FFT of every coil
+# image then a gather of the sampled columns, and B^H r as a scatter into
+# zeroed k-space, an inverse row FFT and a coil sum in coil order.
+def hybrid_fft_reference(sens, mask):
+    sens = np.asarray(sens, dtype=np.complex128)
+    cols = np.flatnonzero(mask.sampled)
+
+    def row_pass(k, transform):
+        k = transform(np.fft.ifftshift(k, axes=-1), axis=-1, norm="ortho")
+        return np.fft.fftshift(k, axes=-1)
+
+    def forward(x):
+        return row_pass(sens * x, np.fft.fft)[..., cols]
+
+    def adjoint(r):
+        k = np.zeros(sens.shape, dtype=np.complex128)
+        k[..., cols] = r
+        k = row_pass(k, np.fft.ifft)
+        out = np.zeros(sens.shape[1:], dtype=np.complex128)
+        for i in range(len(sens)):
+            out += np.conj(sens[i]) * k[i]
+        return out
+
+    return forward, adjoint
+
+
 # fista_l1's former loop: the data term on full k-space through the Encoding
 # operators, and the objective with a DWT of its own on every call.
 def _objective_full_kspace(x, y, enc, lam, levels) -> float:

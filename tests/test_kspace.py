@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from shiftmri import kspace
-from oracles import mask_counts_reference, centered_idft_reference
+from oracles import centered_idft_reference, hybrid_fft_reference, mask_counts_reference
 
 
 def test_fft2c_delta_gives_flat_spectrum():
@@ -352,18 +357,30 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64), (33, 20), (96, 96)])
-@pytest.mark.parametrize("accel", [1, 2, 4, 8])
-@pytest.mark.parametrize("coils", [1, 8])
-def test_hybrid_data_term_and_gradient_equal_full_kspace(extents, accel, coils):
+_hybrid_extents = pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64), (33, 20), (96, 96)])
+_hybrid_accel = pytest.mark.parametrize("accel", [1, 2, 4, 8])
+_hybrid_coils = pytest.mark.parametrize("coils", [1, 8])
+
+
+def _hybrid_problem(extents, accel, coils):
+    """(rng, x, sens, mask, enc, y): an image, maps and a mask, and a noisy
+    measurement of another image under them."""
     rng = np.random.default_rng([7, coils, accel, *extents])
     h, w = extents
     x, sens = _complex(rng, extents), kspace.simulate_sensitivities(h, w, coils, rng=rng)
     mask = kspace.make_equispaced_mask(w, accel, 0.08, rng)
     enc = kspace.Encoding(sens, mask)
     y = kspace.apply_forward(_complex(rng, extents), enc) + _complex(rng, sens.shape) * mask.sampled
-    op = enc.hybrid(y)
-    assert op.y_h.shape == (coils, h, mask.n_sampled)
+    return rng, x, sens, mask, enc, y
+
+
+@_hybrid_extents
+@_hybrid_accel
+@_hybrid_coils
+def test_hybrid_data_term_and_gradient_equal_full_kspace(extents, accel, coils):
+    rng, x, sens, mask, enc, y = _hybrid_problem(extents, accel, coils)
+    op = kspace.HybridEncoding(sens, mask, y)
+    assert op.y_h.shape == (coils, extents[0], mask.n_sampled)
     resid, resid_h = kspace.apply_forward(x, enc) - y, kspace.apply_forward(x, op) - op.y_h
     assert resid_h.shape == op.y_h.shape
     norm, norm_h = np.linalg.norm(resid), np.linalg.norm(resid_h)
@@ -375,44 +392,89 @@ def test_hybrid_data_term_and_gradient_equal_full_kspace(extents, accel, coils):
     assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(r)) < 1e-13
 
 
+@_hybrid_extents
+@_hybrid_accel
+@_hybrid_coils
+def test_hybrid_gemm_matches_fft_reference(extents, accel, coils):
+    rng, x, sens, mask, _, y = _hybrid_problem(extents, accel, coils)
+    op = kspace.HybridEncoding(sens, mask, y)
+    forward, adjoint = hybrid_fft_reference(sens, mask)
+    r = _complex(rng, op.y_h.shape)
+    assert _rel(kspace.apply_forward(x, op), forward(x)) < 1e-13
+    assert _rel(kspace.apply_adjoint(r, op), adjoint(r)) < 1e-13
+
+
 def test_hybrid_is_read_only_and_repeatable():
     rng = np.random.default_rng(12)
     x, sens, mask = _random_problem(rng, 24, 20, 4)
-    enc = kspace.Encoding(sens, mask)
-    y = kspace.apply_forward(x, enc)
+    y = kspace.apply_forward(x, kspace.Encoding(sens, mask))
     y_before = y.tobytes()
-    op = enc.hybrid(y)
-    for name in ("sens_u", "conj_u", "cols_u", "y_h"):
+    op = kspace.HybridEncoding(sens, mask, y)
+    for name in ("sens", "conj", "cols", "dft", "idft", "y_h"):
         arr = getattr(op, name)
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
             arr[...] = 0
+    assert sens.flags.writeable  # the operator holds its own copy of the maps
     bx = kspace.apply_forward(x, op)
     assert kspace.apply_forward(x, op).tobytes() == bx.tobytes()
     adj = kspace.apply_adjoint(bx, op)
     assert kspace.apply_adjoint(bx, op).tobytes() == adj.tobytes()
     assert y.tobytes() == y_before
-    assert enc.hybrid(y).y_h.tobytes() == op.y_h.tobytes()
+    assert kspace.HybridEncoding(sens, mask, y).y_h.tobytes() == op.y_h.tobytes()
 
 
 def test_hybrid_rejects_mismatched_shapes():
     rng = np.random.default_rng(13)
     x, sens, mask = _random_problem(rng, 16, 16, 2)
-    enc = kspace.Encoding(sens, mask)
-    y = kspace.apply_forward(x, enc)
+    y = kspace.apply_forward(x, kspace.Encoding(sens, mask))
     with pytest.raises(ValueError, match="k-space has 3 coils, sensitivities 2"):
-        enc.hybrid(np.concatenate([y, y[:1]]))
+        kspace.HybridEncoding(sens, mask, np.concatenate([y, y[:1]]))
     with pytest.raises(ValueError, match="sensitivity extents"):
-        enc.hybrid(y[:, :12])
+        kspace.HybridEncoding(sens, mask, y[:, :12])
     with pytest.raises(ValueError, match="coils, h, w"):
-        enc.hybrid(y[0])
-    op = enc.hybrid(y)
+        kspace.HybridEncoding(sens, mask, y[0])
+    with pytest.raises(ValueError, match="mask width"):
+        kspace.HybridEncoding(sens[..., :12], mask, y[..., :12])
+    op = kspace.HybridEncoding(sens, mask, y)
     for bad in (x[:12], x[:, :12], x[None]):
         with pytest.raises(ValueError, match="image shape"):
             kspace.apply_forward(bad, op)
     for bad in (op.y_h[:1], op.y_h[:, :12], y, op.y_h[0]):
         with pytest.raises(ValueError, match="residual shape"):
             kspace.apply_adjoint(bad, op)
+
+
+_BLAS_DIGEST = """
+import hashlib
+import numpy as np
+from shiftmri import kspace
+rng = np.random.default_rng(21)
+x = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+sens = kspace.simulate_sensitivities(64, 64, 8, rng=rng)
+mask = kspace.make_equispaced_mask(64, 4, 0.08, rng)
+y = rng.standard_normal((8, 64, 64)) + 1j * rng.standard_normal((8, 64, 64))
+op = kspace.HybridEncoding(sens, mask, y)
+r = rng.standard_normal(op.y_h.shape) + 1j * rng.standard_normal(op.y_h.shape)
+digest = hashlib.sha256(kspace.apply_forward(x, op).tobytes())
+digest.update(kspace.apply_adjoint(r, op).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_hybrid_bytes_do_not_depend_on_blas_threads():
+    """B x and B^H r run as GEMMs; their bytes are the same whether OpenBLAS
+    runs one thread or two."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 def test_rss_examples():
