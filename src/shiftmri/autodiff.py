@@ -1,10 +1,13 @@
 """Minimal dense float64 tensor engine with reverse-mode autodiff.
 
 Graphs are recorded on an explicit Tape: every op appends a node whose
-backward closure scatters the incoming gradient to its inputs. Node order is
-creation order, which is automatically topological, so backward() is a single
-reverse sweep. Tapes are single-owner and single-threaded; tensors detached
-from any tape are immutable data carriers and safe to share.
+backward closure scatters the incoming gradient to its inputs. A closure keeps
+only the arrays its gradient formula reads, and only for inputs that require a
+gradient; otherwise it keeps flags and shapes, so the tape does not hold the
+forward pass's intermediates alive. Node order is creation order, which is
+automatically topological, so backward() is a single reverse sweep. Tapes are
+single-owner and single-threaded; tensors detached from any tape are immutable
+data carriers and safe to share.
 """
 
 from __future__ import annotations
@@ -112,13 +115,16 @@ def _record_op(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Reverse sweep from a scalar loss; returns node_id -> gradient tensor.
+    """Reverse sweep from a scalar loss; returns leaf node_id -> gradient tensor.
 
-    Differentiable leaves with no path to the loss get zero gradients. The
-    first gradient to reach a node is stored uncopied, so returned gradients
-    may share memory (add and reshape pass theirs through): read them, never
-    write into them. No backward closure writes into its incoming gradient,
-    and accumulation allocates a new array.
+    Only leaves get gradients: a node's gradient is dropped as soon as its
+    closure has consumed it, so the sweep holds few full-size arrays at once.
+    Closures stay on the tape, so backward can run again on it. Differentiable
+    leaves with no path to the loss get zero gradients. The first gradient to
+    reach a node is stored uncopied, so returned gradients may share memory
+    (add and reshape pass theirs through): read them, never write into them.
+    No backward closure writes into its incoming gradient, and accumulation
+    allocates a new array.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -133,6 +139,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
         node = tape.nodes[nid]
         if node.backward_fn is None:
             continue
+        grads[nid] = None
         input_grads = node.backward_fn(g)
         for iid, ig in zip(node.input_ids, input_grads):
             if iid is None or ig is None:
@@ -141,13 +148,8 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
                 grads[iid] = np.asarray(ig)
             else:
                 grads[iid] = grads[iid] + ig
-    out: dict[int, Tensor] = {}
-    for nid, node in enumerate(tape.nodes):
-        if grads[nid] is not None:
-            out[nid] = Tensor(grads[nid])
-        elif node.op == "leaf":
-            out[nid] = Tensor(np.zeros(node.shape))
-    return out
+    return {nid: Tensor(np.zeros(node.shape) if grads[nid] is None else grads[nid])
+            for nid, node in enumerate(tape.nodes) if node.op == "leaf"}
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +160,20 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch("add", a.shape, b.shape)
+    ra, rb = a.requires_grad, b.requires_grad
     return _record_op("add", a.data + b.data, [a, b],
-                      lambda g: [g if a.requires_grad else None,
-                                 g if b.requires_grad else None])
+                      lambda g: [g if ra else None, g if rb else None])
+
+
+def add_times_i(a: Tensor, b: Tensor) -> Tensor:
+    """a + i b for 2-channel complex tensors (channel 0 real, 1 imaginary):
+    (a0 - b1, a1 + b0), with no complex product."""
+    if a.shape != b.shape or a.data.ndim < 3 or a.shape[0] != 2:
+        raise ShapeMismatch("add-times-i", a.shape, b.shape)
+    ra, rb = a.requires_grad, b.requires_grad
+    out = np.stack([a.data[0] - b.data[1], a.data[1] + b.data[0]])
+    return _record_op("add-times-i", out, [a, b],
+                      lambda g: [g if ra else None, np.stack([g[1], -g[0]]) if rb else None])
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -170,18 +183,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     scalar_b = b.data.size == 1
     if as_ != bs and not (scalar_a or scalar_b):
         raise ShapeMismatch("mul", as_, bs)
-    ad, bd = a.data, b.data
-    out = ad * bd
+    out = a.data * b.data
+    out_shape = out.shape
+    # each operand's gradient reads only the other operand
+    for_a = b.data if a.requires_grad else None
+    for_b = a.data if b.requires_grad else None
 
     def bw(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = g * bd
-            if scalar_a and as_ != out.shape:
+        if for_a is not None:
+            ga = g * for_a
+            if scalar_a and as_ != out_shape:
                 ga = np.sum(ga).reshape(as_)
-        if b.requires_grad:
-            gb = g * ad
-            if scalar_b and bs != out.shape:
+        if for_b is not None:
+            gb = g * for_b
+            if scalar_b and bs != out_shape:
                 gb = np.sum(gb).reshape(bs)
         return [ga, gb]
 
@@ -203,14 +219,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     one then multiplies every matrix of it, as numpy's @ broadcasts."""
     if min(a.data.ndim, b.data.ndim) != 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch("matmul", a.shape, b.shape)
-    ad, bd = a.data, b.data
+    a_ndim, b_ndim = a.data.ndim, b.data.ndim
+    # each operand's gradient reads only the other operand, transposed
+    bt = np.swapaxes(b.data, -1, -2) if a.requires_grad else None
+    at = np.swapaxes(a.data, -1, -2) if b.requires_grad else None
 
     def bw(g):
-        ga = _sum_stack(g @ np.swapaxes(bd, -1, -2), ad.ndim) if a.requires_grad else None
-        gb = _sum_stack(np.swapaxes(ad, -1, -2) @ g, bd.ndim) if b.requires_grad else None
+        ga = None if bt is None else _sum_stack(g @ bt, a_ndim)
+        gb = None if at is None else _sum_stack(at @ g, b_ndim)
         return [ga, gb]
 
-    return _record_op("matmul", ad @ bd, [a, b], bw)
+    return _record_op("matmul", a.data @ b.data, [a, b], bw)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -272,25 +291,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         out += bias.data[:, None, None]
     inputs = [x, weight] if bias is None else [x, weight, bias]
+    # the input gradient reads the kernel and the weight gradient the row shifts
+    kernel = weight.data if x.requires_grad else None
+    kept_rows = rows if weight.requires_grad else None
+    n_inputs = len(inputs)
+    bias_needs = bias is not None and bias.requires_grad
 
     def bw(g):
-        grads = []
-        if x.requires_grad:
-            wflip = weight.data[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh, cin, cout * kw)
-            grads.append(_correlate(_row_shifts(g, kh, kw), wflip, h, w).reshape(cin, h, w))
-        else:
-            grads.append(None)
-        if weight.requires_grad:
+        grads = [None] * n_inputs
+        if kernel is not None:
+            wflip = kernel[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh, cin, cout * kw)
+            grads[0] = _correlate(_row_shifts(g, kh, kw), wflip, h, w).reshape(cin, h, w)
+        if kept_rows is not None:
             gt = g.reshape(cout, h * w).T
             gw = np.empty((kh, cin * kw, cout))
             for i in range(kh):
-                np.matmul(rows[:, i * w : i * w + h * w], gt, out=gw[i])
+                np.matmul(kept_rows[:, i * w : i * w + h * w], gt, out=gw[i])
             gw = gw.reshape(kh, cin, kw, cout).transpose(3, 1, 0, 2)
-            grads.append(np.ascontiguousarray(gw))  # backward would copy a strided one
-        else:
-            grads.append(None)
-        if bias is not None:
-            grads.append(g.sum(axis=(1, 2)) if bias.requires_grad else None)
+            grads[1] = np.ascontiguousarray(gw)  # backward would copy a strided one
+        if bias_needs:
+            grads[2] = g.sum(axis=(1, 2))
         return grads
 
     return _record_op("conv2d", out, inputs, bw)
@@ -339,10 +359,11 @@ def concat_channels(tensors: Sequence[Tensor]) -> Tensor:
     sizes = [t.shape[0] for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=0)
     offsets = np.cumsum([0] + sizes)
+    needs = [t.requires_grad for t in tensors]
 
     def bw(g):
-        return [g[offsets[i] : offsets[i + 1]] if t.requires_grad else None
-                for i, t in enumerate(tensors)]
+        return [g[offsets[i] : offsets[i + 1]] if need else None
+                for i, need in enumerate(needs)]
 
     return _record_op("concat-channels", out, list(tensors), bw)
 
@@ -362,18 +383,20 @@ def complex_mul_2ch(a: Tensor, b: Tensor) -> Tensor:
     ar, ai = a.data[0], a.data[1]
     br, bi = b.data[0], b.data[1]
     out = np.stack([ar * br - ai * bi, ar * bi + ai * br])
+    a_shape, b_shape = a.shape, b.shape
+    # each operand's gradient reads only the other operand
+    for_a = (br, bi) if a.requires_grad else None
+    for_b = (ar, ai) if b.requires_grad else None
 
-    def coil_sum_to(grad, shape):
+    def conj_mul(g, planes, shape):
+        """g times the conjugate of `planes`, summed over the coils to `shape`."""
+        (gr, gi), (pr, pi) = g, planes
+        grad = np.stack([gr * pr + gi * pi, -gr * pi + gi * pr])
         return grad if grad.shape == shape else grad.sum(axis=1)
 
     def bw(g):
-        gr, gi = g[0], g[1]
-        ga = gb = None
-        if a.requires_grad:
-            ga = coil_sum_to(np.stack([gr * br + gi * bi, -gr * bi + gi * br]), a.shape)
-        if b.requires_grad:
-            gb = coil_sum_to(np.stack([gr * ar + gi * ai, -gr * ai + gi * ar]), b.shape)
-        return [ga, gb]
+        return [None if for_a is None else conj_mul(g, for_a, a_shape),
+                None if for_b is None else conj_mul(g, for_b, b_shape)]
 
     return _record_op("complex-mul-as-2ch", out, [a, b], bw)
 
@@ -386,9 +409,10 @@ def coil_sum(x: Tensor) -> Tensor:
     out = x.data[:, 0].copy()
     for i in range(1, x.shape[1]):
         out += x.data[:, i]
+    shape = x.shape
 
     def bw(g):
-        return [np.broadcast_to(g[:, None], x.shape)]
+        return [np.broadcast_to(g[:, None], shape)]
 
     return _record_op("coil-sum", out, [x], bw)
 
@@ -431,10 +455,10 @@ def reshape(x: Tensor, shape) -> Tensor:
 def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
     if x.data.ndim < 3 or not (0 <= lo < hi <= x.shape[0]):
         raise ShapeMismatch("slice-channels", x.shape, (lo, hi))
-    c = x.shape[0]
+    shape = x.shape
 
     def bw(g):
-        full = np.zeros((c,) + x.shape[1:])
+        full = np.zeros(shape)
         full[lo:hi] = g
         return [full]
 

@@ -196,28 +196,25 @@ _DFT_CACHE: dict = {}
 
 
 def _dft_constants(h: int, w: int, inverse: bool):
-    """Tape constants (Re F_h, Im F_h, Re F_w^T, Im F_w^T, i) for (h, w)
-    planes: the w-axis factors transposed into C order, and i the (2, h, w)
-    plane of 0 + 1i."""
+    """Tape constants (Re F_h, Im F_h, Re F_w^T, Im F_w^T) for (h, w) planes,
+    the w-axis factors transposed into C order."""
     key = (h, w, inverse)
     if key not in _DFT_CACHE:
         dft1c = kspace.ifft1c if inverse else kspace.fft1c
         fh, fw = (dft1c(np.eye(n, dtype=np.complex128), 0) for n in (h, w))
-        i_plane = np.stack([np.zeros((h, w)), np.ones((h, w))])
-        _DFT_CACHE[key] = tuple(ad.Tensor(m) for m in
-                                (fh.real, fh.imag, fw.T.real, fw.T.imag, i_plane))
+        _DFT_CACHE[key] = tuple(ad.Tensor(m) for m in (fh.real, fh.imag, fw.T.real, fw.T.imag))
     return _DFT_CACHE[key]
 
 
 def tape_fft2c(x: ad.Tensor, inverse: bool = False) -> ad.Tensor:
     """Centered unitary 2D DFT of every (h, w) plane of a (2, h, w) or
     (2, coils, h, w) tensor as real matrix products on the 2-channel tensor:
-    with F = Re F + i Im F, F x = (Re F) x + (Im F)(i x), along h and then
-    along w."""
+    with F = Re F + i Im F, F x = (Re F) x + i (Im F) x, along h and then
+    along w, 6 tape nodes in all."""
     h, w = x.shape[-2:]
-    fr_h, fi_h, frt_w, fit_w, i_plane = _dft_constants(h, w, inverse)
-    x = ad.add(ad.matmul(fr_h, x), ad.matmul(fi_h, ad.complex_mul_2ch(i_plane, x)))
-    return ad.add(ad.matmul(x, frt_w), ad.matmul(ad.complex_mul_2ch(i_plane, x), fit_w))
+    fr_h, fi_h, frt_w, fit_w = _dft_constants(h, w, inverse)
+    x = ad.add_times_i(ad.matmul(fr_h, x), ad.matmul(fi_h, x))
+    return ad.add_times_i(ad.matmul(x, frt_w), ad.matmul(x, fit_w))
 
 
 def _as2ch(z: np.ndarray) -> np.ndarray:
@@ -262,17 +259,17 @@ class VarnetLite(_Layout):
         self._check_extents(h, w)
         enc = kspace.Encoding(sens, mask)
         x = ad.Tensor(_as2ch(kspace.apply_adjoint(y, enc)))  # checks coils too
-        minus_y = ad.Tensor(-_as2ch(y))
         s2 = ad.Tensor(_as2ch(sens))
         sc2 = ad.Tensor(_as2ch(np.conj(sens)))
         mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64),
                                           (2, coils, h, w)).copy())
+        minus_y = ad.Tensor(-_as2ch(y) * mask2.data)  # so the residual below is masked
         p = iter(params)
         for _ in range(self.config.cascades):
             eta = next(p)
             k = tape_fft2c(ad.complex_mul_2ch(s2, x))
             resid = ad.add(ad.mul(mask2, k), minus_y)
-            back = ad.complex_mul_2ch(sc2, tape_fft2c(ad.mul(mask2, resid), inverse=True))
+            back = ad.complex_mul_2ch(sc2, tape_fft2c(resid, inverse=True))
             dc = ad.mul(eta, ad.coil_sum(back))
             d = ad.relu(ad.conv2d(x, next(p), next(p)))
             d = ad.relu(ad.conv2d(d, next(p), next(p)))

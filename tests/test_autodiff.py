@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -157,6 +159,12 @@ def _op_instances(kind, rng):
     if kind == "complex-mul-broadcast":
         a, b = _rand_like(rng, (2, 3, 4, 5)), _rand_like(rng, (2, 4, 5))
         return lambda ls: ad.complex_mul_2ch(ls[0], ls[1]), [a, b]
+    if kind == "add-times-i":
+        a, b = _rand_like(rng, (2, 3, 4)), _rand_like(rng, (2, 3, 4))
+        return lambda ls: ad.add_times_i(ls[0], ls[1]), [a, b]
+    if kind == "add-times-i-constant":
+        a, b = _rand_like(rng, (2, 3, 4, 5)), _rand_like(rng, (2, 3, 4, 5))
+        return lambda ls: ad.add_times_i(ad.Tensor(a), ls[0]), [b]
     if kind == "coil-sum":
         return lambda ls: ad.coil_sum(ls[0]), [_rand_like(rng, (2, 3, 4, 5))]
     if kind == "reduce-mean":
@@ -180,8 +188,9 @@ def _op_instances(kind, rng):
 OP_KINDS = [
     "add", "mul", "mul-scalar-broadcast", "scale", "matmul", "matmul-stacked-lhs",
     "matmul-stacked-rhs", "conv2d", "conv2d-rect", "relu", "avgpool2", "upsample2",
-    "concat-channels", "complex-mul-as-2ch", "complex-mul-broadcast", "coil-sum", "reduce-mean",
-    "reshape", "slice-channels", "magnitude-2ch", "ssim-loss-node",
+    "concat-channels", "complex-mul-as-2ch", "complex-mul-broadcast", "add-times-i",
+    "add-times-i-constant", "coil-sum", "reduce-mean", "reshape", "slice-channels",
+    "magnitude-2ch", "ssim-loss-node",
 ]
 
 
@@ -262,6 +271,10 @@ def test_shape_errors_name_the_op():
         ad.complex_mul_2ch(ad.Tensor(np.ones((2, 3, 4, 4))), ad.Tensor(np.ones((2, 4, 5))))
     with pytest.raises(ad.ShapeMismatch, match="coil-sum"):
         ad.coil_sum(ad.Tensor(np.ones((2, 4, 4))))
+    with pytest.raises(ad.ShapeMismatch, match="add-times-i"):
+        ad.add_times_i(ad.Tensor(np.ones((2, 4, 4))), ad.Tensor(np.ones((2, 4, 5))))
+    with pytest.raises(ad.ShapeMismatch, match="add-times-i"):
+        ad.add_times_i(ad.Tensor(np.ones((3, 4, 4))), ad.Tensor(np.ones((3, 4, 4))))
 
 
 def test_coil_sum_adds_in_coil_order():
@@ -278,28 +291,104 @@ def test_requires_grad_outside_tape_is_an_error():
         ad.relu(t)
 
 
-def test_shared_first_gradients_accumulate_to_twice_g():
-    """backward stores the first gradient to reach a node without copying it;
-    a later contribution must allocate, not write into a shared array."""
+def test_shared_first_gradients_accumulate_to_g_plus_g2():
+    """backward stores the first gradient to reach a node without copying it,
+    so add hands one array to both x and y (through two reshapes, a view of
+    it to x). x's later contribution g2, from a node recorded earlier, must
+    allocate a new sum, not write into the array y's gradient shares."""
     rng = rng_for(10)
-    x0 = rng.standard_normal((3, 4))
-    weight = rng.standard_normal((3, 4))
-    g = np.full(weight.shape, 1.0 / weight.size) * weight  # d mean(out * weight) / d out
-    with ad.Tape() as tape:
-        x = tape.leaf(x0)
-        doubled = ad.add(x, x)
-        loss = ad.reduce_mean(ad.mul(doubled, ad.Tensor(weight)))
-        grads = ad.backward(tape, loss)
-    np.testing.assert_array_equal(grads[x.node_id].data, g + g)
-    np.testing.assert_array_equal(grads[doubled.node_id].data, g)
-    with ad.Tape() as tape:
-        x = tape.leaf(x0)
-        r = ad.reshape(x, (4, 3))  # passes its gradient through as a view
-        both = ad.add(ad.reshape(r, (3, 4)), ad.reshape(r, (3, 4)))  # two consumers of r
-        loss = ad.reduce_mean(ad.mul(both, ad.Tensor(weight)))
-        grads = ad.backward(tape, loss)
-    np.testing.assert_array_equal(grads[x.node_id].data, g + g)
-    np.testing.assert_array_equal(grads[both.node_id].data, g)
+    x0, y0 = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    weight, w2 = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    g = np.full(weight.shape, 1.0 / weight.size) * weight  # d mean(z * weight) / d z
+    g2 = np.full(w2.shape, 1.0 / w2.size) * w2  # d mean(x * w2) / d x
+    for through_reshape in (False, True):
+        with ad.Tape() as tape:
+            x, y = tape.leaf(x0), tape.leaf(y0)
+            u = ad.reduce_mean(ad.mul(x, ad.Tensor(w2)))  # swept after z's nodes
+            xz = ad.reshape(ad.reshape(x, (4, 3)), (3, 4)) if through_reshape else x
+            z = ad.add(xz, y)
+            loss = ad.add(u, ad.reduce_mean(ad.mul(z, ad.Tensor(weight))))
+            grads = ad.backward(tape, loss)
+        assert set(grads) == {x.node_id, y.node_id}  # leaves only
+        np.testing.assert_array_equal(grads[y.node_id].data, g)
+        np.testing.assert_array_equal(grads[x.node_id].data, g + g2)
+
+
+def test_chain_forward_and_backward_hold_few_full_size_arrays():
+    """20 scale+add pairs on a 1 MiB leaf: neither the tape nor the sweep
+    keeps one array per node alive."""
+    x0 = rng_for(15).standard_normal(2**17)
+    tracemalloc.start()
+    try:
+        with ad.Tape() as tape:
+            x = tape.leaf(x0)
+            y = x
+            for _ in range(20):
+                y = ad.add(y, ad.scale(y, 0.5))
+            loss = ad.reduce_mean(y)
+            del y
+            grads = ad.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(grads[x.node_id].data, 1.5**20 / x0.size, rtol=1e-12)
+    assert peak < 5 * x0.nbytes
+
+
+def _read_inputs(kind, needs):
+    """Indices of the inputs whose arrays a node's backward reads, given which
+    inputs require a gradient."""
+    if kind.startswith(("mul", "matmul", "complex-mul")):
+        return {i for i in (0, 1) if needs[1 - i]}  # the other operand's gradient
+    if kind.startswith("conv2d"):
+        return {1} if needs[0] else set()  # the input gradient reads the kernel
+    if kind == "magnitude-2ch":
+        return {0}
+    return set()
+
+
+def _constant_variants(kind):
+    n = len(_op_instances(kind, rng_for(0))[1])
+    return [(kind, None)] + ([(kind, i) for i in range(n)] if n > 1 else [])
+
+
+@pytest.mark.parametrize("kind,constant",
+                         [v for kind in OP_KINDS for v in _constant_variants(kind)])
+def test_tape_keeps_only_the_inputs_backward_reads(kind, constant):
+    """With all inputs differentiable, or with input `constant` a plain
+    tensor: once the caller drops its arrays, an input array the node's
+    backward does not read is freed, one it reads stays alive, and the
+    gradients still match those of a tape whose inputs were kept."""
+    builder, arrays = _op_instances(kind, rng_for(16))
+    weight = None
+
+    def record():
+        nonlocal weight
+        with ad.Tape() as tape:
+            inputs = [ad.Tensor(a) if i == constant else tape.leaf(a)
+                      for i, a in enumerate(arrays)]
+            out = builder(inputs)
+            if kind == "reduce-mean":  # its builder is the identity
+                out = ad.reduce_mean(out)
+            if weight is None:
+                weight = rng_for(17).standard_normal(out.shape)
+            loss = ad.reduce_mean(ad.mul(out, ad.Tensor(weight)))
+        return tape, loss, [t.node_id for t in inputs]
+
+    tape, loss, _ = record()
+    want = ad.backward(tape, loss)
+    arrays = [np.array(a) for a in arrays]  # held here and by the tape only
+    refs = [weakref.ref(a) for a in arrays]
+    tape, loss, ids = record()
+    needs = [i != constant for i in range(len(arrays))]
+    del arrays
+    gc.collect()
+    alive = {i for i, r in enumerate(refs) if r() is not None}
+    assert alive == _read_inputs(kind, needs)
+    got = ad.backward(tape, loss)
+    for nid, need in zip(ids, needs):
+        if need:
+            np.testing.assert_array_equal(got[nid].data, want[nid].data)
 
 
 @pytest.mark.parametrize("shape", [(1, 2, 2), (3, 2, 6), (2, 6, 2), (16, 32, 32), (4, 10, 14)])
