@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
@@ -512,7 +513,10 @@ def save(dataset: Dataset, path: str | Path) -> None:
     (path / "manifest.json").write_text(json.dumps(asdict(manifest), indent=1, sort_keys=True))
 
 
-def _load_item(rec: ItemRecord, blob: bytes) -> Item:
+def _load_item(rec: ItemRecord, blob: typing.BinaryIO, blob_size: int) -> Item:
+    """Check one record, then read, verify and copy out its payload only. The
+    payload's end is checked against `blob_size` before anything is read, so no
+    read or buffer is sized from an `nbytes` the blob cannot hold."""
     h, w, c, offset, nbytes = rec.height, rec.width, rec.coils, rec.offset, rec.nbytes
     if min(h, w, c, nbytes) <= 0 or offset < 0:
         raise DatasetFormatError(f"item {rec.index}: height, width, coils and nbytes must "
@@ -522,20 +526,27 @@ def _load_item(rec: ItemRecord, blob: bytes) -> Item:
                                  f"height * width * 16 = {(1 + c) * h * w * 16}")
     if not np.isfinite(rec.snr_db):
         raise DatasetFormatError(f"item {rec.index}: snr_db {rec.snr_db!r} is not finite")
-    end = offset + nbytes
-    if end > len(blob):
+    if offset + nbytes > blob_size:
         raise TruncatedPayloadError(f"item {rec.index} extends past end of blob")
-    payload = blob[offset:end]
+    blob.seek(offset)
+    payload = blob.read(nbytes)
+    if len(payload) != nbytes:  # the file shrank after it was opened
+        raise TruncatedPayloadError(f"item {rec.index} extends past end of blob")
     if hashlib.sha256(payload).hexdigest() != rec.sha256:
         raise ChecksumError(f"checksum mismatch for item {rec.index}")
-    img_bytes = h * w * 16
-    image = np.frombuffer(payload[:img_bytes], dtype="<c16").reshape(h, w).copy()
-    sens = np.frombuffer(payload[img_bytes:], dtype="<c16").reshape(c, h, w).copy()
+    view, img_bytes = memoryview(payload), h * w * 16
+    image = np.frombuffer(view[:img_bytes], dtype="<c16").reshape(h, w).copy()
+    sens = np.frombuffer(view[img_bytes:], dtype="<c16").reshape(c, h, w).copy()
     return Item(image, sens, rec.spec, rec.snr_db, rec.lesion)
 
 
 def load(path: str | Path) -> Dataset:
-    """Read a saved dataset; any damage to it raises DatasetFormatError."""
+    """Read a saved dataset; any damage to it raises DatasetFormatError.
+
+    The manifest is checked whole first. `data.bin` is then opened once and
+    read one item at a time: each record is checked, its payload read and
+    verified, and its arrays copied out, so at most one payload is held
+    beside the loaded arrays."""
     path = Path(path)
     try:
         raw = json.loads((path / "manifest.json").read_text())
@@ -555,11 +566,12 @@ def load(path: str | Path) -> Dataset:
         raise DatasetFormatError(f"malformed manifest at {path}: count {manifest.count} with "
                                  f"item indices {[r.index for r in manifest.items]}")
     try:
-        blob = (path / "data.bin").read_bytes()
+        with open(path / "data.bin", "rb") as blob:
+            size = os.fstat(blob.fileno()).st_size
+            items = [_load_item(rec, blob, size) for rec in manifest.items]
     except OSError as e:
         raise DatasetFormatError(f"no readable data.bin at {path}: {e.strerror}") from e
-    return Dataset(manifest.name, [_load_item(rec, blob) for rec in manifest.items],
-                   manifest.specs)
+    return Dataset(manifest.name, items, manifest.specs)
 
 
 def content_hash(dataset: Dataset) -> str:

@@ -58,23 +58,52 @@ class SubspaceWorld:
         return self.sigma(which) ** 2
 
 
+def _fork(rng: np.random.Generator) -> np.random.Generator:
+    """A new generator that draws what `rng` would draw next, leaving `rng` as it is."""
+    bit_generator = type(rng.bit_generator)()
+    bit_generator.state = rng.bit_generator.state
+    return np.random.Generator(bit_generator)
+
+
+def _skip(draw, count: int) -> None:
+    """Advance a generator past `draw(count)` by drawing and discarding blocks."""
+    for start in range(0, count, BLOCK_ROWS):
+        draw(min(BLOCK_ROWS, count - start))
+
+
 def _blocks(world: SubspaceWorld, which: str, count: int, rng: np.random.Generator):
     """Yield (rows, x, y) windows of min(count, BLOCK_ROWS) rows of one draw.
 
-    Draws all direction coefficients, then (mixture) all P/Q choices, then the
-    noise block by block, as one whole-array draw would. The last window ends
-    at `count`, overlapping the one before, so every product has as many rows."""
+    The values are those of one whole-array draw: all direction coefficients,
+    then (mixture) all P/Q choices, then all the noise. Each stream is read a
+    block at a time, the first two from copies of `rng`, which itself is moved
+    past them and then draws the noise, so it ends where that draw leaves it.
+    Generator fills go element by element, so a chunked draw equals a whole
+    one. The last window ends at `count`, overlapping the one before and
+    keeping its tail, so every product has as many rows."""
     u = world.basis
-    coeff = rng.standard_normal((count, world.d))
-    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    sig = (np.where(rng.random(count) < 0.5, world.sigma_p, world.sigma_q)
-           if which == "mixture" else np.full(count, world.sigma(which)))[:, None]
+    coeff_rng = _fork(rng)
+    _skip(lambda k: rng.standard_normal((k, world.d)), count)
+    choice_rng = None
+    if which == "mixture":
+        choice_rng = _fork(rng)
+        _skip(rng.random, count)
+    else:
+        sig = world.sigma(which)
     size = min(count, BLOCK_ROWS)
     for start in range(0, count, size):
         stop = min(start + size, count)
-        x = coeff[stop - size:stop] @ u.T
-        y_new = x[start - stop:] + sig[start:stop] * rng.standard_normal((stop - start, world.n))
-        y = y_new if stop - start == size else np.concatenate([y[stop - start:], y_new])
+        new = stop - start
+        coeff_new = coeff_rng.standard_normal((new, world.d))
+        coeff_new /= np.linalg.norm(coeff_new, axis=1, keepdims=True)
+        coeff = coeff_new if new == size else np.concatenate([coeff[new:], coeff_new])
+        x = coeff @ u.T
+        if choice_rng is not None:
+            sig = np.where(choice_rng.random(new) < 0.5, world.sigma_p, world.sigma_q)[:, None]
+        noise = rng.standard_normal((new, world.n))
+        noise *= sig
+        noise += x[-new:]
+        y = noise if new == size else np.concatenate([y[new:], noise])
         yield slice(stop - size, stop), x, y
 
 
@@ -112,8 +141,9 @@ def estimate_nonlinear(world: SubspaceWorld, y: np.ndarray) -> np.ndarray:
     u = world.basis
     proj = (y @ u) @ u.T
     resid = y - proj
-    sigma2 = np.sum(resid**2, axis=1, keepdims=True) / (world.n - world.d)
-    return proj / (1.0 + world.d * sigma2)
+    sigma2 = np.sum(np.square(resid, out=resid), axis=1, keepdims=True) / (world.n - world.d)
+    proj /= 1.0 + world.d * sigma2
+    return proj
 
 
 def mse_linear(world: SubspaceWorld, w: np.ndarray, which: str) -> float:
@@ -134,6 +164,17 @@ def mse_monte_carlo(world: SubspaceWorld, estimator, which: str, count: int,
     return _score(world, [estimator], which, count, rng)[0]
 
 
+def _squared_error(estimator, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row squared error of `estimator` on one window. The difference is a
+    local, so it is freed before the next estimator or window needs memory."""
+    if isinstance(estimator, np.ndarray):
+        diff = y @ estimator.T
+        diff -= x
+    else:  # a callable may return y itself or an array it keeps: subtract into a new one
+        diff = estimator(y) - x
+    return np.sum(np.square(diff, out=diff), axis=1)
+
+
 def _score(world: SubspaceWorld, estimators, which: str, count: int,
            rng: np.random.Generator) -> list[tuple[float, float]]:
     """Empirical MSE and its standard error of each estimator on one draw, from
@@ -143,8 +184,7 @@ def _score(world: SubspaceWorld, estimators, which: str, count: int,
     errors = [np.empty(count) for _ in estimators]
     for rows, x, y in _blocks(world, which, count, rng):
         for est, err in zip(estimators, errors):
-            xhat = y @ est.T if isinstance(est, np.ndarray) else est(y)
-            err[rows] = np.sum((xhat - x) ** 2, axis=1)
+            err[rows] = _squared_error(est, x, y)
     return [(float(e.mean()), float(e.std(ddof=1) / np.sqrt(count))) for e in errors]
 
 

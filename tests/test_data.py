@@ -453,6 +453,47 @@ def test_load_nbytes_disagreeing_with_extents(tmp_path):
         dm.load(path)
 
 
+def test_load_holds_one_payload_beside_the_loaded_arrays(tmp_path):
+    import tracemalloc
+
+    dm.save(dm.generate(spec(17, extents=(64, 64), coils=8), 10), tmp_path)
+    tracemalloc.start()
+    try:
+        loaded = dm.load(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(item.image.nbytes + item.sens.nbytes for item in loaded.items)
+    assert peak < 1.5 * arrays, f"peak {peak / arrays:.2f}x the loaded arrays"
+
+
+def test_load_names_the_first_item_cut_off(tmp_path):
+    path = _saved(tmp_path, count=3)
+    blob = (path / "data.bin").read_bytes()
+    (path / "data.bin").write_bytes(blob[: len(blob) // 3 + 1000])
+    with pytest.raises(dm.TruncatedPayloadError, match="item 1 "):
+        dm.load(path)
+
+
+def test_load_checks_a_huge_record_against_the_blob_before_reading(tmp_path):
+    # a consistent record of about 2.4 GB must fail on the blob's size, not
+    # on an attempt to read or hold that many bytes
+    import tracemalloc
+
+    path = _saved(tmp_path)
+    side, coils = 4096, 8
+    _edit_manifest(path, lambda m: m["items"][0].update(
+        height=side, width=side, coils=coils, nbytes=(1 + coils) * side * side * 16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(dm.TruncatedPayloadError, match="item 0 "):
+            dm.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("field,value", [("offset", -16), ("offset", 1.5), ("height", 0),
                                          ("width", "32")])
 def test_load_rejects_bad_item_numbers(tmp_path, field, value):

@@ -229,11 +229,35 @@ def test_default_world_rows_keep_bytes():
 
 
 def test_mse_table_memory_is_bounded_by_blocks():
+    """Beyond one block of each stream, a table holds only its three per-sample
+    error arrays, so 300 000 more samples add at most 3 x 8 B x 300 000."""
     world = toy.SubspaceWorld(64, 4, 0.05, 0.5)
-    tracemalloc.start()
-    try:
-        toy.mse_table(world, 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+    peaks = []
+    for count in (100_000, 400_000):
+        tracemalloc.start()
+        try:
+            toy.mse_table(world, count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < 32e6, f"peak {peaks[-1] / 1e6:.1f} MB at {count} samples"
+    assert peaks[0] < 16e6, f"peak {peaks[0] / 1e6:.1f} MB"
+    growth = peaks[1] - peaks[0]
+    assert growth <= 3 * 8 * 300_000 + 1e6, f"growth {growth / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("which", ["P", "mixture"])
+@pytest.mark.parametrize("count", [2, B - 1, B, B + 1, 2 * B + 3])
+def test_caller_generator_ends_where_one_draw_leaves_it(which, count):
+    """A caller that reuses its generator draws the same values next as after
+    the whole-array draw, although the blocks read each stream from a copy."""
+    world = toy.SubspaceWorld(16, 3, 0.05, 0.5, seed=1)
+    reference = np.random.default_rng(count)
+    toy_sample_reference(world, which, count, reference)
+    expected = reference.random()
+    adaptive = lambda y: toy.estimate_nonlinear(world, y)  # noqa: E731
+    for run in (lambda rng: toy.sample(world, which, count, rng),
+                lambda rng: toy.mse_monte_carlo(world, adaptive, which, count, rng)):
+        rng = np.random.default_rng(count)
+        run(rng)
+        assert rng.random() == expected
