@@ -181,9 +181,10 @@ def cmd_robustness_report(args) -> int:
 
     baseline = points(args.baseline_model)
     candidates = [pt for mid in args.candidate_model or [] for pt in points(mid)]
-    if len(baseline) < 2:
-        raise ValidationError("need at least two baseline (id, ood) pairs")
-    fit = metrics.effective_robustness_fit(baseline, candidates)
+    try:
+        fit = metrics.effective_robustness_fit(baseline, candidates)
+    except ValueError as e:  # fewer than two baseline pairs, or all id values equal
+        raise ValidationError(f"baseline {args.baseline_model!r}: {e}") from e
     text = json.dumps(fit.to_dict(), sort_keys=True, indent=1)
     if args.out:
         (_out_dir(args) / "robustness.json").write_text(text)

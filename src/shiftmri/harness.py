@@ -54,6 +54,8 @@ def detect_distributional_overfitting(id_trace, ood_trace, window: int = 3,
     The recommended stop is the first epoch whose trailing-window
     in-distribution gain falls below marginal_eps (the last epoch if none).
     """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     id_trace = np.asarray(id_trace, dtype=np.float64)
     ood_trace = np.asarray(ood_trace, dtype=np.float64)
     if id_trace.shape != ood_trace.shape:
@@ -110,6 +112,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.template not in TEMPLATES:
             raise ConfigError(f"unknown template {self.template!r}; valid: {tuple(TEMPLATES)}")
+        for name in ("train_count", "test_count", "overfit_window"):
+            if (value := getattr(self, name)) < 1:
+                raise ConfigError(f"ExperimentConfig.{name} must be >= 1, got {value}")
+        if not self.skew_factor > 1:
+            raise ConfigError(f"ExperimentConfig.skew_factor must exceed 1, got {self.skew_factor}")
+        if not np.isfinite(self.lesion_amplitude):
+            raise ConfigError(f"ExperimentConfig.lesion_amplitude must be finite, "
+                              f"got {self.lesion_amplitude}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"ExperimentConfig.seeds must not repeat a seed, got {self.seeds}")
         for need in TEMPLATES[self.template][1]:
             if need in DISTRIBUTION_KEYS and need not in self.distributions:
                 raise ConfigError(f"template {self.template!r} needs distribution {need!r}")
@@ -137,7 +149,13 @@ class ExperimentConfig:
         accels = ([*self.accelerations, self.unseen_acceleration]
                   if self.template == "accel_combo" else [self.train.acceleration])
         accels = [r for r in [*accels, *(self.train.accelerations or ())] if r is not None]
+        model = learned.construct_model(self.model)
         for spec in [*self.distributions.values(), *self.sources, *filter(None, [self.target])]:
+            try:
+                model.check_extents(*spec.extents)
+            except ValueError as e:
+                raise ConfigError(f"model.pool_levels {self.model.pool_levels} on distribution "
+                                  f"{spec.name!r}: {e}") from e
             width = spec.extents[1]
             for r in accels:
                 try:
@@ -417,7 +435,7 @@ TEMPLATES = {
     "skewed": (_tpl_skewed, ("P", "Q")),
     "diversity_robustness": (_tpl_diversity_robustness, ("sources", "target")),
     "pathology": (_tpl_pathology, ("P",)),
-    "accel_combo": (_tpl_accel_combo, ("P",)),
+    "accel_combo": (_tpl_accel_combo, ("P", "accelerations")),
     "coil_shift": (_tpl_coil_shift, ("P", "Q")),
     "overfit_monitor": (_tpl_overfit_monitor, ("P", "Q")),
     "finetune_ablation": (_tpl_finetune_ablation, ("sources", "distributions")),
@@ -445,7 +463,8 @@ class RecordsFormatError(datamod.FormatError):
 
 
 def parse_records_csv(text: str) -> list[EvalRecord]:
-    """Records from records_to_csv's text, each column read by its field's type."""
+    """Records from records_to_csv's text, each column read by its field's type;
+    a value that is not finite is a format error."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise RecordsFormatError("unexpected records header")
@@ -460,6 +479,8 @@ def parse_records_csv(text: str) -> list[EvalRecord]:
             out.append(EvalRecord(*(kind(p) for kind, p in zip(kinds, parts))))
         except ValueError as e:
             raise RecordsFormatError(f"records row {row}: {e}") from e
+        if not np.isfinite(out[-1].value):
+            raise RecordsFormatError(f"records row {row}: value {out[-1].value} is not finite")
     return out
 
 

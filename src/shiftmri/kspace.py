@@ -10,13 +10,15 @@ The centered transforms act on the last two axes of any (..., h, w) stack.
 Each runs as two 1-D passes, axis -1 then axis -2, the order np.fft.fft2
 uses, so every slice is byte-identical to a per-slice fft2 of the same data.
 The forward and adjoint operators take an Encoding bound to one set of coil
-maps and one mask, and run their own passes over the whole coil stack, one
-of the two on the sampled columns only.
+maps and one mask, and are E = M F S and E^H written as their definitions:
+fft2c of the coil images with the unsampled columns zeroed, and the coil sum
+of conj(S_i) times ifft2c of the masked k-space.
 
-They also take a HybridEncoding, which FISTA alone uses, bound to one
-measurement for one solve. Masks sample whole columns, so E = F_h M F_w S
-with F_h the centered transform along h, and since F_h is unitary the data
-term and its gradient need no pass along h:
+They also take a HybridEncoding, an Encoding bound to one measurement for
+one solve: FISTA runs on it, and VarNet forms its first image E^H y through
+it. Masks sample whole columns, so E = F_h M F_w S with F_h the centered
+transform along h, and since F_h is unitary the data term and its gradient
+need no pass along h:
 ||E x - y|| = ||B x - y_h|| and E^H (E x - y) = B^H (B x - y_h), with
 B = M F_w S and y_h = F_h^H y on the sampled columns. M F_w is a pruned DFT
 (Markel 1971): only n_sampled of its w outputs are kept, so B applies it as
@@ -231,17 +233,26 @@ class NoiseModel:
             raise ValueError("sigma must be finite and >= 0")
 
 
-class _CoilBinding:
-    """The coil count and extents of one set of coil maps bound to one mask,
-    and the shape checks the operators run against them."""
+class Encoding:
+    """The multi-coil encoding operator E = M F S for one set of coil maps and
+    one column mask, bound once per solve for apply_forward and apply_adjoint,
+    with the shape checks the operators run against it.
+
+    It holds read-only copies of the maps (`sens`) and their conjugates
+    (`conj`) in the image's centered order, and the sampled columns (`cols`).
+    """
 
     def __init__(self, sens: np.ndarray, mask: SamplingMask):
+        sens = np.array(sens, dtype=np.complex128)  # a copy: it is made read-only
         if sens.ndim != 3:
             raise ValueError(f"sensitivities must be a (coils, h, w) stack, got shape {sens.shape}")
         self.coils, h, w = sens.shape
         self.extents = (h, w)
         if mask.width != w:
             raise ValueError(f"mask width {mask.width} != k-space width {w}")
+        self.sens = _read_only(sens)
+        self.conj = _read_only(np.conj(sens))
+        self.cols = _read_only(np.flatnonzero(mask.sampled))
 
     def check(self, x: np.ndarray) -> None:
         """x is an (h, w) image or a (coils, h, w) k-space stack."""
@@ -251,50 +262,24 @@ class _CoilBinding:
             raise ValueError(f"k-space has {x.shape[0]} coils, sensitivities {self.coils}")
 
 
-class Encoding(_CoilBinding):
-    """The multi-coil encoding operator E = M F S for one set of coil maps and
-    one column mask, bound once per solve for apply_forward and apply_adjoint.
-
-    It holds the maps in uncentered (ifftshifted) order and their conjugates,
-    so neither operator shifts the coil stack, and the sampled columns in
-    uncentered order (`cols_u`) and centered order (`cols`). A shift is a
-    permutation, so products formed in uncentered order hold the same bytes.
-    Its arrays are read-only.
-    """
-
-    def __init__(self, sens: np.ndarray, mask: SamplingMask):
-        sens = np.asarray(sens, dtype=np.complex128)
-        super().__init__(sens, mask)
-        self.sens_u = _read_only(np.fft.ifftshift(sens, axes=(-2, -1)))
-        self.conj_u = _read_only(np.conj(self.sens_u))
-        self.cols_u = _read_only(np.flatnonzero(np.fft.ifftshift(mask.sampled)))
-        w = self.extents[1]
-        self.cols = _read_only((self.cols_u + w // 2) % w)
-
-
-class HybridEncoding(_CoilBinding):
+class HybridEncoding(Encoding):
     """B = M F_w S with y_h = F_h^H y, bound to one measurement for one solve.
 
     `dft` is the (w, n_sampled) matrix of the centered unitary DFT's columns
     at the sampled frequencies `cols`, so B x is (S_i x) @ dft for every
     coil, and `idft` is its conjugate transpose. Centering along w is folded
-    into both, and the maps (`sens`, `conj`) and `y_h`, the inverse centered
-    transform along h of y's sampled columns, keep the image's row order, so
-    no plane is shifted per call. y's unsampled columns are not measurements
-    and are ignored, as apply_adjoint ignores them. Its arrays are read-only;
-    the maps are its own copy, as a solve builds no Encoding.
+    into both, and `y_h`, the inverse centered transform along h of y's
+    sampled columns, keeps the image's row order, so no plane is shifted per
+    call. y's unsampled columns are not measurements and are ignored, as
+    apply_adjoint ignores them. Its arrays are read-only.
     """
 
     def __init__(self, sens: np.ndarray, mask: SamplingMask, y: np.ndarray):
-        sens = np.array(sens, dtype=np.complex128)  # a copy: it is made read-only
         super().__init__(sens, mask)
         y = np.asarray(y, dtype=np.complex128)
         if y.ndim != 3:
             raise ValueError(f"k-space must be a (coils, h, w) stack, got shape {y.shape}")
         self.check(y)
-        self.sens = _read_only(sens)
-        self.conj = _read_only(np.conj(sens))
-        self.cols = _read_only(np.flatnonzero(mask.sampled))
         self.dft = _read_only(fft1c(np.eye(mask.width), -1)[:, self.cols])
         self.idft = _read_only(np.ascontiguousarray(np.conj(self.dft).T))
         self.y_h = _read_only(ifft1c(y[..., self.cols], -2))
@@ -305,14 +290,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _coil_row_pass(sens_u: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sens_u * x, with the image plane shifted into the maps' uncentered
-    order, then the row pass (axis -1) in place."""
-    k = sens_u * np.fft.ifftshift(x, axes=(-2, -1))
-    np.fft.fft(k, axis=-1, norm="ortho", out=k)
-    return k
-
-
 def _coil_sum(k: np.ndarray, conj: np.ndarray) -> np.ndarray:
     """sum_i conj[i] * k[i], in coil order."""
     out = np.zeros(k.shape[-2:], dtype=np.complex128)
@@ -321,13 +298,9 @@ def _coil_sum(k: np.ndarray, conj: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_forward(x: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
-    """Masked per-coil k-space of the image; unsampled columns are exactly zero.
-
-    fft2c of the whole coil stack, pruned: the row pass (axis -1) covers
-    every row, the column pass (axis -2) only the sampled columns, which are
-    then scattered into zeroed k-space. Only the image plane is shifted in;
-    sampled values equal fft2c's bytes.
+def apply_forward(x: np.ndarray, enc: Encoding) -> np.ndarray:
+    """Masked per-coil k-space of the image, fft2c(S_i x) for every coil, with
+    the unsampled columns set to exactly zero.
 
     With a HybridEncoding it returns B x, a (coils, h, n_sampled) array laid
     out like enc.y_h: the coil images times enc.dft, as one GEMM over every
@@ -339,23 +312,16 @@ def apply_forward(x: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
             raise ValueError(f"image shape {x.shape} != operator extents {enc.extents}")
         return ((enc.sens * x).reshape(-1, x.shape[-1]) @ enc.dft).reshape(enc.y_h.shape)
     enc.check(x)
-    k = _coil_row_pass(enc.sens_u, x)
-    kept = np.fft.fft(k[..., enc.cols_u], axis=-2, norm="ortho")
-    k.fill(0)  # reused as the output: one full-size array per call
-    k[..., enc.cols] = np.fft.fftshift(kept, axes=-2)
+    k = fft2c(enc.sens * x)
+    kept = k[..., enc.cols]
+    k.fill(0)
+    k[..., enc.cols] = kept
     return k
 
 
-def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
-    """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i), pruned.
-
-    The column pass (axis -2) runs first and on the sampled columns only,
-    which are then scattered into zeroed uncentered k-space for the row pass
-    (axis -1). The coils are summed in uncentered order, in coil order, and
-    only the summed plane is shifted back. The pass order is the reverse of
-    ifft2c's, so values agree with ifft2c's to rounding, not byte for byte.
-    When every column is sampled the gather and scatter are skipped; the
-    bytes are the same.
+def apply_adjoint(y: np.ndarray, enc: Encoding) -> np.ndarray:
+    """Coil-combined image sum_i conj(S_i) * ifft2c(M y_i), in coil order.
+    Only y's sampled columns are read.
 
     With a HybridEncoding, y is a (coils, h, n_sampled) residual laid out
     like enc.y_h, and the result is B^H y: y times enc.idft, as one GEMM over
@@ -368,16 +334,9 @@ def apply_adjoint(y: np.ndarray, enc: Encoding | HybridEncoding) -> np.ndarray:
         k = y.reshape(-1, y.shape[-1]) @ enc.idft
         return _coil_sum(k.reshape(enc.sens.shape), enc.conj)
     enc.check(y)
-    if enc.cols.size == enc.extents[1]:
-        k = np.fft.ifftshift(y, axes=(-2, -1))
-        np.fft.ifft(k, axis=-2, norm="ortho", out=k)
-    else:
-        kept = np.fft.ifftshift(y[..., enc.cols], axes=-2)
-        np.fft.ifft(kept, axis=-2, norm="ortho", out=kept)
-        k = np.zeros(y.shape, dtype=np.complex128)
-        k[..., enc.cols_u] = kept
-    np.fft.ifft(k, axis=-1, norm="ortho", out=k)
-    return np.fft.fftshift(_coil_sum(k, enc.conj_u))
+    k = np.zeros(y.shape, dtype=np.complex128)
+    k[..., enc.cols] = y[..., enc.cols]
+    return _coil_sum(ifft2c(k), enc.conj)
 
 
 def add_noise(y: np.ndarray, mask: SamplingMask, noise: NoiseModel) -> np.ndarray:

@@ -2,12 +2,14 @@
 
 Two models: a U-net style image-domain post-processor of the zero-filled RSS
 reconstruction, and an unrolled network alternating learnable data-consistency
-steps x <- x - eta * A^H(A x - y) with a small convolutional denoiser. Both
-are built from the autodiff op set; complex images live on the tape as
-2-channel real tensors and multi-coil data as (2, coils, h, w) stacks. The
-Fourier transform inside the unroll is the exact centered unitary DFT realized
-as real constant matrix products on the 2-channel coil stack, so each cascade
-records one data-consistency graph whatever the coil count.
+steps x <- x - eta * A^H(A x - y) with a small convolutional denoiser. The
+unroll starts from A^H y, formed through one kspace.HybridEncoding as
+fista_l1 forms its first image. Both models are built from the autodiff op
+set; complex images live on the tape as 2-channel real tensors and
+multi-coil data as (2, coils, h, w) stacks. The Fourier transform inside the
+unroll is the exact centered unitary DFT realized as real constant matrix
+products on the 2-channel coil stack, so each cascade records one
+data-consistency graph whatever the coil count.
 
 A model's parameters are one float64 vector in its layer order: training,
 the optimizer and checkpoints work on the whole vector, and `split` gives the
@@ -161,7 +163,7 @@ class UnetLite(_Layout):
                 p[...] = _he_init(rng, shape, 1.0 if name == "out.w" else 2.0)
         return theta
 
-    def _check_extents(self, h, w):
+    def check_extents(self, h, w):
         div = 2**self.config.pool_levels
         if h % div or w % div:
             raise ValueError(
@@ -170,7 +172,7 @@ class UnetLite(_Layout):
     def reconstruct(self, params, y, sens, mask) -> ad.Tensor:
         zf = kspace.zero_filled_rss(y)
         h, w = zf.shape
-        self._check_extents(h, w)
+        self.check_extents(h, w)
         mean = float(zf.mean())
         std = float(zf.std())
         std = std if std > 1e-12 else 1.0
@@ -249,18 +251,18 @@ class VarnetLite(_Layout):
                 p[...] = _he_init(rng, shape)
         return theta
 
-    def _check_extents(self, h, w):
+    def check_extents(self, h, w):
         div = 2  # denoiser is pool-free; only the FFT matrices constrain extents
         if h < div or w < div:
             raise ValueError(f"extents {(h, w)} too small")
 
     def reconstruct(self, params, y, sens, mask) -> ad.Tensor:
         coils, h, w = y.shape
-        self._check_extents(h, w)
-        enc = kspace.Encoding(sens, mask)
-        x = ad.Tensor(_as2ch(kspace.apply_adjoint(y, enc)))  # checks coils too
-        s2 = ad.Tensor(_as2ch(sens))
-        sc2 = ad.Tensor(_as2ch(np.conj(sens)))
+        self.check_extents(h, w)
+        op = kspace.HybridEncoding(sens, mask, y)  # checks coils too
+        x = ad.Tensor(_as2ch(kspace.apply_adjoint(op.y_h, op)))  # E^H y, as fista_l1 starts
+        s2 = ad.Tensor(_as2ch(op.sens))
+        sc2 = ad.Tensor(_as2ch(op.conj))
         mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64),
                                           (2, coils, h, w)).copy())
         minus_y = ad.Tensor(-_as2ch(y) * mask2.data)  # so the residual below is masked

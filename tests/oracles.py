@@ -161,7 +161,9 @@ def _fft2c_per_plane(x, inverse=False):
 def varnet_per_coil_reference(config, params, y, sens, mask):
     """VarnetLite.reconstruct with one data-consistency graph per coil: each
     cascade loops over the coils and adds their A^H(A x - y) terms in coil
-    order, then applies the same denoiser and update."""
+    order, then applies the same denoiser and update. The first image A^H y
+    is formed as VarnetLite forms it, through a HybridEncoding, so the two
+    differ only in the data-consistency graph."""
     coils, h, w = y.shape
 
     def as2ch(z):
@@ -171,7 +173,8 @@ def varnet_per_coil_reference(config, params, y, sens, mask):
     s2 = [ad.Tensor(as2ch(sens[i])) for i in range(coils)]
     sc2 = [ad.Tensor(as2ch(np.conj(sens[i]))) for i in range(coils)]
     mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64), (2, h, w)).copy())
-    x = ad.Tensor(as2ch(kspace.apply_adjoint(y, kspace.Encoding(sens, mask))))
+    op = kspace.HybridEncoding(sens, mask, y)
+    x = ad.Tensor(as2ch(kspace.apply_adjoint(op.y_h, op)))
     p = iter(params)
     for _ in range(config.cascades):
         eta = next(p)

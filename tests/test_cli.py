@@ -171,7 +171,8 @@ def test_robustness_report_from_records(tmp_path, capsys):
     assert fit["residuals"][0] == pytest.approx(0.5 - (0.5 * 0.2 + 0.15))
 
 
-@pytest.mark.parametrize("damage", ["missing", "not-utf8", "short-row", "header", "value"])
+@pytest.mark.parametrize("damage", ["missing", "not-utf8", "short-row", "header", "value",
+                                    "nan", "-inf", "one-baseline-pair", "flat-baseline"])
 def test_bad_records_file_is_validation_error(tmp_path, capsys, damage):
     rec_path = tmp_path / "records.csv"
     lines = list(RECORDS)
@@ -181,14 +182,20 @@ def test_bad_records_file_is_validation_error(tmp_path, capsys, damage):
         lines[3] = "base,A,2"
     elif damage == "header":
         lines[0] = lines[0].replace("mask_seed", "seed")
-    elif damage == "value":
-        lines[3] = lines[3].replace("0.3", "high")
+    elif damage in ("value", "nan", "-inf"):
+        lines[3] = lines[3].replace("0.3", {"value": "high"}.get(damage, damage))
+    elif damage == "one-baseline-pair":
+        del lines[3:5]
+    elif damage == "flat-baseline":  # every baseline id value equal: no line to fit
+        lines[3] = lines[3].replace("0.3", "0.1")
     if damage != "missing":
         rec_path.write_bytes(("\n".join(lines) + "\n").encode(errors="surrogateescape"))
     rc = _robustness_report(rec_path)
     assert rc == 2
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.out == ""
 
 
 def test_run_template_and_determinism(tmp_path):

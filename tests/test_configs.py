@@ -2,6 +2,7 @@
 dataclass, and unknown keys are rejected the same way everywhere."""
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
@@ -299,6 +300,45 @@ def test_mistyped_spec_or_experiment_field_exits_2(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "o").exists()
 
 
+ACCEL_COMBO = {"template": "accel_combo", "seed": 0, "accelerations": [4],
+               "distributions": {"P": {"name": "P"}}}
+
+
+# Well-typed values out of range: each was once accepted or failed only after
+# data generation or training. (changes to MINIMAL_EXPERIMENT, field named)
+OUT_OF_RANGE_FIELDS = [
+    ({"train_count": 0}, "ExperimentConfig.train_count"),
+    ({"test_count": -1}, "ExperimentConfig.test_count"),
+    ({"overfit_window": 0}, "ExperimentConfig.overfit_window"),
+    ({"template": "overfit_monitor", "overfit_window": -2}, "ExperimentConfig.overfit_window"),
+    ({"skew_factor": 1}, "ExperimentConfig.skew_factor"),
+    ({"skew_factor": 0.5}, "ExperimentConfig.skew_factor"),
+    ({"lesion_amplitude": float("nan")}, "ExperimentConfig.lesion_amplitude"),
+    ({"lesion_amplitude": float("inf")}, "ExperimentConfig.lesion_amplitude"),
+    ({"seeds": [0, 1, 0]}, "ExperimentConfig.seeds"),
+    ({**ACCEL_COMBO, "accelerations": []}, "accelerations"),
+    ({"model": {"pool_levels": 3},
+      "distributions": {"P": {"name": "P"}, "Q": {"name": "Q", "extents": [36, 32]}}},
+     "model.pool_levels"),
+]
+OUT_OF_RANGE_IDS = ["train_count-0", "test_count--1", "overfit_window-0", "overfit_window--2",
+                    "skew_factor-1", "skew_factor-0.5", "lesion_amplitude-nan",
+                    "lesion_amplitude-inf", "seeds-repeated", "accelerations-empty",
+                    "pool_levels-too-deep"]
+
+
+@pytest.mark.parametrize("changes, named", OUT_OF_RANGE_FIELDS, ids=OUT_OF_RANGE_IDS)
+def test_out_of_range_field_exits_2_before_data(tmp_path, capsys, monkeypatch, changes, named):
+    config = {**MINIMAL_EXPERIMENT, **changes}
+    with pytest.raises(harness.ConfigError, match=re.escape(named)):
+        harness.ExperimentConfig.from_dict(config)
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    rc, err = _cli(tmp_path, capsys, "run", "--config", _write(tmp_path, "exp.json", config))
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 def test_int_becomes_float_where_a_float_is_declared():
     # these values reach dataset manifests, content hashes and details.json
     spec = dm.from_fields(dm.DistributionSpec, {"name": "P", "snr_db": 30})
@@ -310,10 +350,6 @@ def test_int_becomes_float_where_a_float_is_declared():
                        *cfg.train.accelerations]) == "[4.0, 8.0, 6.0, 10.0, 2.0, 4.0]"
     assert type(cfg.train.accelerations) is tuple
     assert harness.ExperimentConfig.from_dict(MINIMAL_EXPERIMENT).unseen_acceleration is None
-
-
-ACCEL_COMBO = {"template": "accel_combo", "seed": 0, "accelerations": [4],
-               "distributions": {"P": {"name": "P"}}}
 
 
 def test_accel_combo_rejects_train_accelerations(tmp_path, capsys, monkeypatch):

@@ -46,6 +46,9 @@ def test_detect_validates_traces():
         harness.detect_distributional_overfitting([1, 2], [1, 2, 3], 3, 1e-3)
     with pytest.raises(ValueError):
         harness.detect_distributional_overfitting([1, 2, 3], [1, 2, 3], 3, 1e-3)
+    for window in (0, -2):  # a window of -2 once recommended stopping at epoch -2
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            harness.detect_distributional_overfitting([1, 2, 3], [1, 2, 3], window, 1e-3)
 
 
 def test_detect_matches_scan_oracle_on_200_planted_traces():

@@ -230,30 +230,20 @@ def test_stacked_fft2c_bytes_equal_per_slice_reference(extents, depth):
         assert fn(x[0]).tobytes() == ref[0].tobytes()
 
 
-def _ifft2c_columns_first(k):
-    """Centered inverse 2D DFT, column pass (axis 0) before row pass (axis 1)."""
-    u = np.fft.ifft(np.fft.ifftshift(k), axis=0, norm="ortho")
-    return np.fft.fftshift(np.fft.ifft(u, axis=1, norm="ortho"))
-
-
 def _check_operators(rng, x, sens, mask):
     """The bound operators against per-coil loops: the forward equals fft2c's
-    values, the adjoint the loop in its own pass order byte for byte, and
-    ifft2c's pass order to rounding."""
+    values, and the adjoint ifft2c's byte for byte."""
     enc = kspace.Encoding(sens, mask)
     ref = np.stack([_fft2c_slice(s * x) for s in sens]) * mask.sampled
     y = kspace.apply_forward(x, enc)
     assert y.dtype == np.complex128 and np.array_equal(y, ref)
     assert not y[..., ~mask.sampled].any()
     k = _complex(rng, sens.shape)
-    ref_adj = np.zeros(x.shape, dtype=np.complex128)
     ref_ifft2c = np.zeros(x.shape, dtype=np.complex128)
     for s, ks in zip(sens, k * mask.sampled):
-        ref_adj += np.conj(s) * _ifft2c_columns_first(ks)
         ref_ifft2c += np.conj(s) * _fft2c_slice(ks, inverse=True)
     adj = kspace.apply_adjoint(k, enc)
-    assert adj.tobytes() == ref_adj.tobytes()
-    assert np.linalg.norm(adj - ref_ifft2c) / np.linalg.norm(ref_ifft2c) < 1e-13
+    assert adj.tobytes() == ref_ifft2c.tobytes()
     lhs, rhs = np.vdot(y, k), np.vdot(x, adj)
     assert abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(k)) < 1e-10
     return k
@@ -281,45 +271,31 @@ def test_bound_operators_equal_per_coil_loops(extents, accel, coils):
     _check_operators(rng, x, sens, kspace.make_equispaced_mask(w, accel, 0.08, rng))
 
 
-def _gather_scatter_adjoint(y, enc):
-    """apply_adjoint's pruned path, which gathers the sampled columns for the
-    column pass and scatters them into zeroed k-space for the row pass."""
-    kept = np.fft.ifftshift(y[..., enc.cols], axes=-2)
-    np.fft.ifft(kept, axis=-2, norm="ortho", out=kept)
-    k = np.zeros(y.shape, dtype=np.complex128)
-    k[..., enc.cols_u] = kept
-    np.fft.ifft(k, axis=-1, norm="ortho", out=k)
-    out = np.zeros(enc.extents, dtype=np.complex128)
-    for i in range(enc.coils):
-        out += enc.conj_u[i] * k[i]
-    return np.fft.fftshift(out)
-
-
-@pytest.mark.parametrize("extents", [(16, 16), (33, 33), (48, 64)])
-@pytest.mark.parametrize("coils", [1, 8])
-def test_fully_sampled_adjoint_bytes_equal_gather_scatter_path(extents, coils):
-    rng = np.random.default_rng([coils, *extents])
-    h, w = extents
-    enc = kspace.Encoding(kspace.simulate_sensitivities(h, w, coils, rng=rng), kspace.full_mask(w))
-    y = _complex(rng, (coils, h, w))
-    assert kspace.apply_adjoint(y, enc).tobytes() == _gather_scatter_adjoint(y, enc).tobytes()
-
-
-def test_encoding_is_read_only_and_repeatable():
+@pytest.mark.parametrize("cls", [kspace.Encoding, kspace.HybridEncoding],
+                         ids=lambda cls: cls.__name__)
+def test_operator_is_read_only_and_repeatable(cls):
     rng = np.random.default_rng(11)
     x, sens, mask = _random_problem(rng, 24, 20, 4)
-    sens_before, sampled_before = sens.tobytes(), mask.sampled.tobytes()
-    enc = kspace.Encoding(sens, mask)
-    for name in ("sens_u", "conj_u", "cols_u", "cols"):
-        arr = getattr(enc, name)
+    y = kspace.apply_forward(x, kspace.Encoding(sens, mask)) + _complex(rng, sens.shape)
+    before = [a.tobytes() for a in (sens, mask.sampled, y)]
+    hybrid = cls is kspace.HybridEncoding
+    args = (sens, mask, y) if hybrid else (sens, mask)
+    names = ("sens", "conj", "cols") + (("dft", "idft", "y_h") if hybrid else ())
+    op = cls(*args)
+    for name in names:
+        arr = getattr(op, name)
         assert not arr.flags.writeable, name
         with pytest.raises(ValueError):
             arr[...] = 0
-    y = kspace.apply_forward(x, enc)
-    assert kspace.apply_forward(x, enc).tobytes() == y.tobytes()
-    adj = kspace.apply_adjoint(y, enc)
-    assert kspace.apply_adjoint(y, enc).tobytes() == adj.tobytes()
-    assert sens.tobytes() == sens_before and mask.sampled.tobytes() == sampled_before
+    assert sens.flags.writeable  # the operator holds its own copy of the maps
+    fx = kspace.apply_forward(x, op)
+    assert kspace.apply_forward(x, op).tobytes() == fx.tobytes()
+    adj = kspace.apply_adjoint(fx, op)
+    assert kspace.apply_adjoint(fx, op).tobytes() == adj.tobytes()
+    assert [a.tobytes() for a in (sens, mask.sampled, y)] == before
+    again = cls(*args)
+    for name in names:
+        assert getattr(again, name).tobytes() == getattr(op, name).tobytes(), name
 
 
 def test_operators_reject_mismatched_extents():
@@ -402,26 +378,6 @@ def test_hybrid_gemm_matches_fft_reference(extents, accel, coils):
     r = _complex(rng, op.y_h.shape)
     assert _rel(kspace.apply_forward(x, op), forward(x)) < 1e-13
     assert _rel(kspace.apply_adjoint(r, op), adjoint(r)) < 1e-13
-
-
-def test_hybrid_is_read_only_and_repeatable():
-    rng = np.random.default_rng(12)
-    x, sens, mask = _random_problem(rng, 24, 20, 4)
-    y = kspace.apply_forward(x, kspace.Encoding(sens, mask))
-    y_before = y.tobytes()
-    op = kspace.HybridEncoding(sens, mask, y)
-    for name in ("sens", "conj", "cols", "dft", "idft", "y_h"):
-        arr = getattr(op, name)
-        assert not arr.flags.writeable, name
-        with pytest.raises(ValueError):
-            arr[...] = 0
-    assert sens.flags.writeable  # the operator holds its own copy of the maps
-    bx = kspace.apply_forward(x, op)
-    assert kspace.apply_forward(x, op).tobytes() == bx.tobytes()
-    adj = kspace.apply_adjoint(bx, op)
-    assert kspace.apply_adjoint(bx, op).tobytes() == adj.tobytes()
-    assert y.tobytes() == y_before
-    assert kspace.HybridEncoding(sens, mask, y).y_h.tobytes() == op.y_h.tobytes()
 
 
 def test_hybrid_rejects_mismatched_shapes():

@@ -51,6 +51,24 @@ def test_varnet_single_cascade_full_mask_is_adjoint():
     np.testing.assert_allclose(out.data, np.abs(item.image), atol=1e-10)
 
 
+def test_varnet_with_zero_steps_returns_the_image_fista_starts_from():
+    """At its initial parameters the denoisers output zero, so with every eta
+    set to 0 the unroll returns |E^H y|, formed as fista_l1 forms its first
+    image: B^H y_h through a HybridEncoding."""
+    model = learned.construct_model(VARNET)
+    theta = model.init_params()
+    for (name, _), p in zip(model.layer_shapes, model.split(theta)):
+        if name.endswith(".eta"):
+            p[...] = 0.0
+    item = small_dataset(seed=5).items[0]
+    mask = kspace.mask_for_volume(32, 4, 0.08, 0, 0)
+    y = dm.simulate_measurements(item, mask, 1)
+    out = model.reconstruct([ad.Tensor(p) for p in model.split(theta)], y, item.sens, mask).data
+    op = kspace.HybridEncoding(item.sens, mask, y)
+    ref = np.abs(kspace.apply_adjoint(op.y_h, op))
+    assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(ref)
+
+
 def _varnet_problem(coils, seed, extents=(16, 24), cascades=3):
     """A VarnetLite with every parameter perturbed off its initialization
     (so the denoisers pass gradients), and noisy measurements for it."""
