@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +52,13 @@ def from_fields(cls, d: dict):
 
 
 def _read(tp, value, where: str):
-    """`value` read as the annotation `tp`: `X | None`, `list[X]`, a tuple from
-    a JSON list (of its length if fixed), `dict[K, V]`, a dataclass from a JSON
-    object, or a plain type. An int passes as a float and becomes one; a bool
-    is never a number. Any other value raises TypeError naming `where`."""
+    """`value` read as the annotation `tp`: `X | None`, `list[X]`, a tuple from a JSON
+    list (of its length if fixed), `dict[K, V]`, a dataclass from a JSON object, a plain
+    type, or a `Literal` as its choices' type. An int passes as a float and becomes one;
+    a bool is never a number. Any other value raises TypeError naming `where`."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is typing.Literal:
+        return _read(type(args[0]), value, where)
     if type(None) in args:
         return None if value is None else _read(args[0], value, where)
     if origin in (list, tuple):
@@ -77,32 +79,49 @@ def _read(tp, value, where: str):
     return float(value) if tp is float else value
 
 
+def within(interval: str, default=MISSING):
+    """A field check_fields keeps in `interval`: "[1, inf)", "(0, 1]"; "[" is closed, "(" open."""
+    return field(default=default, metadata={"within": interval})
+
+
+def check_fields(obj, error: type[Exception] = ValueError) -> None:
+    """Raise `error` naming `Class.field` at the first field of the dataclass `obj` whose value
+    is not one of its `Literal` choices or lies outside its `within` interval (NaN is in none)."""
+    hints = typing.get_type_hints(type(obj))
+    for f in fields(obj):
+        value, where = getattr(obj, f.name), f"{type(obj).__name__}.{f.name}"
+        if (typing.get_origin(hints[f.name]) is typing.Literal
+                and value not in (choices := typing.get_args(hints[f.name]))):
+            raise error(f"{where} must be one of {choices}, got {value!r}")
+        if interval := f.metadata.get("within"):
+            lo, hi = (float(end) for end in interval[1:-1].split(","))
+            if not ((lo <= value if interval[0] == "[" else lo < value)
+                    and (value <= hi if interval[-1] == "]" else value < hi)):
+                raise error(f"{where} must be in {interval}, got {value!r}")
+
+
 FORMAT_VERSION = 1
 
-SHAPE_FAMILIES = ("ellipse-phantom", "polygon-phantom", "textured-phantom")
+ShapeFamily = typing.Literal["ellipse-phantom", "polygon-phantom", "textured-phantom"]
+SHAPE_FAMILIES = typing.get_args(ShapeFamily)
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
     name: str
-    shape_family: str = "ellipse-phantom"
+    shape_family: ShapeFamily = "ellipse-phantom"
     contrast: dict = field(default_factory=lambda: {"kind": "gamma", "gamma": 1.0})
-    snr_db: float = 30.0
-    coils: int = 4
+    snr_db: float = within("(-inf, inf)", 30.0)
+    coils: int = within("[1, inf)", 4)
     extents: tuple[int, int] = (32, 32)
     seed: int = 0
 
     def __post_init__(self):
-        if self.shape_family not in SHAPE_FAMILIES:
-            raise ValueError(f"unknown shape family {self.shape_family!r}")
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
-        h, w = self.extents
-        if h < 16 or w < 16 or h % 4 or w % 4:
-            raise ValueError("extents must be >= 16 and divisible by 4")
-        if self.coils < 1:
-            raise ValueError("coils must be >= 1")
-        check_contrast(self.contrast)
+        check_fields(self)
+        if min(self.extents) < 16 or self.extents[0] % 4 or self.extents[1] % 4:
+            raise ValueError(f"DistributionSpec.extents must be >= 16 and divisible by 4, "
+                             f"got {self.extents}")
+        check_contrast(self.contrast, "DistributionSpec.contrast")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "extents": list(self.extents)}
@@ -206,41 +225,41 @@ _FAMILIES = {
 CONTRAST_KEYS = {"gamma": {"kind", "gamma"}, "piecewise": {"kind", "xs", "ys"}}
 
 
-def check_contrast(contrast) -> None:
+def check_contrast(contrast, where: str = "contrast") -> None:
     """A contrast map is {"kind": "gamma", "gamma": g} with g finite and > 0
     (kind defaults to gamma, g to 1), or {"kind": "piecewise", "xs": [...],
     "ys": [...]}: equal-length lists of finite numbers, xs strictly increasing
-    and ys non-decreasing. Anything else raises ValueError."""
+    and ys non-decreasing. Anything else raises ValueError naming `where`."""
     if not isinstance(contrast, dict):
-        raise ValueError(f"contrast must be a JSON object, got {type(contrast).__name__}")
+        raise ValueError(f"{where} must be a JSON object, got {type(contrast).__name__}")
     kind = contrast.get("kind", "gamma")
     if not isinstance(kind, str) or kind not in CONTRAST_KEYS:
-        raise ValueError(f"unknown contrast kind {kind!r}; valid: {sorted(CONTRAST_KEYS)}")
+        raise ValueError(f"{where} kind {kind!r} is unknown; valid: {sorted(CONTRAST_KEYS)}")
     unknown = set(contrast) - CONTRAST_KEYS[kind]
     if unknown:
-        raise ValueError(f"unknown {kind} contrast keys {sorted(unknown)}")
+        raise ValueError(f"{where} has unknown {kind} keys {sorted(unknown)}")
     if kind == "gamma":
-        gamma = _finite_array(contrast.get("gamma", 1.0), "gamma")
+        gamma = _finite_array(contrast.get("gamma", 1.0), f"{where} gamma")
         if gamma.ndim != 0 or not gamma > 0:
-            raise ValueError(f"contrast gamma must be a number > 0, got {contrast['gamma']!r}")
+            raise ValueError(f"{where} gamma must be a number > 0, got {contrast['gamma']!r}")
         return
     missing = {"xs", "ys"} - set(contrast)
     if missing:
-        raise ValueError(f"piecewise contrast needs keys {sorted(missing)}")
-    xs, ys = _finite_array(contrast["xs"], "xs"), _finite_array(contrast["ys"], "ys")
+        raise ValueError(f"{where} of kind piecewise needs keys {sorted(missing)}")
+    xs, ys = (_finite_array(contrast[k], f"{where} {k}") for k in ("xs", "ys"))
     if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
-        raise ValueError("piecewise contrast xs and ys must be non-empty lists of equal length")
+        raise ValueError(f"{where} xs and ys must be non-empty lists of equal length")
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0):
-        raise ValueError("piecewise contrast map must be monotone")
+        raise ValueError(f"{where} map must be monotone")
 
 
 def _finite_array(value, name: str) -> np.ndarray:
     try:
         a = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError) as e:
-        raise ValueError(f"contrast {name} must be numeric, got {value!r}") from e
+        raise ValueError(f"{name} must be numeric, got {value!r}") from e
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"contrast {name} must be finite, got {value!r}")
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return a
 
 
@@ -319,8 +338,6 @@ def subsample(dataset: Dataset, fraction: float, rng: np.random.Generator) -> Da
 
 def skew(d_large: Dataset, factor: float, seed: int = 0):
     """Return (d_large, d_small) with |d_small| = round(|d_large| / factor)."""
-    if factor <= 1:
-        raise ValueError("skew factor must exceed 1")
     count = int(np.floor(len(d_large.items) / factor + 0.5))
     if count < 1:
         raise ValueError("skewed set would be empty")
@@ -585,57 +602,3 @@ def content_hash(dataset: Dataset) -> str:
         if item.lesion:
             digest.update(json.dumps(asdict(item.lesion), sort_keys=True).encode())
     return digest.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Raw-volume ingestion.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RawVolumeDescriptor:
-    """Layout of a raw little-endian complex128 file.
-
-    kind "3d_kspace": extents (d0, d1, d2); 2D views are synthesized with a
-    1D IFFT along `axis` and sliced. kind "2d_stack": extents (n, h, w) of
-    ready 2D k-spaces. trim = (leading, trailing) slices to drop.
-    """
-
-    extents: tuple[int, ...]
-    kind: str = "3d_kspace"
-    axis: int = 0
-    trim: tuple[int, int] = (0, 0)
-    name: str = "ingested"
-    snr_db: float = 60.0
-
-
-def ingest_raw_volume(path: str | Path, descriptor: RawVolumeDescriptor) -> Dataset:
-    try:
-        raw = np.fromfile(str(path), dtype="<c16")
-    except OSError as e:
-        raise DatasetFormatError(f"no readable raw volume at {path}: {e.strerror}") from e
-    expected = int(np.prod(descriptor.extents))
-    if raw.size != expected:
-        raise DatasetFormatError(
-            f"payload holds {raw.size} values, descriptor declares {expected}")
-    if not np.isfinite(raw).all():
-        raise DatasetFormatError(f"payload value {np.argmin(np.isfinite(raw))} is not finite")
-    volume = raw.reshape(descriptor.extents)
-    if descriptor.kind == "3d_kspace":
-        slices = kspace.views_from_3d(volume, descriptor.axis)
-    elif descriptor.kind == "2d_stack":
-        slices = [volume[i] for i in range(volume.shape[0])]
-    else:
-        raise ValueError(f"unknown raw volume kind {descriptor.kind!r}")
-    lo, hi = descriptor.trim
-    if lo + hi >= len(slices):
-        raise DatasetFormatError("trim removes every slice")
-    slices = slices[lo : len(slices) - hi] if hi else slices[lo:]
-    items = []
-    for ks in slices:
-        image = kspace.ifft2c(ks)
-        h, w = image.shape
-        items.append(Item(image, kspace.unit_sensitivities(h, w, 1),
-                          descriptor.name, descriptor.snr_db))
-    spec_meta = {"name": descriptor.name, "ingested": True, "snr_db": descriptor.snr_db}
-    return Dataset(descriptor.name, items, {descriptor.name: spec_meta})

@@ -31,29 +31,32 @@ from .metrics import ssim
 # Orthonormal Haar transform, packed layout (LL in the top-left quadrant).
 # ---------------------------------------------------------------------------
 
-_SQRT2 = np.sqrt(2.0)
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def _haar_step(block: np.ndarray) -> np.ndarray:
-    lo_r = (block[0::2] + block[1::2]) / _SQRT2
-    hi_r = (block[0::2] - block[1::2]) / _SQRT2
-    rows = np.concatenate([lo_r, hi_r], axis=0)
-    lo_c = (rows[:, 0::2] + rows[:, 1::2]) / _SQRT2
-    hi_c = (rows[:, 0::2] - rows[:, 1::2]) / _SQRT2
-    return np.concatenate([lo_c, hi_c], axis=1)
+def _haar_step(block: np.ndarray, out: np.ndarray) -> None:
+    """One Haar level of `block` into `out`, which may be `block` itself, each
+    subband into its quadrant. On complex input, multiplying by 1/sqrt(2) is
+    what numpy's division by sqrt(2) computes."""
+    h, w = block.shape[0] // 2, block.shape[1] // 2
+    for rows, half in ((block[0::2] + block[1::2], slice(None, h)),
+                       (block[0::2] - block[1::2], slice(h, None))):
+        rows *= _INV_SQRT2
+        np.add(rows[:, 0::2], rows[:, 1::2], out=out[half, :w])
+        np.subtract(rows[:, 0::2], rows[:, 1::2], out=out[half, w:])
+    out *= _INV_SQRT2
 
 
-def _haar_step_inv(block: np.ndarray) -> np.ndarray:
-    h, w = block.shape
-    lo_c, hi_c = block[:, : w // 2], block[:, w // 2 :]
+def _haar_step_inv(block: np.ndarray) -> None:
+    """The inverse of _haar_step, in place."""
+    h, w = block.shape[0] // 2, block.shape[1] // 2
     rows = np.empty_like(block)
-    rows[:, 0::2] = (lo_c + hi_c) / _SQRT2
-    rows[:, 1::2] = (lo_c - hi_c) / _SQRT2
-    lo_r, hi_r = rows[: h // 2], rows[h // 2 :]
-    out = np.empty_like(block)
-    out[0::2] = (lo_r + hi_r) / _SQRT2
-    out[1::2] = (lo_r - hi_r) / _SQRT2
-    return out
+    np.add(block[:, :w], block[:, w:], out=rows[:, 0::2])
+    np.subtract(block[:, :w], block[:, w:], out=rows[:, 1::2])
+    rows *= _INV_SQRT2
+    np.add(rows[:h], rows[h:], out=block[0::2])
+    np.subtract(rows[:h], rows[h:], out=block[1::2])
+    block *= _INV_SQRT2
 
 
 def _check_levels(shape, levels):
@@ -73,11 +76,11 @@ def _as_inexact(a: np.ndarray) -> np.ndarray:
 def haar_dwt(image: np.ndarray, levels: int) -> np.ndarray:
     image = _as_inexact(image)
     _check_levels(image.shape, levels)
-    out = image.copy()
-    h, w = image.shape
-    for _ in range(levels):
-        out[:h, :w] = _haar_step(out[:h, :w])
-        h, w = h // 2, w // 2
+    out = np.empty_like(image)
+    _haar_step(image, out)
+    for k in range(1, levels):
+        h, w = image.shape[0] >> k, image.shape[1] >> k
+        _haar_step(out[:h, :w], out[:h, :w])
     return out
 
 
@@ -85,9 +88,8 @@ def haar_idwt(coeffs: np.ndarray, levels: int) -> np.ndarray:
     coeffs = _as_inexact(coeffs)
     _check_levels(coeffs.shape, levels)
     out = coeffs.copy()
-    sizes = [(coeffs.shape[0] >> k, coeffs.shape[1] >> k) for k in range(levels)]
-    for h, w in reversed(sizes):
-        out[:h, :w] = _haar_step_inv(out[:h, :w])
+    for k in reversed(range(levels)):
+        _haar_step_inv(out[: out.shape[0] >> k, : out.shape[1] >> k])
     return out
 
 
@@ -107,22 +109,14 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass
 class FistaConfig:
-    lam: float = 1e-3
-    max_iters: int = 200
-    step_size: float = 1.0  # 1/L; A^H A has norm <= 1 here
-    tolerance: float = 1e-6  # relative objective change
-    wavelet_levels: int = 2
+    lam: float = datamod.within("[0, inf)", 1e-3)
+    max_iters: int = datamod.within("[1, inf)", 200)
+    step_size: float = datamod.within("(0, inf)", 1.0)  # 1/L; A^H A has norm <= 1 here
+    tolerance: float = datamod.within("[0, inf)", 1e-6)  # relative objective change
+    wavelet_levels: int = datamod.within("[1, inf)", 2)
 
     def __post_init__(self):
-        # written as negations so that NaN fails every check
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise ValueError(f"step_size must be finite and > 0, got {self.step_size!r}")
-        if not (np.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance!r}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        datamod.check_fields(self)
 
 
 @dataclass

@@ -96,51 +96,46 @@ class ExperimentConfig:
     distributions: dict[str, datamod.DistributionSpec] = field(default_factory=dict)
     sources: list[datamod.DistributionSpec] = field(default_factory=list)
     target: datamod.DistributionSpec | None = None
-    train_count: int = 16
-    test_count: int = 8
+    train_count: int = datamod.within("[1, inf)", 16)
+    test_count: int = datamod.within("[1, inf)", 8)
     seeds: list[int] = field(default_factory=list)  # multi-seed band runs
     accelerations: list[float] = field(default_factory=lambda: [4.0])
     unseen_acceleration: float | None = None
-    skew_factor: float = 10.0
-    lesion_amplitude: float = 0.4
-    overfit_window: int = 3
-    overfit_eps: float = 1e-3
-    overfit_delta: float = 0.0
+    skew_factor: float = datamod.within("(1, inf)", 10.0)
+    lesion_amplitude: float = datamod.within("(-inf, inf)", 0.4)
+    overfit_window: int = datamod.within("[1, inf)", 3)
+    overfit_eps: float = datamod.within("(-inf, inf)", 1e-3)
+    overfit_delta: float = datamod.within("(-inf, inf)", 0.0)
     out: str | None = None
     raw: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        datamod.check_fields(self, ConfigError)
         if self.template not in TEMPLATES:
-            raise ConfigError(f"unknown template {self.template!r}; valid: {tuple(TEMPLATES)}")
-        for name in ("train_count", "test_count", "overfit_window"):
-            if (value := getattr(self, name)) < 1:
-                raise ConfigError(f"ExperimentConfig.{name} must be >= 1, got {value}")
-        if not self.skew_factor > 1:
-            raise ConfigError(f"ExperimentConfig.skew_factor must exceed 1, got {self.skew_factor}")
-        if not np.isfinite(self.lesion_amplitude):
-            raise ConfigError(f"ExperimentConfig.lesion_amplitude must be finite, "
-                              f"got {self.lesion_amplitude}")
+            raise ConfigError(f"ExperimentConfig.template must be one of {tuple(TEMPLATES)}, "
+                              f"got {self.template!r}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"ExperimentConfig.seeds must not repeat a seed, got {self.seeds}")
         for need in TEMPLATES[self.template][1]:
             if need in DISTRIBUTION_KEYS and need not in self.distributions:
-                raise ConfigError(f"template {self.template!r} needs distribution {need!r}")
+                raise ConfigError(f"ExperimentConfig.distributions lacks distribution {need!r}")
             if need not in DISTRIBUTION_KEYS and not getattr(self, need):
-                raise ConfigError(f"template {self.template!r} needs {need}")
-        # accel_combo's own `accelerations` field says what each model trains at
+                raise ConfigError(f"ExperimentConfig.{need} must not be empty for {self.template}")
         if self.template == "accel_combo" and self.train.accelerations is not None:
-            raise ConfigError("accel_combo sets each model's training accelerations from "
-                              "its own 'accelerations'; remove train.accelerations")
-        # the overfitting scan needs window + 1 epochs; fail before training
-        if self.template == "overfit_monitor" and self.train.epochs < self.overfit_window + 1:
-            raise ConfigError(f"overfit_monitor needs train.epochs >= overfit_window + 1 = "
-                              f"{self.overfit_window + 1}, got {self.train.epochs}")
+            raise ConfigError("ExperimentConfig.train.accelerations must be unset for "
+                              "accel_combo, which trains each model at its own 'accelerations'")
+        # epochs the overfitting scan and the effective-robustness fit need
+        why, least = {"overfit_monitor": ("overfit_window + 1 = ", self.overfit_window + 1),
+                      "diversity_robustness": ("", 2)}.get(self.template, ("", 0))
+        if self.train.epochs < least:
+            raise ConfigError(f"ExperimentConfig.train.epochs must be >= {why}{least} for "
+                              f"{self.template}, got {self.train.epochs}")
         # pathology puts scoreable (SCOREABLE_MIN_SIDE) small-class lesions into Q,
         # which defaults to P; fail before any data is generated
         if self.template == "pathology":
             for key, spec in self.distributions.items():
                 if key in DISTRIBUTION_KEYS and not datamod.small_lesion_fits(*spec.extents):
-                    raise ConfigError(f"pathology distribution {key!r} extents "
+                    raise ConfigError(f"ExperimentConfig.distributions {key!r} extents "
                                       f"{spec.extents[0]}x{spec.extents[1]} are too small "
                                       f"for a small-class lesion (need height * width >= "
                                       f"{100 * datamod.SCOREABLE_MIN_SIDE ** 2})")
@@ -154,8 +149,8 @@ class ExperimentConfig:
             try:
                 model.check_extents(*spec.extents)
             except ValueError as e:
-                raise ConfigError(f"model.pool_levels {self.model.pool_levels} on distribution "
-                                  f"{spec.name!r}: {e}") from e
+                raise ConfigError(f"ExperimentConfig.model.pool_levels {self.model.pool_levels} "
+                                  f"on distribution {spec.name!r}: {e}") from e
             width = spec.extents[1]
             for r in accels:
                 try:

@@ -212,12 +212,6 @@ def simulate_sensitivities(height: int, width: int, coils: int, smoothness: floa
     return maps / norm
 
 
-def unit_sensitivities(height: int, width: int, coils: int = 1) -> np.ndarray:
-    s = np.zeros((coils, height, width), dtype=np.complex128)
-    s[:] = 1.0 / np.sqrt(coils)
-    return s
-
-
 # ---------------------------------------------------------------------------
 # Forward model y_i = M F S_i x + z_i and its adjoint.
 # ---------------------------------------------------------------------------
@@ -230,7 +224,7 @@ class NoiseModel:
 
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError("sigma must be finite and >= 0")
+            raise ValueError(f"NoiseModel.sigma must be finite and >= 0, got {self.sigma!r}")
 
 
 class Encoding:

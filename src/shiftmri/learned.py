@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import struct
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -43,20 +44,15 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class ModelConfig:
-    kind: str = "unet_lite"  # or "varnet_lite"
-    channels: int = 8  # first-level channel count (unet) / ignored by varnet
-    pool_levels: int = 2
-    cascades: int = 3  # varnet only
-    denoiser_channels: int = 6  # varnet only
+    kind: typing.Literal["unet_lite", "varnet_lite"] = "unet_lite"
+    channels: int = datamod.within("[1, inf)", 8)  # first-level channels; unet only
+    pool_levels: int = datamod.within("[1, inf)", 2)
+    cascades: int = datamod.within("[1, inf)", 3)  # varnet only
+    denoiser_channels: int = datamod.within("[1, inf)", 6)  # varnet only
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("unet_lite", "varnet_lite"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.pool_levels < 1 or self.channels < 1:
-            raise ValueError("pool_levels and channels must be >= 1")
-        if self.kind == "varnet_lite" and self.cascades < 1:
-            raise ValueError("cascades must be >= 1")
+        datamod.check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -64,37 +60,26 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 4
-    batch_size: int = 1
-    optimizer: str = "adam"  # or "sgd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    momentum: float = 0.0  # sgd only
-    lr_max: float = 1e-3
-    lr_min: float = 4e-5
-    warmup_fraction: float = 0.01
-    clip_norm: float = 1.0
-    loss: str = "one_minus_ssim"  # or "mse"
+    epochs: int = datamod.within("[0, inf)", 4)
+    batch_size: int = datamod.within("[1, inf)", 1)
+    optimizer: typing.Literal["adam", "sgd"] = "adam"
+    beta1: float = datamod.within("[0, 1)", 0.9)
+    beta2: float = datamod.within("[0, 1)", 0.999)
+    momentum: float = datamod.within("[0, inf)", 0.0)  # sgd only
+    lr_max: float = datamod.within("(0, inf)", 1e-3)
+    lr_min: float = datamod.within("(0, inf)", 4e-5)
+    warmup_fraction: float = datamod.within("[0, 1]", 0.01)
+    clip_norm: float = datamod.within("(0, inf)", 1.0)
+    loss: typing.Literal["one_minus_ssim", "mse"] = "one_minus_ssim"
     acceleration: float = 4.0
     center_fraction: float = 0.08
     accelerations: tuple[float, ...] | None = None  # per-batch sampling when set
     seed: int = 0
 
     def __post_init__(self):
-        for name, top in (("beta1", 1), ("beta2", 1), ("momentum", math.inf),
-                          ("lr_max", math.inf), ("lr_min", math.inf), ("clip_norm", math.inf)):
-            if not 0 <= getattr(self, name) < top:  # NaN fails too
-                raise ValueError(f"{name} must be in [0, {top}), got {getattr(self, name)!r}")
-        if not (0 <= self.warmup_fraction <= 1):
-            raise ValueError("warmup_fraction must be in [0, 1]")
-        if self.clip_norm <= 0 or self.lr_max < self.lr_min or self.lr_min <= 0:
-            raise ValueError("need clip_norm > 0 and lr_max >= lr_min > 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in ("one_minus_ssim", "mse"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size >= 1 and epochs >= 0 required")
+        datamod.check_fields(self)
+        if self.lr_max < self.lr_min:
+            raise ValueError(f"TrainConfig.lr_max must be >= lr_min, got {self.lr_max!r}")
 
 
 def learning_rate_at(step: int, total_steps: int, config: TrainConfig) -> float:

@@ -28,7 +28,7 @@ class SsimConfig:
 
     def __post_init__(self):
         if self.window < 3 or self.window % 2 == 0:
-            raise ValueError(f"window must be odd and >= 3, got {self.window}")
+            raise ValueError(f"SsimConfig.window must be odd and >= 3, got {self.window}")
 
 
 DEFAULT_SSIM = SsimConfig()

@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import check_fields, within
+
 # Rows drawn and scored at a time. At n=64, d=4 it keeps y @ U above 10^6
 # multiply-adds, below which OpenBLAS uses small-matrix kernels that round
 # differently, so the blocks keep the whole-array products' bytes.
@@ -25,16 +27,15 @@ BLOCK_ROWS = 4096
 @dataclass(frozen=True)
 class SubspaceWorld:
     n: int
-    d: int
-    sigma_p: float
-    sigma_q: float
+    d: int = within("[1, inf)")
+    sigma_p: float = within("[0, inf)")
+    sigma_q: float = within("[0, inf)")
     seed: int = 0
 
     def __post_init__(self):
-        if not (1 <= self.d < self.n):
-            raise ValueError("need 1 <= d < n")
-        if not all(np.isfinite(s) and s >= 0 for s in (self.sigma_p, self.sigma_q)):
-            raise ValueError("noise stds must be finite and >= 0")
+        check_fields(self)
+        if not self.d < self.n:
+            raise ValueError(f"SubspaceWorld.d must be < n = {self.n}, got {self.d}")
 
     @cached_property
     def basis(self) -> np.ndarray:

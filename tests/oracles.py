@@ -43,6 +43,11 @@ def ssim_reference(x, y, window=7, k1=0.01, k2=0.03, data_range=None):
     return float(np.mean(vals))
 
 
+def unit_sensitivities(height, width, coils=1):
+    """Flat coil maps with sum_i |S_i|^2 = 1."""
+    return np.full((coils, height, width), 1.0 / np.sqrt(coils), dtype=np.complex128)
+
+
 def box_sums_reference(img, k):
     """Sum of every valid k-by-k window of a 2D image: one shifted slice of
     the image added per window offset, k*k adds."""
@@ -246,6 +251,47 @@ def hybrid_fft_reference(sens, mask):
         return out
 
     return forward, adjoint
+
+
+# fista's former Haar transform: each level divides by sqrt(2) and joins its
+# subbands with concatenate, on a copy of the whole input.
+def _haar_step_reference(block):
+    lo_r = (block[0::2] + block[1::2]) / np.sqrt(2.0)
+    hi_r = (block[0::2] - block[1::2]) / np.sqrt(2.0)
+    rows = np.concatenate([lo_r, hi_r], axis=0)
+    lo_c = (rows[:, 0::2] + rows[:, 1::2]) / np.sqrt(2.0)
+    hi_c = (rows[:, 0::2] - rows[:, 1::2]) / np.sqrt(2.0)
+    return np.concatenate([lo_c, hi_c], axis=1)
+
+
+def _haar_step_inv_reference(block):
+    h, w = block.shape
+    lo_c, hi_c = block[:, : w // 2], block[:, w // 2 :]
+    rows = np.empty_like(block)
+    rows[:, 0::2] = (lo_c + hi_c) / np.sqrt(2.0)
+    rows[:, 1::2] = (lo_c - hi_c) / np.sqrt(2.0)
+    lo_r, hi_r = rows[: h // 2], rows[h // 2 :]
+    out = np.empty_like(block)
+    out[0::2] = (lo_r + hi_r) / np.sqrt(2.0)
+    out[1::2] = (lo_r - hi_r) / np.sqrt(2.0)
+    return out
+
+
+def haar_dwt_reference(image, levels):
+    out = np.array(image, dtype=np.complex128)
+    h, w = out.shape
+    for _ in range(levels):
+        out[:h, :w] = _haar_step_reference(out[:h, :w])
+        h, w = h // 2, w // 2
+    return out
+
+
+def haar_idwt_reference(coeffs, levels):
+    out = np.array(coeffs, dtype=np.complex128)
+    for k in reversed(range(levels)):
+        h, w = out.shape[0] >> k, out.shape[1] >> k
+        out[:h, :w] = _haar_step_inv_reference(out[:h, :w])
+    return out
 
 
 # fista_l1's former loop: the data term on full k-space through the Encoding

@@ -504,7 +504,7 @@ def test_run_missing_template_input_exits_2_before_data(tmp_path, capsys, monkey
     monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
     rc, err = _run_cli(tmp_path, capsys, {"template": case.split("-")[0], "seed": 0, **extra})
     assert rc == 2
-    assert len(err) == 1 and err[0].startswith("error: template ") and needed in err[0]
+    assert len(err) == 1 and err[0].startswith("error: ExperimentConfig.") and needed in err[0]
     assert not (tmp_path / "o").exists()
 
 

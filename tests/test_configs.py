@@ -3,7 +3,7 @@ dataclass, and unknown keys are rejected the same way everywhere."""
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -227,11 +227,11 @@ BAD_OPTIMIZER = [("beta1", 1.0), ("beta1", -1e-3), ("beta2", 1.5), ("beta2", flo
 @pytest.mark.parametrize("name, value", BAD_OPTIMIZER,
                          ids=[f"{n}-{v!r}" for n, v in BAD_OPTIMIZER])
 def test_unusable_optimizer_setting_names_the_field(name, value):
-    with pytest.raises(ValueError, match=rf"^{name} must be in \[0, "):
+    with pytest.raises(ValueError, match=rf"^TrainConfig\.{name} must be in [\[(]0, "):
         learned.TrainConfig(**{name: value})
-    with pytest.raises(ValueError, match=rf"^{name} must be in "):
+    with pytest.raises(ValueError, match=rf"^TrainConfig\.{name} must be in "):
         dm.from_fields(learned.TrainConfig, {name: value})
-    with pytest.raises(harness.ConfigError, match=rf"^{name} must be in "):
+    with pytest.raises(harness.ConfigError, match=rf"^TrainConfig\.{name} must be in "):
         harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, "train": {name: value}})
 
 
@@ -265,12 +265,18 @@ MISTYPED_FIELDS = [
 MISTYPED_FIELD_IDS = [f"{cls.__name__}-{name}-{value!r}" for cls, name, value in MISTYPED_FIELDS]
 
 
-def _mistyped_config(cls, name, value) -> dict:
-    """MINIMAL_EXPERIMENT with the field set, on itself or on distribution Q."""
+def _changes(cls, name, value) -> dict:
+    """Changes to MINIMAL_EXPERIMENT that set the field of `cls`: on the
+    experiment itself, its model or train section, or distribution Q."""
     if cls is harness.ExperimentConfig:
-        return {**MINIMAL_EXPERIMENT, name: value}
-    return {**MINIMAL_EXPERIMENT, "distributions": {"P": {"name": "P"},
-                                                    "Q": {"name": "Q", name: value}}}
+        return {name: value}
+    if cls in SECTION_CLASS.values():
+        return {"model" if cls is learned.ModelConfig else "train": {name: value}}
+    return {"distributions": {"P": {"name": "P"}, "Q": {"name": "Q", name: value}}}
+
+
+def _mistyped_config(cls, name, value) -> dict:
+    return {**MINIMAL_EXPERIMENT, **_changes(cls, name, value)}
 
 
 @pytest.mark.parametrize("cls, name, value", MISTYPED_FIELDS, ids=MISTYPED_FIELD_IDS)
@@ -316,15 +322,37 @@ OUT_OF_RANGE_FIELDS = [
     ({"lesion_amplitude": float("nan")}, "ExperimentConfig.lesion_amplitude"),
     ({"lesion_amplitude": float("inf")}, "ExperimentConfig.lesion_amplitude"),
     ({"seeds": [0, 1, 0]}, "ExperimentConfig.seeds"),
-    ({**ACCEL_COMBO, "accelerations": []}, "accelerations"),
+    ({**ACCEL_COMBO, "accelerations": []}, "ExperimentConfig.accelerations"),
     ({"model": {"pool_levels": 3},
       "distributions": {"P": {"name": "P"}, "Q": {"name": "Q", "extents": [36, 32]}}},
-     "model.pool_levels"),
+     "ExperimentConfig.model.pool_levels"),
+    ({"template": "diversity_robustness", "sources": [{"name": "S"}], "target": {"name": "T"},
+      "train": {"epochs": 1}}, "ExperimentConfig.train.epochs"),
 ]
 OUT_OF_RANGE_IDS = ["train_count-0", "test_count--1", "overfit_window-0", "overfit_window--2",
                     "skew_factor-1", "skew_factor-0.5", "lesion_amplitude-nan",
                     "lesion_amplitude-inf", "seeds-repeated", "accelerations-empty",
-                    "pool_levels-too-deep"]
+                    "pool_levels-too-deep", "diversity_robustness-epochs-1"]
+
+# (class, field, value) outside a choice or bound declared on the field
+OUT_OF_RANGE_VALUES = [
+    (learned.ModelConfig, "kind", "resnet"), (learned.ModelConfig, "channels", 0),
+    (learned.ModelConfig, "pool_levels", 0), (learned.ModelConfig, "cascades", 0),
+    (learned.ModelConfig, "denoiser_channels", 0),
+    (learned.TrainConfig, "epochs", -1), (learned.TrainConfig, "batch_size", 0),
+    (learned.TrainConfig, "optimizer", "lion"), (learned.TrainConfig, "beta1", 1.0),
+    (learned.TrainConfig, "beta2", -0.5), (learned.TrainConfig, "momentum", -0.1),
+    (learned.TrainConfig, "lr_max", 0.0), (learned.TrainConfig, "lr_min", 0.0),
+    (learned.TrainConfig, "warmup_fraction", 1.5), (learned.TrainConfig, "clip_norm", 0.0),
+    (learned.TrainConfig, "loss", "l4"),
+    (dm.DistributionSpec, "shape_family", "blob"), (dm.DistributionSpec, "snr_db", float("inf")),
+    (dm.DistributionSpec, "coils", 0),
+    (harness.ExperimentConfig, "overfit_eps", float("nan")),
+    (harness.ExperimentConfig, "overfit_delta", float("-inf")),
+]
+OUT_OF_RANGE_FIELDS += [(_changes(cls, name, value), f"{cls.__name__}.{name}")
+                        for cls, name, value in OUT_OF_RANGE_VALUES]
+OUT_OF_RANGE_IDS += [f"{cls.__name__}-{name}-{value!r}" for cls, name, value in OUT_OF_RANGE_VALUES]
 
 
 @pytest.mark.parametrize("changes, named", OUT_OF_RANGE_FIELDS, ids=OUT_OF_RANGE_IDS)
@@ -337,6 +365,23 @@ def test_out_of_range_field_exits_2_before_data(tmp_path, capsys, monkeypatch, c
     assert rc == 2
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
     assert not (tmp_path / "o").exists()
+
+
+# the cases above and the experiment's own bounds, each refused on direct construction
+CONSTRUCTED_OUT_OF_RANGE = OUT_OF_RANGE_VALUES + [
+    (harness.ExperimentConfig, "train_count", 0), (harness.ExperimentConfig, "test_count", -1),
+    (harness.ExperimentConfig, "overfit_window", 0), (harness.ExperimentConfig, "skew_factor", 1.0),
+    (harness.ExperimentConfig, "lesion_amplitude", float("nan")),
+    (harness.ExperimentConfig, "seeds", [0, 1, 0]),
+]
+
+
+@pytest.mark.parametrize("cls, name, value", CONSTRUCTED_OUT_OF_RANGE,
+                         ids=[f"{c.__name__}-{n}-{v!r}" for c, n, v in CONSTRUCTED_OUT_OF_RANGE])
+def test_out_of_range_value_is_refused_at_construction(cls, name, value):
+    error = harness.ConfigError if cls is harness.ExperimentConfig else ValueError
+    with pytest.raises(error, match=rf"^{cls.__name__}\.{name} must "):
+        replace(CASES[cls.__name__][2], **{name: value})
 
 
 def test_int_becomes_float_where_a_float_is_declared():

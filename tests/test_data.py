@@ -3,7 +3,6 @@ import pytest
 
 from shiftmri import data as dm
 from shiftmri import kspace, metrics
-from oracles import centered_idft_reference
 
 
 def spec(seed=0, **kw):
@@ -502,74 +501,3 @@ def test_load_rejects_bad_item_numbers(tmp_path, field, value):
     expected = {"offset": "offset", "height": "positive", "width": r"ItemRecord\.width "}
     with pytest.raises(dm.DatasetFormatError, match=expected[field]):
         dm.load(path)
-
-
-# ---------------------------------------------------------------------------
-# Raw volume ingestion.
-# ---------------------------------------------------------------------------
-
-
-def test_ingest_3d_with_trim(tmp_path):
-    rng = np.random.default_rng(16)
-    vol = (rng.standard_normal((10, 16, 16)) + 1j * rng.standard_normal((10, 16, 16)))
-    path = tmp_path / "vol.bin"
-    vol.astype("<c16").tofile(path)
-    desc = dm.RawVolumeDescriptor(extents=(10, 16, 16), kind="3d_kspace", axis=0,
-                                  trim=(2, 3))
-    ds = dm.ingest_raw_volume(path, desc)
-    assert len(ds.items) == 5
-
-
-def test_ingest_2d_stack_passthrough(tmp_path):
-    rng = np.random.default_rng(17)
-    stack = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
-    path = tmp_path / "stack.bin"
-    stack.astype("<c16").tofile(path)
-    desc = dm.RawVolumeDescriptor(extents=(3, 8, 8), kind="2d_stack", trim=(0, 0))
-    ds = dm.ingest_raw_volume(path, desc)
-    assert len(ds.items) == 3
-    for i, item in enumerate(ds.items):
-        np.testing.assert_allclose(item.image, kspace.ifft2c(stack[i]), atol=1e-12)
-        assert item.sens.shape == (1, 8, 8)
-
-
-def test_ingest_separable_volume_matches_views(tmp_path):
-    rng = np.random.default_rng(18)
-    f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    vol = f[:, None, None] * g[None, :, :]
-    path = tmp_path / "sep.bin"
-    vol.astype("<c16").tofile(path)
-    ds = dm.ingest_raw_volume(path, dm.RawVolumeDescriptor(extents=(4, 4, 4)))
-    f_img = centered_idft_reference(f)
-    for d, item in enumerate(ds.items):
-        np.testing.assert_allclose(item.image, kspace.ifft2c(f_img[d] * g), atol=1e-12)
-
-
-@pytest.mark.parametrize("kind, extents", [("2d_stack", (4, 8, 8)), ("3d_kspace", (4, 4, 4))])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
-def test_ingest_rejects_non_finite_payload(tmp_path, kind, extents, bad):
-    vol = np.ones(extents, dtype="<c16")
-    vol.flat[5] = bad
-    path = tmp_path / "vol.bin"
-    vol.tofile(path)
-    with pytest.raises(dm.DatasetFormatError, match="payload value 5 is not finite"):
-        dm.ingest_raw_volume(path, dm.RawVolumeDescriptor(extents=extents, kind=kind))
-
-
-def test_ingest_rejects_unreadable_path(tmp_path):
-    for path in (tmp_path / "missing.bin", tmp_path):
-        with pytest.raises(dm.DatasetFormatError, match="no readable raw volume"):
-            dm.ingest_raw_volume(path, dm.RawVolumeDescriptor(extents=(4, 4, 4)))
-
-
-def test_ingest_validates_payload(tmp_path):
-    path = tmp_path / "bad.bin"
-    np.zeros(10, dtype="<c16").tofile(path)
-    with pytest.raises(dm.DatasetFormatError):
-        dm.ingest_raw_volume(path, dm.RawVolumeDescriptor(extents=(4, 4, 4)))
-    vol = np.zeros((4, 4, 4), dtype="<c16")
-    path2 = tmp_path / "trim.bin"
-    vol.tofile(path2)
-    with pytest.raises(dm.DatasetFormatError):
-        dm.ingest_raw_volume(path2, dm.RawVolumeDescriptor(extents=(4, 4, 4), trim=(2, 2)))

@@ -4,7 +4,7 @@ import pytest
 from shiftmri import data as dm
 from shiftmri import fista, kspace
 from shiftmri.metrics import SsimConfig, ssim
-from oracles import fista_full_kspace_reference
+from oracles import fista_full_kspace_reference, haar_dwt_reference, haar_idwt_reference
 
 
 def test_haar_constant_image_has_no_detail():
@@ -20,6 +20,26 @@ def test_haar_perfect_reconstruction_and_energy():
     c = fista.haar_dwt(x, 2)
     np.testing.assert_allclose(fista.haar_idwt(c, 2), x, atol=1e-12)
     assert abs(np.linalg.norm(c) - np.linalg.norm(x)) < 1e-12
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(16, 24), (64, 64)])
+def test_haar_equals_the_division_reference(shape, levels):
+    # zeros of both signs planted in either part, and equal neighbours whose
+    # differences are exact zeros
+    rng = np.random.default_rng(levels)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x[::4] = x[1::4]
+    x.real[rng.random(shape) < 0.2] = 0.0
+    x.imag[rng.random(shape) < 0.2] = -0.0
+    x.real[rng.random(shape) < 0.1] = -0.0
+    for transform, reference in ((fista.haar_dwt, haar_dwt_reference),
+                                 (fista.haar_idwt, haar_idwt_reference)):
+        got, want = transform(x, levels), reference(x, levels)
+        np.testing.assert_array_equal(got, want)
+        for part in (np.real, np.imag):
+            nonzero = part(want) != 0
+            assert part(got)[nonzero].tobytes() == part(want)[nonzero].tobytes()
 
 
 def test_haar_rejects_indivisible_extents():
@@ -39,10 +59,10 @@ def test_soft_threshold_examples():
     ("lam", float("nan")), ("lam", float("inf")), ("lam", -1e-3),
     ("step_size", float("nan")), ("step_size", float("inf")), ("step_size", 0.0),
     ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", -1e-6),
-    ("max_iters", 0),
+    ("max_iters", 0), ("wavelet_levels", 0),
 ])
 def test_fista_config_rejects_out_of_domain_values(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=rf"^FistaConfig\.{field} must be in "):
         fista.FistaConfig(**{field: value})
 
 

@@ -444,7 +444,8 @@ def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):
 def test_run_experiment_marks_failures(tmp_path, monkeypatch):
     p = _base_config()["distributions"]["P"]
     cfg = harness.ExperimentConfig.from_dict(_base_config(
-        template="diversity_robustness", sources=[p], target=dict(p, name="Q")))
+        template="diversity_robustness", sources=[p], target=dict(p, name="Q"),
+        train={"epochs": 2, "seed": 0}))
 
     def diverge(*args, **kwargs):
         raise FloatingPointError("non-finite loss at epoch 0 step 1")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from shiftmri import kspace
-from oracles import centered_idft_reference, hybrid_fft_reference, mask_counts_reference
+from oracles import (centered_idft_reference, hybrid_fft_reference, mask_counts_reference,
+                     unit_sensitivities)
 
 
 def test_fft2c_delta_gives_flat_spectrum():
@@ -157,13 +158,13 @@ def _random_problem(rng, h, w, coils, accel=4):
 def test_forward_reduces_to_fft():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    sens = kspace.unit_sensitivities(8, 8, 1)
+    sens = unit_sensitivities(8, 8, 1)
     y = kspace.apply_forward(x, kspace.Encoding(sens, kspace.full_mask(8)))
     np.testing.assert_allclose(y[0], kspace.fft2c(x), atol=1e-12)
 
 
 def test_forward_zero_image():
-    sens = kspace.unit_sensitivities(8, 8, 2)
+    sens = unit_sensitivities(8, 8, 2)
     enc = kspace.Encoding(sens, kspace.full_mask(8))
     y = kspace.apply_forward(np.zeros((8, 8), complex), enc)
     assert np.abs(y).max() == 0.0
@@ -187,7 +188,7 @@ def test_adjoint_identity_at_full_sampling():
 def test_adjoint_single_coil_reduces_to_ifft():
     rng = np.random.default_rng(5)
     y = rng.standard_normal((1, 8, 8)) + 1j * rng.standard_normal((1, 8, 8))
-    sens = kspace.unit_sensitivities(8, 8, 1)
+    sens = unit_sensitivities(8, 8, 1)
     enc = kspace.Encoding(sens, kspace.full_mask(8))
     np.testing.assert_allclose(kspace.apply_adjoint(y, enc), kspace.ifft2c(y[0]), atol=1e-12)
 
@@ -448,10 +449,16 @@ def test_rss_examples():
 def test_zero_filled_rss_examples():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    sens = kspace.unit_sensitivities(8, 8, 1)
+    sens = unit_sensitivities(8, 8, 1)
     y = kspace.apply_forward(x, kspace.Encoding(sens, kspace.full_mask(8)))
     np.testing.assert_allclose(kspace.zero_filled_rss(y), np.abs(x), atol=1e-12)
     assert np.abs(kspace.zero_filled_rss(np.zeros((2, 8, 8), complex))).max() == 0.0
+
+
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+def test_noise_model_rejects_unusable_sigma(sigma):
+    with pytest.raises(ValueError, match=r"^NoiseModel\.sigma must be "):
+        kspace.NoiseModel(sigma)
 
 
 def test_noise_model_examples():

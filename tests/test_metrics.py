@@ -285,3 +285,9 @@ def test_pearson_examples():
     assert abs(metrics.pearson_corr([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])) < 1e-12
     with pytest.raises(ValueError):
         metrics.pearson_corr([1.0, 1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("window", [1, 4])
+def test_ssim_config_rejects_unusable_window(window):
+    with pytest.raises(ValueError, match=r"^SsimConfig\.window must be "):
+        SsimConfig(window=window)

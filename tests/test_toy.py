@@ -11,12 +11,14 @@ WORLD = toy.SubspaceWorld(64, 4, 0.05, 0.5, seed=0)
 
 
 def test_world_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^SubspaceWorld\.d must be < n"):
         toy.SubspaceWorld(4, 4, 0.1, 0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^SubspaceWorld\.d must be in \[1, "):
+        toy.SubspaceWorld(4, 0, 0.1, 0.2)
+    with pytest.raises(ValueError, match=r"^SubspaceWorld\.sigma_p must be in "):
         toy.SubspaceWorld(8, 2, -0.1, 0.2)
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^SubspaceWorld\.sigma_q must be in "):
             toy.SubspaceWorld(8, 2, 0.1, bad)
     u = WORLD.basis
     np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-10)
