@@ -81,8 +81,7 @@ def cmd_train(args) -> int:
     train_set = datamod.load(job.dataset)
     out = _out_dir(args)
     checkpoints, traces = learned.train(job.model, train_set, train_cfg)
-    for ck in checkpoints:
-        ck.save(out / f"epoch_{ck.epoch:03d}.ckpt")
+    learned.save_checkpoints(checkpoints, out)
     (out / "traces.json").write_text(json.dumps(traces, sort_keys=True, indent=1))
     print(f"trained {len(checkpoints) - 1} epochs; checkpoints in {args.out}")
     return 0

@@ -430,6 +430,7 @@ def add_lesions(dataset: Dataset, seed: int, size_class: str = "small",
 
 EVAL_NOISE_TAG = 0xE7A2  # noise stream of per-volume evaluation measurements
 TUNE_NOISE_TAG = 0x10153  # noise stream of fista.tune_lambda's measurements
+TRAIN_NOISE_TAG = 0x4015E  # noise stream of learned.train's per-batch measurements
 
 
 def simulate_measurements(item: Item, mask: kspace.SamplingMask, noise_seed: int) -> np.ndarray:
@@ -439,29 +440,26 @@ def simulate_measurements(item: Item, mask: kspace.SamplingMask, noise_seed: int
     return kspace.add_noise(clean, mask, kspace.NoiseModel(sigma, noise_seed))
 
 
-def measure(item: Item, index: int, seed: int, acceleration: float,
-            center_fraction: float, noise_tag: int):
-    """Evaluation measurement of the `index`-th volume of a set.
-
-    The mask is the per-volume evaluation mask and the noise seed is drawn
-    from (seed, noise_tag, index). Returns (k-space, mask, RSS target).
-    """
-    mask = kspace.mask_for_volume(item.image.shape[1], acceleration, center_fraction,
-                                  seed, index)
-    noise_seed = int(kspace.rng_from(seed, noise_tag, index).integers(2**31))
+def measure(item: Item, mask: kspace.SamplingMask, *noise_keys: int):
+    """Measurement of `item` under `mask`, its noise seed drawn from the stream
+    of `noise_keys` (a noise tag among them). Returns (k-space, RSS target)."""
+    noise_seed = int(kspace.rng_from(*noise_keys).integers(2**31))
     y = simulate_measurements(item, mask, noise_seed)
-    return y, mask, kspace.ground_truth_rss(item.image, item.sens)
+    return y, kspace.ground_truth_rss(item.image, item.sens)
 
 
 def score(dataset: Dataset, reconstructors, mask_seed: int, acceleration: float,
           center_fraction: float, noise_tag: int, metric) -> np.ndarray:
-    """(items x reconstructors) float64 matrix: each item, in order, is measured
-    once (`measure`), then each reconstructor in order runs on it as
-    `reconstruct(y, sens, mask)` and is scored as `metric(recon, target, item)`.
+    """(items x reconstructors) float64 matrix: the i-th item is measured once, under
+    its per-volume mask with noise keys (mask_seed, noise_tag, i), then each
+    reconstructor in order runs on it as `reconstruct(y, sens, mask)` and is
+    scored as `metric(recon, target, item)`.
     A non-finite image raises FloatingPointError naming the item."""
     scores = np.empty((len(dataset.items), len(reconstructors)))
     for i, item in enumerate(dataset.items):
-        y, mask, target = measure(item, i, mask_seed, acceleration, center_fraction, noise_tag)
+        mask = kspace.mask_for_volume(item.image.shape[1], acceleration, center_fraction,
+                                      mask_seed, i)
+        y, target = measure(item, mask, mask_seed, noise_tag, i)
         for j, reconstruct in enumerate(reconstructors):
             recon = reconstruct(y, item.sens, mask)
             if not np.isfinite(recon).all():

@@ -201,12 +201,11 @@ def _eval_records(cfg: ExperimentConfig, runs: list[tuple[str, str, learned.Chec
             for j, (model_id, sources, ck) in enumerate(runs) for name in test_sets]
 
 
-def _save_checkpoints(outdir: Path, model_id: str, checkpoints) -> None:
-    safe = model_id.replace("/", "_").replace(":", "_").replace("+", "u").replace(" ", "")
-    d = outdir / "checkpoints" / safe
-    d.mkdir(parents=True, exist_ok=True)
-    for ck in checkpoints:
-        ck.save(d / f"epoch_{ck.epoch:03d}.ckpt")
+def checkpoint_dir(outdir: str | Path, model_id: str) -> Path:
+    """Where a model's checkpoints go: checkpoints/<model_id> under `outdir`, with
+    '/' and ':' written as '_', '+' as 'u' and spaces dropped."""
+    name = model_id.replace("/", "_").replace(":", "_").replace("+", "u").replace(" ", "")
+    return Path(outdir) / "checkpoints" / name
 
 
 def _fit(cfg: ExperimentConfig, outdir: Path, model_id: str, train_set, seed: int,
@@ -215,7 +214,7 @@ def _fit(cfg: ExperimentConfig, outdir: Path, model_id: str, train_set, seed: in
     `model_id` and return them."""
     cks, _ = learned.train(replace(cfg.model, seed=seed), train_set,
                            replace(cfg.train, seed=seed, **train_overrides))
-    _save_checkpoints(outdir, model_id, cks)
+    learned.save_checkpoints(cks, checkpoint_dir(outdir, model_id))
     return cks
 
 
@@ -293,7 +292,7 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
         source_sets, target_test, mc, tc, cfg.seed)
     id_test = source_tests[best_idx]
     union = datamod.combine(source_sets)
-    _save_checkpoints(outdir, "P_best", specialists[best_idx])
+    learned.save_checkpoints(specialists[best_idx], checkpoint_dir(outdir, "P_best"))
     union_cks = _fit(cfg, outdir, "P-union", union, cfg.seed)
     both_cks = _fit(cfg, outdir, "P+Q", datamod.combine([union, target_train]), cfg.seed)
 
@@ -418,7 +417,7 @@ def _tpl_finetune_ablation(cfg: ExperimentConfig, outdir: Path):
     tc = replace(cfg.train, seed=cfg.seed)
     for k, (ttrain, _) in target_data.items():
         cks, _ = learned.finetune(parent, ttrain, tc)
-        _save_checkpoints(outdir, f"P_{k}", cks)
+        learned.save_checkpoints(cks, checkpoint_dir(outdir, f"P_{k}"))
         runs.append((f"P_{k}", f"{parent_train.name}->{ttrain.name}", cks[-1]))
     return _eval_records(cfg, runs, tests, cfg.seed), {}, {"targets": sorted(cfg.distributions)}
 

@@ -28,7 +28,8 @@ as one GEMM with its conjugate transpose, with no FFT, gather or scatter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,6 +78,13 @@ def fft1c(x: np.ndarray, axis: int) -> np.ndarray:
 
 def ifft1c(x: np.ndarray, axis: int) -> np.ndarray:
     return _centered(x, np.fft.ifft, (axis,))
+
+
+@functools.cache
+def dft_matrix(n: int, inverse: bool = False) -> np.ndarray:
+    """The (n, n) centered unitary DFT matrix (or its inverse), built once per
+    size and kept read-only: column j is fft1c (ifft1c) of the j-th unit vector."""
+    return _read_only((ifft1c if inverse else fft1c)(np.eye(n, dtype=np.complex128), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +282,7 @@ class HybridEncoding(Encoding):
         if y.ndim != 3:
             raise ValueError(f"k-space must be a (coils, h, w) stack, got shape {y.shape}")
         self.check(y)
-        self.dft = _read_only(fft1c(np.eye(mask.width), -1)[:, self.cols])
+        self.dft = _read_only(dft_matrix(mask.width).T.take(self.cols, axis=1))
         self.idft = _read_only(np.ascontiguousarray(np.conj(self.dft).T))
         self.y_h = _read_only(ifft1c(y[..., self.cols], -2))
 
@@ -394,17 +402,9 @@ def interleave_upsample(y: np.ndarray, mask: SamplingMask, axis: str):
     """
     y = np.asarray(y, dtype=np.complex128)
     if axis == "horizontal":
-        out = np.repeat(y, 2, axis=-1)
-        new_mask = SamplingMask(
-            width=mask.width * 2,
-            sampled=np.repeat(mask.sampled, 2),
-            acceleration=mask.acceleration,
-            center_fraction=mask.center_fraction,
-            offset=mask.offset,
-            acs_count=mask.acs_count * 2,
-            target_count=mask.target_count * 2,
-        )
-        return out, new_mask
+        return np.repeat(y, 2, axis=-1), replace(
+            mask, width=mask.width * 2, sampled=np.repeat(mask.sampled, 2),
+            acs_count=mask.acs_count * 2, target_count=mask.target_count * 2)
     if axis == "vertical":
         return np.repeat(y, 2, axis=-2), mask
     raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")

@@ -23,6 +23,7 @@ for evaluation. A checkpoint is written after every epoch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -179,18 +180,12 @@ class UnetLite(_Layout):
         return ad.add(out, ad.Tensor(np.full((h, w), mean)))
 
 
-_DFT_CACHE: dict = {}
-
-
+@functools.cache
 def _dft_constants(h: int, w: int, inverse: bool):
     """Tape constants (Re F_h, Im F_h, Re F_w^T, Im F_w^T) for (h, w) planes,
     the w-axis factors transposed into C order."""
-    key = (h, w, inverse)
-    if key not in _DFT_CACHE:
-        dft1c = kspace.ifft1c if inverse else kspace.fft1c
-        fh, fw = (dft1c(np.eye(n, dtype=np.complex128), 0) for n in (h, w))
-        _DFT_CACHE[key] = tuple(ad.Tensor(m) for m in (fh.real, fh.imag, fw.T.real, fw.T.imag))
-    return _DFT_CACHE[key]
+    fh, fw = (kspace.dft_matrix(n, inverse) for n in (h, w))
+    return tuple(ad.Tensor(m) for m in (fh.real, fh.imag, fw.T.real, fw.T.imag))
 
 
 def tape_fft2c(x: ad.Tensor, inverse: bool = False) -> ad.Tensor:
@@ -345,6 +340,13 @@ class Checkpoint:
         return Checkpoint.from_bytes(raw)
 
 
+def save_checkpoints(checkpoints: list[Checkpoint], directory: Path) -> None:
+    """Write each checkpoint as `directory`/epoch_XXX.ckpt, making the directory if missing."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for ck in checkpoints:
+        ck.save(directory / f"epoch_{ck.epoch:03d}.ckpt")
+
+
 # ---------------------------------------------------------------------------
 # Training.
 # ---------------------------------------------------------------------------
@@ -446,9 +448,8 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
                 loss = None
                 for j, idx in enumerate(batch):
                     item = train_set.items[int(idx)]
-                    noise_seed = int(kspace.rng_from(config.seed, 0x4015E, step, j).integers(2**31))
-                    y = datamod.simulate_measurements(item, mask, noise_seed)
-                    target = kspace.ground_truth_rss(item.image, item.sens)
+                    y, target = datamod.measure(item, mask, config.seed, datamod.TRAIN_NOISE_TAG,
+                                                step, j)
                     out = model.reconstruct(leaves, y, item.sens, mask)
                     li = _loss_node(out, target, config.loss)
                     loss = li if loss is None else ad.add(loss, li)
@@ -480,6 +481,12 @@ def finetune(checkpoint: Checkpoint, new_set: datamod.Dataset, config: TrainConf
 # ---------------------------------------------------------------------------
 
 
+def _runner(model, theta: np.ndarray):
+    """Untaped `reconstruct(y, sens, mask) -> image` of `model` at the parameters `theta`."""
+    tensors = [ad.Tensor(p) for p in model.split(theta)]
+    return lambda y, sens, mask: model.reconstruct(tensors, y, sens, mask).data
+
+
 def _upsample_sens(sens: np.ndarray) -> np.ndarray:
     up = np.repeat(np.repeat(sens, 2, axis=1), 2, axis=2)
     norm = np.sqrt(np.sum(np.abs(up) ** 2, axis=0))
@@ -494,19 +501,16 @@ def infer(checkpoint: Checkpoint, y: np.ndarray, sens: np.ndarray,
     are routed through interleaved k-space repetition along both axes and the
     output is center-cropped back.
     """
-    model = construct_model(checkpoint.config)
-    params = [ad.Tensor(p) for p in model.split(checkpoint.params)]
+    reconstruct = _runner(construct_model(checkpoint.config), checkpoint.params)
     h, w = y.shape[-2:]
     th, tw = checkpoint.train_extents
     if (h, w) == (th, tw):
-        return model.reconstruct(params, y, sens, mask).data
+        return reconstruct(y, sens, mask)
     if (2 * h, 2 * w) == (th, tw):
         y2, mask2 = kspace.interleave_upsample(y, mask, "horizontal")
         y2, mask2 = kspace.interleave_upsample(y2, mask2, "vertical")
-        out = model.reconstruct(params, y2, _upsample_sens(sens), mask2).data
-        return kspace.center_crop(out, h, w)
-    raise ValueError(
-        f"extents {(h, w)} not resolvable against training extents {(th, tw)}")
+        return kspace.center_crop(reconstruct(y2, _upsample_sens(sens), mask2), h, w)
+    raise ValueError(f"extents {(h, w)} not resolvable against training extents {(th, tw)}")
 
 
 def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
@@ -518,16 +522,12 @@ def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
     model = construct_model(model_config)
     fell_back = []  # one normalization flag per score, in data.score's call order
 
-    def reconstructor(theta):
-        tensors = [ad.Tensor(p) for p in model.split(theta)]
-        return lambda y, sens, mask: model.reconstruct(tensors, y, sens, mask).data
-
     def metric(out, target, item):
         out, used_fallback = normalize_output(out, target) if normalize else (out, False)
         fell_back.append(used_fallback)
         return ssim(out, target)
 
-    scores = datamod.score(dataset, [reconstructor(theta) for theta in params], mask_seed,
+    scores = datamod.score(dataset, [_runner(model, theta) for theta in params], mask_seed,
                            acceleration, center_fraction, datamod.EVAL_NOISE_TAG, metric)
     return scores, [any(fell_back[j :: len(params)]) for j in range(len(params))]
 

@@ -294,8 +294,8 @@ def test_overfit_monitor_template(tmp_path):
 
 
 def _saved_checkpoint(outdir, model_id, epoch):
-    ck_dir = outdir / "checkpoints" / model_id.replace("+", "u")
-    return learned.Checkpoint.load(ck_dir / f"epoch_{epoch:03d}.ckpt")
+    return learned.Checkpoint.load(harness.checkpoint_dir(outdir, model_id)
+                                   / f"epoch_{epoch:03d}.ckpt")
 
 
 def test_overfit_monitor_traces_equal_fresh_evaluations(tmp_path):
@@ -411,15 +411,16 @@ def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):
     calls = []
     measure = dm.measure
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return measure(*args, **kwargs)
+    def counting(item, mask, *noise_keys):
+        if noise_keys[1] == dm.EVAL_NOISE_TAG:  # training measures too
+            calls.append(1)
+        return measure(item, mask, *noise_keys)
 
     monkeypatch.setattr(dm, "measure", counting)
     harness.run_experiment(cfg, tmp_path)
     monkeypatch.undo()
-    # each test item is measured once to pick the source, then once per test
-    # set for the records of every model and epoch
+    # each test item is measured for evaluation once to pick the source, then
+    # once per test set for the records of every model and epoch
     assert len(calls) == cfg.test_count + 2 * cfg.test_count
     fits = json.loads((tmp_path / "fits.json").read_text())
     assert "ood_vs_id" in fits
