@@ -136,7 +136,7 @@ class ExperimentConfig:
             for key, spec in self.distributions.items():
                 if key in DISTRIBUTION_KEYS and not datamod.small_lesion_fits(*spec.extents):
                     raise ConfigError(f"ExperimentConfig.distributions {key!r} extents "
-                                      f"{spec.extents[0]}x{spec.extents[1]} are too small "
+                                      f"{_size(spec)} are too small "
                                       f"for a small-class lesion (need height * width >= "
                                       f"{100 * datamod.SCOREABLE_MIN_SIDE ** 2})")
         # every acceleration trained or scored at must leave the mask policies
@@ -159,6 +159,30 @@ class ExperimentConfig:
                 except ValueError as e:
                     raise ConfigError(f"acceleration {r!r} on distribution {spec.name!r} "
                                       f"({width} columns): {e}") from e
+        # training sets one model trains on together need one extent (data.combine)
+        union = [pair for need in TEMPLATES[self.template][2] for pair in self._specs(need)]
+        for where, spec in union[1:]:
+            if spec.extents != union[0][1].extents:
+                raise ConfigError(f"ExperimentConfig.{where} extents {_size(spec)} must equal "
+                                  f"ExperimentConfig.{union[0][0]} extents {_size(union[0][1])}, "
+                                  f"as {self.template} trains one model on their union")
+        # each finetuned model P_<key> saves its checkpoints in a directory of its own
+        if self.template == "finetune_ablation":
+            seen = {}
+            for key in self.distributions:
+                if (d := checkpoint_dir("", f"P_{key}")) in seen:
+                    raise ConfigError(f"ExperimentConfig.distributions keys {seen[d]!r} and "
+                                      f"{key!r} would share the checkpoint directory {d}")
+                seen[d] = key
+
+    def _specs(self, need: str) -> list[tuple[str, datamod.DistributionSpec]]:
+        """(field, spec) for each spec a TEMPLATES input names, if set."""
+        if need in DISTRIBUTION_KEYS:
+            spec = self.distributions.get(need)
+            return [(f"distributions[{need!r}]", spec)] if spec else []
+        if need == "sources":
+            return [(f"sources[{i}]", spec) for i, spec in enumerate(self.sources)]
+        return [(need, getattr(self, need))]
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -177,6 +201,10 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Shared plumbing.
 # ---------------------------------------------------------------------------
+
+
+def _size(spec: datamod.DistributionSpec) -> str:
+    return f"{spec.extents[0]}x{spec.extents[1]}"
 
 
 def _seeded(spec: datamod.DistributionSpec, seed: int) -> datamod.DistributionSpec:
@@ -423,16 +451,18 @@ def _tpl_finetune_ablation(cfg: ExperimentConfig, outdir: Path):
 
 
 # name -> (template function, the inputs it reads: keys of `distributions` in
-# DISTRIBUTION_KEYS, or config fields that must be non-empty)
+# DISTRIBUTION_KEYS, or config fields that must be non-empty, and the spec
+# inputs whose training sets it combines, which must share one extent)
 TEMPLATES = {
-    "joint_vs_separate": (_tpl_joint_vs_separate, ("P", "Q")),
-    "skewed": (_tpl_skewed, ("P", "Q")),
-    "diversity_robustness": (_tpl_diversity_robustness, ("sources", "target")),
-    "pathology": (_tpl_pathology, ("P",)),
-    "accel_combo": (_tpl_accel_combo, ("P", "accelerations")),
-    "coil_shift": (_tpl_coil_shift, ("P", "Q")),
-    "overfit_monitor": (_tpl_overfit_monitor, ("P", "Q")),
-    "finetune_ablation": (_tpl_finetune_ablation, ("sources", "distributions")),
+    "joint_vs_separate": (_tpl_joint_vs_separate, ("P", "Q"), ("P", "Q")),
+    "skewed": (_tpl_skewed, ("P", "Q"), ("P", "Q")),
+    "diversity_robustness": (_tpl_diversity_robustness, ("sources", "target"),
+                             ("sources", "target")),
+    "pathology": (_tpl_pathology, ("P",), ("P", "Q")),
+    "accel_combo": (_tpl_accel_combo, ("P", "accelerations"), ()),
+    "coil_shift": (_tpl_coil_shift, ("P", "Q"), ("P", "Q")),
+    "overfit_monitor": (_tpl_overfit_monitor, ("P", "Q"), ()),
+    "finetune_ablation": (_tpl_finetune_ablation, ("sources", "distributions"), ("sources",)),
 }
 
 

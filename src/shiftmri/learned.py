@@ -72,8 +72,8 @@ class TrainConfig:
     warmup_fraction: float = datamod.within("[0, 1]", 0.01)
     clip_norm: float = datamod.within("(0, inf)", 1.0)
     loss: typing.Literal["one_minus_ssim", "mse"] = "one_minus_ssim"
-    acceleration: float = 4.0
-    center_fraction: float = 0.08
+    acceleration: float = datamod.within("[1, inf)", 4.0)
+    center_fraction: float = datamod.within("(0, 1)", 0.08)
     accelerations: tuple[float, ...] | None = None  # per-batch sampling when set
     seed: int = 0
 
@@ -81,6 +81,9 @@ class TrainConfig:
         datamod.check_fields(self)
         if self.lr_max < self.lr_min:
             raise ValueError(f"TrainConfig.lr_max must be >= lr_min, got {self.lr_max!r}")
+        for i, r in enumerate(self.accelerations or ()):
+            if not r >= 1:  # NaN too
+                raise ValueError(f"TrainConfig.accelerations[{i}] must be in [1, inf), got {r!r}")
 
 
 def learning_rate_at(step: int, total_steps: int, config: TrainConfig) -> float:

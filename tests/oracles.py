@@ -7,7 +7,8 @@ per-coil VarNet unroll is built from the autodiff ops so that its gradients
 can be compared with the coil-batched model's, the full k-space FISTA
 loop runs on the package's full k-space operators and Haar transform,
 the toy MSE table is scored on whole arrays with the package's estimators,
-and the optimizer steps and clips one array per layer.
+the DFT matrices are the package's centered FFT of an identity, and the
+optimizer steps and clips one array per layer.
 """
 
 import numpy as np
@@ -251,6 +252,21 @@ def hybrid_fft_reference(sens, mask):
         return out
 
     return forward, adjoint
+
+
+# The DFT constants as built before kspace.dft_matrix: the centered FFT of an
+# identity, along its rows for HybridEncoding's sampled columns and their
+# conjugate transpose, and along its columns for the tape DFT's real factors
+# (Re F_h, Im F_h, Re F_w^T, Im F_w^T).
+def hybrid_dft_reference(width, cols):
+    dft = kspace.fft1c(np.eye(width), -1)[:, cols]
+    return dft, np.ascontiguousarray(np.conj(dft).T)
+
+
+def tape_dft_reference(h, w, inverse):
+    dft1c = kspace.ifft1c if inverse else kspace.fft1c
+    fh, fw = (dft1c(np.eye(n, dtype=np.complex128), 0) for n in (h, w))
+    return fh.real, fh.imag, fw.T.real, fw.T.imag
 
 
 # fista's former Haar transform: each level divides by sqrt(2) and joins its

@@ -531,25 +531,30 @@ def test_run_pathology_without_q_still_runs(tmp_path, capsys):
 
 
 # R 32 on 16 columns leaves round(16/32) = 1 line beside an emptied center band;
-# R 33 leaves none, whatever the band
-@pytest.mark.parametrize("template, extra", [
-    ("accel_combo", {"accelerations": [4, 33]}),
-    ("accel_combo", {"accelerations": [4], "unseen_acceleration": 33}),
-    ("skewed", {"train": {"acceleration": 33}}),
-    ("coil_shift", {"train": {"accelerations": [4, 33]}}),
-    ("diversity_robustness", {"train": {"acceleration": 33}}),
-    ("finetune_ablation", {"train": {"acceleration": 0.5}}),
+# R 33 leaves none, whatever the band. An acceleration below 1 is out of
+# TrainConfig.acceleration's own bounds, so it is refused before the mask rule.
+MASK_RULE = "error: acceleration "
+
+
+@pytest.mark.parametrize("template, extra, says", [
+    ("accel_combo", {"accelerations": [4, 33]}, MASK_RULE),
+    ("accel_combo", {"accelerations": [4], "unseen_acceleration": 33}, MASK_RULE),
+    ("skewed", {"train": {"acceleration": 33}}, MASK_RULE),
+    ("coil_shift", {"train": {"accelerations": [4, 33]}}, MASK_RULE),
+    ("diversity_robustness", {"train": {"acceleration": 33}}, MASK_RULE),
+    ("finetune_ablation", {"train": {"acceleration": 0.5}},
+     "error: TrainConfig.acceleration must be in [1, inf), got 0.5"),
 ], ids=["trained", "unseen", "train-acceleration", "train-accelerations", "sources",
         "below-1"])
 def test_run_infeasible_acceleration_exits_2_before_data(tmp_path, capsys, monkeypatch,
-                                                        template, extra):
+                                                        template, extra, says):
     config = {"template": template, "seed": 0,
               "distributions": {"P": _spec("P", 16), "Q": _spec("Q", 16)},
               "sources": [_spec("S", 16)], "target": _spec("T", 16), **extra}
     monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
     rc, err = _run_cli(tmp_path, capsys, config)
     assert rc == 2
-    assert len(err) == 1 and err[0].startswith("error: acceleration ")
+    assert len(err) == 1 and err[0].startswith(says)
     assert not (tmp_path / "o").exists()
 
 

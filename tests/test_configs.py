@@ -328,11 +328,43 @@ OUT_OF_RANGE_FIELDS = [
      "ExperimentConfig.model.pool_levels"),
     ({"template": "diversity_robustness", "sources": [{"name": "S"}], "target": {"name": "T"},
       "train": {"epochs": 1}}, "ExperimentConfig.train.epochs"),
+    ({"train": {"accelerations": [4, 0.5]}}, "TrainConfig.accelerations[1]"),
+    ({"train": {"accelerations": [float("nan")]}}, "TrainConfig.accelerations[0]"),
+    ({"template": "finetune_ablation", "sources": [{"name": "S"}],
+      "distributions": {"a b": {"name": "A"}, "ab": {"name": "B"}}},
+     "ExperimentConfig.distributions keys 'a b' and 'ab'"),
 ]
 OUT_OF_RANGE_IDS = ["train_count-0", "test_count--1", "overfit_window-0", "overfit_window--2",
                     "skew_factor-1", "skew_factor-0.5", "lesion_amplitude-nan",
                     "lesion_amplitude-inf", "seeds-repeated", "accelerations-empty",
-                    "pool_levels-too-deep", "diversity_robustness-epochs-1"]
+                    "pool_levels-too-deep", "diversity_robustness-epochs-1",
+                    "train-accelerations-0.5", "train-accelerations-nan",
+                    "finetune_ablation-colliding-checkpoint-dirs"]
+
+# Templates that train one model on a union of training sets, given specs of
+# two extents: (changes to MINIMAL_EXPERIMENT, the two fields named)
+SMALL, LARGE = {"extents": [16, 16]}, {"extents": [72, 72]}
+UNEQUAL_UNIONS = {
+    **{t: ({"template": t, "distributions": {"P": {"name": "P", **SMALL}, "Q": {"name": "Q"}}},
+           "distributions['Q'] extents 32x32", "distributions['P'] extents 16x16")
+       for t in ("joint_vs_separate", "skewed", "coil_shift")},
+    "pathology": ({"template": "pathology", "distributions": {
+        "P": {"name": "P", **LARGE}, "Q": {"name": "Q", "extents": [80, 80]}}},
+        "distributions['Q'] extents 80x80", "distributions['P'] extents 72x72"),
+    "diversity_robustness-target": (
+        {"template": "diversity_robustness", "target": {"name": "T"},
+         "sources": [{"name": "S1", **SMALL}, {"name": "S2", **SMALL}]},
+        "target extents 32x32", "sources[0] extents 16x16"),
+    "diversity_robustness-sources": (
+        {"template": "diversity_robustness", "sources": [{"name": "S1"}, {"name": "S2", **SMALL}],
+         "target": {"name": "T"}}, "sources[1] extents 16x16", "sources[0] extents 32x32"),
+    "finetune_ablation": ({"template": "finetune_ablation", "distributions": {"Q": {"name": "Q"}},
+                           "sources": [{"name": "S1"}, {"name": "S2", **SMALL}]},
+                          "sources[1] extents 16x16", "sources[0] extents 32x32"),
+}
+OUT_OF_RANGE_FIELDS += [(changes, f"ExperimentConfig.{a} must equal ExperimentConfig.{b}")
+                        for changes, a, b in UNEQUAL_UNIONS.values()]
+OUT_OF_RANGE_IDS += [f"{name}-unequal-extents" for name in UNEQUAL_UNIONS]
 
 # (class, field, value) outside a choice or bound declared on the field
 OUT_OF_RANGE_VALUES = [
@@ -344,7 +376,9 @@ OUT_OF_RANGE_VALUES = [
     (learned.TrainConfig, "beta2", -0.5), (learned.TrainConfig, "momentum", -0.1),
     (learned.TrainConfig, "lr_max", 0.0), (learned.TrainConfig, "lr_min", 0.0),
     (learned.TrainConfig, "warmup_fraction", 1.5), (learned.TrainConfig, "clip_norm", 0.0),
-    (learned.TrainConfig, "loss", "l4"),
+    (learned.TrainConfig, "loss", "l4"), (learned.TrainConfig, "acceleration", 0.5),
+    (learned.TrainConfig, "acceleration", float("nan")),
+    (learned.TrainConfig, "center_fraction", 1.5), (learned.TrainConfig, "center_fraction", 0.0),
     (dm.DistributionSpec, "shape_family", "blob"), (dm.DistributionSpec, "snr_db", float("inf")),
     (dm.DistributionSpec, "coils", 0),
     (harness.ExperimentConfig, "overfit_eps", float("nan")),
@@ -382,6 +416,36 @@ def test_out_of_range_value_is_refused_at_construction(cls, name, value):
     error = harness.ConfigError if cls is harness.ExperimentConfig else ValueError
     with pytest.raises(error, match=rf"^{cls.__name__}\.{name} must "):
         replace(CASES[cls.__name__][2], **{name: value})
+
+
+def test_unions_alone_need_equal_extents():
+    # overfit_monitor scores Q and finetune_ablation finetunes on each target
+    # alone, so they may differ in extent from what the model trained on
+    cfg = harness.ExperimentConfig.from_dict({
+        **MINIMAL_EXPERIMENT, "template": "overfit_monitor", "overfit_window": 1,
+        "distributions": {"P": {"name": "P"}, "Q": {"name": "Q", "extents": [16, 16]}}})
+    assert cfg.distributions["Q"].extents == (16, 16)
+    harness.ExperimentConfig.from_dict({
+        "template": "finetune_ablation", "seed": 0, "sources": [{"name": "S"}, {"name": "S2"}],
+        "distributions": {"a": {"name": "A", "extents": [16, 16]}, "b": {"name": "B"}}})
+
+
+# sampling fields no mask can use; `train` once refused each only after training began
+BAD_SAMPLING = [("acceleration", 0.5), ("acceleration", float("nan")), ("center_fraction", 1.5),
+                ("center_fraction", 0.0), ("accelerations", [4, 0.5]),
+                ("accelerations", [float("nan")])]
+
+
+@pytest.mark.parametrize("name, value", BAD_SAMPLING,
+                         ids=[f"{n}-{v!r}" for n, v in BAD_SAMPLING])
+def test_train_out_of_range_sampling_field_exits_2(tmp_path, capsys, name, value):
+    # the dataset does not exist: the field is rejected before it is read
+    config = {"dataset": str(tmp_path / "none"), "train": {name: value}}
+    rc, err = _cli(tmp_path, capsys, "train", "--config", _write(tmp_path, "train.json", config))
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: TrainConfig.{name}")
+    assert "must be in " in err[0]
+    assert not (tmp_path / "o").exists()
 
 
 def test_int_becomes_float_where_a_float_is_declared():

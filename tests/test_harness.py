@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,6 +395,17 @@ def test_finetune_ablation_matrix_includes_parent(tmp_path):
     assert models == {"P", "P_Q1", "P_Q2"}
     for m in models:
         assert {r.test_set for r in recs if r.model_id == m} == {"Q1-test", "Q2-test"}
+    # each model's checkpoints in a directory of its own
+    assert sorted((tmp_path / "checkpoints").iterdir()) == sorted(
+        harness.checkpoint_dir(tmp_path, m) for m in models)
+
+
+def test_checkpoint_dir_names():
+    names = {m: harness.checkpoint_dir("out", m).name
+             for m in ("P+Q-half-s0", "R-all", "P_a/b:c d", "P_best")}
+    assert names == {"P+Q-half-s0": "PuQ-half-s0", "R-all": "R-all", "P_a/b:c d": "P_a_b_cd",
+                     "P_best": "P_best"}
+    assert harness.checkpoint_dir("out", "P").parent == Path("out") / "checkpoints"
 
 
 def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from shiftmri import kspace
-from oracles import (centered_idft_reference, hybrid_fft_reference, mask_counts_reference,
-                     unit_sensitivities)
+from oracles import (centered_idft_reference, hybrid_dft_reference, hybrid_fft_reference,
+                     mask_counts_reference, unit_sensitivities)
 
 
 def test_fft2c_delta_gives_flat_spectrum():
@@ -379,6 +379,28 @@ def test_hybrid_gemm_matches_fft_reference(extents, accel, coils):
     r = _complex(rng, op.y_h.shape)
     assert _rel(kspace.apply_forward(x, op), forward(x)) < 1e-13
     assert _rel(kspace.apply_adjoint(r, op), adjoint(r)) < 1e-13
+
+
+@pytest.mark.parametrize("width, accel", [(16, 2), (17, 4), (32, 4), (64, 8)])
+def test_hybrid_dft_equals_identity_fft_construction(width, accel):
+    rng = np.random.default_rng(width)
+    sens = kspace.simulate_sensitivities(width, width, 2, rng=rng)
+    mask = kspace.make_equispaced_mask(width, accel, 0.08, rng)
+    op = kspace.HybridEncoding(sens, mask, _complex(rng, sens.shape))
+    dft, idft = hybrid_dft_reference(width, np.flatnonzero(mask.sampled))
+    assert op.dft.tobytes() == dft.tobytes() and op.idft.tobytes() == idft.tobytes()
+    assert op.dft.flags.c_contiguous and op.idft.flags.c_contiguous
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_dft_matrix_is_built_once_and_read_only(inverse):
+    m = kspace.dft_matrix(12, inverse)
+    assert kspace.dft_matrix(12, inverse) is m and not m.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 0
+    x = _complex(np.random.default_rng(3), (12, 5))
+    want = kspace.ifft1c(x, 0) if inverse else kspace.fft1c(x, 0)
+    assert _rel(m @ x, want) < 1e-14
 
 
 def test_hybrid_rejects_mismatched_shapes():

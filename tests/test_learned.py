@@ -6,7 +6,7 @@ from shiftmri import data as dm
 from shiftmri import kspace, learned
 from shiftmri.metrics import SsimConfig
 from oracles import (OptimizerReference, clip_reference, global_norm_reference,
-                     varnet_per_coil_reference)
+                     tape_dft_reference, varnet_per_coil_reference)
 
 
 def small_dataset(seed=0, count=4, extents=(32, 32), snr_db=30.0, coils=3):
@@ -404,6 +404,48 @@ def test_checkpoint_rejects_trailing_and_truncated_bytes():
             learned.Checkpoint.from_bytes(bad)
     loaded = learned.Checkpoint.from_bytes(raw)
     assert loaded.to_bytes() == raw
+
+
+@pytest.mark.parametrize("h, w, inverse", [(32, 32, False), (32, 32, True), (16, 24, False)])
+def test_tape_dft_constants_equal_identity_fft_construction(h, w, inverse):
+    got = learned._dft_constants(h, w, inverse)
+    assert learned._dft_constants(h, w, inverse) is got
+    for t, want in zip(got, tape_dft_reference(h, w, inverse), strict=True):
+        assert t.data.flags.c_contiguous
+        assert t.data.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_training_measures_through_data_measure(monkeypatch):
+    ds = small_dataset(seed=15, coils=2)
+    config = learned.TrainConfig(epochs=1, batch_size=2, seed=3)
+    seen = []
+    reconstruct = learned.UnetLite.reconstruct
+    monkeypatch.setattr(learned.UnetLite, "reconstruct", lambda model, params, y, sens, mask:
+                        seen.append((y, sens, mask)) or reconstruct(model, params, y, sens, mask))
+    learned.train(UNET, ds, config)
+    assert len(seen) == 4
+    assert dm.TRAIN_NOISE_TAG == 0x4015E  # the stream every trained checkpoint was drawn with
+    for n, (y, sens, mask) in enumerate(seen):
+        step, j = n // 2 + 1, n % 2  # the j-th item of the step-th mini-batch
+        want_mask = kspace.mask_for_batch(32, 4, 0.08, 3, step)
+        assert mask.sampled.tobytes() == want_mask.sampled.tobytes()
+        item = next(item for item in ds.items if item.sens is sens)
+        want, _ = dm.measure(item, mask, 3, dm.TRAIN_NOISE_TAG, step, j)
+        assert y.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("config", [UNET, VARNET], ids=["unet", "varnet"])
+def test_infer_and_evaluate_params_run_one_model(monkeypatch, config):
+    ds = small_dataset(seed=14, count=2)
+    ck = learned.train(config, ds, learned.TrainConfig(epochs=1, seed=0))[0][-1]
+    scored = []
+    monkeypatch.setattr(learned, "ssim", lambda out, target: scored.append(out) or 0.0)
+    learned.evaluate_params(config, [ck.params], ds, 5)
+    assert len(scored) == len(ds.items)
+    for i, item in enumerate(ds.items):  # at the checkpoint's training extents
+        mask = kspace.mask_for_volume(32, 4, 0.08, 5, i)
+        y, _ = dm.measure(item, mask, 5, dm.EVAL_NOISE_TAG, i)
+        assert learned.infer(ck, y, item.sens, mask).tobytes() == scored[i].tobytes()
 
 
 def test_infer_deterministic():
