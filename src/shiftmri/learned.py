@@ -513,7 +513,8 @@ def infer(checkpoint: Checkpoint, y: np.ndarray, sens: np.ndarray,
         y2, mask2 = kspace.interleave_upsample(y, mask, "horizontal")
         y2, mask2 = kspace.interleave_upsample(y2, mask2, "vertical")
         return kspace.center_crop(reconstruct(y2, _upsample_sens(sens), mask2), h, w)
-    raise ValueError(f"extents {(h, w)} not resolvable against training extents {(th, tw)}")
+    raise ValueError(
+        f"extents {(h, w)} not resolvable against training extents {(th, tw)}")
 
 
 def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
