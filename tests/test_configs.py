@@ -343,13 +343,13 @@ OUT_OF_RANGE_IDS = ["train_count-0", "test_count--1", "overfit_window-0", "overf
 
 # Templates that train one model on a union of training sets, given specs of
 # two extents: (changes to MINIMAL_EXPERIMENT, the two fields named)
-SMALL, LARGE = {"extents": [16, 16]}, {"extents": [72, 72]}
+SMALL = {"extents": [16, 16]}
 UNEQUAL_UNIONS = {
     **{t: ({"template": t, "distributions": {"P": {"name": "P", **SMALL}, "Q": {"name": "Q"}}},
            "distributions['Q'] extents 32x32", "distributions['P'] extents 16x16")
        for t in ("joint_vs_separate", "skewed", "coil_shift")},
     "pathology": ({"template": "pathology", "distributions": {
-        "P": {"name": "P", **LARGE}, "Q": {"name": "Q", "extents": [80, 80]}}},
+        "P": {"name": "P", "extents": [72, 72]}, "Q": {"name": "Q", "extents": [80, 80]}}},
         "distributions['Q'] extents 80x80", "distributions['P'] extents 72x72"),
     "diversity_robustness-target": (
         {"template": "diversity_robustness", "target": {"name": "T"},
@@ -418,7 +418,7 @@ def test_out_of_range_value_is_refused_at_construction(cls, name, value):
         replace(CASES[cls.__name__][2], **{name: value})
 
 
-def test_unions_alone_need_equal_extents():
+def test_templates_without_a_union_accept_unequal_extents():
     # overfit_monitor scores Q and finetune_ablation finetunes on each target
     # alone, so they may differ in extent from what the model trained on
     cfg = harness.ExperimentConfig.from_dict({
