@@ -50,11 +50,3 @@ full = kspace.zero_filled_rss(kspace.apply_forward(
 cfg = SsimConfig(data_range=float(target.max()))
 print(f"\nSSIM zero-filled (4x):    {ssim(zf, target, cfg):.3f}")
 print(f"SSIM fully sampled:        {ssim(full, target, cfg):.3f}")
-
-# View synthesis: 2D k-spaces from a 3D k-space via 1D IFFT along an axis.
-vol = np.random.default_rng(5).standard_normal((6, 16, 16)) \
-    + 1j * np.random.default_rng(6).standard_normal((6, 16, 16))
-views = kspace.views_from_3d(vol, axis=0)
-energy = sum(np.sum(np.abs(v) ** 2) for v in views)
-print(f"\n3D -> 2D views: {len(views)} slices, energy preserved to "
-      f"{abs(energy - np.sum(np.abs(vol) ** 2)):.2e}")

@@ -72,6 +72,17 @@ class TrainJob:
     train: learned.TrainConfig = field(default_factory=learned.TrainConfig)
 
 
+def _check_runs_on(model_config: learned.ModelConfig, dataset: datamod.Dataset) -> None:
+    """Refuse a dataset with an item extent the model cannot run at."""
+    model = learned.construct_model(model_config)
+    for extents in dict.fromkeys(item.image.shape for item in dataset.items):
+        try:
+            model.check_extents(*extents)
+        except ValueError as e:
+            raise ValidationError(f"{model_config.kind} cannot run on dataset "
+                                  f"{dataset.name!r}: {e}") from e
+
+
 def cmd_train(args) -> int:
     try:
         job = datamod.from_fields(TrainJob, _load_json(args.config))
@@ -79,6 +90,7 @@ def cmd_train(args) -> int:
         raise ValidationError(str(e)) from e
     train_cfg = job.train if args.seed is None else replace(job.train, seed=args.seed)
     train_set = datamod.load(job.dataset)
+    _check_runs_on(job.model, train_set)
     out = _out_dir(args)
     checkpoints, traces = learned.train(job.model, train_set, train_cfg)
     learned.save_checkpoints(checkpoints, out)
@@ -96,6 +108,7 @@ def cmd_eval(args) -> int:
     _check_acceleration(args)
     ck = learned.Checkpoint.load(args.checkpoint)
     dataset = datamod.load(args.dataset)
+    _check_runs_on(ck.config, dataset)
     mask_seed = args.seed if args.seed is not None else 0
     mean, _, fallback = learned.evaluate_checkpoint(
         ck, dataset, mask_seed, args.acceleration, normalize=args.normalize)

@@ -174,6 +174,18 @@ class ExperimentConfig:
                     raise ConfigError(f"ExperimentConfig.distributions keys {seen[d]!r} and "
                                       f"{key!r} would share the checkpoint directory {d}")
                 seen[d] = key
+        # each accel_combo model, its checkpoints and its test set are named by one label
+        if self.template == "accel_combo":
+            trained = {}
+            for i, r in enumerate(self.accelerations):
+                if (label := _accel_label(r)) in trained:
+                    j = trained[label]
+                    raise ConfigError(f"ExperimentConfig.accelerations[{i}] {r!r} and [{j}] "
+                                      f"{self.accelerations[j]!r} share the label {label}")
+                trained[label] = i
+            if (r := self.unseen_acceleration) is not None and _accel_label(r) in trained:
+                raise ConfigError(f"ExperimentConfig.unseen_acceleration {r!r} shares the "
+                                  f"label {_accel_label(r)} with a trained acceleration")
 
     def _specs(self, need: str) -> list[tuple[str, datamod.DistributionSpec]]:
         """(field, spec) for each spec a TEMPLATES input names, if set."""
@@ -205,6 +217,11 @@ class ExperimentConfig:
 
 def _size(spec: datamod.DistributionSpec) -> str:
     return f"{spec.extents[0]}x{spec.extents[1]}"
+
+
+def _accel_label(r: float) -> str:
+    """accel_combo's name for acceleration `r`: its model id and test-set suffix."""
+    return f"R{r:g}"
 
 
 def _seeded(spec: datamod.DistributionSpec, seed: int) -> datamod.DistributionSpec:
@@ -387,7 +404,7 @@ def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
                                              cfg.test_count)
     accels = list(cfg.accelerations)
     unseen = [] if cfg.unseen_acceleration is None else [cfg.unseen_acceleration]
-    models = [(f"R{r:g}", {"acceleration": r}, [r]) for r in accels]
+    models = [(_accel_label(r), {"acceleration": r}, [r]) for r in accels]
     if len(accels) > 1:
         models.append(("R-all", {"accelerations": tuple(accels)}, accels))
     runs = {mid: (mid, train_set.name, _fit(cfg, outdir, mid, train_set, cfg.seed, **kw)[-1])
@@ -396,7 +413,7 @@ def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
     for r in dict.fromkeys(accels + unseen):
         at_r = [runs[mid] for mid, _, trained_at in models if r in trained_at + unseen]
         scored.update(((rec.model_id, r), rec) for rec in _eval_records(
-            cfg, at_r, {f"P-test@R{r:g}": test_set}, cfg.seed, acceleration=r))
+            cfg, at_r, {f"P-test@{_accel_label(r)}": test_set}, cfg.seed, acceleration=r))
     records = [scored[mid, r] for mid, _, trained_at in models for r in trained_at + unseen]
     return records, {}, {"accelerations": accels}
 

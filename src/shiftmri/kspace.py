@@ -29,7 +29,7 @@ as one GEMM with its conjugate transpose, with no FFT, gather or scatter.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -386,46 +386,3 @@ def zero_filled_rss(y: np.ndarray) -> np.ndarray:
 def ground_truth_rss(x: np.ndarray, sens: np.ndarray) -> np.ndarray:
     """RSS target of a ground-truth image under given coil maps."""
     return rss(np.asarray(sens) * np.asarray(x)[None])
-
-
-# ---------------------------------------------------------------------------
-# k-space utilities from the evaluation pipeline.
-# ---------------------------------------------------------------------------
-
-
-def interleave_upsample(y: np.ndarray, mask: SamplingMask, axis: str):
-    """Repeat each k-space line adjacently along 'horizontal' or 'vertical'.
-
-    Horizontal repetition doubles the column count and duplicates the mask
-    columns identically; vertical repetition leaves the mask unchanged.
-    Returns (upsampled k-space, mask).
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    if axis == "horizontal":
-        return np.repeat(y, 2, axis=-1), replace(
-            mask, width=mask.width * 2, sampled=np.repeat(mask.sampled, 2),
-            acs_count=mask.acs_count * 2, target_count=mask.target_count * 2)
-    if axis == "vertical":
-        return np.repeat(y, 2, axis=-2), mask
-    raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
-
-
-def center_crop(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    h, w = img.shape[-2:]
-    if h < height or w < width:
-        raise ValueError(f"cannot crop {img.shape[-2:]} to {(height, width)}")
-    top = (h - height) // 2
-    left = (w - width) // 2
-    return img[..., top : top + height, left : left + width]
-
-
-def views_from_3d(volume: np.ndarray, axis: int) -> list[np.ndarray]:
-    """2D k-space slices of a 3D k-space: 1D centered unitary IFFT along
-    `axis`, then slicing along that axis."""
-    volume = np.asarray(volume, dtype=np.complex128)
-    if volume.ndim != 3:
-        raise ValueError("need a 3D volume")
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1 or 2")
-    hybrid = ifft1c(volume, axis)
-    return [np.take(hybrid, i, axis=axis) for i in range(volume.shape[axis])]

@@ -287,7 +287,7 @@ class Checkpoint:
     epoch: int
     fingerprint: str  # content hash of the training set
     rng_state: dict
-    train_extents: tuple[int, int]
+    train_extents: tuple[int, int]  # recorded; inference runs at its input's extents
     provenance: list[str] = field(default_factory=list)
 
     def _check_finite(self, error: type[Exception]) -> None:
@@ -490,31 +490,12 @@ def _runner(model, theta: np.ndarray):
     return lambda y, sens, mask: model.reconstruct(tensors, y, sens, mask).data
 
 
-def _upsample_sens(sens: np.ndarray) -> np.ndarray:
-    up = np.repeat(np.repeat(sens, 2, axis=1), 2, axis=2)
-    norm = np.sqrt(np.sum(np.abs(up) ** 2, axis=0))
-    return up / norm
-
-
 def infer(checkpoint: Checkpoint, y: np.ndarray, sens: np.ndarray,
           mask: kspace.SamplingMask) -> np.ndarray:
-    """Deterministic reconstruction from a checkpoint.
-
-    Extents matching the training extents run directly; half-extent inputs
-    are routed through interleaved k-space repetition along both axes and the
-    output is center-cropped back.
-    """
-    reconstruct = _runner(construct_model(checkpoint.config), checkpoint.params)
-    h, w = y.shape[-2:]
-    th, tw = checkpoint.train_extents
-    if (h, w) == (th, tw):
-        return reconstruct(y, sens, mask)
-    if (2 * h, 2 * w) == (th, tw):
-        y2, mask2 = kspace.interleave_upsample(y, mask, "horizontal")
-        y2, mask2 = kspace.interleave_upsample(y2, mask2, "vertical")
-        return kspace.center_crop(reconstruct(y2, _upsample_sens(sens), mask2), h, w)
-    raise ValueError(
-        f"extents {(h, w)} not resolvable against training extents {(th, tw)}")
+    """Deterministic reconstruction from a checkpoint at the input's own
+    extents, as `evaluate_params` scores it; raises ValueError for extents
+    the model's `check_extents` refuses."""
+    return _runner(construct_model(checkpoint.config), checkpoint.params)(y, sens, mask)
 
 
 def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],

@@ -1,14 +1,4 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-@pytest.fixture
-def seeded_phantom_item():
-    from shiftmri import data as dm
-
-    spec = dm.DistributionSpec("fixture", extents=(32, 32), coils=4, snr_db=40, seed=2)
-    return dm.generate(spec, 1).items[0]

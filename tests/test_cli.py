@@ -70,6 +70,29 @@ def test_train_and_eval_roundtrip(tmp_path, capsys):
     assert lines[1].startswith("unet_lite,1,")
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_model_that_cannot_run_at_dataset_extents_exits_2_before_writing(tmp_path, capsys,
+                                                                        command):
+    data_dir = gen_dataset(tmp_path, count=1, extents=[20, 20])
+    model = {"kind": "unet_lite", "channels": 2, "pool_levels": 3, "seed": 0}
+    if command == "train":
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"dataset": str(data_dir), "model": model,
+                                      "train": {"epochs": 1}}))
+        argv = ["train", "--config", str(config)]
+    else:
+        config = dm.from_fields(learned.ModelConfig, model)
+        learned.Checkpoint(config, learned.construct_model(config).init_params(), 0, "", {},
+                           (32, 32)).save(tmp_path / "init.ckpt")
+        argv = ["eval", "--checkpoint", str(tmp_path / "init.ckpt"), "--dataset", str(data_dir)]
+    capsys.readouterr()
+    assert cli.main(["--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: unet_lite cannot run on dataset 'cli-test': "
+                   "extents (20, 20) not divisible by 2^3"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_tune_lambda_csv(tmp_path, capsys):
     data_dir = gen_dataset(tmp_path, count=2)
     capsys.readouterr()

@@ -333,13 +333,23 @@ OUT_OF_RANGE_FIELDS = [
     ({"template": "finetune_ablation", "sources": [{"name": "S"}],
       "distributions": {"a b": {"name": "A"}, "ab": {"name": "B"}}},
      "ExperimentConfig.distributions keys 'a b' and 'ab'"),
+    ({**ACCEL_COMBO, "accelerations": [4, 4.0000001]},
+     "ExperimentConfig.accelerations[1] 4.0000001 and [0] 4.0 share the label R4"),
+    ({**ACCEL_COMBO, "accelerations": [8, 4, 4]},
+     "ExperimentConfig.accelerations[2] 4.0 and [1] 4.0 share the label R4"),
+    ({**ACCEL_COMBO, "accelerations": [4, 8], "unseen_acceleration": 4},
+     "ExperimentConfig.unseen_acceleration 4.0 shares the label R4"),
+    ({**ACCEL_COMBO, "accelerations": [4], "unseen_acceleration": 4.0000001},
+     "ExperimentConfig.unseen_acceleration 4.0000001 shares the label R4"),
 ]
 OUT_OF_RANGE_IDS = ["train_count-0", "test_count--1", "overfit_window-0", "overfit_window--2",
                     "skew_factor-1", "skew_factor-0.5", "lesion_amplitude-nan",
                     "lesion_amplitude-inf", "seeds-repeated", "accelerations-empty",
                     "pool_levels-too-deep", "diversity_robustness-epochs-1",
                     "train-accelerations-0.5", "train-accelerations-nan",
-                    "finetune_ablation-colliding-checkpoint-dirs"]
+                    "finetune_ablation-colliding-checkpoint-dirs",
+                    "accelerations-same-label", "accelerations-repeated",
+                    "unseen_acceleration-trained", "unseen_acceleration-same-label"]
 
 # Templates that train one model on a union of training sets, given specs of
 # two extents: (changes to MINIMAL_EXPERIMENT, the two fields named)

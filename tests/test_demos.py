@@ -1,5 +1,6 @@
 """The demos run to completion and print their headline results."""
 
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +41,20 @@ def test_learned_reconstruction_demo_runs():
     assert proc.returncode == 0, proc.stderr
     assert "inference deterministic: True" in proc.stdout
     assert "-> output (16, 16)" in proc.stdout
+
+
+def test_robustness_and_similarity_demo_states_its_numbers():
+    proc = _run_demo("05_robustness_and_similarity.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.rsplit(": ", 1) for line in proc.stdout.splitlines() if ": " in line)
+    sims = json.loads(lines["similarity of each source train set to the target test set"])
+    union = float(lines["similarity of the union train set"])
+    er = float(lines["union-trained model effective robustness (final epoch)"])
+    assert (sims, union, er) == ([0.776, 0.831], 0.841, 0.008)
+    beaten = sum(union > v for v in sims)
+    assert (f"more similar to the target test set than {beaten} of 2 source train sets"
+            in proc.stdout)
+    assert "out-of-distribution SSIM lies above the specialist line" in proc.stdout
 
 
 def test_distributional_overfitting_demo_runs():

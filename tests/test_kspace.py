@@ -506,67 +506,22 @@ def test_noise_model_validation():
 
 
 # ---------------------------------------------------------------------------
-# Interleaved repetition and 3D view synthesis.
+# One-axis centered transform.
 # ---------------------------------------------------------------------------
 
 
-def test_interleave_duplicates_columns_and_mask():
-    y = np.arange(8, dtype=complex).reshape(1, 2, 4)
-    mask = kspace.SamplingMask(4, np.array([True, False, True, False]), 2.0, 0.25, 0, 1, 2)
-    up, m2 = kspace.interleave_upsample(y, mask, "horizontal")
-    np.testing.assert_array_equal(up[0, 0], [0, 0, 1, 1, 2, 2, 3, 3])
-    np.testing.assert_array_equal(m2.sampled, [True, True, False, False,
-                                               True, True, False, False])
-    assert m2.width == 8
-
-
-def test_interleave_twice_doubles_both_extents():
-    y = np.ones((2, 4, 6), dtype=complex)
-    mask = kspace.full_mask(6)
-    up, m2 = kspace.interleave_upsample(y, mask, "horizontal")
-    up, m2 = kspace.interleave_upsample(up, m2, "vertical")
-    assert up.shape == (2, 8, 12)
-    assert m2.width == 12
-
-
-def test_interleave_recon_path_matches_direct(seeded_phantom_item):
-    from shiftmri import data as dm
-    from shiftmri.metrics import normalize_output, ssim, SsimConfig
-
-    item = seeded_phantom_item
-    mask = kspace.mask_for_volume(32, 4, 0.08, 3, 0)
-    y = dm.simulate_measurements(item, mask, 5)
-    direct = kspace.zero_filled_rss(y)
-    up, m2 = kspace.interleave_upsample(y, mask, "horizontal")
-    up, m2 = kspace.interleave_upsample(up, m2, "vertical")
-    cropped = kspace.center_crop(kspace.zero_filled_rss(up), 32, 32)
-    matched, _ = normalize_output(cropped, direct)
-    score = ssim(matched, direct, SsimConfig(data_range=float(direct.max())))
-    assert score >= 0.95
-
-
-def test_views_from_3d_extent_one_is_identity():
-    rng = np.random.default_rng(9)
-    vol = rng.standard_normal((1, 6, 6)) + 1j * rng.standard_normal((1, 6, 6))
-    views = kspace.views_from_3d(vol, axis=0)
-    assert len(views) == 1
-    np.testing.assert_allclose(views[0], vol[0], atol=1e-12)
-
-
-def test_views_from_3d_energy_preserved():
+def test_ifft1c_preserves_energy():
     rng = np.random.default_rng(10)
     vol = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
-    views = kspace.views_from_3d(vol, axis=0)
-    total = sum(np.sum(np.abs(v) ** 2) for v in views)
-    assert abs(total - np.sum(np.abs(vol) ** 2)) < 1e-10
+    assert abs(np.sum(np.abs(kspace.ifft1c(vol, 0)) ** 2) - np.sum(np.abs(vol) ** 2)) < 1e-10
 
 
-def test_views_from_3d_separable_volume_matches_bruteforce():
+def test_ifft1c_along_one_axis_matches_explicit_formula():
     rng = np.random.default_rng(11)
     f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     vol = f[:, None, None] * g[None, :, :]
-    views = kspace.views_from_3d(vol, axis=0)
+    got = kspace.ifft1c(vol, 0)
     f_img = centered_idft_reference(f)
     for d in range(4):
-        np.testing.assert_allclose(views[d], f_img[d] * g, atol=1e-12)
+        np.testing.assert_allclose(got[d], f_img[d] * g, atol=1e-12)

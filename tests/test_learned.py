@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -436,16 +438,22 @@ def test_training_measures_through_data_measure(monkeypatch):
 
 @pytest.mark.parametrize("config", [UNET, VARNET], ids=["unet", "varnet"])
 def test_infer_and_evaluate_params_run_one_model(monkeypatch, config):
-    ds = small_dataset(seed=14, count=2)
-    ck = learned.train(config, ds, learned.TrainConfig(epochs=1, seed=0))[0][-1]
+    ck = learned.train(config, small_dataset(seed=14, count=2),
+                       learned.TrainConfig(epochs=1, seed=0))[0][-1]
     scored = []
     monkeypatch.setattr(learned, "ssim", lambda out, target: scored.append(out) or 0.0)
-    learned.evaluate_params(config, [ck.params], ds, 5)
-    assert len(scored) == len(ds.items)
-    for i, item in enumerate(ds.items):  # at the checkpoint's training extents
-        mask = kspace.mask_for_volume(32, 4, 0.08, 5, i)
-        y, _ = dm.measure(item, mask, 5, dm.EVAL_NOISE_TAG, i)
-        assert learned.infer(ck, y, item.sens, mask).tobytes() == scored[i].tobytes()
+    # at the training extents, half of them and 1.5 times them
+    for side in (32, 16, 48):
+        ds = small_dataset(seed=side, count=2, extents=(side, side))
+        scored.clear()
+        learned.evaluate_params(config, [ck.params], ds, 5)
+        assert len(scored) == len(ds.items)
+        for i, item in enumerate(ds.items):
+            mask = kspace.mask_for_volume(side, 4, 0.08, 5, i)
+            y, _ = dm.measure(item, mask, 5, dm.EVAL_NOISE_TAG, i)
+            out = learned.infer(ck, y, item.sens, mask)
+            assert out.shape == (side, side)
+            assert out.tobytes() == scored[i].tobytes()
 
 
 def test_infer_deterministic():
@@ -470,30 +478,25 @@ def test_infer_varnet_zero_denoiser_full_mask():
     np.testing.assert_allclose(out, np.abs(item.image), atol=1e-10)
 
 
-def test_infer_interleave_path_close_to_direct(seeded_phantom_item):
-    from shiftmri.metrics import SsimConfig, normalize_output, ssim
-
-    train_set = small_dataset(seed=9, count=8, extents=(64, 64))
-    cks, _ = learned.train(VARNET, train_set, learned.TrainConfig(epochs=2, seed=0))
-    item = seeded_phantom_item  # 32x32, routed through doubling
-    mask = kspace.mask_for_volume(32, 4, 0.08, 3, 0)
-    y = dm.simulate_measurements(item, mask, 5)
-    routed = learned.infer(cks[-1], y, item.sens, mask)
-    model = learned.construct_model(cks[-1].config)
-    direct = model.reconstruct([ad.Tensor(p) for p in model.split(cks[-1].params)],
-                               y, item.sens, mask).data
-    matched, _ = normalize_output(routed, direct)
-    assert ssim(matched, direct, SsimConfig(data_range=float(direct.max()))) >= 0.9
-
-
 def test_infer_unresolvable_extents_error():
-    ds = small_dataset(seed=10)
-    cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=0, seed=0))
-    item = small_dataset(seed=11, extents=(48, 48)).items[0]
-    mask = kspace.mask_for_volume(48, 4, 0.08, 0, 0)
-    y = dm.simulate_measurements(item, mask, 1)
-    with pytest.raises(ValueError, match="extents"):
-        learned.infer(cks[-1], y, item.sens, mask)
+    """`infer` refuses exactly the extents the model's `check_extents` refuses."""
+    rng = np.random.default_rng(10)
+    unet3 = learned.ModelConfig("unet_lite", channels=4, pool_levels=3, seed=0)
+    for config in (UNET, unet3, VARNET):
+        ck = learned.train(config, small_dataset(seed=10),
+                           learned.TrainConfig(epochs=0, seed=0))[0][-1]
+        model = learned.construct_model(config)
+        for extents in ((32, 32), (16, 16), (48, 24), (20, 20), (36, 16), (1, 8), (8, 1)):
+            y = rng.standard_normal((2, *extents)) + 1j * rng.standard_normal((2, *extents))
+            sens = kspace.simulate_sensitivities(*extents, 2, rng=rng)
+            mask = kspace.full_mask(extents[1])
+            try:
+                model.check_extents(*extents)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    learned.infer(ck, y, sens, mask)
+            else:
+                assert learned.infer(ck, y, sens, mask).shape == extents
 
 
 def test_finetune_zero_epochs_keeps_parameters():
