@@ -452,19 +452,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record_op("reshape", x.data.reshape(shape), [x], lambda g: [g.reshape(old)])
 
 
-def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
-    if x.data.ndim < 3 or not (0 <= lo < hi <= x.shape[0]):
-        raise ShapeMismatch("slice-channels", x.shape, (lo, hi))
-    shape = x.shape
-
-    def bw(g):
-        full = np.zeros(shape)
-        full[lo:hi] = g
-        return [full]
-
-    return _record_op("slice-channels", x.data[lo:hi].copy(), [x], bw)
-
-
 def magnitude_2ch(x: Tensor, eps: float = 1e-12) -> Tensor:
     """Pointwise complex magnitude of a (2,h,w) tensor."""
     if x.data.ndim != 3 or x.shape[0] != 2:

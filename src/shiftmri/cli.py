@@ -36,16 +36,15 @@ def _load_json(path: str) -> dict:
     return obj
 
 
-def _out_dir(args, default: str | None = None) -> Path:
-    """`--out`, else `default`, as a directory, made if missing."""
-    out = args.out or default
-    if not out:
+def _out_dir(args) -> Path:
+    """`--out` as a directory, made if missing."""
+    if not args.out:
         raise ValidationError("--out is required for this command")
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        raise ValidationError(f"cannot make output directory {out}: {e.strerror}") from e
-    return Path(out)
+        raise ValidationError(f"cannot make output directory {args.out}: {e.strerror}") from e
+    return Path(args.out)
 
 
 def cmd_gen_data(args) -> int:
@@ -220,14 +219,11 @@ def cmd_toy_subspace(args) -> int:
 
 
 def cmd_run(args) -> int:
-    raw = _load_json(args.config)
+    config = _load_json(args.config)
     if args.seed is not None:
-        raw["seed"] = args.seed
-    try:
-        cfg = harness.ExperimentConfig.from_dict(raw)
-    except harness.ConfigError as e:
-        raise ValidationError(str(e)) from e
-    path = harness.run_experiment(cfg, _out_dir(args, cfg.out))
+        config["seed"] = args.seed
+    cfg = harness.ExperimentConfig.from_dict(config)
+    path = harness.run_experiment(cfg, _out_dir(args))
     print(f"report written to {path}")
     return 0
 

@@ -155,9 +155,6 @@ class Dataset:
     items: list[Item]
     specs: dict[str, dict] = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.items)
-
 
 # ---------------------------------------------------------------------------
 # Phantom generation.
@@ -336,9 +333,14 @@ def subsample(dataset: Dataset, fraction: float, rng: np.random.Generator) -> Da
                    dict(dataset.specs))
 
 
+def skew_count(n: int, factor: float) -> int:
+    """Size of skew's small set drawn from n items: round(n / factor), halves up."""
+    return int(np.floor(n / factor + 0.5))
+
+
 def skew(d_large: Dataset, factor: float, seed: int = 0):
-    """Return (d_large, d_small) with |d_small| = round(|d_large| / factor)."""
-    count = int(np.floor(len(d_large.items) / factor + 0.5))
+    """Return (d_large, d_small) with |d_small| = skew_count(|d_large|, factor)."""
+    count = skew_count(len(d_large.items), factor)
     if count < 1:
         raise ValueError("skewed set would be empty")
     small = subsample(d_large, count / len(d_large.items), kspace.rng_from(seed, 0x5CE4))
@@ -437,7 +439,7 @@ def simulate_measurements(item: Item, mask: kspace.SamplingMask, noise_seed: int
     """Undersampled noisy k-space for an item at its distribution's SNR."""
     clean = kspace.apply_forward(item.image, kspace.Encoding(item.sens, mask))
     sigma = kspace.sigma_for_snr(clean, mask, item.snr_db)
-    return kspace.add_noise(clean, mask, kspace.NoiseModel(sigma, noise_seed))
+    return kspace.add_noise(clean, mask, sigma, noise_seed)
 
 
 def measure(item: Item, mask: kspace.SamplingMask, *noise_keys: int):

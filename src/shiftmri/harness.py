@@ -86,8 +86,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """An experiment read from JSON whose keys are these fields; `out` is the
-    CLI's output directory and `raw` keeps the JSON object as read."""
+    """An experiment read from JSON whose keys are these fields."""
 
     template: str
     seed: int
@@ -106,8 +105,6 @@ class ExperimentConfig:
     overfit_window: int = datamod.within("[1, inf)", 3)
     overfit_eps: float = datamod.within("(-inf, inf)", 1e-3)
     overfit_delta: float = datamod.within("(-inf, inf)", 0.0)
-    out: str | None = None
-    raw: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         datamod.check_fields(self, ConfigError)
@@ -154,8 +151,7 @@ class ExperimentConfig:
             width = spec.extents[1]
             for r in accels:
                 try:
-                    kspace.make_equispaced_mask(width, r, kspace.feasible_center_fraction(
-                        width, r, self.train.center_fraction))
+                    kspace.mask_for_volume(width, r, self.train.center_fraction, 0, 0)
                 except ValueError as e:
                     raise ConfigError(f"acceleration {r!r} on distribution {spec.name!r} "
                                       f"({width} columns): {e}") from e
@@ -186,6 +182,10 @@ class ExperimentConfig:
             if (r := self.unseen_acceleration) is not None and _accel_label(r) in trained:
                 raise ConfigError(f"ExperimentConfig.unseen_acceleration {r!r} shares the "
                                   f"label {_accel_label(r)} with a trained acceleration")
+        # skewed trains P-small on skew_count(train_count, skew_factor) items of P
+        if self.template == "skewed" and datamod.skew_count(self.train_count, self.skew_factor) < 1:
+            raise ConfigError(f"ExperimentConfig.skew_factor {self.skew_factor!r} leaves no item "
+                              f"of train_count {self.train_count} in the small set")
 
     def _specs(self, need: str) -> list[tuple[str, datamod.DistributionSpec]]:
         """(field, spec) for each spec a TEMPLATES input names, if set."""
@@ -199,15 +199,13 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         try:
-            cfg = datamod.from_fields(ExperimentConfig, d)
+            return datamod.from_fields(ExperimentConfig, d)
         except (TypeError, ValueError) as e:  # a ConfigError too, with its message kept
             raise ConfigError(str(e)) from e
-        cfg.raw = d
-        return cfg
 
     def canonical_json(self) -> str:
-        d = {k: v for k, v in self.raw.items() if k != "out"}
-        return json.dumps(d, sort_keys=True, separators=(",", ":"))
+        """Every field, defaults included: what the report manifest's config_sha256 hashes."""
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -225,16 +225,6 @@ def simulate_sensitivities(height: int, width: int, coils: int, smoothness: floa
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    sigma: float = 0.0  # complex std; each of re/im has variance sigma^2/2
-    seed: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError(f"NoiseModel.sigma must be finite and >= 0, got {self.sigma!r}")
-
-
 class Encoding:
     """The multi-coil encoding operator E = M F S for one set of coil maps and
     one column mask, bound once per solve for apply_forward and apply_adjoint,
@@ -341,13 +331,16 @@ def apply_adjoint(y: np.ndarray, enc: Encoding) -> np.ndarray:
     return _coil_sum(ifft2c(k), enc.conj)
 
 
-def add_noise(y: np.ndarray, mask: SamplingMask, noise: NoiseModel) -> np.ndarray:
-    """Add iid complex Gaussian noise on sampled columns only."""
-    if noise.sigma == 0:
+def add_noise(y: np.ndarray, mask: SamplingMask, sigma: float, seed: int) -> np.ndarray:
+    """Add iid complex Gaussian noise of std `sigma` (each of re/im has variance
+    sigma^2/2), drawn from the stream of `seed`, on sampled columns only."""
+    if not np.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"add_noise sigma must be finite and >= 0, got {sigma!r}")
+    if sigma == 0:
         return y.copy()
-    rng = rng_from(noise.seed, 0x7015E)
+    rng = rng_from(seed, 0x7015E)
     z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    z *= noise.sigma / np.sqrt(2.0)
+    z *= sigma / np.sqrt(2.0)
     return y + z * mask.sampled[None, None, :]
 
 

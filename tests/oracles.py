@@ -8,7 +8,8 @@ can be compared with the coil-batched model's, the full k-space FISTA
 loop runs on the package's full k-space operators and Haar transform,
 the toy MSE table is scored on whole arrays with the package's estimators,
 the DFT matrices are the package's centered FFT of an identity, and the
-optimizer steps and clips one array per layer.
+optimizer steps and clips one array per layer. The per-coil unroll's one op
+that no model records, `slice_channels`, lives here as a tape op.
 """
 
 import numpy as np
@@ -140,6 +141,20 @@ def ols_reference(points):
     return float(coef[0]), float(coef[1])
 
 
+def slice_channels(x, lo, hi):
+    """Channels lo:hi of a (c, ...) tensor, recorded as tape op "slice-channels"."""
+    if x.data.ndim < 3 or not (0 <= lo < hi <= x.shape[0]):
+        raise ad.ShapeMismatch("slice-channels", x.shape, (lo, hi))
+    shape = x.shape
+
+    def bw(g):
+        full = np.zeros(shape)
+        full[lo:hi] = g
+        return [full]
+
+    return ad._record_op("slice-channels", x.data[lo:hi].copy(), [x], bw)
+
+
 def _centered_dft_pair(n, inverse):
     """Real and imaginary parts of the centered unitary DFT matrix, as
     constant tensors; column j is the transform of the j-th unit vector."""
@@ -155,8 +170,8 @@ def _fft2c_per_plane(x, inverse=False):
     fr_h, fi_h = _centered_dft_pair(h, inverse)
     fr_w, fi_w = _centered_dft_pair(w, inverse)
     frt, fit = ad.Tensor(fr_w.data.T), ad.Tensor(fi_w.data.T)
-    xr = ad.reshape(ad.slice_channels(x, 0, 1), (h, w))
-    xi = ad.reshape(ad.slice_channels(x, 1, 2), (h, w))
+    xr = ad.reshape(slice_channels(x, 0, 1), (h, w))
+    xi = ad.reshape(slice_channels(x, 1, 2), (h, w))
     r1 = ad.add(ad.matmul(fr_h, xr), ad.scale(ad.matmul(fi_h, xi), -1.0))
     i1 = ad.add(ad.matmul(fr_h, xi), ad.matmul(fi_h, xr))
     re = ad.add(ad.matmul(r1, frt), ad.scale(ad.matmul(i1, fit), -1.0))

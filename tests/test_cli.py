@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -533,14 +535,47 @@ def test_run_missing_template_input_exits_2_before_data(tmp_path, capsys, monkey
 
 @pytest.mark.parametrize("out", [5, ["o"], True])
 def test_run_non_string_config_out_exits_2_naming_it(tmp_path, capsys, monkeypatch, out):
+    # `--out` is the one output directory: a config key `out` is unknown, whatever its value
     monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"template": "accel_combo", "seed": 0,
                                     "distributions": {"P": _spec("P")}, "out": out}))
     capsys.readouterr()
-    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ExperimentConfig.out must be str")
+    assert len(err) == 1 and err[0].startswith("error: ") and "argument 'out'" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+# accel_combo with no training epoch: the smallest complete report
+TINY_RUN = {"template": "accel_combo", "train_count": 1, "test_count": 1,
+            "model": {"channels": 2}, "train": {"epochs": 0},
+            "distributions": {"P": {"name": "P", "coils": 1, "extents": [16, 16]}}}
+
+
+def _config_sha256(outdir):
+    return json.loads((outdir / "manifest.json").read_text())["config_sha256"]
+
+
+def test_manifest_hashes_the_config_as_any_copy_of_it_does(tmp_path):
+    config = {**TINY_RUN, "seed": 2}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+    cfg = harness.ExperimentConfig.from_dict(config)
+    for copy in (cfg, replace(cfg)):
+        assert _config_sha256(tmp_path / "o") == hashlib.sha256(
+            copy.canonical_json().encode()).hexdigest()
+
+
+def test_run_seed_flag_stands_in_for_a_config_without_seed(tmp_path):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(TINY_RUN))
+    assert cli.main(["run", "--config", str(cfg_path), "--seed", "5",
+                     "--out", str(tmp_path / "o")]) == 0
+    cfg = harness.ExperimentConfig.from_dict({**TINY_RUN, "seed": 5})
+    assert _config_sha256(tmp_path / "o") == hashlib.sha256(
+        cfg.canonical_json().encode()).hexdigest()
 
 
 def test_run_pathology_without_q_still_runs(tmp_path, capsys):

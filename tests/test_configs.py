@@ -3,7 +3,7 @@ dataclass, and unknown keys are rejected the same way everywhere."""
 
 import json
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -42,9 +42,7 @@ def _read(cls, d):
 
 def _as_json(x) -> dict:
     """What a config file holding x reads back as."""
-    d = x.to_dict() if hasattr(x, "to_dict") else asdict(x)
-    d.pop("raw", None)
-    return json.loads(json.dumps(d))
+    return json.loads(json.dumps(x.to_dict() if hasattr(x, "to_dict") else asdict(x)))
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -92,15 +90,32 @@ def test_missing_required_key_is_rejected():
         dm.from_fields(dm.DistributionSpec, ["P"])
 
 
-def test_experiment_config_keeps_out_and_raw():
-    d = {**MINIMAL_EXPERIMENT, "seed": 3, "train_count": 4, "out": "somewhere"}
-    cfg = harness.ExperimentConfig.from_dict(d)
-    assert (cfg.seed, cfg.train_count) == (3, 4)
-    assert cfg.raw is d
-    assert cfg.canonical_json() == ('{"distributions":{"P":{"name":"P"},"Q":{"name":"Q"}},'
-                                    '"seed":3,"template":"skewed","train_count":4}')
-    with pytest.raises(harness.ConfigError, match="raw"):
-        harness.ExperimentConfig.from_dict({"template": "skewed", "seed": 0, "raw": {}})
+def test_canonical_json_holds_every_field_defaults_included():
+    cfg = harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, "seed": 3, "train_count": 6})
+    text = cfg.canonical_json()
+    assert text.startswith('{"accelerations":[4.0],"distributions":{"P":{"coils":4,"contrast":'
+                           '{"gamma":1.0,"kind":"gamma"},"extents":[32,32],"name":"P",')
+    d = json.loads(text)
+    assert list(d) == sorted(f.name for f in fields(harness.ExperimentConfig))
+    assert (d["seed"], d["train_count"], d["test_count"], d["skew_factor"]) == (3, 6, 8, 10.0)
+    assert d["model"] == learned.ModelConfig().to_dict()
+    assert d["distributions"]["Q"] == dm.DistributionSpec("Q").to_dict()
+    with pytest.raises(harness.ConfigError, match="unexpected keyword argument 'out'"):
+        harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, "out": "somewhere"})
+
+
+def test_python_built_config_hashes_as_its_json_twin():
+    _, minimal, built, value = CASES["ExperimentConfig"]
+    assert built.canonical_json() == harness.ExperimentConfig.from_dict(minimal).canonical_json()
+    assert value.canonical_json() == _read(harness.ExperimentConfig,
+                                           _as_json(value)).canonical_json()
+
+
+def test_a_changed_field_changes_the_canonical_json():
+    cfg = CASES["ExperimentConfig"][2]
+    assert replace(cfg, seed=5).canonical_json() != cfg.canonical_json()
+    assert replace(cfg, seed=0).canonical_json() == cfg.canonical_json()
+    assert replace(cfg, test_count=9).canonical_json() != cfg.canonical_json()
 
 
 def test_model_config_dict_golden():
@@ -341,6 +356,8 @@ OUT_OF_RANGE_FIELDS = [
      "ExperimentConfig.unseen_acceleration 4.0 shares the label R4"),
     ({**ACCEL_COMBO, "accelerations": [4], "unseen_acceleration": 4.0000001},
      "ExperimentConfig.unseen_acceleration 4.0000001 shares the label R4"),
+    ({"train_count": 4, "skew_factor": 10},
+     "ExperimentConfig.skew_factor 10.0 leaves no item of train_count 4 in the small set"),
 ]
 OUT_OF_RANGE_IDS = ["train_count-0", "test_count--1", "overfit_window-0", "overfit_window--2",
                     "skew_factor-1", "skew_factor-0.5", "lesion_amplitude-nan",
@@ -349,7 +366,8 @@ OUT_OF_RANGE_IDS = ["train_count-0", "test_count--1", "overfit_window-0", "overf
                     "train-accelerations-0.5", "train-accelerations-nan",
                     "finetune_ablation-colliding-checkpoint-dirs",
                     "accelerations-same-label", "accelerations-repeated",
-                    "unseen_acceleration-trained", "unseen_acceleration-same-label"]
+                    "unseen_acceleration-trained", "unseen_acceleration-same-label",
+                    "skewed-empty-small-set"]
 
 # Templates that train one model on a union of training sets, given specs of
 # two extents: (changes to MINIMAL_EXPERIMENT, the two fields named)

@@ -68,7 +68,7 @@ def _two_forward_measurements(item, mask, noise_seed):
                                                      * clean.shape[1])
         sigma = float(np.sqrt(power / 10.0 ** (item.snr_db / 10.0)))
     clean = kspace.apply_forward(item.image, kspace.Encoding(item.sens, mask))
-    return kspace.add_noise(clean, mask, kspace.NoiseModel(sigma, noise_seed))
+    return kspace.add_noise(clean, mask, sigma, noise_seed)
 
 
 @pytest.mark.parametrize("snr", [30.0, 200.0, 250.0])
@@ -180,6 +180,8 @@ def test_skew_factor_10_of_2048():
     big, small = dm.skew(pool, 10.0, seed=0)
     assert len(big.items) == 2048
     assert len(small.items) == 205
+    # round half up: the config check refuses a skewed set of 0, as skew does
+    assert [dm.skew_count(n, 10.0) for n in (2048, 5, 4)] == [205, 1, 0]
 
 
 def test_subsample_deterministic():

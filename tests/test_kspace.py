@@ -479,30 +479,27 @@ def test_zero_filled_rss_examples():
 
 @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
 def test_noise_model_rejects_unusable_sigma(sigma):
-    with pytest.raises(ValueError, match=r"^NoiseModel\.sigma must be "):
-        kspace.NoiseModel(sigma)
+    y = np.ones((2, 4, 8), dtype=complex)
+    with pytest.raises(ValueError, match=r"^add_noise sigma must be finite and >= 0, got "):
+        kspace.add_noise(y, kspace.full_mask(8), sigma, 0)
 
 
 def test_noise_model_examples():
     rng = np.random.default_rng(8)
     mask = kspace.make_equispaced_mask(100, 2, 0.08, rng)
     y = np.zeros((8, 125, 100), dtype=complex)
-    same = kspace.add_noise(y, mask, kspace.NoiseModel(0.0, seed=1))
+    same = kspace.add_noise(y, mask, 0.0, 1)
     assert np.abs(same).max() == 0.0
     sigma = 0.7
-    noisy = kspace.add_noise(y, mask, kspace.NoiseModel(sigma, seed=2))
+    noisy = kspace.add_noise(y, mask, sigma, 2)
+    rng = kspace.rng_from(2, 0x7015E)  # the noise stream of seed 2
+    z = rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    np.testing.assert_array_equal(noisy, z * (sigma / np.sqrt(2.0)) * mask.sampled)
     assert np.abs(noisy[:, :, ~mask.sampled]).max() == 0.0
     samples = noisy[:, :, mask.sampled]
     components = np.concatenate([samples.real.ravel(), samples.imag.ravel()])
     assert components.size >= 1e5
     assert abs(np.var(components) - sigma**2 / 2) / (sigma**2 / 2) < 0.03
-
-
-def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        kspace.NoiseModel(-1.0)
-    with pytest.raises(ValueError):
-        kspace.NoiseModel(float("nan"))
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def _varnet_problem(coils, seed, extents=(16, 24), cascades=3):
     sens = kspace.simulate_sensitivities(h, w, coils, rng=rng)
     mask = kspace.make_equispaced_mask(w, 4, 0.16, rng)
     y = kspace.add_noise(kspace.apply_forward(image, kspace.Encoding(sens, mask)), mask,
-                         kspace.NoiseModel(0.05, seed))
+                         0.05, seed)
     return model, params, y, sens, mask, np.abs(image)
 
 
