@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import harness, kspace, learned, metrics, toy
-from .fista import FistaConfig, tune_lambda
+from .fista import FistaConfig, check_levels, tune_lambda
 
 
 class ValidationError(Exception):
@@ -71,15 +71,22 @@ class TrainJob:
     train: learned.TrainConfig = field(default_factory=learned.TrainConfig)
 
 
-def _check_runs_on(model_config: learned.ModelConfig, dataset: datamod.Dataset) -> None:
-    """Refuse a dataset with an item extent the model cannot run at."""
-    model = learned.construct_model(model_config)
+def _check_extents(dataset: datamod.Dataset, who: str, *rules) -> None:
+    """Refuse a dataset with an item extent (h, w) that one of `rules` raises
+    ValueError for, before a command does any work on it."""
     for extents in dict.fromkeys(item.image.shape for item in dataset.items):
-        try:
-            model.check_extents(*extents)
-        except ValueError as e:
-            raise ValidationError(f"{model_config.kind} cannot run on dataset "
-                                  f"{dataset.name!r}: {e}") from e
+        for rule in rules:
+            try:
+                rule(extents)
+            except ValueError as e:
+                raise ValidationError(f"{who} cannot run on dataset {dataset.name!r}: {e}") from e
+
+
+def _check_runs_on(model_config: learned.ModelConfig, dataset: datamod.Dataset) -> None:
+    """Refuse a dataset with an item extent the model cannot run at or SSIM cannot score."""
+    model = learned.construct_model(model_config)
+    _check_extents(dataset, model_config.kind, lambda s: model.check_extents(*s),
+                   metrics.DEFAULT_SSIM.check_extents)
 
 
 def cmd_train(args) -> int:
@@ -89,6 +96,10 @@ def cmd_train(args) -> int:
         raise ValidationError(str(e)) from e
     train_cfg = job.train if args.seed is None else replace(job.train, seed=args.seed)
     train_set = datamod.load(job.dataset)
+    extents = sorted({item.image.shape for item in train_set.items})
+    if len(extents) > 1:  # every mask of a batch is drawn at one width
+        raise ValidationError(f"train needs one item extent; dataset {train_set.name!r} "
+                              f"has {extents}")
     _check_runs_on(job.model, train_set)
     out = _out_dir(args)
     checkpoints, traces = learned.train(job.model, train_set, train_cfg)
@@ -145,8 +156,10 @@ def cmd_tune_lambda(args) -> int:
     _check_acceleration(args)
     grid = _parse_grid(args.grid)
     dataset = datamod.load(args.dataset)
-    seed = args.seed if args.seed is not None else 0
     cfg = FistaConfig()
+    _check_extents(dataset, "tune-lambda", lambda s: check_levels(s, cfg.wavelet_levels),
+                   metrics.DEFAULT_SSIM.check_extents)
+    seed = args.seed if args.seed is not None else 0
     best, table = tune_lambda(dataset, grid, cfg, acceleration=args.acceleration, seed=seed)
     lines = ["lambda,mean_ssim,n_items"]
     for lam in grid:
@@ -168,6 +181,8 @@ def cmd_tune_lambda(args) -> int:
 def cmd_similarity(args) -> int:
     train_set = datamod.load(args.train_dataset)
     test_set = datamod.load(args.test_dataset)
+    for dataset in (train_set, test_set):
+        _check_extents(dataset, "similarity", metrics.check_patch_fits)
     seed = args.seed if args.seed is not None else 0
     train_feats = metrics.extract_features(train_set, seed=seed)
     test_feats = metrics.extract_features(test_set, seed=seed)

@@ -59,7 +59,7 @@ def _haar_step_inv(block: np.ndarray) -> None:
     block *= _INV_SQRT2
 
 
-def _check_levels(shape, levels):
+def check_levels(shape, levels):
     h, w = shape
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -75,7 +75,7 @@ def _as_inexact(a: np.ndarray) -> np.ndarray:
 
 def haar_dwt(image: np.ndarray, levels: int) -> np.ndarray:
     image = _as_inexact(image)
-    _check_levels(image.shape, levels)
+    check_levels(image.shape, levels)
     out = np.empty_like(image)
     _haar_step(image, out)
     for k in range(1, levels):
@@ -86,7 +86,7 @@ def haar_dwt(image: np.ndarray, levels: int) -> np.ndarray:
 
 def haar_idwt(coeffs: np.ndarray, levels: int) -> np.ndarray:
     coeffs = _as_inexact(coeffs)
-    _check_levels(coeffs.shape, levels)
+    check_levels(coeffs.shape, levels)
     out = coeffs.copy()
     for k in reversed(range(levels)):
         _haar_step_inv(out[: out.shape[0] >> k, : out.shape[1] >> k])
@@ -139,7 +139,7 @@ def _objective(resid, coeffs, lam) -> float:
 def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
              config: FistaConfig = FistaConfig()) -> FistaResult:
     """FISTA with restart on objective increase; the trace is non-increasing."""
-    _check_levels(y.shape[-2:], config.wavelet_levels)
+    check_levels(y.shape[-2:], config.wavelet_levels)
     step, lam, levels = config.step_size, config.lam, config.wavelet_levels
     op = kspace.HybridEncoding(sens, mask, y)
 

@@ -348,12 +348,12 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
            for mid in models}
     fit = metrics.effective_robustness_fit(pts["P_best"], pts["P-union"] + pts["P+Q"])
 
-    # train-set similarity to the target test set, per source and for the union
-    sim_means = []
+    # train-set similarity to the target test set, per source and for the union,
+    # whose feature rows are its sources' rows: features are keyed on item content
     test_feats = metrics.extract_features(target_test, seed=cfg.seed)
-    for tr in source_sets + [union]:
-        feats = metrics.extract_features(tr, seed=cfg.seed)
-        sim_means.append(metrics.nn_similarity(test_feats, feats).mean)
+    feats = [metrics.extract_features(tr, seed=cfg.seed) for tr in source_sets]
+    sim_means = [metrics.nn_similarity(test_feats, f).mean
+                 for f in feats + [np.concatenate(feats)]]
     details = {
         "best_source_index": best_idx,
         "source_target_ssim": source_means,

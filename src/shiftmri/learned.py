@@ -15,8 +15,8 @@ A model's parameters are one float64 vector in its layer order: training,
 the optimizer and checkpoints work on the whole vector, and `split` gives the
 per-layer arrays as views of it.
 
-The training loop follows the standard recipe: SSIM (or MSE) loss against the
-RSS target, Adam or SGD, linear warmup then linear decay, global gradient-norm
+The training loop follows the standard recipe: 1 - SSIM loss against the
+RSS target, Adam, linear warmup then linear decay, global gradient-norm
 clipping, a fresh undersampling mask per mini-batch and fixed per-volume masks
 for evaluation. A checkpoint is written after every epoch.
 """
@@ -63,15 +63,12 @@ class ModelConfig:
 class TrainConfig:
     epochs: int = datamod.within("[0, inf)", 4)
     batch_size: int = datamod.within("[1, inf)", 1)
-    optimizer: typing.Literal["adam", "sgd"] = "adam"
     beta1: float = datamod.within("[0, 1)", 0.9)
     beta2: float = datamod.within("[0, 1)", 0.999)
-    momentum: float = datamod.within("[0, inf)", 0.0)  # sgd only
     lr_max: float = datamod.within("(0, inf)", 1e-3)
     lr_min: float = datamod.within("(0, inf)", 4e-5)
     warmup_fraction: float = datamod.within("[0, 1]", 0.01)
     clip_norm: float = datamod.within("(0, inf)", 1.0)
-    loss: typing.Literal["one_minus_ssim", "mse"] = "one_minus_ssim"
     acceleration: float = datamod.within("[1, inf)", 4.0)
     center_fraction: float = datamod.within("(0, 1)", 0.08)
     accelerations: tuple[float, ...] | None = None  # per-batch sampling when set
@@ -372,33 +369,22 @@ def _clip_gradients(grad: np.ndarray, clip_norm: float, total: float) -> np.ndar
 
 
 class _Optimizer:
-    """Adam, or SGD with momentum, updating the parameter vector in place."""
+    """Adam, updating the parameter vector in place."""
 
     def __init__(self, config: TrainConfig, size: int):
         self.config = config
         self.t = 0
-        self.m = np.zeros(size)  # Adam's first moment, or SGD's momentum buffer
-        self.v = np.zeros(size) if config.optimizer == "adam" else None
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
         c = self.config
-        if c.optimizer == "adam":
-            self.m = c.beta1 * self.m + (1 - c.beta1) * grad
-            self.v = c.beta2 * self.v + (1 - c.beta2) * grad * grad
-            mhat = self.m / (1 - c.beta1**self.t)
-            vhat = self.v / (1 - c.beta2**self.t)
-            theta -= lr * mhat / (np.sqrt(vhat) + 1e-8)
-        else:
-            self.m = c.momentum * self.m + grad
-            theta -= lr * self.m
-
-
-def _loss_node(out: ad.Tensor, target: np.ndarray, kind: str) -> ad.Tensor:
-    if kind == "one_minus_ssim":
-        return ad.ssim_loss(out, ad.Tensor(target))
-    diff = ad.add(out, ad.scale(ad.Tensor(target), -1.0))
-    return ad.reduce_mean(ad.mul(diff, diff))
+        self.m = c.beta1 * self.m + (1 - c.beta1) * grad
+        self.v = c.beta2 * self.v + (1 - c.beta2) * grad * grad
+        mhat = self.m / (1 - c.beta1**self.t)
+        vhat = self.v / (1 - c.beta2**self.t)
+        theta -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainConfig,
@@ -454,7 +440,7 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
                     y, target = datamod.measure(item, mask, config.seed, datamod.TRAIN_NOISE_TAG,
                                                 step, j)
                     out = model.reconstruct(leaves, y, item.sens, mask)
-                    li = _loss_node(out, target, config.loss)
+                    li = ad.ssim_loss(out, ad.Tensor(target))
                     loss = li if loss is None else ad.add(loss, li)
                 loss = ad.scale(loss, 1.0 / len(batch))
                 if not np.isfinite(loss.data):

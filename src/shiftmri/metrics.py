@@ -30,6 +30,11 @@ class SsimConfig:
         if self.window < 3 or self.window % 2 == 0:
             raise ValueError(f"SsimConfig.window must be odd and >= 3, got {self.window}")
 
+    def check_extents(self, shape) -> None:
+        """Refuse image extents that hold no whole window."""
+        if min(shape) < self.window:
+            raise ValueError(f"image extents {shape} smaller than SSIM window {self.window}")
+
 
 DEFAULT_SSIM = SsimConfig()
 
@@ -70,9 +75,7 @@ def _spread(field_: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
 
 def _ssim_fields(x, y, config: SsimConfig):
     k = config.window
-    h, w = x.shape
-    if h < k or w < k:
-        raise ValueError(f"image extents {x.shape} smaller than SSIM window {k}")
+    config.check_extents(x.shape)
     data_range = config.data_range
     if data_range is None:
         data_range = float(np.max(y))
@@ -205,9 +208,18 @@ def _item_magnitude(item) -> np.ndarray:
     return np.abs(np.asarray(img))
 
 
+PATCH_SIZE = 12  # extract_features' default patch side
+
+
+def check_patch_fits(shape, patch_size: int = PATCH_SIZE) -> None:
+    """Refuse image extents smaller than a feature patch."""
+    if patch_size > min(shape):
+        raise ValueError(f"patch_size {patch_size} exceeds extents {shape}")
+
+
 def extract_features(
     dataset,
-    patch_size: int = 12,
+    patch_size: int = PATCH_SIZE,
     projection_dim: int = 64,
     noise_floor: float = 1e-3,
     seed: int = 0,
@@ -228,9 +240,8 @@ def extract_features(
     features = np.zeros((len(items), projection_dim))
     for idx, item in enumerate(items):
         img = _item_magnitude(item)
+        check_patch_fits(img.shape, patch_size)
         h, w = img.shape
-        if patch_size > h or patch_size > w:
-            raise ValueError(f"patch_size {patch_size} exceeds extents {img.shape}")
         # patch positions keyed on content so duplicate items embed identically
         content_key = int.from_bytes(
             hashlib.sha256(np.ascontiguousarray(img).tobytes()).digest()[:8], "little")

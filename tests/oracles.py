@@ -427,28 +427,20 @@ def clip_reference(grads, clip_norm, total):
 
 
 class OptimizerReference:
-    """Adam, or SGD with momentum, stepping each layer's array on its own."""
+    """Adam, stepping each layer's array on its own."""
 
     def __init__(self, config, shapes):
         self.config = config
         self.t = 0
-        if config.optimizer == "adam":
-            self.m = [np.zeros(s) for s in shapes]
-            self.v = [np.zeros(s) for s in shapes]
-        else:
-            self.buf = [np.zeros(s) for s in shapes]
+        self.m = [np.zeros(s) for s in shapes]
+        self.v = [np.zeros(s) for s in shapes]
 
     def step(self, params, grads, lr):
         self.t += 1
         c = self.config
-        if c.optimizer == "adam":
-            for i, g in enumerate(grads):
-                self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
-                self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g * g
-                mhat = self.m[i] / (1 - c.beta1**self.t)
-                vhat = self.v[i] / (1 - c.beta2**self.t)
-                params[i] = params[i] - lr * mhat / (np.sqrt(vhat) + 1e-8)
-        else:
-            for i, g in enumerate(grads):
-                self.buf[i] = c.momentum * self.buf[i] + g
-                params[i] = params[i] - lr * self.buf[i]
+        for i, g in enumerate(grads):
+            self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
+            self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g * g
+            mhat = self.m[i] / (1 - c.beta1**self.t)
+            vhat = self.v[i] / (1 - c.beta2**self.t)
+            params[i] = params[i] - lr * mhat / (np.sqrt(vhat) + 1e-8)

@@ -3,11 +3,12 @@ import json
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from shiftmri import cli, harness
 from shiftmri import data as dm
-from shiftmri import learned
+from shiftmri import learned, metrics
 
 
 def write_spec(tmp_path, **kw):
@@ -92,6 +93,63 @@ def test_model_that_cannot_run_at_dataset_extents_exits_2_before_writing(tmp_pat
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: unet_lite cannot run on dataset 'cli-test': "
                    "extents (20, 20) not divisible by 2^3"]
+    assert not (tmp_path / "o").exists()
+
+
+def save_items(tmp_path, extents):
+    """A well-formed dataset file named 'odd', one random 1-coil item per (h, w) in
+    `extents`, at extents no DistributionSpec allows."""
+    rng = np.random.default_rng(0)
+    items = [dm.Item(rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w)),
+                     np.ones((1, h, w), complex), "odd", 30.0) for h, w in extents]
+    dm.save(dm.Dataset("odd", items), tmp_path / "odd")
+    return tmp_path / "odd"
+
+
+# (command, item extents, the one error line); each used to fail with exit 3 only
+# once training, a solve or feature extraction had begun
+UNRUNNABLE = {
+    "train-mixed": ("train", [(32, 32), (32, 48)],
+                    "train needs one item extent; dataset 'odd' has [(32, 32), (32, 48)]"),
+    "train-ssim": ("train", [(4, 4)], "unet_lite cannot run on dataset 'odd': "
+                   "image extents (4, 4) smaller than SSIM window 7"),
+    "eval-ssim": ("eval", [(4, 4)], "unet_lite cannot run on dataset 'odd': "
+                  "image extents (4, 4) smaller than SSIM window 7"),
+    "tune-lambda-ssim": ("tune-lambda", [(4, 4)], "tune-lambda cannot run on dataset 'odd': "
+                         "image extents (4, 4) smaller than SSIM window 7"),
+    "tune-lambda-levels-6": ("tune-lambda", [(6, 6)], "tune-lambda cannot run on dataset "
+                             "'odd': extents (6, 6) not divisible by 2^2"),
+    "tune-lambda-levels-18": ("tune-lambda", [(32, 32), (18, 18)], "tune-lambda cannot run "
+                              "on dataset 'odd': extents (18, 18) not divisible by 2^2"),
+    "similarity-patch": ("similarity", [(8, 8)], "similarity cannot run on dataset 'odd': "
+                         "patch_size 12 exceeds extents (8, 8)"),
+}
+
+
+@pytest.mark.parametrize("command, extents, error", UNRUNNABLE.values(), ids=UNRUNNABLE)
+def test_dataset_extents_a_command_cannot_run_at_exit_2_before_work(tmp_path, capsys,
+                                                                    monkeypatch, command,
+                                                                    extents, error):
+    data_dir = save_items(tmp_path, extents)
+    if command == "train":
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"dataset": str(data_dir), "model": {"channels": 2}}))
+        argv = ["train", "--config", str(config)]
+    elif command == "eval":
+        model = learned.ModelConfig(channels=2)
+        learned.Checkpoint(model, learned.construct_model(model).init_params(), 0, "", {},
+                           (32, 32)).save(tmp_path / "init.ckpt")
+        argv = ["eval", "--checkpoint", str(tmp_path / "init.ckpt"), "--dataset", str(data_dir)]
+    elif command == "tune-lambda":
+        argv = ["tune-lambda", "--dataset", str(data_dir), "--grid", "1e-3"]
+    else:
+        argv = ["similarity", "--train-dataset", str(data_dir), "--test-dataset", str(data_dir)]
+    for module, name in ((learned, "train"), (learned, "evaluate_checkpoint"),
+                         (cli, "tune_lambda"), (metrics, "extract_features")):
+        monkeypatch.setattr(module, name, None)  # any training, solve or extraction would raise
+    capsys.readouterr()
+    assert cli.main(["--out", str(tmp_path / "o"), *argv]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {error}"]
     assert not (tmp_path / "o").exists()
 
 
@@ -682,19 +740,20 @@ def test_run_bad_contrast_exits_before_data(tmp_path, capsys, contrast):
 
 # optimizer settings a training run cannot use: each would train to NaNs
 BAD_OPTIMIZER = [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", float("nan")),
-                 ("momentum", -0.5), ("momentum", float("inf")), ("lr_max", float("nan")),
-                 ("lr_max", float("inf")), ("lr_min", float("nan")),
+                 ("lr_max", float("nan")), ("lr_max", float("inf")), ("lr_min", float("nan")),
                  ("clip_norm", float("nan")), ("clip_norm", float("inf"))]
+# training is Adam on a 1 - SSIM loss, so naming another optimizer or loss is an unknown key
+REMOVED_SETTINGS = {"optimizer": "sgd", "momentum": 0.9, "loss": "mse"}
+UNUSABLE = BAD_OPTIMIZER + list(REMOVED_SETTINGS.items())
 
 
-@pytest.mark.parametrize("name, value", BAD_OPTIMIZER,
-                         ids=[f"{n}-{v!r}" for n, v in BAD_OPTIMIZER])
+@pytest.mark.parametrize("name, value", UNUSABLE, ids=[f"{n}-{v!r}" for n, v in UNUSABLE])
 @pytest.mark.parametrize("command", ["train", "run"])
 def test_unusable_optimizer_setting_exits_2_before_data(tmp_path, capsys, monkeypatch,
                                                         command, name, value):
     monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
     monkeypatch.setattr(dm, "load", None)  # and so would any dataset read
-    train = {"epochs": 1, "optimizer": "sgd", name: value}
+    train = {"epochs": 1, name: value}
     if command == "train":
         config = {"dataset": str(tmp_path / "ds"), "train": train}
     else:
@@ -706,7 +765,8 @@ def test_unusable_optimizer_setting_exits_2_before_data(tmp_path, capsys, monkey
     rc = cli.main(["--out", str(tmp_path / "o"), command, "--config", str(cfg_path)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and f"{name} must be in" in err[0]
+    named = f"argument '{name}'" if name in REMOVED_SETTINGS else f"{name} must be in"
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
     assert not (tmp_path / "o").exists()
 
 

@@ -444,6 +444,13 @@ def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):
     tests = {"ID(P_best)-test": dm.train_test(cfg.sources[details["best_source_index"]],
                                               cfg.train_count, cfg.test_count)[1],
              "Q-test": dm.train_test(cfg.target, cfg.train_count, cfg.test_count)[1]}
+    # the union's similarity is the one a whole-union feature extraction gives
+    union = dm.combine([dm.train_test(s, cfg.train_count, cfg.test_count)[0]
+                        for s in cfg.sources])
+    test_feats = metrics.extract_features(tests["Q-test"], seed=cfg.seed)
+    union_feats = metrics.extract_features(union, seed=cfg.seed)
+    assert details["union_similarity_mean"] == metrics.nn_similarity(test_feats,
+                                                                     union_feats).mean
     records = harness.parse_records_csv((tmp_path / "records.csv").read_text())
     assert len(records) == 2 * 3 * cfg.train.epochs
     for r in records:

@@ -206,10 +206,6 @@ def test_train_config_validation():
         learned.TrainConfig(clip_norm=0.0)
     with pytest.raises(ValueError):
         learned.TrainConfig(lr_max=1e-5, lr_min=1e-3)
-    with pytest.raises(ValueError):
-        learned.TrainConfig(optimizer="lion")
-    with pytest.raises(ValueError):
-        learned.TrainConfig(loss="l4")
 
 
 def test_learning_rate_schedule_pointwise():
@@ -241,12 +237,11 @@ def test_clipping_scales_by_norm():
 
 
 @pytest.mark.parametrize("kind", ["unet_lite", "varnet_lite"])
-@pytest.mark.parametrize("optimizer, momentum", [("adam", 0.0), ("sgd", 0.0), ("sgd", 0.9)])
-def test_flat_optimizer_step_bytes_equal_per_layer_reference(kind, optimizer, momentum):
+def test_flat_optimizer_step_bytes_equal_per_layer_reference(kind):
     model = learned.construct_model(learned.ModelConfig(kind))
     assert len(model.layer_shapes) == {"unet_lite": 12, "varnet_lite": 21}[kind]
-    cfg = learned.TrainConfig(optimizer=optimizer, momentum=momentum, clip_norm=0.05)
-    rng = np.random.default_rng([len(kind), int(10 * momentum)])
+    cfg = learned.TrainConfig(clip_norm=0.05)
+    rng = np.random.default_rng([len(kind), 0])
     theta = model.init_params()
     params = [p.copy() for p in model.split(theta)]
     opt, ref = learned._Optimizer(cfg, model.size), OptimizerReference(cfg, model.param_shapes)
@@ -544,12 +539,6 @@ def test_multi_acceleration_training_runs():
     cks, traces = learned.train(UNET, ds, cfg)
     assert len(cks) == 2
     assert np.isfinite(traces["train_loss"][0])
-
-
-def test_mse_loss_smoke():
-    ds = small_dataset(seed=18, count=4)
-    cks, traces = learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0, loss="mse"))
-    assert traces["train_loss"][0] > 0
 
 
 @pytest.mark.parametrize("cut", [-1, 1], ids=["short", "long"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,40 @@ def test_extract_features_noise_floor_discards():
     flat = [np.zeros((16, 16))]
     with pytest.raises(ValueError, match="item 0"):
         metrics.extract_features(flat, patch_size=8, noise_floor=1e-3, seed=0)
+
+
+def _extent_id(shape):
+    return "x".join(map(str, shape))
+
+
+# the CLI refuses a dataset by these rules before any work, so each must refuse
+# exactly the extents its computation cannot run at
+@pytest.mark.parametrize("shape", [(7, 7), (64, 7), (6, 7), (7, 6)], ids=_extent_id)
+def test_ssim_check_extents_refuses_exactly_what_ssim_cannot_score(shape):
+    x = np.random.default_rng(14).random(shape)
+    if min(shape) >= 7:
+        metrics.DEFAULT_SSIM.check_extents(shape)
+        assert metrics.ssim(x, x) == 1.0
+        return
+    message = re.escape(f"image extents {shape} smaller than SSIM window 7")
+    with pytest.raises(ValueError, match=message):
+        metrics.DEFAULT_SSIM.check_extents(shape)
+    with pytest.raises(ValueError, match=message):
+        metrics.ssim(x, x)
+
+
+@pytest.mark.parametrize("shape", [(12, 12), (11, 12), (12, 11)], ids=_extent_id)
+def test_patch_check_refuses_exactly_what_extract_features_cannot_sample(shape):
+    img = np.random.default_rng(15).random(shape) + 0.2
+    if min(shape) >= metrics.PATCH_SIZE:
+        metrics.check_patch_fits(shape)
+        assert metrics.extract_features([img]).shape == (1, 64)
+        return
+    message = re.escape(f"patch_size 12 exceeds extents {shape}")
+    with pytest.raises(ValueError, match=message):
+        metrics.check_patch_fits(shape)
+    with pytest.raises(ValueError, match=message):
+        metrics.extract_features([img])
 
 
 def test_nn_similarity_identical_sets():
