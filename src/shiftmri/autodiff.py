@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .metrics import SsimConfig, DEFAULT_SSIM, ssim_and_grad
+from .metrics import SsimConfig, ssim_and_grad
 
 
 class ShapeMismatch(ValueError):
@@ -427,7 +427,7 @@ def reduce_mean(x: Tensor) -> Tensor:
     return _record_op("reduce-mean", np.asarray(x.data.mean()), [x], bw)
 
 
-def ssim_loss(x: Tensor, target: Tensor, config: SsimConfig = DEFAULT_SSIM) -> Tensor:
+def ssim_loss(x: Tensor, target: Tensor, config: SsimConfig = SsimConfig()) -> Tensor:
     """1 - SSIM(x, target) as a scalar node; gradient flows into x only.
 
     The target is the reference image and is treated as a constant.

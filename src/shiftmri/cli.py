@@ -17,7 +17,8 @@ from pathlib import Path
 
 from . import data as datamod
 from . import harness, kspace, learned, metrics, toy
-from .fista import FistaConfig, check_levels, tune_lambda
+from .fista import (STEP_SIZE, TOLERANCE, WAVELET_LEVELS, FistaConfig, check_levels,
+                    tune_lambda)
 
 
 class ValidationError(Exception):
@@ -86,7 +87,7 @@ def _check_runs_on(model_config: learned.ModelConfig, dataset: datamod.Dataset) 
     """Refuse a dataset with an item extent the model cannot run at or SSIM cannot score."""
     model = learned.construct_model(model_config)
     _check_extents(dataset, model_config.kind, lambda s: model.check_extents(*s),
-                   metrics.DEFAULT_SSIM.check_extents)
+                   metrics.check_window_fits)
 
 
 def cmd_train(args) -> int:
@@ -96,10 +97,10 @@ def cmd_train(args) -> int:
         raise ValidationError(str(e)) from e
     train_cfg = job.train if args.seed is None else replace(job.train, seed=args.seed)
     train_set = datamod.load(job.dataset)
-    extents = sorted({item.image.shape for item in train_set.items})
-    if len(extents) > 1:  # every mask of a batch is drawn at one width
-        raise ValidationError(f"train needs one item extent; dataset {train_set.name!r} "
-                              f"has {extents}")
+    try:
+        learned.train_extents(train_set)
+    except ValueError as e:
+        raise ValidationError(str(e)) from e
     _check_runs_on(job.model, train_set)
     out = _out_dir(args)
     checkpoints, traces = learned.train(job.model, train_set, train_cfg)
@@ -157,8 +158,8 @@ def cmd_tune_lambda(args) -> int:
     grid = _parse_grid(args.grid)
     dataset = datamod.load(args.dataset)
     cfg = FistaConfig()
-    _check_extents(dataset, "tune-lambda", lambda s: check_levels(s, cfg.wavelet_levels),
-                   metrics.DEFAULT_SSIM.check_extents)
+    _check_extents(dataset, "tune-lambda", lambda s: check_levels(s, WAVELET_LEVELS),
+                   metrics.check_window_fits)
     seed = args.seed if args.seed is not None else 0
     best, table = tune_lambda(dataset, grid, cfg, acceleration=args.acceleration, seed=seed)
     lines = ["lambda,mean_ssim,n_items"]
@@ -169,13 +170,21 @@ def cmd_tune_lambda(args) -> int:
         out = _out_dir(args)
         (out / "tune_lambda.csv").write_text(text)
         # solver settings recorded alongside the table for auditability
-        settings = {k: v for k, v in asdict(cfg).items() if k != "lam"}
         (out / "tune_lambda.json").write_text(json.dumps({
             "best_lambda": best, "grid": grid, "acceleration": args.acceleration,
-            "seed": seed, **settings}, sort_keys=True, indent=1))
+            "seed": seed, "max_iters": cfg.max_iters, "step_size": STEP_SIZE,
+            "tolerance": TOLERANCE, "wavelet_levels": WAVELET_LEVELS},
+            sort_keys=True, indent=1))
     sys.stdout.write(text)
     print(f"best lambda: {best!r}", file=sys.stderr)
     return 0
+
+
+def _features(dataset: datamod.Dataset, seed: int):
+    try:
+        return metrics.extract_features(dataset, seed=seed)
+    except ValueError as e:  # an item whose every patch lies below the noise floor
+        raise ValidationError(f"similarity cannot run on dataset {dataset.name!r}: {e}") from e
 
 
 def cmd_similarity(args) -> int:
@@ -184,8 +193,7 @@ def cmd_similarity(args) -> int:
     for dataset in (train_set, test_set):
         _check_extents(dataset, "similarity", metrics.check_patch_fits)
     seed = args.seed if args.seed is not None else 0
-    train_feats = metrics.extract_features(train_set, seed=seed)
-    test_feats = metrics.extract_features(test_set, seed=seed)
+    train_feats, test_feats = (_features(dataset, seed) for dataset in (train_set, test_set))
     report = metrics.nn_similarity(test_feats, train_feats)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=1)
     if args.out:

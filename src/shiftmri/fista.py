@@ -2,8 +2,8 @@
 
 Minimizes 0.5 * sum_i ||M F S_i x - y_i||^2 + lambda * ||W x||_1 with FISTA,
 where W is an orthonormal multi-level Haar transform. The operator norm of
-A^H A is at most 1 under the unitary FFT and normalized coils, so the default
-unit step is safe. A restart-on-increase rule keeps the objective trace
+A^H A is at most 1 under the unitary FFT and normalized coils, so the unit
+step STEP_SIZE is safe. A restart-on-increase rule keeps the objective trace
 monotone.
 
 The data term and its gradient are taken in hybrid (h, k_w) space through
@@ -107,13 +107,15 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+STEP_SIZE = 1.0  # 1/L; A^H A has norm <= 1 here
+TOLERANCE = 1e-6  # relative objective change that stops a solve
+WAVELET_LEVELS = 2
+
+
 @dataclass
 class FistaConfig:
     lam: float = datamod.within("[0, inf)", 1e-3)
     max_iters: int = datamod.within("[1, inf)", 200)
-    step_size: float = datamod.within("(0, inf)", 1.0)  # 1/L; A^H A has norm <= 1 here
-    tolerance: float = datamod.within("[0, inf)", 1e-6)  # relative objective change
-    wavelet_levels: int = datamod.within("[1, inf)", 2)
 
     def __post_init__(self):
         datamod.check_fields(self)
@@ -139,8 +141,8 @@ def _objective(resid, coeffs, lam) -> float:
 def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
              config: FistaConfig = FistaConfig()) -> FistaResult:
     """FISTA with restart on objective increase; the trace is non-increasing."""
-    check_levels(y.shape[-2:], config.wavelet_levels)
-    step, lam, levels = config.step_size, config.lam, config.wavelet_levels
+    check_levels(y.shape[-2:], WAVELET_LEVELS)
+    step, lam, levels = STEP_SIZE, config.lam, WAVELET_LEVELS
     op = kspace.HybridEncoding(sens, mask, y)
 
     def residual(x):
@@ -176,7 +178,7 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
         trace.append(cand_obj)
         rel_change = abs(obj - cand_obj) / max(abs(obj), 1e-300)
         obj = cand_obj
-        if rel_change < config.tolerance:
+        if rel_change < TOLERANCE:
             break
     return FistaResult(x, trace, len(trace), restarts, rel_change)
 

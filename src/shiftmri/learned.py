@@ -15,10 +15,11 @@ A model's parameters are one float64 vector in its layer order: training,
 the optimizer and checkpoints work on the whole vector, and `split` gives the
 per-layer arrays as views of it.
 
-The training loop follows the standard recipe: 1 - SSIM loss against the
-RSS target, Adam, linear warmup then linear decay, global gradient-norm
-clipping, a fresh undersampling mask per mini-batch and fixed per-volume masks
-for evaluation. A checkpoint is written after every epoch.
+Every model trains under one fixed recipe, the module constants below: one
+item per step, 1 - SSIM loss against the RSS target, Adam, linear warmup then
+linear decay, global gradient-norm clipping, a fresh undersampling mask per
+step and fixed per-volume masks for evaluation. A checkpoint is written after
+every epoch.
 """
 
 from __future__ import annotations
@@ -59,39 +60,35 @@ class ModelConfig:
         return asdict(self)
 
 
+BETA1, BETA2 = 0.9, 0.999  # Adam's moment decay rates
+LR_MAX, LR_MIN = 1e-3, 4e-5  # the learning rate at the end of warmup and at the last step
+WARMUP_FRACTION = 0.01  # of all steps, rounded half up, at least one
+CLIP_NORM = 1.0  # largest global gradient norm a step applies
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = datamod.within("[0, inf)", 4)
-    batch_size: int = datamod.within("[1, inf)", 1)
-    beta1: float = datamod.within("[0, 1)", 0.9)
-    beta2: float = datamod.within("[0, 1)", 0.999)
-    lr_max: float = datamod.within("(0, inf)", 1e-3)
-    lr_min: float = datamod.within("(0, inf)", 4e-5)
-    warmup_fraction: float = datamod.within("[0, 1]", 0.01)
-    clip_norm: float = datamod.within("(0, inf)", 1.0)
     acceleration: float = datamod.within("[1, inf)", 4.0)
     center_fraction: float = datamod.within("(0, 1)", 0.08)
-    accelerations: tuple[float, ...] | None = None  # per-batch sampling when set
+    accelerations: tuple[float, ...] | None = None  # per-step sampling when set
     seed: int = 0
 
     def __post_init__(self):
         datamod.check_fields(self)
-        if self.lr_max < self.lr_min:
-            raise ValueError(f"TrainConfig.lr_max must be >= lr_min, got {self.lr_max!r}")
         for i, r in enumerate(self.accelerations or ()):
             if not r >= 1:  # NaN too
                 raise ValueError(f"TrainConfig.accelerations[{i}] must be in [1, inf), got {r!r}")
 
 
-def learning_rate_at(step: int, total_steps: int, config: TrainConfig) -> float:
+def learning_rate_at(step: int, total_steps: int) -> float:
     """Piecewise-linear schedule. `step` is 1-based; warmup has a 1-step floor."""
     if step < 1 or step > total_steps:
         raise ValueError(f"step {step} outside 1..{total_steps}")
-    warmup = max(1, int(np.floor(config.warmup_fraction * total_steps + 0.5)))
-    warmup = min(warmup, total_steps)
+    warmup = max(1, int(np.floor(WARMUP_FRACTION * total_steps + 0.5)))
     if step <= warmup:
-        return config.lr_max * step / warmup
-    return config.lr_max + (config.lr_min - config.lr_max) * (step - warmup) / (total_steps - warmup)
+        return LR_MAX * step / warmup
+    return LR_MAX + (LR_MIN - LR_MAX) * (step - warmup) / (total_steps - warmup)
 
 
 # ---------------------------------------------------------------------------
@@ -371,44 +368,48 @@ def _clip_gradients(grad: np.ndarray, clip_norm: float, total: float) -> np.ndar
 class _Optimizer:
     """Adam, updating the parameter vector in place."""
 
-    def __init__(self, config: TrainConfig, size: int):
-        self.config = config
+    def __init__(self, size: int):
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
 
     def step(self, theta: np.ndarray, grad: np.ndarray, lr: float) -> None:
         self.t += 1
-        c = self.config
-        self.m = c.beta1 * self.m + (1 - c.beta1) * grad
-        self.v = c.beta2 * self.v + (1 - c.beta2) * grad * grad
-        mhat = self.m / (1 - c.beta1**self.t)
-        vhat = self.v / (1 - c.beta2**self.t)
+        self.m = BETA1 * self.m + (1 - BETA1) * grad
+        self.v = BETA2 * self.v + (1 - BETA2) * grad * grad
+        mhat = self.m / (1 - BETA1**self.t)
+        vhat = self.v / (1 - BETA2**self.t)
         theta -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+
+
+def train_extents(train_set: datamod.Dataset) -> tuple[int, int]:
+    """The one (h, w) of every item of `train_set`: each step's mask is drawn at its width."""
+    extents = sorted({item.image.shape for item in train_set.items})
+    if len(extents) != 1:
+        raise ValueError(f"train needs one item extent; dataset {train_set.name!r} "
+                         f"has {extents}")
+    return extents[0]
 
 
 def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainConfig,
           init_params: np.ndarray | None = None,
           provenance: list[str] | None = None):
-    """Train on simulated measurements with a fresh mask per mini-batch.
+    """Train on simulated measurements, one item and a fresh mask per step.
 
     Returns (checkpoints, {"train_loss": per-epoch mean loss}): one checkpoint
     per epoch, index 0 being the initialization. Per-epoch test scores come
     from evaluating the checkpoints.
     """
-    if not train_set.items:
-        raise ValueError("empty training set")
+    extents = train_extents(train_set)
     model = construct_model(model_config)
     theta = np.array(model.init_params() if init_params is None else init_params,
                      dtype=np.float64)
     if theta.shape != (model.size,):
         raise ValueError(f"{theta.size} parameters given, config has {model.size}")
     fingerprint = datamod.content_hash(train_set)
-    extents = train_set.items[0].image.shape
-    opt = _Optimizer(config, model.size)
+    opt = _Optimizer(model.size)
     n = len(train_set.items)
-    steps_per_epoch = int(np.ceil(n / config.batch_size))
-    total_steps = max(1, config.epochs * steps_per_epoch)
+    total_steps = config.epochs * n
 
     def snapshot(epoch):
         return Checkpoint(model_config, theta.copy(), epoch, fingerprint,
@@ -421,9 +422,8 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
     for epoch in range(config.epochs):
         order = kspace.rng_from(config.seed, 0x0EA2, epoch).permutation(n)
         epoch_losses = []
-        for b0 in range(0, n, config.batch_size):
+        for idx in order:
             step += 1
-            batch = order[b0 : b0 + config.batch_size]
             if config.accelerations:
                 pick = int(kspace.rng_from(config.seed, 0xACCE1, step)
                            .integers(len(config.accelerations)))
@@ -432,26 +432,22 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
                 accel = config.acceleration
             mask = kspace.mask_for_batch(extents[1], accel, config.center_fraction,
                                          config.seed, step)
+            item = train_set.items[int(idx)]
             with ad.Tape() as tape:
                 leaves = [tape.leaf(p) for p in model.split(theta)]
-                loss = None
-                for j, idx in enumerate(batch):
-                    item = train_set.items[int(idx)]
-                    y, target = datamod.measure(item, mask, config.seed, datamod.TRAIN_NOISE_TAG,
-                                                step, j)
-                    out = model.reconstruct(leaves, y, item.sens, mask)
-                    li = ad.ssim_loss(out, ad.Tensor(target))
-                    loss = li if loss is None else ad.add(loss, li)
-                loss = ad.scale(loss, 1.0 / len(batch))
+                y, target = datamod.measure(item, mask, config.seed, datamod.TRAIN_NOISE_TAG,
+                                            step, 0)
+                loss = ad.ssim_loss(model.reconstruct(leaves, y, item.sens, mask),
+                                    ad.Tensor(target))
                 if not np.isfinite(loss.data):
                     raise FloatingPointError(
                         f"non-finite loss at epoch {epoch} step {step}")
                 grads_map = ad.backward(tape, loss)
             grad = np.concatenate([grads_map[leaf.node_id].data.ravel() for leaf in leaves])
             gnorm = _global_norm(model.split(grad))
-            lr = learning_rate_at(step, total_steps, config)
             if gnorm > GRAD_FLOOR:
-                opt.step(theta, _clip_gradients(grad, config.clip_norm, gnorm), lr)
+                opt.step(theta, _clip_gradients(grad, CLIP_NORM, gnorm),
+                         learning_rate_at(step, total_steps))
             epoch_losses.append(float(loss.data))
         loss_trace.append(float(np.mean(epoch_losses)))
         checkpoints.append(snapshot(epoch + 1))

@@ -12,31 +12,23 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 
+SSIM_WINDOW = 7  # side of the uniform window
+SSIM_K1, SSIM_K2 = 0.01, 0.03  # stabilizers, as fractions of the data range
+
+
 @dataclass(frozen=True)
 class SsimConfig:
-    """Windowed SSIM parameters.
-
-    data_range None means "max of the target passed in" (1.0 when that is not
+    """data_range None means "max of the target passed in" (1.0 when that is not
     positive); evaluation code that scores a whole volume should compute the
-    volume max once and pass it explicitly so every slice shares the same range.
-    """
+    volume max once and pass it explicitly so every slice shares the same range."""
 
-    window: int = 7
-    k1: float = 0.01
-    k2: float = 0.03
     data_range: float | None = None
 
-    def __post_init__(self):
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError(f"SsimConfig.window must be odd and >= 3, got {self.window}")
 
-    def check_extents(self, shape) -> None:
-        """Refuse image extents that hold no whole window."""
-        if min(shape) < self.window:
-            raise ValueError(f"image extents {shape} smaller than SSIM window {self.window}")
-
-
-DEFAULT_SSIM = SsimConfig()
+def check_window_fits(shape) -> None:
+    """Refuse image extents that hold no whole SSIM window."""
+    if min(shape) < SSIM_WINDOW:
+        raise ValueError(f"image extents {shape} smaller than SSIM window {SSIM_WINDOW}")
 
 
 def _box_sums(img: np.ndarray, k: int) -> np.ndarray:
@@ -74,15 +66,15 @@ def _spread(field_: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _ssim_fields(x, y, config: SsimConfig):
-    k = config.window
-    config.check_extents(x.shape)
+    k = SSIM_WINDOW
+    check_window_fits(x.shape)
     data_range = config.data_range
     if data_range is None:
         data_range = float(np.max(y))
     if data_range <= 0:
         data_range = 1.0
-    c1 = (config.k1 * data_range) ** 2
-    c2 = (config.k2 * data_range) ** 2
+    c1 = (SSIM_K1 * data_range) ** 2
+    c2 = (SSIM_K2 * data_range) ** 2
     n = k * k
     cn = n / (n - 1)  # unbiased covariance normalization
     ux, uy, uxx, uyy, uxy = _box_sums(np.stack([x, y, x * x, y * y, x * y]), k) / n
@@ -100,7 +92,7 @@ def _ssim_fields(x, y, config: SsimConfig):
     return s, (ux, uy, a1, a2, b1, b2, q1, q2, cn)
 
 
-def ssim(recon: np.ndarray, target: np.ndarray, config: SsimConfig = DEFAULT_SSIM) -> float:
+def ssim(recon: np.ndarray, target: np.ndarray, config: SsimConfig = SsimConfig()) -> float:
     """Mean SSIM index over all valid window positions of a uniform window."""
     recon = np.asarray(recon, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -110,7 +102,7 @@ def ssim(recon: np.ndarray, target: np.ndarray, config: SsimConfig = DEFAULT_SSI
     return float(np.mean(s))
 
 
-def ssim_and_grad(recon, target, config: SsimConfig = DEFAULT_SSIM):
+def ssim_and_grad(recon, target, config: SsimConfig = SsimConfig()):
     """SSIM value plus its gradient with respect to `recon`.
 
     Used by the autodiff SSIM loss node; the value agrees exactly with
@@ -121,7 +113,7 @@ def ssim_and_grad(recon, target, config: SsimConfig = DEFAULT_SSIM):
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     s, (ux, uy, a1, a2, b1, b2, q1, q2, cn) = _ssim_fields(x, y, config)
-    k = config.window
+    k = SSIM_WINDOW
     n_win = k * k
     p = s.size
     # dS/d(window mean of x), dS/d(var x), dS/d(cov xy)
@@ -136,7 +128,7 @@ def ssim_and_grad(recon, target, config: SsimConfig = DEFAULT_SSIM):
     return float(np.mean(s)), grad
 
 
-def region_ssim(recon, target, box, config: SsimConfig = DEFAULT_SSIM) -> float:
+def region_ssim(recon, target, box, config: SsimConfig = SsimConfig()) -> float:
     """SSIM restricted to a (row, col, height, width) box.
 
     data_range None takes the full target's max, so the crop does not change
@@ -148,13 +140,13 @@ def region_ssim(recon, target, box, config: SsimConfig = DEFAULT_SSIM) -> float:
     h, w = target.shape
     if r < 0 or c < 0 or r + bh > h or c + bw > w:
         raise ValueError(f"box {box} not within extents {target.shape}")
-    if bh < config.window or bw < config.window:
+    if bh < SSIM_WINDOW or bw < SSIM_WINDOW:
         raise ValueError(
-            f"box {bh}x{bw} smaller than SSIM window {config.window}; "
+            f"box {bh}x{bw} smaller than SSIM window {SSIM_WINDOW}; "
             "small boxes are rejected rather than padded"
         )
     if config.data_range is None:
-        config = SsimConfig(config.window, config.k1, config.k2, float(np.max(target)))
+        config = SsimConfig(float(np.max(target)))
     return ssim(recon[r : r + bh, c : c + bw], target[r : r + bh, c : c + bw], config)
 
 

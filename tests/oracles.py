@@ -334,7 +334,7 @@ def _objective_full_kspace(x, y, enc, lam, levels) -> float:
 
 
 def fista_full_kspace_reference(y, sens, mask, config) -> fista.FistaResult:
-    step, lam, levels = config.step_size, config.lam, config.wavelet_levels
+    step, lam, levels = fista.STEP_SIZE, config.lam, fista.WAVELET_LEVELS
     enc = kspace.Encoding(sens, mask)
 
     def grad(x):
@@ -368,7 +368,7 @@ def fista_full_kspace_reference(y, sens, mask, config) -> fista.FistaResult:
         trace.append(cand_obj)
         rel_change = abs(obj - cand_obj) / max(abs(obj), 1e-300)
         obj = cand_obj
-        if rel_change < config.tolerance:
+        if rel_change < fista.TOLERANCE:
             break
     return fista.FistaResult(x, trace, len(trace), restarts, rel_change)
 
@@ -429,18 +429,18 @@ def clip_reference(grads, clip_norm, total):
 class OptimizerReference:
     """Adam, stepping each layer's array on its own."""
 
-    def __init__(self, config, shapes):
-        self.config = config
+    def __init__(self, shapes, beta1, beta2):
+        self.beta1, self.beta2 = beta1, beta2
         self.t = 0
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
 
     def step(self, params, grads, lr):
         self.t += 1
-        c = self.config
+        b1, b2 = self.beta1, self.beta2
         for i, g in enumerate(grads):
-            self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
-            self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * g * g
-            mhat = self.m[i] / (1 - c.beta1**self.t)
-            vhat = self.v[i] / (1 - c.beta2**self.t)
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            mhat = self.m[i] / (1 - b1**self.t)
+            vhat = self.v[i] / (1 - b2**self.t)
             params[i] = params[i] - lr * mhat / (np.sqrt(vhat) + 1e-8)

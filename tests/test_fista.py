@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -56,10 +58,7 @@ def test_soft_threshold_examples():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lam", float("nan")), ("lam", float("inf")), ("lam", -1e-3),
-    ("step_size", float("nan")), ("step_size", float("inf")), ("step_size", 0.0),
-    ("tolerance", float("nan")), ("tolerance", float("inf")), ("tolerance", -1e-6),
-    ("max_iters", 0), ("wavelet_levels", 0),
+    ("lam", float("nan")), ("lam", float("inf")), ("lam", -1e-3), ("max_iters", 0),
 ])
 def test_fista_config_rejects_out_of_domain_values(field, value):
     with pytest.raises(ValueError, match=rf"^FistaConfig\.{field} must be in "):
@@ -121,13 +120,27 @@ def test_fista_counts_restarts(monkeypatch, step_size, restarted):
     calls = []
     objective = fista._objective
     monkeypatch.setattr(fista, "_objective", lambda *a: calls.append(1) or objective(*a))
-    res = fista.fista_l1(y, item.sens, mask,
-                         fista.FistaConfig(lam=1e-3, max_iters=40, step_size=step_size))
+    monkeypatch.setattr(fista, "STEP_SIZE", step_size)
+    res = fista.fista_l1(y, item.sens, mask, fista.FistaConfig(lam=1e-3, max_iters=40))
     assert res.restarts == len(calls) - 1 - res.iterations_run
     assert (res.restarts > 0) == restarted
     tr = res.objective_trace
     assert all(b <= a for a, b in zip(tr, tr[1:]))
     assert res.final_rel_change == abs(tr[-2] - tr[-1]) / abs(tr[-2])
+
+
+def test_fista_image_keeps_its_bytes():
+    """STEP_SIZE, TOLERANCE and WAVELET_LEVELS hold the former FistaConfig
+    defaults: a solve that TOLERANCE stops before max_iters keeps the digest
+    its image had when they were config fields."""
+    spec = dm.DistributionSpec("p", extents=(32, 32), coils=4, snr_db=25.0, seed=22)
+    item = dm.generate(spec, 1).items[0]
+    mask = kspace.mask_for_volume(32, 4, 0.08, 22, 0)
+    y = dm.simulate_measurements(item, mask, 23)
+    res = fista.fista_l1(y, item.sens, mask, fista.FistaConfig(lam=1e-3, max_iters=200))
+    assert res.iterations_run == 194
+    assert hashlib.sha256(res.image.tobytes()).hexdigest() == (
+        "5c970d31d964d4f626158f17405bbbeec5488ac4dbcb2bd94525d27eebd07197")
 
 
 @pytest.mark.parametrize("accel", [1, 2, 4, 8])
@@ -171,8 +184,8 @@ def test_fista_runs_one_dwt_per_prox_step(monkeypatch, step_size, lam):
 
     for name in calls:
         monkeypatch.setattr(fista, name, counted(name, getattr(fista, name)))
-    res = fista.fista_l1(y, item.sens, mask,
-                         fista.FistaConfig(lam=lam, max_iters=40, step_size=step_size))
+    monkeypatch.setattr(fista, "STEP_SIZE", step_size)
+    res = fista.fista_l1(y, item.sens, mask, fista.FistaConfig(lam=lam, max_iters=40))
     assert calls["haar_dwt"] == 1 + res.iterations_run + res.restarts
     assert calls["haar_idwt"] == res.iterations_run + res.restarts
     assert step_size == 1.0 or res.restarts > 0

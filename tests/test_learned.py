@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -201,28 +202,29 @@ def test_model_config_validation():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        learned.TrainConfig(warmup_fraction=1.5)
+        learned.TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
-        learned.TrainConfig(clip_norm=0.0)
+        learned.TrainConfig(center_fraction=1.0)
     with pytest.raises(ValueError):
-        learned.TrainConfig(lr_max=1e-5, lr_min=1e-3)
+        learned.TrainConfig(accelerations=(4.0, 0.5))
 
 
 def test_learning_rate_schedule_pointwise():
-    cfg = learned.TrainConfig(epochs=10, lr_max=1e-3, lr_min=1e-4, warmup_fraction=0.1)
-    total = 100
-    warmup = 10
-    for s in (1, 5, 10, 11, 55, 100):
-        got = learned.learning_rate_at(s, total, cfg)
+    lr_max, lr_min = learned.LR_MAX, learned.LR_MIN
+    total = 1000
+    warmup = 10  # WARMUP_FRACTION of the steps
+    for s in (1, 5, 10, 11, 500, 1000):
+        got = learned.learning_rate_at(s, total)
         if s <= warmup:
-            expected = 1e-3 * s / warmup
+            expected = lr_max * s / warmup
         else:
-            expected = 1e-3 + (1e-4 - 1e-3) * (s - warmup) / (total - warmup)
+            expected = lr_max + (lr_min - lr_max) * (s - warmup) / (total - warmup)
         assert got == pytest.approx(expected, abs=0)
-    assert learned.learning_rate_at(total, total, cfg) == pytest.approx(1e-4)
+    assert learned.learning_rate_at(total, total) == pytest.approx(lr_min)
     # warmup has a floor of one step
-    tiny = learned.TrainConfig(epochs=1, warmup_fraction=0.0)
-    assert learned.learning_rate_at(1, 3, tiny) == tiny.lr_max
+    assert learned.learning_rate_at(1, 3) == lr_max
+    with pytest.raises(ValueError):
+        learned.learning_rate_at(4, 3)
 
 
 def test_clipping_scales_by_norm():
@@ -240,22 +242,23 @@ def test_clipping_scales_by_norm():
 def test_flat_optimizer_step_bytes_equal_per_layer_reference(kind):
     model = learned.construct_model(learned.ModelConfig(kind))
     assert len(model.layer_shapes) == {"unet_lite": 12, "varnet_lite": 21}[kind]
-    cfg = learned.TrainConfig(clip_norm=0.05)
+    clip_norm = 0.05
     rng = np.random.default_rng([len(kind), 0])
     theta = model.init_params()
     params = [p.copy() for p in model.split(theta)]
-    opt, ref = learned._Optimizer(cfg, model.size), OptimizerReference(cfg, model.param_shapes)
+    opt = learned._Optimizer(model.size)
+    ref = OptimizerReference(model.param_shapes, learned.BETA1, learned.BETA2)
     clipped = []
     for step in range(1, 7):
         scale = 1e-5 if step % 2 else 1.0  # clipping inactive on odd steps
         grads = [scale * rng.standard_normal(s) for s in model.param_shapes]
         total = global_norm_reference(grads)
-        clipped.append(total > cfg.clip_norm)
-        ref.step(params, clip_reference(grads, cfg.clip_norm, total), 1e-3 * step)
+        clipped.append(total > clip_norm)
+        ref.step(params, clip_reference(grads, clip_norm, total), 1e-3 * step)
         grad = np.concatenate([np.ravel(g) for g in grads])
         norm = learned._global_norm(model.split(grad))
         assert norm == total
-        opt.step(theta, learned._clip_gradients(grad, cfg.clip_norm, norm), 1e-3 * step)
+        opt.step(theta, learned._clip_gradients(grad, clip_norm, norm), 1e-3 * step)
         assert theta.tobytes() == np.concatenate([np.ravel(p) for p in params]).tobytes()
     assert clipped == [False, True] * 3
 
@@ -414,20 +417,19 @@ def test_tape_dft_constants_equal_identity_fft_construction(h, w, inverse):
 
 def test_training_measures_through_data_measure(monkeypatch):
     ds = small_dataset(seed=15, coils=2)
-    config = learned.TrainConfig(epochs=1, batch_size=2, seed=3)
+    config = learned.TrainConfig(epochs=2, seed=3)
     seen = []
     reconstruct = learned.UnetLite.reconstruct
     monkeypatch.setattr(learned.UnetLite, "reconstruct", lambda model, params, y, sens, mask:
                         seen.append((y, sens, mask)) or reconstruct(model, params, y, sens, mask))
     learned.train(UNET, ds, config)
-    assert len(seen) == 4
+    assert len(seen) == 2 * len(ds.items)
     assert dm.TRAIN_NOISE_TAG == 0x4015E  # the stream every trained checkpoint was drawn with
-    for n, (y, sens, mask) in enumerate(seen):
-        step, j = n // 2 + 1, n % 2  # the j-th item of the step-th mini-batch
+    for step, (y, sens, mask) in enumerate(seen, start=1):  # one item per step
         want_mask = kspace.mask_for_batch(32, 4, 0.08, 3, step)
         assert mask.sampled.tobytes() == want_mask.sampled.tobytes()
         item = next(item for item in ds.items if item.sens is sens)
-        want, _ = dm.measure(item, mask, 3, dm.TRAIN_NOISE_TAG, step, j)
+        want, _ = dm.measure(item, mask, 3, dm.TRAIN_NOISE_TAG, step, 0)
         assert y.tobytes() == want.tobytes()
 
 
@@ -494,6 +496,34 @@ def test_infer_unresolvable_extents_error():
                 assert learned.infer(ck, y, sens, mask).shape == extents
 
 
+def test_train_refuses_mixed_extents_before_its_first_step(monkeypatch):
+    items = [*small_dataset(seed=17, count=1).items,
+             *small_dataset(seed=18, count=1, extents=(32, 48)).items]
+    monkeypatch.setattr(ad, "Tape", None)  # any training step would raise
+    with pytest.raises(ValueError, match=re.escape(
+            "train needs one item extent; dataset 'odd' has [(32, 32), (32, 48)]")):
+        learned.train(UNET, dm.Dataset("odd", items), learned.TrainConfig(epochs=1))
+
+
+# SHA-256 of each checkpoint (epochs 0, 1 and 2) of a 2-epoch training on 4
+# items, taken when the recipe constants were TrainConfig fields defaulting to
+# the same values
+TRAINED_SHA256 = {
+    "unet_lite": ["bcf2017eda1ad7db7e3c22b8ee6751247fac7656d3f0025c70e4be01494f275c",
+                  "6cbdc1a400bc4988f011c5769e7bf9597630e3ad4db2ee68f0b44a51239f9050",
+                  "a02840bd936b5ce5de4b94f3922846c4fbe8b15023cc16fe2282eed78468f97d"],
+    "varnet_lite": ["5bd2f92deae279fc36ea5ac348ada6fafa9e5565733347c4562c3ad1359718c3",
+                    "b6f6db67a8f3a23e7271c465738a0e864b57b833df99a3667093a185d0dd2487",
+                    "c7be7e46d9697fe6eda10b71723b9662124fb4f1cdeec2f471818bb1b91672e4"],
+}
+
+
+@pytest.mark.parametrize("config", [UNET, VARNET], ids=["unet", "varnet"])
+def test_trained_checkpoints_keep_their_bytes(config):
+    cks, _ = learned.train(config, small_dataset(seed=21), learned.TrainConfig(epochs=2, seed=5))
+    assert [hashlib.sha256(ck.to_bytes()).hexdigest() for ck in cks] == TRAINED_SHA256[config.kind]
+
+
 def test_finetune_zero_epochs_keeps_parameters():
     ds = small_dataset(seed=12)
     cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0))
@@ -503,10 +533,12 @@ def test_finetune_zero_epochs_keeps_parameters():
     assert f_cks[0].provenance == [cks[-1].fingerprint]
 
 
-def test_finetune_tiny_lr_traces_flat():
+def test_finetune_tiny_lr_traces_flat(monkeypatch):
     ds = small_dataset(seed=13, count=4)
     cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0))
-    cfg = learned.TrainConfig(epochs=2, seed=0, lr_max=1e-12, lr_min=1e-13)
+    monkeypatch.setattr(learned, "LR_MAX", 1e-12)
+    monkeypatch.setattr(learned, "LR_MIN", 1e-13)
+    cfg = learned.TrainConfig(epochs=2, seed=0)
     f_cks, _ = learned.finetune(cks[-1], ds, cfg)
     vals = _epoch_trace(f_cks, ds, cfg)
     assert len(vals) == 2

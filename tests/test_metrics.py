@@ -93,11 +93,6 @@ def test_ssim_rejects_small_images():
         metrics.ssim(np.ones((5, 5)), np.ones((5, 5)))
 
 
-def test_ssim_odd_window_required():
-    with pytest.raises(ValueError):
-        SsimConfig(window=4)
-
-
 def test_region_ssim_full_box_equals_ssim():
     rng = np.random.default_rng(3)
     x, y = rng.random((16, 16)), rng.random((16, 16))
@@ -226,12 +221,12 @@ def _extent_id(shape):
 def test_ssim_check_extents_refuses_exactly_what_ssim_cannot_score(shape):
     x = np.random.default_rng(14).random(shape)
     if min(shape) >= 7:
-        metrics.DEFAULT_SSIM.check_extents(shape)
+        metrics.check_window_fits(shape)
         assert metrics.ssim(x, x) == 1.0
         return
     message = re.escape(f"image extents {shape} smaller than SSIM window 7")
     with pytest.raises(ValueError, match=message):
-        metrics.DEFAULT_SSIM.check_extents(shape)
+        metrics.check_window_fits(shape)
     with pytest.raises(ValueError, match=message):
         metrics.ssim(x, x)
 
@@ -321,9 +316,3 @@ def test_pearson_examples():
     assert abs(metrics.pearson_corr([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])) < 1e-12
     with pytest.raises(ValueError):
         metrics.pearson_corr([1.0, 1.0], [0.0, 1.0])
-
-
-@pytest.mark.parametrize("window", [1, 4])
-def test_ssim_config_rejects_unusable_window(window):
-    with pytest.raises(ValueError, match=r"^SsimConfig\.window must be "):
-        SsimConfig(window=window)
