@@ -4,7 +4,7 @@
 The U-net post-processes the zero-filled RSS image; the unrolled network
 alternates learnable data-consistency steps with a small conv denoiser.
 Both train against SSIM with Adam, linear warmup/decay, gradient clipping,
-and a fresh undersampling mask per mini-batch; checkpoints are written per
+and a fresh undersampling mask per training step; checkpoints are written per
 epoch and evaluation uses fixed per-volume masks.
 """
 

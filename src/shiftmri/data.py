@@ -432,7 +432,7 @@ def add_lesions(dataset: Dataset, seed: int, size_class: str = "small",
 
 EVAL_NOISE_TAG = 0xE7A2  # noise stream of per-volume evaluation measurements
 TUNE_NOISE_TAG = 0x10153  # noise stream of fista.tune_lambda's measurements
-TRAIN_NOISE_TAG = 0x4015E  # noise stream of learned.train's per-batch measurements
+TRAIN_NOISE_TAG = 0x4015E  # noise stream of learned.train's per-step measurements
 
 
 def simulate_measurements(item: Item, mask: kspace.SamplingMask, noise_seed: int) -> np.ndarray:

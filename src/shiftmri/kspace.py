@@ -173,7 +173,7 @@ def feasible_center_fraction(width: int, acceleration: float, center_fraction: f
 
 def mask_for_batch(width: int, acceleration: float, center_fraction: float,
                    seed: int, batch_index: int) -> SamplingMask:
-    """Training policy: a fresh mask per mini-batch, derived from (seed, batch),
+    """Training policy: a fresh mask per training step, derived from (seed, step),
     with the center band halved as feasible_center_fraction requires."""
     cf = feasible_center_fraction(width, acceleration, center_fraction)
     return make_equispaced_mask(width, acceleration, cf, rng_from(seed, 0x6BA7C4, batch_index))

@@ -386,8 +386,7 @@ def train_extents(train_set: datamod.Dataset) -> tuple[int, int]:
     """The one (h, w) of every item of `train_set`: each step's mask is drawn at its width."""
     extents = sorted({item.image.shape for item in train_set.items})
     if len(extents) != 1:
-        raise ValueError(f"train needs one item extent; dataset {train_set.name!r} "
-                         f"has {extents}")
+        raise ValueError(f"train needs one item extent; dataset {train_set.name!r} has {extents}")
     return extents[0]
 
 

@@ -18,9 +18,12 @@ SSIM_K1, SSIM_K2 = 0.01, 0.03  # stabilizers, as fractions of the data range
 
 @dataclass(frozen=True)
 class SsimConfig:
-    """data_range None means "max of the target passed in" (1.0 when that is not
+    """The data range that SSIM's stabilizers scale with.
+
+    data_range None means "max of the target passed in" (1.0 when that is not
     positive); evaluation code that scores a whole volume should compute the
-    volume max once and pass it explicitly so every slice shares the same range."""
+    volume max once and pass it explicitly so every slice shares the same range.
+    """
 
     data_range: float | None = None
 
@@ -66,7 +69,6 @@ def _spread(field_: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _ssim_fields(x, y, config: SsimConfig):
-    k = SSIM_WINDOW
     check_window_fits(x.shape)
     data_range = config.data_range
     if data_range is None:
@@ -75,9 +77,9 @@ def _ssim_fields(x, y, config: SsimConfig):
         data_range = 1.0
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2
-    n = k * k
+    n = SSIM_WINDOW * SSIM_WINDOW
     cn = n / (n - 1)  # unbiased covariance normalization
-    ux, uy, uxx, uyy, uxy = _box_sums(np.stack([x, y, x * x, y * y, x * y]), k) / n
+    ux, uy, uxx, uyy, uxy = _box_sums(np.stack([x, y, x * x, y * y, x * y]), SSIM_WINDOW) / n
     vx = cn * (uxx - ux * ux)
     vy = cn * (uyy - uy * uy)
     vxy = cn * (uxy - ux * uy)
@@ -113,18 +115,15 @@ def ssim_and_grad(recon, target, config: SsimConfig = SsimConfig()):
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     s, (ux, uy, a1, a2, b1, b2, q1, q2, cn) = _ssim_fields(x, y, config)
-    k = SSIM_WINDOW
-    n_win = k * k
-    p = s.size
     # dS/d(window mean of x), dS/d(var x), dS/d(cov xy)
     g_ux = 2.0 * q2 * (uy * b1 - ux * a1) / (b1 * b1)
     g_vx = -s / b2
     g_vxy = 2.0 * q1 / b2
     sp_ux, sp_vx, sp_vx_ux, sp_vxy, sp_vxy_uy = _spread(
-        np.stack([g_ux, g_vx, g_vx * ux, g_vxy, g_vxy * uy]), k, x.shape)
+        np.stack([g_ux, g_vx, g_vx * ux, g_vxy, g_vxy * uy]), SSIM_WINDOW, x.shape)
     grad = sp_ux + 2.0 * cn * (x * sp_vx - sp_vx_ux)
     grad += cn * (y * sp_vxy - sp_vxy_uy)
-    grad /= p * n_win
+    grad /= s.size * SSIM_WINDOW * SSIM_WINDOW
     return float(np.mean(s)), grad
 
 
@@ -141,10 +140,8 @@ def region_ssim(recon, target, box, config: SsimConfig = SsimConfig()) -> float:
     if r < 0 or c < 0 or r + bh > h or c + bw > w:
         raise ValueError(f"box {box} not within extents {target.shape}")
     if bh < SSIM_WINDOW or bw < SSIM_WINDOW:
-        raise ValueError(
-            f"box {bh}x{bw} smaller than SSIM window {SSIM_WINDOW}; "
-            "small boxes are rejected rather than padded"
-        )
+        raise ValueError(f"box {bh}x{bw} smaller than SSIM window {SSIM_WINDOW}; "
+                         "small boxes are rejected rather than padded")
     if config.data_range is None:
         config = SsimConfig(float(np.max(target)))
     return ssim(recon[r : r + bh, c : c + bw], target[r : r + bh, c : c + bw], config)
