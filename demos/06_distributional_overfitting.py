@@ -22,8 +22,7 @@ from shiftmri import harness
 epochs = np.arange(0, 25)
 id_trace = np.where(epochs <= 15, 0.01 * epochs, 0.15 + 1e-4 * (epochs - 15))
 ood_trace = np.where(epochs <= 15, 0.01 * epochs, 0.15 - 0.005 * (epochs - 15))
-verdict = harness.detect_distributional_overfitting(id_trace, ood_trace,
-                                                    window=3, marginal_eps=1e-3)
+verdict = harness.detect_distributional_overfitting(id_trace, ood_trace, window=3)
 print("synthetic traces with a planted peak at epoch 15:")
 print(f"  ood peak epoch:        {verdict.peak_epoch}")
 print(f"  recommended stop:      {verdict.stop_epoch}")
@@ -47,7 +46,6 @@ config = {
     "model": {"kind": "unet_lite", "seed": 0},
     "train": {"epochs": 6, "seed": 0},
     "overfit_window": 2,
-    "overfit_eps": 1e-3,
 }
 with tempfile.TemporaryDirectory() as td:
     harness.run_experiment(harness.ExperimentConfig.from_dict(config), td)

@@ -452,14 +452,17 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record_op("reshape", x.data.reshape(shape), [x], lambda g: [g.reshape(old)])
 
 
-def magnitude_2ch(x: Tensor, eps: float = 1e-12) -> Tensor:
+MAGNITUDE_EPS = 1e-12  # floor of the magnitude that magnitude_2ch's gradient divides by
+
+
+def magnitude_2ch(x: Tensor) -> Tensor:
     """Pointwise complex magnitude of a (2,h,w) tensor."""
     if x.data.ndim != 3 or x.shape[0] != 2:
         raise ShapeMismatch("magnitude-2ch", x.shape)
     mag = np.sqrt(x.data[0] ** 2 + x.data[1] ** 2)
 
     def bw(g):
-        denom = np.maximum(mag, eps)
+        denom = np.maximum(mag, MAGNITUDE_EPS)
         return [np.stack([g * x.data[0] / denom, g * x.data[1] / denom])]
 
     return _record_op("magnitude-2ch", mag, [x], bw)

@@ -120,9 +120,8 @@ def cmd_eval(args) -> int:
     ck = learned.Checkpoint.load(args.checkpoint)
     dataset = datamod.load(args.dataset)
     _check_runs_on(ck.config, dataset)
-    mask_seed = args.seed if args.seed is not None else 0
     mean, _, fallback = learned.evaluate_checkpoint(
-        ck, dataset, mask_seed, args.acceleration, normalize=args.normalize)
+        ck, dataset, args.seed or 0, args.acceleration, normalize=args.normalize)
     lines = ["model_id,checkpoint_epoch,test_set,metric,value"]
     lines.append(f"{ck.config.kind},{ck.epoch},{dataset.name},ssim,{mean!r}")
     text = "\n".join(lines) + "\n"
@@ -160,7 +159,7 @@ def cmd_tune_lambda(args) -> int:
     cfg = FistaConfig()
     _check_extents(dataset, "tune-lambda", lambda s: check_levels(s, WAVELET_LEVELS),
                    metrics.check_window_fits)
-    seed = args.seed if args.seed is not None else 0
+    seed = args.seed or 0
     best, table = tune_lambda(dataset, grid, cfg, acceleration=args.acceleration, seed=seed)
     lines = ["lambda,mean_ssim,n_items"]
     for lam in grid:
@@ -192,8 +191,7 @@ def cmd_similarity(args) -> int:
     test_set = datamod.load(args.test_dataset)
     for dataset in (train_set, test_set):
         _check_extents(dataset, "similarity", metrics.check_patch_fits)
-    seed = args.seed if args.seed is not None else 0
-    train_feats, test_feats = (_features(dataset, seed) for dataset in (train_set, test_set))
+    train_feats, test_feats = (_features(d, args.seed or 0) for d in (train_set, test_set))
     report = metrics.nn_similarity(test_feats, train_feats)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=1)
     if args.out:
@@ -229,7 +227,7 @@ def cmd_robustness_report(args) -> int:
 def cmd_toy_subspace(args) -> int:
     try:
         world = toy.SubspaceWorld(args.n, args.d, args.sigma_p, args.sigma_q,
-                                  seed=args.seed if args.seed is not None else 0)
+                                  seed=args.seed or 0)
         table = toy.mse_table(world, count=args.samples, seed=world.seed)
     except ValueError as e:
         raise ValidationError(str(e)) from e
@@ -276,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--acceleration", type=float, default=4.0)
+    p.add_argument("--acceleration", type=float, default=kspace.ACCELERATION)
     p.add_argument("--normalize", action="store_true")
     _global_flags(p, suppress=True)
     p.set_defaults(fn=cmd_eval)
@@ -284,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune-lambda", help="grid-search the l1 weight on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--grid", required=True, help="comma-separated lambdas")
-    p.add_argument("--acceleration", type=float, default=4.0)
+    p.add_argument("--acceleration", type=float, default=kspace.ACCELERATION)
     _global_flags(p, suppress=True)
     p.set_defaults(fn=cmd_tune_lambda)
 
@@ -324,6 +322,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (ValidationError, harness.ConfigError, datamod.FormatError,
             kspace.InfeasibleMaskError) as e:

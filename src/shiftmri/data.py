@@ -79,25 +79,29 @@ def _read(tp, value, where: str):
     return float(value) if tp is float else value
 
 
-def within(interval: str, default=MISSING):
-    """A field check_fields keeps in `interval`: "[1, inf)", "(0, 1]"; "[" is closed, "(" open."""
-    return field(default=default, metadata={"within": interval})
+def within(interval: str, default=MISSING, default_factory=MISSING):
+    """A field check_fields keeps in `interval`: "[1, inf)", "(0, 1]"; "[" is closed, "(" open.
+    Each entry of a list or tuple value is kept there; None is left alone."""
+    return field(default=default, default_factory=default_factory, metadata={"within": interval})
 
 
 def check_fields(obj, error: type[Exception] = ValueError) -> None:
-    """Raise `error` naming `Class.field` at the first field of the dataclass `obj` whose value
-    is not one of its `Literal` choices or lies outside its `within` interval (NaN is in none)."""
+    """Raise `error` naming `Class.field` (and `[i]` in a list) at the first value of the
+    dataclass `obj` outside its `Literal` choices or `within` interval (NaN is in none)."""
     hints = typing.get_type_hints(type(obj))
     for f in fields(obj):
         value, where = getattr(obj, f.name), f"{type(obj).__name__}.{f.name}"
         if (typing.get_origin(hints[f.name]) is typing.Literal
                 and value not in (choices := typing.get_args(hints[f.name]))):
             raise error(f"{where} must be one of {choices}, got {value!r}")
-        if interval := f.metadata.get("within"):
+        if (interval := f.metadata.get("within")) and value is not None:
             lo, hi = (float(end) for end in interval[1:-1].split(","))
-            if not ((lo <= value if interval[0] == "[" else lo < value)
-                    and (value <= hi if interval[-1] == "]" else value < hi)):
-                raise error(f"{where} must be in {interval}, got {value!r}")
+            entries = ([(f"{where}[{i}]", v) for i, v in enumerate(value)]
+                       if isinstance(value, (list, tuple)) else [(where, value)])
+            for at, v in entries:
+                if not ((lo <= v if interval[0] == "[" else lo < v)
+                        and (v <= hi if interval[-1] == "]" else v < hi)):
+                    raise error(f"{at} must be in {interval}, got {v!r}")
 
 
 FORMAT_VERSION = 1
@@ -114,7 +118,7 @@ class DistributionSpec:
     snr_db: float = within("(-inf, inf)", 30.0)
     coils: int = within("[1, inf)", 4)
     extents: tuple[int, int] = (32, 32)
-    seed: int = 0
+    seed: int = within("[0, inf)", 0)
 
     def __post_init__(self):
         check_fields(self)
@@ -338,14 +342,14 @@ def skew_count(n: int, factor: float) -> int:
     return int(np.floor(n / factor + 0.5))
 
 
-def skew(d_large: Dataset, factor: float, seed: int = 0):
-    """Return (d_large, d_small) with |d_small| = skew_count(|d_large|, factor)."""
+def skew(d_large: Dataset, factor: float, seed: int = 0) -> Dataset:
+    """A subset of skew_count(|d_large|, factor) items of d_large."""
     count = skew_count(len(d_large.items), factor)
     if count < 1:
         raise ValueError("skewed set would be empty")
     small = subsample(d_large, count / len(d_large.items), kspace.rng_from(seed, 0x5CE4))
     small.name = f"{d_large.name}/skew{factor:g}"
-    return d_large, small
+    return small
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +357,29 @@ def skew(d_large: Dataset, factor: float, seed: int = 0):
 # ---------------------------------------------------------------------------
 
 
-SCOREABLE_MIN_SIDE = 7  # lesion side the 7x7 windowed region metric can score
+SCOREABLE_MIN_SIDE = 7  # least lesion side, so the 7x7 windowed region metric can score it
+LESION_AMPLITUDE = 0.4  # peak magnitude a lesion adds
 
 
-def small_lesion_fits(h: int, w: int, min_side: int = SCOREABLE_MIN_SIDE) -> bool:
-    """Whether a min_side x min_side box stays within the small class's 1% of
-    an h x w image, i.e. h * w >= 100 * min_side**2."""
-    return min_side * min_side <= 0.01 * h * w
+def small_lesion_fits(h: int, w: int) -> bool:
+    """Whether a SCOREABLE_MIN_SIDE square box stays within the small class's
+    1% of an h x w image, i.e. h * w >= 100 * SCOREABLE_MIN_SIDE**2."""
+    return SCOREABLE_MIN_SIDE**2 <= 0.01 * h * w
 
 
-def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str = "small",
-                  amplitude: float = 0.4, min_side: int = 4):
-    """Add a smooth elliptical intensity anomaly inside an annotated box.
+def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str = "small"):
+    """Add a smooth elliptical intensity anomaly of LESION_AMPLITUDE inside an
+    annotated box whose sides are at least SCOREABLE_MIN_SIDE.
 
     Small means box area <= 1% of the image area. Pixels outside the box are
-    untouched; amplitude 0 still emits the annotation. min_side 7 keeps boxes
-    scoreable by the windowed region metric.
+    untouched; amplitude 0 still emits the annotation.
     """
     image = np.asarray(image, dtype=np.complex128)
     h, w = image.shape
+    min_side = SCOREABLE_MIN_SIDE
     if size_class == "small":
         max_area = 0.01 * h * w
-        if not small_lesion_fits(h, w, min_side):
+        if not small_lesion_fits(h, w):
             raise ValueError(f"image {h}x{w} too small for a small-class lesion")
         bh = int(rng.integers(min_side, int(np.sqrt(max_area)) + 1))
         bw_hi = max(min_side, int(max_area / bh))
@@ -402,25 +407,20 @@ def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str =
     rr = (np.arange(bh)[:, None] - (bh - 1) / 2.0) / (bh / 2.0)
     cc = (np.arange(bw)[None, :] - (bw - 1) / 2.0) / (bw / 2.0)
     rho2 = rr**2 + cc**2
-    bump = np.where(rho2 < 1.0, np.cos(np.sqrt(np.minimum(rho2, 1.0)) * np.pi / 2) ** 2, 0.0)
+    bump = LESION_AMPLITUDE * np.where(rho2 < 1.0,
+                                       np.cos(np.sqrt(np.minimum(rho2, 1.0)) * np.pi / 2) ** 2, 0.0)
     box = out[row : row + bh, col : col + bw]
     # adding along the local phase direction bumps the magnitude and leaves
-    # the image bit-identical when amplitude is zero
-    out[row : row + bh, col : col + bw] = box + amplitude * bump * np.exp(1j * np.angle(box))
+    # the image bit-identical when the amplitude is zero
+    out[row : row + bh, col : col + bw] = box + bump * np.exp(1j * np.angle(box))
     return out, ann
 
 
-def add_lesions(dataset: Dataset, seed: int, size_class: str = "small",
-                amplitude: float = 0.4, min_side: int = SCOREABLE_MIN_SIDE) -> Dataset:
-    """Lesion-bearing copy of a dataset, one annotated lesion per item.
-
-    The default min_side keeps every annotation scoreable by the 7x7
-    windowed region metric.
-    """
+def add_lesions(dataset: Dataset, seed: int, size_class: str = "small") -> Dataset:
+    """Lesion-bearing copy of a dataset, one annotated lesion per item."""
     items = []
     for idx, it in enumerate(dataset.items):
-        img, ann = insert_lesion(it.image, kspace.rng_from(seed, 0x1E5, idx),
-                                 size_class, amplitude, min_side)
+        img, ann = insert_lesion(it.image, kspace.rng_from(seed, 0x1E5, idx), size_class)
         items.append(Item(img, it.sens, it.spec_name, it.snr_db, ann))
     return Dataset(f"{dataset.name}+lesions", items, dict(dataset.specs))
 

@@ -189,20 +189,20 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
 
 
 def tune_lambda(dataset: datamod.Dataset, grid, config: FistaConfig = FistaConfig(),
-                acceleration: float = 4.0, center_fraction: float = 0.08,
-                seed: int = 0):
+                acceleration: float = kspace.ACCELERATION, seed: int = 0):
     """Reconstruct every item at every lambda; return (best lambda, mean SSIM
     per lambda). Ties break toward the smaller lambda.
 
-    Each item is measured once (`data.score`), with a fixed per-item mask and
-    noise at its distribution SNR derived from `seed`, and solved at every lambda.
+    Each item is measured once (`data.score`), with a fixed per-item mask at
+    kspace.CENTER_FRACTION and noise at its distribution SNR derived from
+    `seed`, and solved at every lambda.
     """
     grid = [float(g) for g in grid]
     if not grid or not dataset.items:
         raise ValueError("empty grid or dataset")
     solvers = [lambda y, sens, mask, cfg=replace(config, lam=lam):
                np.abs(fista_l1(y, sens, mask, cfg).image) for lam in grid]
-    scores = datamod.score(dataset, solvers, seed, acceleration, center_fraction,
+    scores = datamod.score(dataset, solvers, seed, acceleration, kspace.CENTER_FRACTION,
                            datamod.TUNE_NOISE_TAG, lambda recon, target, item: ssim(recon, target))
     mean_ssims = datamod.column_means(scores)
     best = max(range(len(grid)), key=lambda i: (mean_ssims[i], -grid[i]))

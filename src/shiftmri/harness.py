@@ -44,15 +44,18 @@ class OverfitVerdict:
     detected: bool
 
 
-def detect_distributional_overfitting(id_trace, ood_trace, window: int = 3,
-                                      marginal_eps: float = 1e-3,
-                                      drop_delta: float = 0.0) -> OverfitVerdict:
+OVERFIT_EPS = 1e-3  # trailing-window in-distribution gain below which training should stop
+OVERFIT_DELTA = 0.0  # out-of-distribution drop from its peak above which overfitting is detected
+
+
+def detect_distributional_overfitting(id_trace, ood_trace, window: int = 3) -> OverfitVerdict:
     """Scan per-epoch traces for the late-training regime where the
     out-of-distribution metric falls off its peak while the in-distribution
     metric only inches forward.
 
     The recommended stop is the first epoch whose trailing-window
-    in-distribution gain falls below marginal_eps (the last epoch if none).
+    in-distribution gain falls below OVERFIT_EPS (the last epoch if none);
+    overfitting is detected when the final drop exceeds OVERFIT_DELTA.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -65,12 +68,12 @@ def detect_distributional_overfitting(id_trace, ood_trace, window: int = 3,
     peak = int(np.argmax(ood_trace))
     stop = id_trace.size - 1
     for e in range(window, id_trace.size):
-        if id_trace[e] - id_trace[e - window] < marginal_eps:
+        if id_trace[e] - id_trace[e - window] < OVERFIT_EPS:
             stop = e
             break
     drop = float(ood_trace[peak] - ood_trace[-1])
     gain = float(id_trace[stop] - id_trace[stop - window])
-    return OverfitVerdict(peak, stop, gain, drop, drop > drop_delta)
+    return OverfitVerdict(peak, stop, gain, drop, drop > OVERFIT_DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +92,7 @@ class ExperimentConfig:
     """An experiment read from JSON whose keys are these fields."""
 
     template: str
-    seed: int
+    seed: int = datamod.within("[0, inf)")
     model: learned.ModelConfig = field(default_factory=learned.ModelConfig)
     train: learned.TrainConfig = field(default_factory=learned.TrainConfig)
     distributions: dict[str, datamod.DistributionSpec] = field(default_factory=dict)
@@ -97,14 +100,11 @@ class ExperimentConfig:
     target: datamod.DistributionSpec | None = None
     train_count: int = datamod.within("[1, inf)", 16)
     test_count: int = datamod.within("[1, inf)", 8)
-    seeds: list[int] = field(default_factory=list)  # multi-seed band runs
-    accelerations: list[float] = field(default_factory=lambda: [4.0])
+    seeds: list[int] = datamod.within("[0, inf)", default_factory=list)  # multi-seed bands
+    accelerations: list[float] = field(default_factory=lambda: [kspace.ACCELERATION])
     unseen_acceleration: float | None = None
     skew_factor: float = datamod.within("(1, inf)", 10.0)
-    lesion_amplitude: float = datamod.within("(-inf, inf)", 0.4)
     overfit_window: int = datamod.within("[1, inf)", 3)
-    overfit_eps: float = datamod.within("(-inf, inf)", 1e-3)
-    overfit_delta: float = datamod.within("(-inf, inf)", 0.0)
 
     def __post_init__(self):
         datamod.check_fields(self, ConfigError)
@@ -295,7 +295,7 @@ def _tpl_joint_vs_separate(cfg: ExperimentConfig, outdir: Path):
 def _tpl_skewed(cfg: ExperimentConfig, outdir: Path):
     pool_p, test_p = datamod.train_test(cfg.distributions["P"], cfg.train_count, cfg.test_count)
     train_q, test_q = datamod.train_test(cfg.distributions["Q"], cfg.train_count, cfg.test_count)
-    _, small_p = datamod.skew(pool_p, cfg.skew_factor, cfg.seed)
+    small_p = datamod.skew(pool_p, cfg.skew_factor, cfg.seed)
     joint = datamod.combine([small_p, train_q])
     runs = [(model_id, train_set.name, _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1])
             for model_id, train_set in (("P-small", small_p), ("Q", train_q), ("P+Q", joint))]
@@ -374,11 +374,9 @@ def _tpl_pathology(cfg: ExperimentConfig, outdir: Path):
     half = cfg.test_count // 2 or 1
     items = test_q_clean.items
     test_q = datamod.combine([
-        datamod.add_lesions(replace(test_q_clean, items=items[:half]), cfg.seed, "small",
-                            cfg.lesion_amplitude),
-        datamod.add_lesions(replace(test_q_clean, items=items[half:]), cfg.seed + 1, "large",
-                            cfg.lesion_amplitude)])
-    train_q = datamod.add_lesions(train_q_clean, cfg.seed + 2, "small", cfg.lesion_amplitude)
+        datamod.add_lesions(replace(test_q_clean, items=items[:half]), cfg.seed, "small"),
+        datamod.add_lesions(replace(test_q_clean, items=items[half:]), cfg.seed + 1, "large")])
+    train_q = datamod.add_lesions(train_q_clean, cfg.seed + 2, "small")
     runs = [(model_id, train_set.name, _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1])
             for model_id, train_set in (("P", train_p),
                                         ("P+Q", datamod.combine([train_p, train_q])))]
@@ -437,14 +435,12 @@ def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
     pairs = paired(records, "P", *tests)
     id_trace = [i.value for i, _ in pairs]
     ood_trace = [o.value for _, o in pairs]
-    verdict = detect_distributional_overfitting(
-        id_trace, ood_trace, cfg.overfit_window, cfg.overfit_eps, cfg.overfit_delta)
+    verdict = detect_distributional_overfitting(id_trace, ood_trace, cfg.overfit_window)
     details = {
         "verdict": asdict(verdict),
         "id_trace": id_trace,
         "ood_trace": ood_trace,
-        "thresholds": {"window": cfg.overfit_window, "eps": cfg.overfit_eps,
-                       "delta": cfg.overfit_delta},
+        "thresholds": {"window": cfg.overfit_window, "eps": OVERFIT_EPS, "delta": OVERFIT_DELTA},
     }
     return records, {}, details
 

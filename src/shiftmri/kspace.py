@@ -117,7 +117,11 @@ class InfeasibleMaskError(ValueError):
     pass
 
 
-def make_equispaced_mask(width: int, acceleration: float, center_fraction: float = 0.08,
+ACCELERATION = 4.0  # the default acceleration of training, evaluation and tune-lambda
+CENTER_FRACTION = 0.08  # the default share of columns in the fully sampled center band
+
+
+def make_equispaced_mask(width: int, acceleration: float, center_fraction: float = CENTER_FRACTION,
                          rng: np.random.Generator | None = None) -> SamplingMask:
     """Centered ACS band of round(center_fraction*width) columns plus outer
     columns stepped with stride max(1, (width-n_acs)//n_rem) from a random
@@ -201,12 +205,15 @@ def lowpass(x: np.ndarray, cutoff: float) -> np.ndarray:
     return ifft2c(fft2c(x) * keep)
 
 
-def simulate_sensitivities(height: int, width: int, coils: int, smoothness: float = 3.0,
+SENSITIVITY_SMOOTHNESS = 3.0  # low-pass cutoff of the coil maps; lower is smoother
+
+
+def simulate_sensitivities(height: int, width: int, coils: int,
                            rng: np.random.Generator | None = None) -> np.ndarray:
     """Low-pass complex random fields, jointly normalized to sum |S_i|^2 = 1.
 
     A constant per-coil phasor keeps the joint magnitude bounded away from
-    zero so the normalized maps stay smooth. Lower smoothness = smoother maps.
+    zero so the normalized maps stay smooth; SENSITIVITY_SMOOTHNESS is the cutoff.
     """
     if coils < 1:
         raise ValueError("coils must be >= 1")
@@ -215,7 +222,7 @@ def simulate_sensitivities(height: int, width: int, coils: int, smoothness: floa
     for i in range(coils):
         anchor = 2.0 * np.exp(2j * np.pi * i / coils)
         noise = rng.standard_normal((height, width)) + 1j * rng.standard_normal((height, width))
-        maps[i] = anchor + lowpass(noise, smoothness)
+        maps[i] = anchor + lowpass(noise, SENSITIVITY_SMOOTHNESS)
     norm = np.sqrt(np.sum(np.abs(maps) ** 2, axis=0))
     return maps / norm
 

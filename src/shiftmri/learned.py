@@ -51,7 +51,7 @@ class ModelConfig:
     pool_levels: int = datamod.within("[1, inf)", 2)
     cascades: int = datamod.within("[1, inf)", 3)  # varnet only
     denoiser_channels: int = datamod.within("[1, inf)", 6)  # varnet only
-    seed: int = 0
+    seed: int = datamod.within("[0, inf)", 0)
 
     def __post_init__(self):
         datamod.check_fields(self)
@@ -69,16 +69,13 @@ CLIP_NORM = 1.0  # largest global gradient norm a step applies
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = datamod.within("[0, inf)", 4)
-    acceleration: float = datamod.within("[1, inf)", 4.0)
-    center_fraction: float = datamod.within("(0, 1)", 0.08)
-    accelerations: tuple[float, ...] | None = None  # per-step sampling when set
-    seed: int = 0
+    acceleration: float = datamod.within("[1, inf)", kspace.ACCELERATION)
+    center_fraction: float = datamod.within("(0, 1)", kspace.CENTER_FRACTION)
+    accelerations: tuple[float, ...] | None = datamod.within("[1, inf)", None)  # drawn per step
+    seed: int = datamod.within("[0, inf)", 0)
 
     def __post_init__(self):
         datamod.check_fields(self)
-        for i, r in enumerate(self.accelerations or ()):
-            if not r >= 1:  # NaN too
-                raise ValueError(f"TrainConfig.accelerations[{i}] must be in [1, inf), got {r!r}")
 
 
 def learning_rate_at(step: int, total_steps: int) -> float:
@@ -479,9 +476,9 @@ def infer(checkpoint: Checkpoint, y: np.ndarray, sens: np.ndarray,
     return _runner(construct_model(checkpoint.config), checkpoint.params)(y, sens, mask)
 
 
-def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
-                    dataset: datamod.Dataset, mask_seed: int, acceleration: float = 4.0,
-                    center_fraction: float = 0.08, normalize: bool = False):
+def evaluate_params(model_config: ModelConfig, params: list[np.ndarray], dataset: datamod.Dataset,
+                    mask_seed: int, acceleration: float = kspace.ACCELERATION,
+                    center_fraction: float = kspace.CENTER_FRACTION, normalize: bool = False):
     """SSIM of each parameter vector in `params` on every item of a dataset,
     one per-volume-mask measurement per item (`data.score`). Returns (items x
     vectors SSIM matrix, per-vector flag: normalization fell back on an item)."""
@@ -499,8 +496,8 @@ def evaluate_params(model_config: ModelConfig, params: list[np.ndarray],
 
 
 def evaluate_checkpoint(checkpoint: Checkpoint, dataset: datamod.Dataset, mask_seed: int,
-                        acceleration: float = 4.0, center_fraction: float = 0.08,
-                        normalize: bool = False):
+                        acceleration: float = kspace.ACCELERATION,
+                        center_fraction: float = kspace.CENTER_FRACTION, normalize: bool = False):
     """(mean ssim, per-item ssims, normalization-fallback flag) of one checkpoint."""
     scores, fallback = evaluate_params(checkpoint.config, [checkpoint.params], dataset,
                                        mask_seed, acceleration, center_fraction, normalize)

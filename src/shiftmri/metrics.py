@@ -197,26 +197,22 @@ def _item_magnitude(item) -> np.ndarray:
     return np.abs(np.asarray(img))
 
 
-PATCH_SIZE = 12  # extract_features' default patch side
+PATCH_SIZE = 12  # side of a feature patch
+PATCHES_PER_ITEM = 48  # patches drawn from each item
+NOISE_FLOOR = 1e-3  # patches whose standard deviation is below this are background
+PROJECTION_DIM = 64  # length of a feature vector
 
 
-def check_patch_fits(shape, patch_size: int = PATCH_SIZE) -> None:
+def check_patch_fits(shape) -> None:
     """Refuse image extents smaller than a feature patch."""
-    if patch_size > min(shape):
-        raise ValueError(f"patch_size {patch_size} exceeds extents {shape}")
+    if PATCH_SIZE > min(shape):
+        raise ValueError(f"patch_size {PATCH_SIZE} exceeds extents {shape}")
 
 
-def extract_features(
-    dataset,
-    patch_size: int = PATCH_SIZE,
-    projection_dim: int = 64,
-    noise_floor: float = 1e-3,
-    seed: int = 0,
-    patches_per_item: int = 48,
-) -> np.ndarray:
+def extract_features(dataset, seed: int = 0) -> np.ndarray:
     """One unit-norm feature vector per item from seeded local patches.
 
-    Patches with standard deviation below noise_floor count as background and
+    Patches with standard deviation below NOISE_FLOOR count as background and
     are discarded; each survivor is mean-removed, l2-normalized and projected
     with a Gaussian matrix fixed by `seed`, then averaged per item.
     """
@@ -224,23 +220,23 @@ def extract_features(
     if not items:
         raise ValueError("empty dataset")
     proj_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEA7]))
-    proj = proj_rng.standard_normal((projection_dim, patch_size * patch_size))
-    proj /= math.sqrt(patch_size * patch_size)
-    features = np.zeros((len(items), projection_dim))
+    proj = proj_rng.standard_normal((PROJECTION_DIM, PATCH_SIZE * PATCH_SIZE))
+    proj /= math.sqrt(PATCH_SIZE * PATCH_SIZE)
+    features = np.zeros((len(items), PROJECTION_DIM))
     for idx, item in enumerate(items):
         img = _item_magnitude(item)
-        check_patch_fits(img.shape, patch_size)
+        check_patch_fits(img.shape)
         h, w = img.shape
         # patch positions keyed on content so duplicate items embed identically
         content_key = int.from_bytes(
             hashlib.sha256(np.ascontiguousarray(img).tobytes()).digest()[:8], "little")
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1, content_key]))
         kept = []
-        for _ in range(patches_per_item):
-            r = int(rng.integers(0, h - patch_size + 1))
-            c = int(rng.integers(0, w - patch_size + 1))
-            patch = img[r : r + patch_size, c : c + patch_size].ravel()
-            if float(np.std(patch)) < noise_floor:
+        for _ in range(PATCHES_PER_ITEM):
+            r = int(rng.integers(0, h - PATCH_SIZE + 1))
+            c = int(rng.integers(0, w - PATCH_SIZE + 1))
+            patch = img[r : r + PATCH_SIZE, c : c + PATCH_SIZE].ravel()
+            if float(np.std(patch)) < NOISE_FLOOR:
                 continue
             patch = patch - patch.mean()
             patch = patch / np.linalg.norm(patch)

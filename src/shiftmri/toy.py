@@ -30,7 +30,7 @@ class SubspaceWorld:
     d: int = within("[1, inf)")
     sigma_p: float = within("[0, inf)")
     sigma_q: float = within("[0, inf)")
-    seed: int = 0
+    seed: int = within("[0, inf)", 0)
 
     def __post_init__(self):
         check_fields(self)

@@ -270,7 +270,7 @@ def test_criterion_08_metric_fixtures():
                f"OLS matches normal equations in {elapsed:.2f}s")
 
 
-def test_criterion_09_similarity_methodology():
+def test_criterion_09_similarity_methodology(monkeypatch):
     start = time.time()
     rng = np.random.default_rng(3)
     test_f = rng.standard_normal((6, 10))
@@ -296,8 +296,9 @@ def test_criterion_09_similarity_methodology():
                             extents=ex, coils=4, snr_db=30, seed=90),
     ]
     _, ttest = dm.train_test(target, 24, 12)
-    tf = metrics.extract_features(ttest, patch_size=12, projection_dim=256,
-                                  seed=0, patches_per_item=64)
+    monkeypatch.setattr(metrics, "PROJECTION_DIM", 256)
+    monkeypatch.setattr(metrics, "PATCHES_PER_ITEM", 64)
+    tf = metrics.extract_features(ttest, seed=0)
     ssims, sims = [], []
     for src in sources:
         tr, _ = dm.train_test(src, 24, 8)
@@ -305,8 +306,7 @@ def test_criterion_09_similarity_methodology():
                                learned.TrainConfig(epochs=6, seed=0))
         mean, _, _ = learned.evaluate_checkpoint(cks[-1], ttest, 0)
         ssims.append(mean)
-        feats = metrics.extract_features(tr, patch_size=12, projection_dim=256,
-                                         seed=0, patches_per_item=64)
+        feats = metrics.extract_features(tr, seed=0)
         sims.append(metrics.nn_similarity(tf, feats).mean)
     corr = metrics.pearson_corr(sims, ssims)
     assert corr > 0
@@ -356,7 +356,7 @@ def test_criterion_10_joint_vs_separate_band():
     _report(10, "; ".join(lines) + f" (5 seeds) in {elapsed:.0f}s")
 
 
-def test_criterion_11_overfitting_detector_oracle():
+def test_criterion_11_overfitting_detector_oracle(monkeypatch):
     start = time.time()
     rng = np.random.default_rng(4)
     for trial in range(200):
@@ -373,7 +373,9 @@ def test_criterion_11_overfitting_detector_oracle():
         ood_t = ood_t + rng.normal(0, 1e-6, n)
         eps = float(rng.uniform(1e-4, 5e-3))
         delta = float(rng.uniform(0.0, 0.02))
-        got = harness.detect_distributional_overfitting(id_t, ood_t, w, eps, delta)
+        monkeypatch.setattr(harness, "OVERFIT_EPS", eps)
+        monkeypatch.setattr(harness, "OVERFIT_DELTA", delta)
+        got = harness.detect_distributional_overfitting(id_t, ood_t, w)
         ref = overfit_scan_reference(id_t, ood_t, w, eps, delta)
         assert (got.peak_epoch, got.stop_epoch, got.detected) == (ref[0], ref[1], ref[4])
         assert got.id_gain_over_window == ref[2]

@@ -811,3 +811,39 @@ def test_out_that_cannot_be_a_directory_is_validation_error(tmp_path, capsys, co
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot make output directory {out}: ")
     assert blocker.read_text() == "not a directory"
+
+
+def _negative_seed_command(command, tmp_path):
+    """argv whose one fault is a seed of -1, in a spec, a config or --seed, and
+    the field or flag the error must name."""
+    if command == "gen-data":
+        return (["gen-data", "--spec", str(write_spec(tmp_path, seed=-1)), "--count", "1"],
+                "DistributionSpec.seed must be in [0, inf), got -1")
+    cfg_path = tmp_path / "c.json"
+    if command == "run":
+        cfg_path.write_text(json.dumps({"template": "accel_combo", "seed": -1, "distributions": {
+            "P": {"name": "P", "extents": [32, 32], "coils": 1}}}))
+        return ["run", "--config", str(cfg_path)], "ExperimentConfig.seed must be in [0, inf)"
+    data_dir = gen_dataset(tmp_path, count=1)
+    if command == "train":
+        cfg_path.write_text(json.dumps({"dataset": str(data_dir), "train": {"seed": -1}}))
+        return ["train", "--config", str(cfg_path)], "TrainConfig.seed must be in [0, inf)"
+    argv = {"eval": ["eval", "--checkpoint", str(_init_checkpoint(tmp_path, data_dir)),
+                     "--dataset", str(data_dir)],
+            "tune-lambda": ["tune-lambda", "--dataset", str(data_dir), "--grid", "1e-3"],
+            "similarity": ["similarity", "--train-dataset", str(data_dir),
+                           "--test-dataset", str(data_dir)],
+            "toy-subspace": ["toy-subspace", "--n", "8", "--d", "2", "--samples", "10"]}[command]
+    return [*argv, "--seed", "-1"], "--seed must be >= 0, got -1"
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "tune-lambda", "similarity",
+                                     "toy-subspace", "run"])
+def test_negative_seed_exits_2_naming_it_before_any_work(tmp_path, capsys, monkeypatch, command):
+    argv, named = _negative_seed_command(command, tmp_path)
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    capsys.readouterr()
+    assert cli.main(["--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not (tmp_path / "o").exists()

@@ -32,7 +32,7 @@ CASES = {
         harness.ExperimentConfig(
             "accel_combo", 5, learned.ModelConfig(channels=4),
             learned.TrainConfig(epochs=1), {"P": SPEC}, [SPEC], SPEC, 4, 2, [0, 1],
-            [2.0, 4.0], 3.0, 4.0, 0.3, 2, 1e-2, 0.1)),
+            [2.0, 4.0], 3.0, 4.0, 2)),
 }
 
 
@@ -333,9 +333,8 @@ OUT_OF_RANGE_FIELDS = [
     ({"template": "overfit_monitor", "overfit_window": -2}, "ExperimentConfig.overfit_window"),
     ({"skew_factor": 1}, "ExperimentConfig.skew_factor"),
     ({"skew_factor": 0.5}, "ExperimentConfig.skew_factor"),
-    ({"lesion_amplitude": float("nan")}, "ExperimentConfig.lesion_amplitude"),
-    ({"lesion_amplitude": float("inf")}, "ExperimentConfig.lesion_amplitude"),
     ({"seeds": [0, 1, 0]}, "ExperimentConfig.seeds"),
+    ({"seeds": [0, -1]}, "ExperimentConfig.seeds[1] must be in [0, inf), got -1"),
     ({**ACCEL_COMBO, "accelerations": []}, "ExperimentConfig.accelerations"),
     ({"model": {"pool_levels": 3},
       "distributions": {"P": {"name": "P"}, "Q": {"name": "Q", "extents": [36, 32]}}},
@@ -359,8 +358,8 @@ OUT_OF_RANGE_FIELDS = [
      "ExperimentConfig.skew_factor 10.0 leaves no item of train_count 4 in the small set"),
 ]
 OUT_OF_RANGE_IDS = ["train_count-0", "test_count--1", "overfit_window-0", "overfit_window--2",
-                    "skew_factor-1", "skew_factor-0.5", "lesion_amplitude-nan",
-                    "lesion_amplitude-inf", "seeds-repeated", "accelerations-empty",
+                    "skew_factor-1", "skew_factor-0.5", "seeds-repeated", "seeds-negative",
+                    "accelerations-empty",
                     "pool_levels-too-deep", "diversity_robustness-epochs-1",
                     "train-accelerations-0.5", "train-accelerations-nan",
                     "finetune_ablation-colliding-checkpoint-dirs",
@@ -402,13 +401,23 @@ OUT_OF_RANGE_VALUES = [
     (learned.TrainConfig, "acceleration", float("nan")),
     (learned.TrainConfig, "center_fraction", 1.5), (learned.TrainConfig, "center_fraction", 0.0),
     (dm.DistributionSpec, "shape_family", "blob"), (dm.DistributionSpec, "snr_db", float("inf")),
-    (dm.DistributionSpec, "coils", 0),
-    (harness.ExperimentConfig, "overfit_eps", float("nan")),
-    (harness.ExperimentConfig, "overfit_delta", float("-inf")),
+    (dm.DistributionSpec, "coils", 0), (dm.DistributionSpec, "seed", -1),
+    (learned.ModelConfig, "seed", -1), (learned.TrainConfig, "seed", -2),
+    (harness.ExperimentConfig, "seed", -1),
 ]
 OUT_OF_RANGE_FIELDS += [(_changes(cls, name, value), f"{cls.__name__}.{name}")
                         for cls, name, value in OUT_OF_RANGE_VALUES]
 OUT_OF_RANGE_IDS += [f"{cls.__name__}-{name}-{value!r}" for cls, name, value in OUT_OF_RANGE_VALUES]
+
+# former ExperimentConfig fields, now the constants data.LESION_AMPLITUDE and
+# harness.OVERFIT_EPS and OVERFIT_DELTA: each is an unknown key, whatever its value
+DELETED_FIELDS = {"lesion_amplitude-nan": ("lesion_amplitude", float("nan")),
+                  "lesion_amplitude-inf": ("lesion_amplitude", float("inf")),
+                  "ExperimentConfig-overfit_eps-nan": ("overfit_eps", float("nan")),
+                  "ExperimentConfig-overfit_delta--inf": ("overfit_delta", float("-inf"))}
+OUT_OF_RANGE_FIELDS += [({name: value}, f"unexpected keyword argument '{name}'")
+                        for name, value in DELETED_FIELDS.values()]
+OUT_OF_RANGE_IDS += list(DELETED_FIELDS)
 
 
 @pytest.mark.parametrize("changes, named", OUT_OF_RANGE_FIELDS, ids=OUT_OF_RANGE_IDS)
@@ -427,7 +436,6 @@ def test_out_of_range_field_exits_2_before_data(tmp_path, capsys, monkeypatch, c
 CONSTRUCTED_OUT_OF_RANGE = OUT_OF_RANGE_VALUES + [
     (harness.ExperimentConfig, "train_count", 0), (harness.ExperimentConfig, "test_count", -1),
     (harness.ExperimentConfig, "overfit_window", 0), (harness.ExperimentConfig, "skew_factor", 1.0),
-    (harness.ExperimentConfig, "lesion_amplitude", float("nan")),
     (harness.ExperimentConfig, "seeds", [0, 1, 0]),
 ]
 

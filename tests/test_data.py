@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -177,9 +179,8 @@ def test_combine_rejects_mixed_extents():
 def test_skew_factor_10_of_2048():
     one = dm.generate(spec(1), 1).items[0]
     pool = dm.Dataset("big", [one] * 2048, {})
-    big, small = dm.skew(pool, 10.0, seed=0)
-    assert len(big.items) == 2048
-    assert len(small.items) == 205
+    small = dm.skew(pool, 10.0, seed=0)
+    assert len(small.items) == 205 and small.name == "big/skew10"
     # round half up: the config check refuses a skewed set of 0, as skew does
     assert [dm.skew_count(n, 10.0) for n in (2048, 5, 4)] == [205, 1, 0]
 
@@ -205,7 +206,8 @@ def test_train_test_disjoint_seeds():
 # ---------------------------------------------------------------------------
 
 
-def test_small_lesion_box_area_threshold_64():
+def test_small_lesion_box_area_threshold_64(monkeypatch):
+    monkeypatch.setattr(dm, "SCOREABLE_MIN_SIDE", 4)  # 7 would not fit 64x64
     rng = kspace.rng_from(1)
     img = np.ones((64, 64), dtype=complex)
     _, ann = dm.insert_lesion(img, rng, "small")
@@ -216,17 +218,18 @@ def test_small_lesion_box_area_threshold_64():
 def test_lesion_outside_box_unchanged_exactly():
     rng = kspace.rng_from(2)
     base = dm.generate(spec(7, extents=(80, 80)), 1).items[0].image
-    out, ann = dm.insert_lesion(base, rng, "small", min_side=7)
+    out, ann = dm.insert_lesion(base, rng, "small")
     mask = np.ones((80, 80), dtype=bool)
     mask[ann.row : ann.row + ann.height, ann.col : ann.col + ann.width] = False
     np.testing.assert_array_equal(out[mask], base[mask])
     assert not np.array_equal(out[~mask], base[~mask])
 
 
-def test_lesion_zero_amplitude_identity_with_annotation():
+def test_lesion_zero_amplitude_identity_with_annotation(monkeypatch):
+    monkeypatch.setattr(dm, "LESION_AMPLITUDE", 0.0)
     rng = kspace.rng_from(3)
     base = dm.generate(spec(8, extents=(80, 80)), 1).items[0].image
-    out, ann = dm.insert_lesion(base, rng, "small", amplitude=0.0)
+    out, ann = dm.insert_lesion(base, rng, "small")
     np.testing.assert_array_equal(out, base)
     assert ann.area_fraction <= 0.01
 
@@ -242,7 +245,7 @@ def test_large_lesion_class():
 def test_lesion_impossible_placement():
     rng = kspace.rng_from(5)
     with pytest.raises(ValueError):
-        dm.insert_lesion(np.ones((16, 16), dtype=complex), rng, "small", min_side=7)
+        dm.insert_lesion(np.ones((16, 16), dtype=complex), rng, "small")
 
 
 def test_small_lesion_fits_matches_insert_lesion():
@@ -251,10 +254,24 @@ def test_small_lesion_fits_matches_insert_lesion():
         fits = dm.small_lesion_fits(h, w)
         assert fits == (h * w >= 4900)
         if fits:
-            dm.insert_lesion(np.ones((h, w), dtype=complex), rng, "small", min_side=7)
+            dm.insert_lesion(np.ones((h, w), dtype=complex), rng, "small")
         else:
             with pytest.raises(ValueError, match="too small"):
-                dm.insert_lesion(np.ones((h, w), dtype=complex), rng, "small", min_side=7)
+                dm.insert_lesion(np.ones((h, w), dtype=complex), rng, "small")
+
+
+# content hash of a 3-item 80x80 dataset with lesions added at seed 9, taken
+# when the least side and the amplitude were keyword parameters of add_lesions
+LESIONED_CONTENT = {
+    "small": "ddffe3f716bf59f9ec4991a72cf79a906c20ec133647711beb39c25cf9557af7",
+    "large": "1959b6b9fc27b7ae17663494b9f053e0f39e0c74011b8bd0eec03ae2eacdeaa4",
+}
+
+
+@pytest.mark.parametrize("size_class", ["small", "large"])
+def test_add_lesions_keeps_its_bytes(size_class):
+    base = dm.generate(dm.DistributionSpec("q", extents=(80, 80), coils=2, seed=4), 3)
+    assert dm.content_hash(dm.add_lesions(base, 9, size_class)) == LESIONED_CONTENT[size_class]
 
 
 def test_add_lesions_scoreable_boxes():

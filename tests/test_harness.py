@@ -17,7 +17,7 @@ from oracles import overfit_scan_reference
 def test_detect_strictly_increasing_traces():
     id_t = np.linspace(0.1, 0.9, 12)
     ood_t = np.linspace(0.2, 0.8, 12)
-    v = harness.detect_distributional_overfitting(id_t, ood_t, 3, 1e-3)
+    v = harness.detect_distributional_overfitting(id_t, ood_t, 3)
     assert v.peak_epoch == 11
     assert v.stop_epoch == 11
     assert v.ood_drop_from_peak == 0.0
@@ -28,7 +28,7 @@ def test_detect_planted_peak_and_marginal_tail():
     epochs = np.arange(0, 22)
     id_t = np.where(epochs <= 15, 0.01 * epochs, 0.15 + 1e-4 * (epochs - 15))
     ood_t = np.where(epochs <= 15, 0.01 * epochs, 0.15 - 0.005 * (epochs - 15))
-    v = harness.detect_distributional_overfitting(id_t, ood_t, 3, 1e-3)
+    v = harness.detect_distributional_overfitting(id_t, ood_t, 3)
     assert v.peak_epoch == 15
     assert v.stop_epoch == 18
     assert v.ood_drop_from_peak == pytest.approx(0.005 * 6)
@@ -38,21 +38,21 @@ def test_detect_planted_peak_and_marginal_tail():
 def test_detect_constant_id_stops_at_first_window():
     id_t = np.full(10, 0.5)
     ood_t = np.linspace(0, 1, 10)
-    v = harness.detect_distributional_overfitting(id_t, ood_t, 3, 1e-3)
+    v = harness.detect_distributional_overfitting(id_t, ood_t, 3)
     assert v.stop_epoch == 3
 
 
 def test_detect_validates_traces():
     with pytest.raises(ValueError):
-        harness.detect_distributional_overfitting([1, 2], [1, 2, 3], 3, 1e-3)
+        harness.detect_distributional_overfitting([1, 2], [1, 2, 3], 3)
     with pytest.raises(ValueError):
-        harness.detect_distributional_overfitting([1, 2, 3], [1, 2, 3], 3, 1e-3)
+        harness.detect_distributional_overfitting([1, 2, 3], [1, 2, 3], 3)
     for window in (0, -2):  # a window of -2 once recommended stopping at epoch -2
         with pytest.raises(ValueError, match="window must be >= 1"):
-            harness.detect_distributional_overfitting([1, 2, 3], [1, 2, 3], window, 1e-3)
+            harness.detect_distributional_overfitting([1, 2, 3], [1, 2, 3], window)
 
 
-def test_detect_matches_scan_oracle_on_200_planted_traces():
+def test_detect_matches_scan_oracle_on_200_planted_traces(monkeypatch):
     rng = np.random.default_rng(0)
     for trial in range(200):
         n = int(rng.integers(6, 40))
@@ -70,7 +70,9 @@ def test_detect_matches_scan_oracle_on_200_planted_traces():
         ood_t = ood_t + rng.normal(0, 1e-6, n)
         eps = rng.uniform(1e-4, 5e-3)
         delta = rng.uniform(0.0, 0.02)
-        got = harness.detect_distributional_overfitting(id_t, ood_t, w, eps, delta)
+        monkeypatch.setattr(harness, "OVERFIT_EPS", eps)
+        monkeypatch.setattr(harness, "OVERFIT_DELTA", delta)
+        got = harness.detect_distributional_overfitting(id_t, ood_t, w)
         ref = overfit_scan_reference(id_t, ood_t, w, eps, delta)
         assert (got.peak_epoch, got.stop_epoch) == ref[:2], f"trial {trial}"
         assert got.id_gain_over_window == pytest.approx(ref[2], abs=0)

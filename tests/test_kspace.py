@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -128,12 +129,19 @@ def test_sensitivities_normalized():
     np.testing.assert_allclose(np.sum(np.abs(s) ** 2, axis=0), 1.0, atol=1e-9)
 
 
-def test_sensitivity_smoothness_tracks_cutoff():
+def test_sensitivities_keep_their_bytes():
+    # digest taken when the smoothness was a keyword parameter defaulting to 3.0
+    s = kspace.simulate_sensitivities(32, 24, 4, rng=np.random.default_rng(7))
+    assert hashlib.sha256(s.tobytes()).hexdigest() == (
+        "fff21c6d31a27bce55112a4b1d33348488dee7a20b5f3918026d1dcc8d30de7e")
+
+
+def test_sensitivity_smoothness_tracks_cutoff(monkeypatch):
     # numeric bound: gradients at cutoff 2 stay below the worst case measured
     # at cutoff 6 across seeds (smoother maps for lower cutoffs)
     def max_grad(cutoff, seed):
-        s = kspace.simulate_sensitivities(32, 32, 4, smoothness=cutoff,
-                                          rng=np.random.default_rng(seed))
+        monkeypatch.setattr(kspace, "SENSITIVITY_SMOOTHNESS", cutoff)
+        s = kspace.simulate_sensitivities(32, 32, 4, rng=np.random.default_rng(seed))
         mag = np.abs(s)
         return max(np.abs(np.diff(mag, axis=1)).max(), np.abs(np.diff(mag, axis=2)).max())
 

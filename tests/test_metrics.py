@@ -1,8 +1,10 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
+from shiftmri import data as dm
 from shiftmri import metrics
 from shiftmri.metrics import SsimConfig
 from oracles import (box_sums_reference, laplacian_score_reference, ols_reference,
@@ -200,15 +202,23 @@ def test_laplacian_checkerboard_matches_bruteforce():
 def test_extract_features_duplicates_and_norm():
     rng = np.random.default_rng(12)
     imgs = [rng.random((24, 24)) + 0.2 for _ in range(3)]
-    feats = metrics.extract_features(imgs + imgs, patch_size=8, seed=0)
+    feats = metrics.extract_features(imgs + imgs, seed=0)
     np.testing.assert_allclose(feats[:3], feats[3:], atol=0)
     np.testing.assert_allclose(np.linalg.norm(feats, axis=1), 1.0, atol=1e-12)
+
+
+def test_extract_features_keep_their_bytes():
+    """PATCH_SIZE, PATCHES_PER_ITEM, NOISE_FLOOR and PROJECTION_DIM hold the
+    former keyword defaults: the digest was taken when they were parameters."""
+    ds = dm.generate(dm.DistributionSpec("p", extents=(32, 32), coils=2, seed=3), 4)
+    assert hashlib.sha256(metrics.extract_features(ds, seed=5).tobytes()).hexdigest() == (
+        "ce7a1ddbdc7b5d19b2c02d79180167cdc37c7092f1b35a575e4c7462d893950c")
 
 
 def test_extract_features_noise_floor_discards():
     flat = [np.zeros((16, 16))]
     with pytest.raises(ValueError, match="item 0"):
-        metrics.extract_features(flat, patch_size=8, noise_floor=1e-3, seed=0)
+        metrics.extract_features(flat, seed=0)
 
 
 def _extent_id(shape):

@@ -20,6 +20,8 @@ def test_world_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match=r"^SubspaceWorld\.sigma_q must be in "):
             toy.SubspaceWorld(8, 2, 0.1, bad)
+    with pytest.raises(ValueError, match=r"^SubspaceWorld\.seed must be in \[0, inf\), got -1$"):
+        toy.SubspaceWorld(8, 2, 0.1, 0.2, seed=-1)
     u = WORLD.basis
     np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-10)
 
