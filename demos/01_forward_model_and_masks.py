@@ -41,12 +41,11 @@ print(f"adjointness <Ax, y> vs <x, A^H y>: defect "
       f"{abs(lhs - rhs) / (np.linalg.norm(x) * np.linalg.norm(yk)):.2e}")
 
 # Zero-filled RSS vs the fully sampled baseline.
-from shiftmri.metrics import SsimConfig, ssim
+from shiftmri.metrics import ssim
 
 target = kspace.ground_truth_rss(item.image, item.sens)
 zf = kspace.zero_filled_rss(y)
 full = kspace.zero_filled_rss(kspace.apply_forward(
     item.image, kspace.Encoding(item.sens, kspace.full_mask(32))))
-cfg = SsimConfig(data_range=float(target.max()))
-print(f"\nSSIM zero-filled (4x):    {ssim(zf, target, cfg):.3f}")
-print(f"SSIM fully sampled:        {ssim(full, target, cfg):.3f}")
+print(f"\nSSIM zero-filled (4x):    {ssim(zf, target):.3f}")
+print(f"SSIM fully sampled:        {ssim(full, target):.3f}")

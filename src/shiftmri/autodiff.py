@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .metrics import SsimConfig, ssim_and_grad
+from .metrics import ssim_and_grad
 
 
 class ShapeMismatch(ValueError):
@@ -427,7 +427,7 @@ def reduce_mean(x: Tensor) -> Tensor:
     return _record_op("reduce-mean", np.asarray(x.data.mean()), [x], bw)
 
 
-def ssim_loss(x: Tensor, target: Tensor, config: SsimConfig = SsimConfig()) -> Tensor:
+def ssim_loss(x: Tensor, target: Tensor, data_range: float | None = None) -> Tensor:
     """1 - SSIM(x, target) as a scalar node; gradient flows into x only.
 
     The target is the reference image and is treated as a constant.
@@ -436,7 +436,7 @@ def ssim_loss(x: Tensor, target: Tensor, config: SsimConfig = SsimConfig()) -> T
         raise ValueError("ssim-loss-node: target must not require grad")
     if x.shape != target.shape or x.data.ndim != 2:
         raise ShapeMismatch("ssim-loss-node", x.shape, target.shape)
-    value, grad_x = ssim_and_grad(x.data, target.data, config)
+    value, grad_x = ssim_and_grad(x.data, target.data, data_range)
 
     def bw(g):
         return [-float(g) * grad_x, None]

@@ -17,8 +17,7 @@ from pathlib import Path
 
 from . import data as datamod
 from . import harness, kspace, learned, metrics, toy
-from .fista import (STEP_SIZE, TOLERANCE, WAVELET_LEVELS, FistaConfig, check_levels,
-                    tune_lambda)
+from .fista import MAX_ITERS, STEP_SIZE, TOLERANCE, WAVELET_LEVELS, check_levels, tune_lambda
 
 
 class ValidationError(Exception):
@@ -156,11 +155,10 @@ def cmd_tune_lambda(args) -> int:
     _check_acceleration(args)
     grid = _parse_grid(args.grid)
     dataset = datamod.load(args.dataset)
-    cfg = FistaConfig()
     _check_extents(dataset, "tune-lambda", lambda s: check_levels(s, WAVELET_LEVELS),
                    metrics.check_window_fits)
     seed = args.seed or 0
-    best, table = tune_lambda(dataset, grid, cfg, acceleration=args.acceleration, seed=seed)
+    best, table = tune_lambda(dataset, grid, MAX_ITERS, acceleration=args.acceleration, seed=seed)
     lines = ["lambda,mean_ssim,n_items"]
     for lam in grid:
         lines.append(f"{lam!r},{table[lam]!r},{len(dataset.items)}")
@@ -171,7 +169,7 @@ def cmd_tune_lambda(args) -> int:
         # solver settings recorded alongside the table for auditability
         (out / "tune_lambda.json").write_text(json.dumps({
             "best_lambda": best, "grid": grid, "acceleration": args.acceleration,
-            "seed": seed, "max_iters": cfg.max_iters, "step_size": STEP_SIZE,
+            "seed": seed, "max_iters": MAX_ITERS, "step_size": STEP_SIZE,
             "tolerance": TOLERANCE, "wavelet_levels": WAVELET_LEVELS},
             sort_keys=True, indent=1))
     sys.stdout.write(text)
@@ -201,6 +199,8 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_robustness_report(args) -> int:
+    if args.seed is not None:
+        raise ValidationError("--seed does not apply to robustness-report, which reads records")
     try:
         text = Path(args.records).read_text()
     except (OSError, UnicodeDecodeError) as e:

@@ -72,7 +72,7 @@ def _read(tp, value, where: str):
         return {_read(args[0], k, where): _read(args[1], v, f"{where}[{k!r}]")
                 for k, v in _read(dict, value, where).items()}
     if is_dataclass(tp):
-        return from_fields(tp, value)
+        return from_fields(tp, _read(dict, value, where))
     if (isinstance(value, bool) and tp is not bool
             or not isinstance(value, (int, float) if tp is float else tp)):
         raise TypeError(f"{where} must be {tp.__name__}, got {value!r}")
@@ -87,10 +87,13 @@ def within(interval: str, default=MISSING, default_factory=MISSING):
 
 def check_fields(obj, error: type[Exception] = ValueError) -> None:
     """Raise `error` naming `Class.field` (and `[i]` in a list) at the first value of the
-    dataclass `obj` outside its `Literal` choices or `within` interval (NaN is in none)."""
+    dataclass `obj` outside its `Literal` choices or `within` interval (NaN is in none),
+    or not an instance of its dataclass type."""
     hints = typing.get_type_hints(type(obj))
     for f in fields(obj):
         value, where = getattr(obj, f.name), f"{type(obj).__name__}.{f.name}"
+        if is_dataclass(hints[f.name]) and not isinstance(value, hints[f.name]):
+            raise error(f"{where} must be a {hints[f.name].__name__}, got {value!r}")
         if (typing.get_origin(hints[f.name]) is typing.Literal
                 and value not in (choices := typing.get_args(hints[f.name]))):
             raise error(f"{where} must be one of {choices}, got {value!r}")
@@ -111,10 +114,22 @@ SHAPE_FAMILIES = typing.get_args(ShapeFamily)
 
 
 @dataclass(frozen=True)
+class Contrast:
+    """The gamma map (mag / peak) ** gamma * peak that a distribution applies to
+    its phantoms' magnitudes; `kind` tags the map's JSON form."""
+
+    kind: typing.Literal["gamma"] = "gamma"
+    gamma: float = within("(0, inf)", 1.0)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
 class DistributionSpec:
     name: str
     shape_family: ShapeFamily = "ellipse-phantom"
-    contrast: dict = field(default_factory=lambda: {"kind": "gamma", "gamma": 1.0})
+    contrast: Contrast = Contrast()
     snr_db: float = within("(-inf, inf)", 30.0)
     coils: int = within("[1, inf)", 4)
     extents: tuple[int, int] = (32, 32)
@@ -125,7 +140,6 @@ class DistributionSpec:
         if min(self.extents) < 16 or self.extents[0] % 4 or self.extents[1] % 4:
             raise ValueError(f"DistributionSpec.extents must be >= 16 and divisible by 4, "
                              f"got {self.extents}")
-        check_contrast(self.contrast, "DistributionSpec.contrast")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "extents": list(self.extents)}
@@ -223,60 +237,12 @@ _FAMILIES = {
 }
 
 
-CONTRAST_KEYS = {"gamma": {"kind", "gamma"}, "piecewise": {"kind", "xs", "ys"}}
-
-
-def check_contrast(contrast, where: str = "contrast") -> None:
-    """A contrast map is {"kind": "gamma", "gamma": g} with g finite and > 0
-    (kind defaults to gamma, g to 1), or {"kind": "piecewise", "xs": [...],
-    "ys": [...]}: equal-length lists of finite numbers, xs strictly increasing
-    and ys non-decreasing. Anything else raises ValueError naming `where`."""
-    if not isinstance(contrast, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(contrast).__name__}")
-    kind = contrast.get("kind", "gamma")
-    if not isinstance(kind, str) or kind not in CONTRAST_KEYS:
-        raise ValueError(f"{where} kind {kind!r} is unknown; valid: {sorted(CONTRAST_KEYS)}")
-    unknown = set(contrast) - CONTRAST_KEYS[kind]
-    if unknown:
-        raise ValueError(f"{where} has unknown {kind} keys {sorted(unknown)}")
-    if kind == "gamma":
-        gamma = _finite_array(contrast.get("gamma", 1.0), f"{where} gamma")
-        if gamma.ndim != 0 or not gamma > 0:
-            raise ValueError(f"{where} gamma must be a number > 0, got {contrast['gamma']!r}")
-        return
-    missing = {"xs", "ys"} - set(contrast)
-    if missing:
-        raise ValueError(f"{where} of kind piecewise needs keys {sorted(missing)}")
-    xs, ys = (_finite_array(contrast[k], f"{where} {k}") for k in ("xs", "ys"))
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
-        raise ValueError(f"{where} xs and ys must be non-empty lists of equal length")
-    if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) < 0):
-        raise ValueError(f"{where} map must be monotone")
-
-
-def _finite_array(value, name: str) -> np.ndarray:
-    try:
-        a = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{name} must be numeric, got {value!r}") from e
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return a
-
-
-def apply_contrast(mag: np.ndarray, contrast: dict) -> np.ndarray:
+def apply_contrast(mag: np.ndarray, contrast: Contrast) -> np.ndarray:
     """Monotone intensity transform of nonnegative magnitudes."""
-    check_contrast(contrast)
     peak = float(mag.max())
     if peak == 0.0:
         return mag
-    u = mag / peak
-    if contrast.get("kind", "gamma") == "gamma":
-        out = u ** float(contrast.get("gamma", 1.0))
-    else:
-        out = np.interp(u, np.asarray(contrast["xs"], dtype=np.float64),
-                        np.asarray(contrast["ys"], dtype=np.float64))
-    return out * peak
+    return (mag / peak) ** contrast.gamma * peak
 
 
 def _make_item(spec: DistributionSpec, index: int) -> Item:
@@ -300,7 +266,7 @@ def generate(spec: DistributionSpec, count: int) -> Dataset:
     return Dataset(spec.name, items, {spec.name: spec.to_dict()})
 
 
-def train_test(spec: DistributionSpec, train_count: int = 2048, test_count: int = 128):
+def train_test(spec: DistributionSpec, train_count: int, test_count: int):
     """Disjoint-seed train/test pair for one distribution."""
     train = generate(replace(spec, seed=spec.seed * 2 + 1), train_count)
     test = generate(replace(spec, seed=spec.seed * 2 + 2), test_count)
@@ -342,7 +308,7 @@ def skew_count(n: int, factor: float) -> int:
     return int(np.floor(n / factor + 0.5))
 
 
-def skew(d_large: Dataset, factor: float, seed: int = 0) -> Dataset:
+def skew(d_large: Dataset, factor: float, seed: int) -> Dataset:
     """A subset of skew_count(|d_large|, factor) items of d_large."""
     count = skew_count(len(d_large.items), factor)
     if count < 1:

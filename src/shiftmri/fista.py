@@ -18,7 +18,7 @@ and one IDWT per proximal step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,12 +110,13 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 STEP_SIZE = 1.0  # 1/L; A^H A has norm <= 1 here
 TOLERANCE = 1e-6  # relative objective change that stops a solve
 WAVELET_LEVELS = 2
+MAX_ITERS = 200  # iteration cap of a solve, unless its caller sets one
 
 
 @dataclass
 class FistaConfig:
     lam: float = datamod.within("[0, inf)", 1e-3)
-    max_iters: int = datamod.within("[1, inf)", 200)
+    max_iters: int = datamod.within("[1, inf)", MAX_ITERS)
 
     def __post_init__(self):
         datamod.check_fields(self)
@@ -188,10 +189,11 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
 # ---------------------------------------------------------------------------
 
 
-def tune_lambda(dataset: datamod.Dataset, grid, config: FistaConfig = FistaConfig(),
+def tune_lambda(dataset: datamod.Dataset, grid, max_iters: int,
                 acceleration: float = kspace.ACCELERATION, seed: int = 0):
-    """Reconstruct every item at every lambda; return (best lambda, mean SSIM
-    per lambda). Ties break toward the smaller lambda.
+    """Reconstruct every item at every lambda, each solve capped at `max_iters`
+    iterations; return (best lambda, mean SSIM per lambda). Ties break toward
+    the smaller lambda.
 
     Each item is measured once (`data.score`), with a fixed per-item mask at
     kspace.CENTER_FRACTION and noise at its distribution SNR derived from
@@ -200,7 +202,7 @@ def tune_lambda(dataset: datamod.Dataset, grid, config: FistaConfig = FistaConfi
     grid = [float(g) for g in grid]
     if not grid or not dataset.items:
         raise ValueError("empty grid or dataset")
-    solvers = [lambda y, sens, mask, cfg=replace(config, lam=lam):
+    solvers = [lambda y, sens, mask, cfg=FistaConfig(lam, max_iters):
                np.abs(fista_l1(y, sens, mask, cfg).image) for lam in grid]
     scores = datamod.score(dataset, solvers, seed, acceleration, kspace.CENTER_FRACTION,
                            datamod.TUNE_NOISE_TAG, lambda recon, target, item: ssim(recon, target))

@@ -305,7 +305,7 @@ def _tpl_skewed(cfg: ExperimentConfig, outdir: Path):
 
 def select_best_source(sources: list[datamod.Dataset], target_test: datamod.Dataset,
                        model_config: learned.ModelConfig, train_config: learned.TrainConfig,
-                       mask_seed: int = 0):
+                       mask_seed: int):
     """Index of the source whose specialist scores highest on the target.
 
     Every specialist is trained under identical configs and seeds; ties break

@@ -16,18 +16,6 @@ SSIM_WINDOW = 7  # side of the uniform window
 SSIM_K1, SSIM_K2 = 0.01, 0.03  # stabilizers, as fractions of the data range
 
 
-@dataclass(frozen=True)
-class SsimConfig:
-    """The data range that SSIM's stabilizers scale with.
-
-    data_range None means "max of the target passed in" (1.0 when that is not
-    positive); evaluation code that scores a whole volume should compute the
-    volume max once and pass it explicitly so every slice shares the same range.
-    """
-
-    data_range: float | None = None
-
-
 def check_window_fits(shape) -> None:
     """Refuse image extents that hold no whole SSIM window."""
     if min(shape) < SSIM_WINDOW:
@@ -68,9 +56,8 @@ def _spread(field_: np.ndarray, k: int, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _ssim_fields(x, y, config: SsimConfig):
+def _ssim_fields(x, y, data_range: float | None):
     check_window_fits(x.shape)
-    data_range = config.data_range
     if data_range is None:
         data_range = float(np.max(y))
     if data_range <= 0:
@@ -94,17 +81,20 @@ def _ssim_fields(x, y, config: SsimConfig):
     return s, (ux, uy, a1, a2, b1, b2, q1, q2, cn)
 
 
-def ssim(recon: np.ndarray, target: np.ndarray, config: SsimConfig = SsimConfig()) -> float:
-    """Mean SSIM index over all valid window positions of a uniform window."""
+def ssim(recon: np.ndarray, target: np.ndarray, data_range: float | None = None) -> float:
+    """Mean SSIM index over all valid window positions of a uniform window.
+
+    The stabilizers scale with `data_range`; None means the max of the target
+    passed in (1.0 when that is not positive)."""
     recon = np.asarray(recon, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if recon.shape != target.shape:
         raise ValueError(f"shape mismatch {recon.shape} vs {target.shape}")
-    s, _ = _ssim_fields(recon, target, config)
+    s, _ = _ssim_fields(recon, target, data_range)
     return float(np.mean(s))
 
 
-def ssim_and_grad(recon, target, config: SsimConfig = SsimConfig()):
+def ssim_and_grad(recon, target, data_range: float | None = None):
     """SSIM value plus its gradient with respect to `recon`.
 
     Used by the autodiff SSIM loss node; the value agrees exactly with
@@ -114,7 +104,7 @@ def ssim_and_grad(recon, target, config: SsimConfig = SsimConfig()):
     y = np.asarray(target, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    s, (ux, uy, a1, a2, b1, b2, q1, q2, cn) = _ssim_fields(x, y, config)
+    s, (ux, uy, a1, a2, b1, b2, q1, q2, cn) = _ssim_fields(x, y, data_range)
     # dS/d(window mean of x), dS/d(var x), dS/d(cov xy)
     g_ux = 2.0 * q2 * (uy * b1 - ux * a1) / (b1 * b1)
     g_vx = -s / b2
@@ -127,12 +117,9 @@ def ssim_and_grad(recon, target, config: SsimConfig = SsimConfig()):
     return float(np.mean(s)), grad
 
 
-def region_ssim(recon, target, box, config: SsimConfig = SsimConfig()) -> float:
-    """SSIM restricted to a (row, col, height, width) box.
-
-    data_range None takes the full target's max, so the crop does not change
-    the intensity scale.
-    """
+def region_ssim(recon, target, box) -> float:
+    """SSIM restricted to a (row, col, height, width) box, at the full
+    target's max as data range, so the crop does not change the intensity scale."""
     recon = np.asarray(recon, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     r, c, bh, bw = box
@@ -142,9 +129,8 @@ def region_ssim(recon, target, box, config: SsimConfig = SsimConfig()) -> float:
     if bh < SSIM_WINDOW or bw < SSIM_WINDOW:
         raise ValueError(f"box {bh}x{bw} smaller than SSIM window {SSIM_WINDOW}; "
                          "small boxes are rejected rather than padded")
-    if config.data_range is None:
-        config = SsimConfig(float(np.max(target)))
-    return ssim(recon[r : r + bh, c : c + bw], target[r : r + bh, c : c + bw], config)
+    return ssim(recon[r : r + bh, c : c + bw], target[r : r + bh, c : c + bw],
+                float(np.max(target)))
 
 
 class NormalizedOutput(NamedTuple):

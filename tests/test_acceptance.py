@@ -14,7 +14,6 @@ import pytest
 import shiftmri.autodiff as ad
 from shiftmri import data as dm
 from shiftmri import fista, harness, kspace, learned, metrics, toy
-from shiftmri.metrics import SsimConfig
 from oracles import (mask_counts_reference, overfit_scan_reference,
                      ssim_reference)
 from test_autodiff import OP_KINDS, _op_instances
@@ -95,7 +94,7 @@ def test_criterion_02_autodiff_finite_differences():
     mask = kspace.make_equispaced_mask(8, 2, 0.08, np.random.default_rng(2))
     y = kspace.apply_forward(image, kspace.Encoding(sens, mask))
     target = kspace.ground_truth_rss(image, sens)
-    cfg = SsimConfig(data_range=float(target.max()))
+    data_range = float(target.max())
 
     results = {}
     for kind, model_cfg in (
@@ -113,7 +112,7 @@ def test_criterion_02_autodiff_finite_differences():
 
         def loss_fn(leaves):
             out = model.reconstruct(leaves, y, sens, mask)
-            return ad.ssim_loss(out, ad.Tensor(target), cfg)
+            return ad.ssim_loss(out, ad.Tensor(target), data_range)
 
         results[kind] = ad.grad_check(loss_fn, params, h=1e-5)
         assert results[kind] < 1e-4, kind
@@ -179,11 +178,11 @@ def test_criterion_04_fista():
         mask = kspace.mask_for_volume(32, 4, 0.08, seed, 0)
         y = dm.simulate_measurements(item, mask, seed)
         target = kspace.ground_truth_rss(item.image, item.sens)
-        cfg = SsimConfig(data_range=float(target.max()))
+        data_range = float(target.max())
         recon = np.abs(fista.fista_l1(y, item.sens, mask,
                                       fista.FistaConfig(lam=1e-3, max_iters=100)).image)
-        margins.append(metrics.ssim(recon, target, cfg)
-                       - metrics.ssim(kspace.zero_filled_rss(y), target, cfg))
+        margins.append(metrics.ssim(recon, target, data_range)
+                       - metrics.ssim(kspace.zero_filled_rss(y), target, data_range))
     assert min(margins) >= 0.01
     elapsed = time.time() - start
     assert elapsed < 120.0
@@ -194,15 +193,14 @@ def test_criterion_04_fista():
 def test_criterion_05_lambda_tuning_direction():
     start = time.time()
     grid = [1e-4, 1e-3, 1e-2, 1e-1]
-    cfg = fista.FistaConfig(max_iters=60)
     results = []
     for seed in range(5):
         low = dm.generate(dm.DistributionSpec("low", extents=(32, 32), coils=4,
                                               snr_db=30, seed=100 + seed), 3)
         high = dm.generate(dm.DistributionSpec("high", extents=(32, 32), coils=4,
                                                snr_db=10, seed=100 + seed), 3)
-        best_low, _ = fista.tune_lambda(low, grid, cfg, seed=seed)
-        best_high, _ = fista.tune_lambda(high, grid, cfg, seed=seed)
+        best_low, _ = fista.tune_lambda(low, grid, max_iters=60, seed=seed)
+        best_high, _ = fista.tune_lambda(high, grid, max_iters=60, seed=seed)
         assert best_high > best_low, f"seed {seed}"
         results.append((best_low, best_high))
     elapsed = time.time() - start
@@ -236,13 +234,12 @@ def test_criterion_07_ssim_oracle_equivalence():
     for _ in range(50):
         x = rng.random((16, 16))
         y = rng.random((16, 16))
-        got = metrics.ssim(x, y, SsimConfig(data_range=1.0))
+        got = metrics.ssim(x, y, data_range=1.0)
         worst = max(worst, abs(got - ssim_reference(x, y, data_range=1.0)))
     assert worst < 1e-8
     x = rng.random((16, 16))
     y = rng.random((16, 16))
-    cfg = SsimConfig(data_range=1.0)
-    assert metrics.region_ssim(x, y, (0, 0, 16, 16), cfg) == metrics.ssim(x, y, cfg)
+    assert metrics.region_ssim(x, y, (0, 0, 16, 16)) == metrics.ssim(x, y)
     elapsed = time.time() - start
     assert elapsed < 5.0
     _report(7, f"50 pairs vs direct reference, worst dev {worst:.1e}; "
@@ -284,15 +281,15 @@ def test_criterion_09_similarity_methodology(monkeypatch):
 
     # seeded 3-source diversity experiment: similarity tracks transfer SSIM
     ex = (48, 48)
-    target = dm.DistributionSpec("T", contrast={"kind": "gamma", "gamma": 1.0},
+    target = dm.DistributionSpec("T", contrast=dm.Contrast(gamma=1.0),
                                  extents=ex, coils=4, snr_db=30, seed=7)
     sources = [
-        dm.DistributionSpec("S0", contrast={"kind": "gamma", "gamma": 1.05},
+        dm.DistributionSpec("S0", contrast=dm.Contrast(gamma=1.05),
                             extents=ex, coils=4, snr_db=30, seed=70),
-        dm.DistributionSpec("S1", contrast={"kind": "gamma", "gamma": 2.2},
+        dm.DistributionSpec("S1", contrast=dm.Contrast(gamma=2.2),
                             extents=ex, coils=4, snr_db=30, seed=80),
         dm.DistributionSpec("S2", shape_family="polygon-phantom",
-                            contrast={"kind": "gamma", "gamma": 1.0},
+                            contrast=dm.Contrast(gamma=1.0),
                             extents=ex, coils=4, snr_db=30, seed=90),
     ]
     _, ttest = dm.train_test(target, 24, 12)
@@ -318,9 +315,9 @@ def test_criterion_09_similarity_methodology(monkeypatch):
 
 def test_criterion_10_joint_vs_separate_band():
     start = time.time()
-    p_spec = dm.DistributionSpec("P", contrast={"kind": "gamma", "gamma": 0.7},
+    p_spec = dm.DistributionSpec("P", contrast=dm.Contrast(gamma=0.7),
                                  extents=(32, 32), coils=4, snr_db=30, seed=11)
-    q_spec = dm.DistributionSpec("Q", contrast={"kind": "gamma", "gamma": 1.6},
+    q_spec = dm.DistributionSpec("Q", contrast=dm.Contrast(gamma=1.6),
                                  extents=(32, 32), coils=4, snr_db=30, seed=22)
     from dataclasses import replace
 

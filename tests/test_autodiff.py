@@ -7,7 +7,6 @@ import pytest
 
 import shiftmri.autodiff as ad
 from shiftmri import learned
-from shiftmri.metrics import SsimConfig
 from oracles import _col2im, _im2col, slice_channels
 
 
@@ -34,7 +33,7 @@ def test_ssim_loss_identical_is_zero():
     x = rng.random((10, 10))
     with ad.Tape() as tape:
         leaf = tape.leaf(x)
-        loss = ad.ssim_loss(leaf, ad.Tensor(x), SsimConfig(data_range=1.0))
+        loss = ad.ssim_loss(leaf, ad.Tensor(x), data_range=1.0)
     assert float(loss.data) == 0.0
 
 
@@ -180,7 +179,7 @@ def _op_instances(kind, rng):
     if kind == "ssim-loss-node":
         x = rng.random((9, 9)) + 0.3
         y = rng.random((9, 9)) + 0.3
-        return (lambda ls: ad.ssim_loss(ls[0], ad.Tensor(y), SsimConfig(data_range=1.3)),
+        return (lambda ls: ad.ssim_loss(ls[0], ad.Tensor(y), data_range=1.3),
                 [x])
     raise AssertionError(kind)
 

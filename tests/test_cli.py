@@ -296,6 +296,22 @@ def test_bad_records_file_is_validation_error(tmp_path, capsys, damage):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("before", [True, False], ids=["global-flag", "command-flag"])
+def test_robustness_report_refuses_seed(tmp_path, capsys, before):
+    # the fit reads records only, so a seed would mean nothing
+    rec_path = tmp_path / "records.csv"
+    rec_path.write_text("\n".join(RECORDS) + "\n")
+    argv = ["robustness-report", "--records", str(rec_path), "--baseline-model", "base",
+            "--id-set", "id", "--ood-set", "ood"]
+    seed = ["--seed", "5", "--out", str(tmp_path / "o")]
+    rc = cli.main([*seed, *argv] if before else [*argv, *seed])
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --seed ")
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
 def test_run_template_and_determinism(tmp_path):
     config = {
         "template": "accel_combo", "seed": 0, "train_count": 4, "test_count": 2,
@@ -749,7 +765,7 @@ def test_run_bad_contrast_exits_before_data(tmp_path, capsys, contrast):
     rc = cli.main(["--out", str(tmp_path / "o"), "run", "--config", str(cfg_path)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "contrast" in err[0]
+    assert len(err) == 1 and ("DistributionSpec.contrast " in err[0] or "Contrast." in err[0])
     assert not (tmp_path / "o").exists()
 
 

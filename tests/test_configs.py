@@ -11,7 +11,7 @@ import pytest
 from shiftmri import cli, harness, learned
 from shiftmri import data as dm
 
-SPEC = dm.DistributionSpec("P", "textured-phantom", {"kind": "gamma", "gamma": 1.8},
+SPEC = dm.DistributionSpec("P", "textured-phantom", dm.Contrast(gamma=1.8),
                            15.0, 6, (48, 32), 7)
 
 # skewed reads distributions P and Q and nothing else it lacks a default for
@@ -409,6 +409,16 @@ OUT_OF_RANGE_FIELDS += [(_changes(cls, name, value), f"{cls.__name__}.{name}")
                         for cls, name, value in OUT_OF_RANGE_VALUES]
 OUT_OF_RANGE_IDS += [f"{cls.__name__}-{name}-{value!r}" for cls, name, value in OUT_OF_RANGE_VALUES]
 
+# distribution Q's contrast, outside its gamma bound or its one kind
+BAD_CONTRAST_FIELDS = {"Contrast-gamma-0": ("gamma", 0.0),
+                       "Contrast-gamma-nan": ("gamma", float("nan")),
+                       "Contrast-gamma-inf": ("gamma", float("inf")),
+                       "Contrast-kind-piecewise": ("kind", "piecewise")}
+OUT_OF_RANGE_FIELDS += [
+    ({"distributions": {"P": {"name": "P"}, "Q": {"name": "Q", "contrast": {name: value}}}},
+     f"Contrast.{name} must be ") for name, value in BAD_CONTRAST_FIELDS.values()]
+OUT_OF_RANGE_IDS += list(BAD_CONTRAST_FIELDS)
+
 # former ExperimentConfig fields, now the constants data.LESION_AMPLITUDE and
 # harness.OVERFIT_EPS and OVERFIT_DELTA: each is an unknown key, whatever its value
 DELETED_FIELDS = {"lesion_amplitude-nan": ("lesion_amplitude", float("nan")),
@@ -507,7 +517,7 @@ def test_accel_combo_rejects_train_accelerations(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("config, named", [
     ({"trian": {"epochs": 1}}, "trian"),
     ({"dataset": None, "train": {"epochs": 1}}, "dataset"),
-    ({"model": []}, "ModelConfig must be a JSON object"),
+    ({"model": []}, "TrainJob.model must be dict, got []"),
 ], ids=["unknown-key", "no-dataset", "model-not-object"])
 def test_train_config_top_level_is_read_by_its_fields(tmp_path, capsys, config, named):
     # a real dataset, so only the config can make the command fail

@@ -140,15 +140,19 @@ def test_column_means_sum_in_item_order():
 
 
 def test_contrast_transforms_monotone_and_validated():
-    mag = np.linspace(0, 1, 64).reshape(8, 8)
-    gamma = dm.apply_contrast(mag, {"kind": "gamma", "gamma": 2.0})
+    mag = np.linspace(0, 2, 64).reshape(8, 8)
+    gamma = dm.apply_contrast(mag, dm.Contrast(gamma=2.0))
     assert np.all(np.diff(gamma.ravel()) >= 0)
-    pl = dm.apply_contrast(mag, {"kind": "piecewise", "xs": [0, 0.5, 1], "ys": [0, 0.8, 1]})
-    assert np.all(np.diff(pl.ravel()) >= 0)
-    with pytest.raises(ValueError):
-        dm.apply_contrast(mag, {"kind": "piecewise", "xs": [0, 0.5, 1], "ys": [0, 0.8, 0.5]})
-    with pytest.raises(ValueError):
-        dm.apply_contrast(mag, {"kind": "sqrt"})
+    assert gamma.max() == 2.0 and np.array_equal(gamma, (mag / 2.0) ** 2.0 * 2.0)
+    assert dm.apply_contrast(np.zeros((4, 4)), dm.Contrast()).max() == 0.0
+    for kind in ("piecewise", "sqrt"):
+        with pytest.raises(ValueError, match=rf"^Contrast\.kind must be one of \('gamma',\)"):
+            dm.Contrast(kind=kind)
+    for gamma in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^Contrast\.gamma must be in \(0, inf\)"):
+            dm.Contrast(gamma=gamma)
+    with pytest.raises(ValueError, match=r"^DistributionSpec\.contrast must be a Contrast"):
+        dm.DistributionSpec("P", contrast={"kind": "gamma", "gamma": 2.0})
 
 
 def test_combine_counts_and_provenance():
@@ -272,6 +276,24 @@ LESIONED_CONTENT = {
 def test_add_lesions_keeps_its_bytes(size_class):
     base = dm.generate(dm.DistributionSpec("q", extents=(80, 80), coils=2, seed=4), 3)
     assert dm.content_hash(dm.add_lesions(base, 9, size_class)) == LESIONED_CONTENT[size_class]
+
+
+# content hash of a 3-item dataset at bench's contrasts (gamma 1.35 and 0.75, and
+# the default), read from JSON as bench writes it; taken when a contrast was a dict
+CONTRAST_CONTENT = {
+    1.35: "7618eda4014a75e65276c9b2119a6d32b8a6bdacda4f172cabe5ca040a34ac18",
+    0.75: "73344875beb640feaf80a5641c87c8d9eeefe4c8dfda8e28f61bf6b24fa71828",
+    None: "07b7483983977e89a5b50bc689defc6a6efc14ba4a3fbc66c144b53ab9742fb8",
+}
+
+
+@pytest.mark.parametrize("gamma", CONTRAST_CONTENT)
+def test_contrast_keeps_its_bytes(gamma):
+    d = {"name": "P", "extents": [32, 32], "coils": 4, "snr_db": 30, "seed": 31}
+    if gamma is not None:
+        d["contrast"] = {"kind": "gamma", "gamma": gamma}
+    spec = dm.from_fields(dm.DistributionSpec, d)
+    assert dm.content_hash(dm.generate(spec, 3)) == CONTRAST_CONTENT[gamma]
 
 
 def test_add_lesions_scoreable_boxes():

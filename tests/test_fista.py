@@ -5,7 +5,7 @@ import pytest
 
 from shiftmri import data as dm
 from shiftmri import fista, kspace
-from shiftmri.metrics import SsimConfig, ssim
+from shiftmri.metrics import ssim
 from oracles import fista_full_kspace_reference, haar_dwt_reference, haar_idwt_reference
 
 
@@ -94,11 +94,11 @@ def test_fista_huge_lambda_shrinks_to_zero():
 def test_fista_beats_zero_filled_at_4x():
     item, mask, y = _phantom_problem(3)
     target = kspace.ground_truth_rss(item.image, item.sens)
-    cfg = SsimConfig(data_range=float(target.max()))
+    data_range = float(target.max())
     recon = np.abs(fista.fista_l1(y, item.sens, mask,
                                   fista.FistaConfig(lam=1e-3, max_iters=100)).image)
     zf = kspace.zero_filled_rss(y)
-    assert ssim(recon, target, cfg) - ssim(zf, target, cfg) >= 0.01
+    assert ssim(recon, target, data_range) - ssim(zf, target, data_range) >= 0.01
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -194,7 +194,7 @@ def test_fista_runs_one_dwt_per_prox_step(monkeypatch, step_size, lam):
 def test_tune_lambda_single_grid_point():
     spec = dm.DistributionSpec("p", extents=(32, 32), coils=2, snr_db=30, seed=4)
     ds = dm.generate(spec, 2)
-    best, table = fista.tune_lambda(ds, [1e-3], fista.FistaConfig(max_iters=20))
+    best, table = fista.tune_lambda(ds, [1e-3], max_iters=20)
     assert best == 1e-3
     assert set(table) == {1e-3}
 
@@ -203,9 +203,8 @@ def test_tune_lambda_deterministic_across_duplicates():
     spec = dm.DistributionSpec("p", extents=(32, 32), coils=2, snr_db=30, seed=5)
     ds1 = dm.generate(spec, 2)
     ds2 = dm.generate(spec, 2)
-    cfg = fista.FistaConfig(max_iters=25)
-    b1, t1 = fista.tune_lambda(ds1, [1e-3, 1e-2], cfg, seed=0)
-    b2, t2 = fista.tune_lambda(ds2, [1e-3, 1e-2], cfg, seed=0)
+    b1, t1 = fista.tune_lambda(ds1, [1e-3, 1e-2], max_iters=25, seed=0)
+    b2, t2 = fista.tune_lambda(ds2, [1e-3, 1e-2], max_iters=25, seed=0)
     assert b1 == b2
     assert t1 == t2
 
@@ -216,25 +215,38 @@ def test_tune_lambda_ties_break_toward_smaller_lambda():
     spec = dm.DistributionSpec("p", extents=(32, 32), coils=2, snr_db=30, seed=7)
     ds = dm.generate(spec, 2)
     for grid in ([1e-300, 0.0], [0.0, 1e-300]):
-        best, table = fista.tune_lambda(ds, grid, fista.FistaConfig(max_iters=10))
+        best, table = fista.tune_lambda(ds, grid, max_iters=10)
         assert table[0.0] == table[1e-300]
         assert best == 0.0
 
 
 def test_tune_lambda_noise_direction():
     grid = [1e-4, 1e-3, 1e-2, 1e-1]
-    cfg = fista.FistaConfig(max_iters=60)
     low = dm.generate(dm.DistributionSpec("low", extents=(32, 32), coils=4,
                                           snr_db=30, seed=100), 3)
     high = dm.generate(dm.DistributionSpec("high", extents=(32, 32), coils=4,
                                            snr_db=10, seed=100), 3)
-    best_low, _ = fista.tune_lambda(low, grid, cfg, seed=0)
-    best_high, _ = fista.tune_lambda(high, grid, cfg, seed=0)
+    best_low, _ = fista.tune_lambda(low, grid, max_iters=60, seed=0)
+    best_high, _ = fista.tune_lambda(high, grid, max_iters=60, seed=0)
     assert best_low < best_high
+
+
+def test_tune_lambda_solves_at_each_grid_lambda_and_the_cap(monkeypatch):
+    spec = dm.DistributionSpec("p", extents=(32, 32), coils=2, snr_db=30, seed=8)
+    ds = dm.generate(spec, 2)
+    solved, solve = [], fista.fista_l1
+
+    def recording(y, sens, mask, cfg):
+        solved.append((cfg.lam, cfg.max_iters))
+        return solve(y, sens, mask, cfg)
+
+    monkeypatch.setattr(fista, "fista_l1", recording)
+    fista.tune_lambda(ds, [0.0, 1e-2], max_iters=3)
+    assert solved == [(0.0, 3), (1e-2, 3)] * 2
 
 
 def test_tune_lambda_rejects_empty():
     spec = dm.DistributionSpec("p", extents=(32, 32), coils=2, snr_db=30, seed=6)
     ds = dm.generate(spec, 1)
     with pytest.raises(ValueError):
-        fista.tune_lambda(ds, [])
+        fista.tune_lambda(ds, [], max_iters=10)

@@ -97,13 +97,13 @@ def _ds(seed, name="d", count=4, **kw):
 
 def test_select_best_single_source():
     src = _ds(1)
-    best, _, means = harness.select_best_source([src], _ds(2), MODEL, TRAIN)
+    best, _, means = harness.select_best_source([src], _ds(2), MODEL, TRAIN, 0)
     assert best == 0 and len(means) == 1
 
 
 def test_select_best_duplicated_sources_tie_breaks_low():
     src = _ds(3)
-    best, _, means = harness.select_best_source([src, src], _ds(4), MODEL, TRAIN)
+    best, _, means = harness.select_best_source([src, src], _ds(4), MODEL, TRAIN, 0)
     assert best == 0
     assert means[0] == means[1]
 
@@ -113,18 +113,18 @@ def test_select_best_prefers_matching_distribution():
     matching = dm.generate(target_spec, 8)
     off = _ds(6, name="off", count=8,
               shape_family="polygon-phantom",
-              contrast={"kind": "gamma", "gamma": 2.5})
+              contrast=dm.Contrast(gamma=2.5))
     target_test = dm.generate(dm.DistributionSpec("T", extents=(32, 32), coils=3,
                                                   snr_db=30.0, seed=55), 4)
     cfg = learned.TrainConfig(epochs=4, seed=0)
-    best, _, means = harness.select_best_source([off, matching], target_test, MODEL, cfg)
+    best, _, means = harness.select_best_source([off, matching], target_test, MODEL, cfg, 0)
     assert best == 1
     assert means[1] > means[0]
 
 
 def test_select_best_rejects_empty():
     with pytest.raises(ValueError):
-        harness.select_best_source([], _ds(1), MODEL, TRAIN)
+        harness.select_best_source([], _ds(1), MODEL, TRAIN, 0)
 
 
 # ---------------------------------------------------------------------------

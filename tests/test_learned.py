@@ -7,7 +7,6 @@ import pytest
 import shiftmri.autodiff as ad
 from shiftmri import data as dm
 from shiftmri import kspace, learned
-from shiftmri.metrics import SsimConfig
 from oracles import (OptimizerReference, clip_reference, global_norm_reference,
                      tape_dft_reference, varnet_per_coil_reference)
 
@@ -94,7 +93,7 @@ def _taped(reconstruct, params, target):
     with ad.Tape() as tape:
         leaves = [tape.leaf(p) for p in params]
         out = reconstruct(leaves)
-        loss = ad.ssim_loss(out, ad.Tensor(target), SsimConfig(data_range=float(target.max())))
+        loss = ad.ssim_loss(out, ad.Tensor(target), float(target.max()))
         grads = ad.backward(tape, loss)
     return out.data, [grads[leaf.node_id].data for leaf in leaves], len(tape.nodes)
 
@@ -136,7 +135,7 @@ def test_varnet_data_consistency_gradients_match_finite_differences():
 
     def loss_fn(leaves):
         out = model.reconstruct(leaves, y, sens, mask)
-        return ad.ssim_loss(out, ad.Tensor(target), SsimConfig(data_range=float(target.max())))
+        return ad.ssim_loss(out, ad.Tensor(target), float(target.max()))
 
     assert ad.grad_check(loss_fn, params, h=1e-5) < 1e-4
 
@@ -547,7 +546,7 @@ def test_finetune_tiny_lr_traces_flat(monkeypatch):
 
 def test_finetune_improves_target_metric():
     parent_set = small_dataset(seed=14, count=12)
-    q_spec = dm.DistributionSpec("Q", contrast={"kind": "gamma", "gamma": 2.0},
+    q_spec = dm.DistributionSpec("Q", contrast=dm.Contrast(gamma=2.0),
                                  extents=(32, 32), coils=3, snr_db=30.0, seed=15)
     q_train, q_test = dm.train_test(q_spec, 12, 6)
     cks, _ = learned.train(UNET, parent_set, learned.TrainConfig(epochs=4, seed=0))

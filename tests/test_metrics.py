@@ -6,7 +6,6 @@ import pytest
 
 from shiftmri import data as dm
 from shiftmri import metrics
-from shiftmri.metrics import SsimConfig
 from oracles import (box_sums_reference, laplacian_score_reference, ols_reference,
                      spread_reference, ssim_reference)
 
@@ -23,7 +22,7 @@ def test_ssim_constant_images_closed_form():
     b = np.full((10, 10), 2.0)
     c1 = (0.01 * 2.0) ** 2
     expected = (2 * 1 * 2 + c1) / (1 + 4 + c1)
-    assert abs(metrics.ssim(a, b, SsimConfig(data_range=2.0)) - expected) < 1e-12
+    assert abs(metrics.ssim(a, b, data_range=2.0) - expected) < 1e-12
 
 
 def test_ssim_matches_bruteforce_reference():
@@ -31,7 +30,7 @@ def test_ssim_matches_bruteforce_reference():
     for _ in range(10):
         x = rng.random((16, 16))
         y = rng.random((16, 16))
-        got = metrics.ssim(x, y, SsimConfig(data_range=1.0))
+        got = metrics.ssim(x, y, data_range=1.0)
         ref = ssim_reference(x, y, data_range=1.0)
         assert abs(got - ref) < 1e-8
 
@@ -86,8 +85,7 @@ def test_ssim_gradient_is_exactly_zero_at_the_target():
 def test_ssim_symmetry_with_fixed_range():
     rng = np.random.default_rng(2)
     x, y = rng.random((12, 12)), rng.random((12, 12))
-    cfg = SsimConfig(data_range=1.0)
-    assert abs(metrics.ssim(x, y, cfg) - metrics.ssim(y, x, cfg)) < 1e-12
+    assert abs(metrics.ssim(x, y, 1.0) - metrics.ssim(y, x, 1.0)) < 1e-12
 
 
 def test_ssim_rejects_small_images():
@@ -98,9 +96,8 @@ def test_ssim_rejects_small_images():
 def test_region_ssim_full_box_equals_ssim():
     rng = np.random.default_rng(3)
     x, y = rng.random((16, 16)), rng.random((16, 16))
-    cfg = SsimConfig(data_range=1.0)
-    full = metrics.region_ssim(x, y, (0, 0, 16, 16), cfg)
-    assert abs(full - metrics.ssim(x, y, cfg)) < 1e-14
+    full = metrics.region_ssim(x, y, (0, 0, 16, 16))
+    assert abs(full - metrics.ssim(x, y)) < 1e-14
 
 
 def test_region_ssim_identical_images():
@@ -114,10 +111,45 @@ def test_region_ssim_differs_on_local_structure():
     target = rng.random((24, 24)) + 0.5
     recon = target.copy()
     recon[8:15, 8:15] += 0.3 * rng.random((7, 7))  # local lesion-like error
-    cfg = SsimConfig(data_range=float(target.max()))
-    region = metrics.region_ssim(recon, target, (8, 8, 7, 7), cfg)
-    overall = metrics.ssim(recon, target, cfg)
+    region = metrics.region_ssim(recon, target, (8, 8, 7, 7))
+    overall = metrics.ssim(recon, target)
     assert abs(region - overall) > 1e-6
+
+
+def _digest(*arrays) -> str:
+    d = hashlib.sha256()
+    for a in arrays:
+        d.update(np.asarray(a, dtype=np.float64).tobytes())
+    return d.hexdigest()
+
+
+# digests of SSIM's value, value and gradient, and region value on fixed
+# images, taken when an SsimConfig held the data range
+SSIM_DIGESTS = {
+    None: ("a28876851fc806b9c042c1637d9cb06d0c6f54ddde58081dc2424417976a75ca",
+           "f279fb142bb45dd84881dc01842e0d0edd4dc76df0cb1148d48e83f79dc7655b"),
+    2.0: ("d3673ca53499ea1c66602c6b21b9147237adad498c86a56aaaddd2557639aeea",
+          "24f3932ab9c20f6fcce7d04b1c543694a907abf79783a98d95911cba7b629ba2"),
+}
+
+
+def _pinned_images():
+    rng = np.random.default_rng(34)
+    y = 1.5 * rng.random((24, 20))
+    return y + 0.2 * rng.standard_normal((24, 20)), y
+
+
+@pytest.mark.parametrize("data_range", SSIM_DIGESTS)
+def test_ssim_and_grad_keep_their_bytes(data_range):
+    x, y = _pinned_images()
+    assert _digest(metrics.ssim(x, y, data_range)) == SSIM_DIGESTS[data_range][0]
+    assert _digest(*metrics.ssim_and_grad(x, y, data_range)) == SSIM_DIGESTS[data_range][1]
+
+
+def test_region_ssim_keeps_its_bytes():
+    x, y = _pinned_images()
+    assert _digest(metrics.region_ssim(x, y, (5, 3, 12, 9))) == (
+        "5a32224a14b8bf5315cae223851ca3e1cd123bdb17a648dd30396b6519f6f882")
 
 
 def test_region_ssim_rejects_small_box():
