@@ -16,7 +16,7 @@ mask = kspace.mask_for_volume(32, 4, 0.08, seed=0, volume_index=0)
 y = dm.simulate_measurements(item, mask, noise_seed=1)
 target = kspace.ground_truth_rss(item.image, item.sens)
 
-result = fista.fista_l1(y, item.sens, mask, fista.FistaConfig(lam=1e-3, max_iters=100))
+result = fista.fista_l1(y, item.sens, mask, lam=1e-3, max_iters=100)
 zf = kspace.zero_filled_rss(y)
 print(f"objective: {result.objective_trace[0]:.4f} -> {result.objective_trace[-1]:.4f} "
       f"over {result.iterations_run} iterations (monotone, {result.restarts} restarts, "
@@ -35,7 +35,7 @@ print(f"\nlambda grid search on {grid}")
 for name, snr in (("low-noise (30 dB)", 30.0), ("high-noise (10 dB)", 10.0)):
     ds = dm.generate(dm.DistributionSpec("tune", extents=(32, 32), coils=4,
                                          snr_db=snr, seed=100), 3)
-    best, table = fista.tune_lambda(ds, grid, max_iters=60, seed=0)
+    best, table = fista.tune_lambda(ds, grid, max_iters=60, acceleration=4.0, seed=0)
     row = "  ".join(f"{lam:g}: {v:.3f}" for lam, v in table.items())
     print(f"  {name:20s} best lambda = {best:g}   ({row})")
 print("\nhigher measurement noise pushes the optimal lambda up; one weight "

@@ -46,16 +46,15 @@ def from_fields(cls, d: dict):
     the dataclass; a missing required key or an unknown key raises TypeError."""
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    hints = typing.get_type_hints(cls)
-    return cls(**{k: _read(hints[k], v, f"{cls.__name__}.{k}") if k in hints else v
-                  for k, v in d.items()})
+    return _read(cls, d, cls.__name__)
 
 
 def _read(tp, value, where: str):
     """`value` read as the annotation `tp`: `X | None`, `list[X]`, a tuple from a JSON
     list (of its length if fixed), `dict[K, V]`, a dataclass from a JSON object, a plain
     type, or a `Literal` as its choices' type. An int passes as a float and becomes one;
-    a bool is never a number. Any other value raises TypeError naming `where`."""
+    a bool is never a number. Any other value raises TypeError naming `where`. An error
+    of a dataclass's own checks that names `Class.field` is raised again naming `where`."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Literal:
         return _read(type(args[0]), value, where)
@@ -72,7 +71,15 @@ def _read(tp, value, where: str):
         return {_read(args[0], k, where): _read(args[1], v, f"{where}[{k!r}]")
                 for k, v in _read(dict, value, where).items()}
     if is_dataclass(tp):
-        return from_fields(tp, _read(dict, value, where))
+        hints = typing.get_type_hints(tp)
+        fields_read = {k: _read(hints[k], v, f"{where}.{k}") if k in hints else v
+                       for k, v in _read(dict, value, where).items()}
+        try:
+            return tp(**fields_read)
+        except (TypeError, ValueError) as e:
+            if where == tp.__name__ or not str(e).startswith(f"{tp.__name__}."):
+                raise
+            raise type(e)(where + str(e)[len(tp.__name__):]) from e
     if (isinstance(value, bool) and tp is not bool
             or not isinstance(value, (int, float) if tp is float else tp)):
         raise TypeError(f"{where} must be {tp.__name__}, got {value!r}")
@@ -545,6 +552,8 @@ def load(path: str | Path) -> Dataset:
         manifest = from_fields(Manifest, raw)
     except TypeError as e:
         raise DatasetFormatError(f"malformed manifest at {path}: {e}") from e
+    if manifest.count < 1:
+        raise DatasetFormatError(f"malformed manifest at {path}: count {manifest.count} < 1")
     if [r.index for r in manifest.items] != list(range(manifest.count)):
         raise DatasetFormatError(f"malformed manifest at {path}: count {manifest.count} with "
                                  f"item indices {[r.index for r in manifest.items]}")

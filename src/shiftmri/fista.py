@@ -110,16 +110,7 @@ def soft_threshold(v: np.ndarray, t: float) -> np.ndarray:
 STEP_SIZE = 1.0  # 1/L; A^H A has norm <= 1 here
 TOLERANCE = 1e-6  # relative objective change that stops a solve
 WAVELET_LEVELS = 2
-MAX_ITERS = 200  # iteration cap of a solve, unless its caller sets one
-
-
-@dataclass
-class FistaConfig:
-    lam: float = datamod.within("[0, inf)", 1e-3)
-    max_iters: int = datamod.within("[1, inf)", MAX_ITERS)
-
-    def __post_init__(self):
-        datamod.check_fields(self)
+MAX_ITERS = 200  # iteration cap of the CLI's solves
 
 
 @dataclass
@@ -139,11 +130,16 @@ def _objective(resid, coeffs, lam) -> float:
     return data + reg
 
 
-def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
-             config: FistaConfig = FistaConfig()) -> FistaResult:
-    """FISTA with restart on objective increase; the trace is non-increasing."""
+def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask, lam: float,
+             max_iters: int) -> FistaResult:
+    """FISTA at regularization weight `lam`, stopped after `max_iters` iterations
+    or at TOLERANCE, with restart on objective increase; the trace is non-increasing."""
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be in [0, inf), got {lam!r}")
+    if not 1 <= max_iters < np.inf:
+        raise ValueError(f"max_iters must be in [1, inf), got {max_iters!r}")
     check_levels(y.shape[-2:], WAVELET_LEVELS)
-    step, lam, levels = STEP_SIZE, config.lam, WAVELET_LEVELS
+    step, levels = STEP_SIZE, WAVELET_LEVELS
     op = kspace.HybridEncoding(sens, mask, y)
 
     def residual(x):
@@ -162,7 +158,7 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
     obj = _objective(residual(x), haar_dwt(x, levels), lam)
     trace: list[float] = []
     restarts = 0
-    for it in range(config.max_iters):
+    for it in range(max_iters):
         candidate, coeffs = prox_step(momentum)
         cand_obj = _objective(residual(candidate), coeffs, lam)
         if cand_obj > obj:
@@ -189,8 +185,8 @@ def fista_l1(y: np.ndarray, sens: np.ndarray, mask: kspace.SamplingMask,
 # ---------------------------------------------------------------------------
 
 
-def tune_lambda(dataset: datamod.Dataset, grid, max_iters: int,
-                acceleration: float = kspace.ACCELERATION, seed: int = 0):
+def tune_lambda(dataset: datamod.Dataset, grid, max_iters: int, acceleration: float,
+                seed: int):
     """Reconstruct every item at every lambda, each solve capped at `max_iters`
     iterations; return (best lambda, mean SSIM per lambda). Ties break toward
     the smaller lambda.
@@ -202,8 +198,8 @@ def tune_lambda(dataset: datamod.Dataset, grid, max_iters: int,
     grid = [float(g) for g in grid]
     if not grid or not dataset.items:
         raise ValueError("empty grid or dataset")
-    solvers = [lambda y, sens, mask, cfg=FistaConfig(lam, max_iters):
-               np.abs(fista_l1(y, sens, mask, cfg).image) for lam in grid]
+    solvers = [lambda y, sens, mask, lam=lam: np.abs(fista_l1(y, sens, mask, lam, max_iters).image)
+               for lam in grid]
     scores = datamod.score(dataset, solvers, seed, acceleration, kspace.CENTER_FRACTION,
                            datamod.TUNE_NOISE_TAG, lambda recon, target, item: ssim(recon, target))
     mean_ssims = datamod.column_means(scores)

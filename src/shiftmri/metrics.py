@@ -11,6 +11,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .kspace import rng_from
+
 
 SSIM_WINDOW = 7  # side of the uniform window
 SSIM_K1, SSIM_K2 = 0.01, 0.03  # stabilizers, as fractions of the data range
@@ -205,8 +207,7 @@ def extract_features(dataset, seed: int = 0) -> np.ndarray:
     items = list(getattr(dataset, "items", dataset))
     if not items:
         raise ValueError("empty dataset")
-    proj_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFEA7]))
-    proj = proj_rng.standard_normal((PROJECTION_DIM, PATCH_SIZE * PATCH_SIZE))
+    proj = rng_from(seed, 0xFEA7).standard_normal((PROJECTION_DIM, PATCH_SIZE * PATCH_SIZE))
     proj /= math.sqrt(PATCH_SIZE * PATCH_SIZE)
     features = np.zeros((len(items), PROJECTION_DIM))
     for idx, item in enumerate(items):
@@ -216,7 +217,7 @@ def extract_features(dataset, seed: int = 0) -> np.ndarray:
         # patch positions keyed on content so duplicate items embed identically
         content_key = int.from_bytes(
             hashlib.sha256(np.ascontiguousarray(img).tobytes()).digest()[:8], "little")
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 1, content_key]))
+        rng = rng_from(seed, 1, content_key)
         kept = []
         for _ in range(PATCHES_PER_ITEM):
             r = int(rng.integers(0, h - PATCH_SIZE + 1))

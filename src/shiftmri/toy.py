@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import check_fields, within
+from .kspace import rng_from
 
 # Rows drawn and scored at a time. At n=64, d=4 it keeps y @ U above 10^6
 # multiply-adds, below which OpenBLAS uses small-matrix kernels that round
@@ -40,8 +41,7 @@ class SubspaceWorld:
     @cached_property
     def basis(self) -> np.ndarray:
         """Orthonormal n x d basis drawn from the seed; computed once, read-only."""
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, 0x5B5]))
-        q, _ = np.linalg.qr(rng.standard_normal((self.n, self.d)))
+        q, _ = np.linalg.qr(rng_from(self.seed, 0x5B5).standard_normal((self.n, self.d)))
         q.flags.writeable = False
         return q
 
@@ -195,7 +195,7 @@ def mse_table(world: SubspaceWorld, count: int = 100_000, seed: int = 0) -> dict
     w_pool = fit_linear(world, "mixture")
     results: dict[str, dict[str, float]] = {}
     for which in ("P", "Q"):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA7B, ord(which)]))
+        rng = rng_from(seed, 0xA7B, ord(which))
         estimators = {"specialist_linear": fit_linear(world, which), "pooled_linear": w_pool,
                       "adaptive_nonlinear": lambda v: estimate_nonlinear(world, v)}
         results[which] = {}

@@ -333,8 +333,8 @@ def _objective_full_kspace(x, y, enc, lam, levels) -> float:
     return data + reg
 
 
-def fista_full_kspace_reference(y, sens, mask, config) -> fista.FistaResult:
-    step, lam, levels = fista.STEP_SIZE, config.lam, fista.WAVELET_LEVELS
+def fista_full_kspace_reference(y, sens, mask, lam, max_iters) -> fista.FistaResult:
+    step, levels = fista.STEP_SIZE, fista.WAVELET_LEVELS
     enc = kspace.Encoding(sens, mask)
 
     def grad(x):
@@ -352,7 +352,7 @@ def fista_full_kspace_reference(y, sens, mask, config) -> fista.FistaResult:
     obj = _objective_full_kspace(x, y, enc, lam, levels)
     trace = []
     restarts = 0
-    for it in range(config.max_iters):
+    for it in range(max_iters):
         candidate = prox_step(momentum)
         cand_obj = _objective_full_kspace(candidate, y, enc, lam, levels)
         if cand_obj > obj:

@@ -158,7 +158,7 @@ def test_criterion_04_fista():
         item = dm.generate(spec, 1).items[0]
         mask = kspace.mask_for_volume(32, 4, 0.08, seed, 0)
         y = dm.simulate_measurements(item, mask, seed)
-        res = fista.fista_l1(y, item.sens, mask, fista.FistaConfig(lam=1e-3, max_iters=40))
+        res = fista.fista_l1(y, item.sens, mask, lam=1e-3, max_iters=40)
         tr = res.objective_trace
         assert all(tr[i + 1] <= tr[i] + 1e-12 for i in range(len(tr) - 1))
     # lambda=0 full-mask recovery
@@ -166,7 +166,7 @@ def test_criterion_04_fista():
     item = dm.generate(spec, 1).items[0]
     fm = kspace.full_mask(32)
     y0 = kspace.apply_forward(item.image, kspace.Encoding(item.sens, fm))
-    res = fista.fista_l1(y0, item.sens, fm, fista.FistaConfig(lam=0.0, max_iters=50))
+    res = fista.fista_l1(y0, item.sens, fm, lam=0.0, max_iters=50)
     rel = np.linalg.norm(res.image - item.image) / np.linalg.norm(item.image)
     assert rel < 1e-8
     # 4x margin over zero-filled on the seeded phantom family
@@ -179,8 +179,7 @@ def test_criterion_04_fista():
         y = dm.simulate_measurements(item, mask, seed)
         target = kspace.ground_truth_rss(item.image, item.sens)
         data_range = float(target.max())
-        recon = np.abs(fista.fista_l1(y, item.sens, mask,
-                                      fista.FistaConfig(lam=1e-3, max_iters=100)).image)
+        recon = np.abs(fista.fista_l1(y, item.sens, mask, lam=1e-3, max_iters=100).image)
         margins.append(metrics.ssim(recon, target, data_range)
                        - metrics.ssim(kspace.zero_filled_rss(y), target, data_range))
     assert min(margins) >= 0.01
@@ -199,8 +198,8 @@ def test_criterion_05_lambda_tuning_direction():
                                               snr_db=30, seed=100 + seed), 3)
         high = dm.generate(dm.DistributionSpec("high", extents=(32, 32), coils=4,
                                                snr_db=10, seed=100 + seed), 3)
-        best_low, _ = fista.tune_lambda(low, grid, max_iters=60, seed=seed)
-        best_high, _ = fista.tune_lambda(high, grid, max_iters=60, seed=seed)
+        best_low, _ = fista.tune_lambda(low, grid, max_iters=60, acceleration=4.0, seed=seed)
+        best_high, _ = fista.tune_lambda(high, grid, max_iters=60, acceleration=4.0, seed=seed)
         assert best_high > best_low, f"seed {seed}"
         results.append((best_low, best_high))
     elapsed = time.time() - start

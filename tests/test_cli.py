@@ -505,7 +505,8 @@ def _with_header(raw: bytes, **changes) -> bytes:
     ("train_extents", [32], "Checkpoint.train_extents"),
     ("provenance", "xy", "Checkpoint.provenance"), ("provenance", [3], "Checkpoint.provenance[0]"),
     ("rng_state", [0], "Checkpoint.rng_state"),
-    ("model", {"kind": "unet_lite", "channels": 4.0}, "ModelConfig.channels"),
+    pytest.param("model", {"kind": "unet_lite", "channels": 4.0}, "Checkpoint.config.channels",
+                 id="model-value8-ModelConfig.channels"),
     ("spare", 1, "spare"), ("config", {"kind": "unet_lite"}, "unexpected key"),
     ("params", [], "unexpected key"),
 ])
@@ -690,7 +691,7 @@ MASK_RULE = "error: acceleration "
     ("coil_shift", {"train": {"accelerations": [4, 33]}}, MASK_RULE),
     ("diversity_robustness", {"train": {"acceleration": 33}}, MASK_RULE),
     ("finetune_ablation", {"train": {"acceleration": 0.5}},
-     "error: TrainConfig.acceleration must be in [1, inf), got 0.5"),
+     "error: ExperimentConfig.train.acceleration must be in [1, inf), got 0.5"),
 ], ids=["trained", "unseen", "train-acceleration", "train-accelerations", "sources",
         "below-1"])
 def test_run_infeasible_acceleration_exits_2_before_data(tmp_path, capsys, monkeypatch,
@@ -765,7 +766,8 @@ def test_run_bad_contrast_exits_before_data(tmp_path, capsys, contrast):
     rc = cli.main(["--out", str(tmp_path / "o"), "run", "--config", str(cfg_path)])
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and ("DistributionSpec.contrast " in err[0] or "Contrast." in err[0])
+    assert len(err) == 1
+    assert err[0].startswith("error: ExperimentConfig.distributions['Q'].contrast")
     assert not (tmp_path / "o").exists()
 
 
@@ -843,7 +845,7 @@ def _negative_seed_command(command, tmp_path):
     data_dir = gen_dataset(tmp_path, count=1)
     if command == "train":
         cfg_path.write_text(json.dumps({"dataset": str(data_dir), "train": {"seed": -1}}))
-        return ["train", "--config", str(cfg_path)], "TrainConfig.seed must be in [0, inf)"
+        return ["train", "--config", str(cfg_path)], "TrainJob.train.seed must be in [0, inf)"
     argv = {"eval": ["eval", "--checkpoint", str(_init_checkpoint(tmp_path, data_dir)),
                      "--dataset", str(data_dir)],
             "tune-lambda": ["tune-lambda", "--dataset", str(data_dir), "--grid", "1e-3"],
@@ -862,4 +864,23 @@ def test_negative_seed_exits_2_naming_it_before_any_work(tmp_path, capsys, monke
     assert cli.main(["--out", str(tmp_path / "o"), *argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "tune-lambda"])
+def test_empty_dataset_exits_2(tmp_path, capsys, command):
+    # a manifest of no items once loaded: eval scored it as NaN and exited 0
+    data_dir = gen_dataset(tmp_path)
+    checkpoint = _init_checkpoint(tmp_path, data_dir)
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    (data_dir / "manifest.json").write_text(json.dumps({**manifest, "count": 0, "items": []}))
+    with pytest.raises(dm.DatasetFormatError, match="count 0 < 1"):
+        dm.load(data_dir)
+    argv = {"eval": ["eval", "--checkpoint", str(checkpoint), "--dataset", str(data_dir)],
+            "tune-lambda": ["tune-lambda", "--dataset", str(data_dir), "--grid", "1e-3"]}
+    capsys.readouterr()
+    assert cli.main(["--out", str(tmp_path / "o"), *argv[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed manifest at ")
     assert not (tmp_path / "o").exists()

@@ -219,7 +219,8 @@ def test_mistyped_field_names_the_field(section, name, value):
     cls = SECTION_CLASS[section]
     with pytest.raises(TypeError, match=rf"^{cls.__name__}\.{name} must be "):
         dm.from_fields(cls, {name: value})
-    with pytest.raises(harness.ConfigError, match=rf"{cls.__name__}\.{name}"):
+    nested = rf"^ExperimentConfig\.{section}\.{name} must be "
+    with pytest.raises(harness.ConfigError, match=nested):
         harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, section: {name: value}})
 
 
@@ -229,8 +230,7 @@ def test_train_mistyped_field_exits_2_naming_it(tmp_path, capsys, section, name,
     config = {"dataset": str(tmp_path / "none"), section: {name: value}}
     rc, err = _cli(tmp_path, capsys, "train", "--config", _write(tmp_path, "train.json", config))
     assert rc == 2
-    cls = SECTION_CLASS[section].__name__
-    assert len(err) == 1 and err[0].startswith(f"error: {cls}.{name} must be ")
+    assert len(err) == 1 and err[0].startswith(f"error: TrainJob.{section}.{name} must be ")
     assert not (tmp_path / "o").exists()
 
 
@@ -245,12 +245,12 @@ BAD_OPTIMIZER = [("beta1", 1.0), ("beta1", -1e-3), ("beta2", 1.5), ("beta2", flo
 @pytest.mark.parametrize("name, value", BAD_OPTIMIZER,
                          ids=[f"{n}-{v!r}" for n, v in BAD_OPTIMIZER])
 def test_unusable_optimizer_setting_names_the_field(name, value):
-    unknown = rf"^TrainConfig\b.* argument '{name}'$"
-    with pytest.raises(TypeError, match=unknown):
+    unknown = rf"\b.* argument '{name}'$"
+    with pytest.raises(TypeError, match="^TrainConfig" + unknown):
         learned.TrainConfig(**{name: value})
-    with pytest.raises(TypeError, match=unknown):
+    with pytest.raises(TypeError, match="^TrainConfig" + unknown):
         dm.from_fields(learned.TrainConfig, {name: value})
-    with pytest.raises(harness.ConfigError, match=unknown):
+    with pytest.raises(harness.ConfigError, match=r"^ExperimentConfig\.train" + unknown):
         harness.ExperimentConfig.from_dict({**MINIMAL_EXPERIMENT, "train": {name: value}})
 
 
@@ -289,17 +289,25 @@ def _changes(cls, name, value) -> dict:
     return {"distributions": {"P": {"name": "P"}, "Q": {"name": "Q", name: value}}}
 
 
+def _where(cls) -> str:
+    """Where `_changes` puts a field of `cls`, as errors name it."""
+    return {harness.ExperimentConfig: "ExperimentConfig",
+            learned.ModelConfig: "ExperimentConfig.model",
+            learned.TrainConfig: "ExperimentConfig.train",
+            dm.DistributionSpec: "ExperimentConfig.distributions['Q']"}[cls]
+
+
 def _mistyped_config(cls, name, value) -> dict:
     return {**MINIMAL_EXPERIMENT, **_changes(cls, name, value)}
 
 
 @pytest.mark.parametrize("cls, name, value", MISTYPED_FIELDS, ids=MISTYPED_FIELD_IDS)
 def test_mistyped_spec_or_experiment_field_names_it(cls, name, value):
-    named = rf"^{cls.__name__}\.{name}(\[\d+\])? must "
+    named = rf"\.{name}(\[\d+\])? must "
     if cls is dm.DistributionSpec:
-        with pytest.raises(TypeError, match=named):
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}" + named):
             dm.from_fields(cls, {"name": "P", name: value})
-    with pytest.raises(harness.ConfigError, match=named):
+    with pytest.raises(harness.ConfigError, match="^" + re.escape(_where(cls)) + named):
         harness.ExperimentConfig.from_dict(_mistyped_config(cls, name, value))
 
 
@@ -316,7 +324,7 @@ def test_mistyped_spec_or_experiment_field_exits_2(tmp_path, capsys, monkeypatch
     config = _write(tmp_path, "exp.json", _mistyped_config(cls, name, value))
     rc, err = _cli(tmp_path, capsys, "run", "--config", config)
     assert rc == 2
-    assert len(err) == 1 and err[0].startswith(f"error: {cls.__name__}.{name}")
+    assert len(err) == 1 and err[0].startswith(f"error: {_where(cls)}.{name}")
     assert not (tmp_path / "o").exists()
 
 
@@ -341,8 +349,8 @@ OUT_OF_RANGE_FIELDS = [
      "ExperimentConfig.model.pool_levels"),
     ({"template": "diversity_robustness", "sources": [{"name": "S"}], "target": {"name": "T"},
       "train": {"epochs": 1}}, "ExperimentConfig.train.epochs"),
-    ({"train": {"accelerations": [4, 0.5]}}, "TrainConfig.accelerations[1]"),
-    ({"train": {"accelerations": [float("nan")]}}, "TrainConfig.accelerations[0]"),
+    ({"train": {"accelerations": [4, 0.5]}}, "ExperimentConfig.train.accelerations[1]"),
+    ({"train": {"accelerations": [float("nan")]}}, "ExperimentConfig.train.accelerations[0]"),
     ({"template": "finetune_ablation", "sources": [{"name": "S"}],
       "distributions": {"a b": {"name": "A"}, "ab": {"name": "B"}}},
      "ExperimentConfig.distributions keys 'a b' and 'ab'"),
@@ -405,7 +413,7 @@ OUT_OF_RANGE_VALUES = [
     (learned.ModelConfig, "seed", -1), (learned.TrainConfig, "seed", -2),
     (harness.ExperimentConfig, "seed", -1),
 ]
-OUT_OF_RANGE_FIELDS += [(_changes(cls, name, value), f"{cls.__name__}.{name}")
+OUT_OF_RANGE_FIELDS += [(_changes(cls, name, value), f"{_where(cls)}.{name}")
                         for cls, name, value in OUT_OF_RANGE_VALUES]
 OUT_OF_RANGE_IDS += [f"{cls.__name__}-{name}-{value!r}" for cls, name, value in OUT_OF_RANGE_VALUES]
 
@@ -416,7 +424,8 @@ BAD_CONTRAST_FIELDS = {"Contrast-gamma-0": ("gamma", 0.0),
                        "Contrast-kind-piecewise": ("kind", "piecewise")}
 OUT_OF_RANGE_FIELDS += [
     ({"distributions": {"P": {"name": "P"}, "Q": {"name": "Q", "contrast": {name: value}}}},
-     f"Contrast.{name} must be ") for name, value in BAD_CONTRAST_FIELDS.values()]
+     f"ExperimentConfig.distributions['Q'].contrast.{name} must be ")
+    for name, value in BAD_CONTRAST_FIELDS.values()]
 OUT_OF_RANGE_IDS += list(BAD_CONTRAST_FIELDS)
 
 # former ExperimentConfig fields, now the constants data.LESION_AMPLITUDE and
@@ -483,8 +492,31 @@ def test_train_out_of_range_sampling_field_exits_2(tmp_path, capsys, name, value
     config = {"dataset": str(tmp_path / "none"), "train": {name: value}}
     rc, err = _cli(tmp_path, capsys, "train", "--config", _write(tmp_path, "train.json", config))
     assert rc == 2
-    assert len(err) == 1 and err[0].startswith(f"error: TrainConfig.{name}")
+    assert len(err) == 1 and err[0].startswith(f"error: TrainJob.train.{name}")
     assert "must be in " in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+# a nested section's type and bound errors name where it sits in the experiment
+NESTED_ERRORS = {
+    "sources-1-snr_db": ({"sources": [{"name": "S"}, {"name": "T", "snr_db": "x"}]},
+                         "ExperimentConfig.sources[1].snr_db must be float, got 'x'"),
+    "P-contrast-gamma": ({"distributions": {"P": {"name": "P", "contrast": {"gamma": -1}},
+                                            "Q": {"name": "Q"}}},
+                         "ExperimentConfig.distributions['P'].contrast.gamma "
+                         "must be in (0, inf), got -1.0"),
+}
+
+
+@pytest.mark.parametrize("changes, says", NESTED_ERRORS.values(), ids=list(NESTED_ERRORS))
+def test_nested_section_error_names_its_place(tmp_path, capsys, monkeypatch, changes, says):
+    config = {**MINIMAL_EXPERIMENT, **changes}
+    with pytest.raises(harness.ConfigError) as caught:
+        harness.ExperimentConfig.from_dict(config)
+    assert str(caught.value) == says
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    rc, err = _cli(tmp_path, capsys, "run", "--config", _write(tmp_path, "exp.json", config))
+    assert (rc, err) == (2, [f"error: {says}"])
     assert not (tmp_path / "o").exists()
 
 

@@ -393,7 +393,8 @@ def _edit_manifest(path, edit):
 def test_load_rejects_mistyped_lesion_annotation(tmp_path, lesion):
     dm.save(dm.add_lesions(dm.generate(spec(12, extents=(80, 80)), 1), 0), tmp_path)
     _edit_manifest(tmp_path, lambda m: m["items"][0]["lesion"].update(lesion))
-    with pytest.raises(dm.DatasetFormatError, match=rf"LesionAnnotation.*({'|'.join(lesion)})"):
+    named = rf"Manifest\.items\[0\]\.lesion.*({'|'.join(lesion)})"
+    with pytest.raises(dm.DatasetFormatError, match=named):
         dm.load(tmp_path)
 
 
@@ -438,8 +439,8 @@ def test_load_rejects_manifest_not_listing_its_items(tmp_path, damage):
             m["complete"] = True
 
     _edit_manifest(path, edit)
-    match = {"count": "count 7", "indices": r"\[5, 1, 2\]", "item-key": "ItemRecord.*depth",
-             "top-key": "Manifest.*complete"}[damage]
+    match = {"count": "count 7", "indices": r"\[5, 1, 2\]",
+             "item-key": r"Manifest\.items\[1\].*depth", "top-key": "Manifest.*complete"}[damage]
     with pytest.raises(dm.DatasetFormatError, match=match):
         dm.load(path)
 
@@ -538,6 +539,6 @@ def test_load_checks_a_huge_record_against_the_blob_before_reading(tmp_path):
 def test_load_rejects_bad_item_numbers(tmp_path, field, value):
     path = _saved(tmp_path)
     _edit_manifest(path, lambda m: m["items"][1].update({field: value}))
-    expected = {"offset": "offset", "height": "positive", "width": r"ItemRecord\.width "}
+    expected = {"offset": "offset", "height": "positive", "width": r"Manifest\.items\[1\]\.width "}
     with pytest.raises(dm.DatasetFormatError, match=expected[field]):
         dm.load(path)
