@@ -26,9 +26,11 @@ for kind, model_cfg in (
     train_cfg = learned.TrainConfig(epochs=4, seed=0)
     checkpoints, traces = learned.train(model_cfg, train_set, train_cfg)
     # per-epoch test SSIM: score each epoch's checkpoint under fixed per-volume masks
-    test_ssim = [learned.evaluate_checkpoint(ck, test_set, train_cfg.seed)[0]
-                 for ck in checkpoints[1:]]
-    n_params = learned.parameter_count(model_cfg)
+    scores, _ = learned.evaluate_params(model_cfg, [ck.params for ck in checkpoints[1:]],
+                                        test_set, train_cfg.seed, kspace.ACCELERATION,
+                                        kspace.CENTER_FRACTION, False)
+    test_ssim = dm.column_means(scores)
+    n_params = learned.construct_model(model_cfg).size
     print(f"{kind}: {n_params} parameters")
     print(f"  train loss per epoch: {[round(v, 3) for v in traces['train_loss']]}")
     print(f"  test SSIM per epoch:  {[round(v, 3) for v in test_ssim]}")

@@ -12,7 +12,6 @@ data carriers and safe to share.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,12 +53,11 @@ class _Node:
         self.shape = shape
 
 
-_ACTIVE = threading.local()
+_ACTIVE: list["Tape"] = []  # the open tapes, innermost last
 
 
 def _active_tape():
-    stack = getattr(_ACTIVE, "stack", None)
-    return stack[-1] if stack else None
+    return _ACTIVE[-1] if _ACTIVE else None
 
 
 class Tape:
@@ -69,13 +67,11 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self):
-        if not hasattr(_ACTIVE, "stack"):
-            _ACTIVE.stack = []
-        _ACTIVE.stack.append(self)
+        _ACTIVE.append(self)
         return self
 
     def __exit__(self, *exc):
-        _ACTIVE.stack.pop()
+        _ACTIVE.pop()
         return False
 
     def leaf(self, data) -> Tensor:

@@ -119,16 +119,18 @@ def cmd_eval(args) -> int:
     ck = learned.Checkpoint.load(args.checkpoint)
     dataset = datamod.load(args.dataset)
     _check_runs_on(ck.config, dataset)
-    mean, _, fallback = learned.evaluate_checkpoint(
-        ck, dataset, args.seed or 0, args.acceleration, normalize=args.normalize)
+    scores, fallback = learned.evaluate_params(ck.config, [ck.params], dataset, args.seed or 0,
+                                               args.acceleration, kspace.CENTER_FRACTION,
+                                               args.normalize)
     lines = ["model_id,checkpoint_epoch,test_set,metric,value"]
-    lines.append(f"{ck.config.kind},{ck.epoch},{dataset.name},ssim,{mean!r}")
+    lines.append(f"{ck.config.kind},{ck.epoch},{dataset.name},ssim,"
+                 f"{datamod.column_means(scores)[0]!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         out = _out_dir(args)
         (out / "eval.csv").write_text(text)
     sys.stdout.write(text)
-    if fallback:
+    if fallback[0]:
         print("note: normalization fell back to mean-only on some items", file=sys.stderr)
     return 0
 

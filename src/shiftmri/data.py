@@ -43,7 +43,8 @@ class ChecksumError(DatasetFormatError):
 def from_fields(cls, d: dict):
     """Build the dataclass `cls` from a JSON object keyed by its field names,
     each value read by its field's annotation (`_read`). Defaults live only on
-    the dataclass; a missing required key or an unknown key raises TypeError."""
+    the dataclass; a missing required key or an unknown key raises TypeError naming
+    where it sits."""
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
     return _read(cls, d, cls.__name__)
@@ -51,10 +52,11 @@ def from_fields(cls, d: dict):
 
 def _read(tp, value, where: str):
     """`value` read as the annotation `tp`: `X | None`, `list[X]`, a tuple from a JSON
-    list (of its length if fixed), `dict[K, V]`, a dataclass from a JSON object, a plain
-    type, or a `Literal` as its choices' type. An int passes as a float and becomes one;
-    a bool is never a number. Any other value raises TypeError naming `where`. An error
-    of a dataclass's own checks that names `Class.field` is raised again naming `where`."""
+    list (of its length if fixed), `dict[K, V]`, a dataclass from a JSON object of its
+    fields (every required one, no other), a plain type, or a `Literal` as its choices'
+    type. An int passes as a float and becomes one; a bool is never a number. Any other
+    value raises TypeError naming `where`. An error of a dataclass's own checks that
+    names `Class.field` is raised again naming `where`."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is typing.Literal:
         return _read(type(args[0]), value, where)
@@ -71,11 +73,15 @@ def _read(tp, value, where: str):
         return {_read(args[0], k, where): _read(args[1], v, f"{where}[{k!r}]")
                 for k, v in _read(dict, value, where).items()}
     if is_dataclass(tp):
-        hints = typing.get_type_hints(tp)
-        fields_read = {k: _read(hints[k], v, f"{where}.{k}") if k in hints else v
-                       for k, v in _read(dict, value, where).items()}
+        value, hints = _read(dict, value, where), typing.get_type_hints(tp)
+        for k in value:
+            if k not in hints:
+                raise TypeError(f"{where} got an unexpected keyword argument '{k}'")
+        for f in fields(tp):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise TypeError(f"{where} lacks the required key '{f.name}'")
         try:
-            return tp(**fields_read)
+            return tp(**{k: _read(hints[k], v, f"{where}.{k}") for k, v in value.items()})
         except (TypeError, ValueError) as e:
             if where == tp.__name__ or not str(e).startswith(f"{tp.__name__}."):
                 raise
@@ -340,7 +346,7 @@ def small_lesion_fits(h: int, w: int) -> bool:
     return SCOREABLE_MIN_SIDE**2 <= 0.01 * h * w
 
 
-def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str = "small"):
+def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str):
     """Add a smooth elliptical intensity anomaly of LESION_AMPLITUDE inside an
     annotated box whose sides are at least SCOREABLE_MIN_SIDE.
 
@@ -389,7 +395,7 @@ def insert_lesion(image: np.ndarray, rng: np.random.Generator, size_class: str =
     return out, ann
 
 
-def add_lesions(dataset: Dataset, seed: int, size_class: str = "small") -> Dataset:
+def add_lesions(dataset: Dataset, seed: int, size_class: str) -> Dataset:
     """Lesion-bearing copy of a dataset, one annotated lesion per item."""
     items = []
     for idx, it in enumerate(dataset.items):

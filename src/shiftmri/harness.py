@@ -48,7 +48,7 @@ OVERFIT_EPS = 1e-3  # trailing-window in-distribution gain below which training 
 OVERFIT_DELTA = 0.0  # out-of-distribution drop from its peak above which overfitting is detected
 
 
-def detect_distributional_overfitting(id_trace, ood_trace, window: int = 3) -> OverfitVerdict:
+def detect_distributional_overfitting(id_trace, ood_trace, window: int) -> OverfitVerdict:
     """Scan per-epoch traces for the late-training regime where the
     out-of-distribution metric falls off its peak while the in-distribution
     metric only inches forward.
@@ -316,7 +316,7 @@ def select_best_source(sources: list[datamod.Dataset], target_test: datamod.Data
     specialists = [learned.train(model_config, src, train_config)[0] for src in sources]
     scores, _ = learned.evaluate_params(model_config, [cks[-1].params for cks in specialists],
                                         target_test, mask_seed, train_config.acceleration,
-                                        train_config.center_fraction)
+                                        train_config.center_fraction, False)
     means = datamod.column_means(scores)
     return int(np.argmax(means)), specialists, means
 
@@ -455,7 +455,7 @@ def _tpl_finetune_ablation(cfg: ExperimentConfig, outdir: Path):
     runs = [("P", parent_train.name, parent)]
     tc = replace(cfg.train, seed=cfg.seed)
     for k, (ttrain, _) in target_data.items():
-        cks, _ = learned.finetune(parent, ttrain, tc)
+        cks, _ = learned.train(parent.config, ttrain, tc, parent)
         learned.save_checkpoints(cks, checkpoint_dir(outdir, f"P_{k}"))
         runs.append((f"P_{k}", f"{parent_train.name}->{ttrain.name}", cks[-1]))
     return _eval_records(cfg, runs, tests, cfg.seed), {}, {"targets": sorted(cfg.distributions)}
@@ -535,8 +535,7 @@ def paired(records: list[EvalRecord], model_id: str, id_set: str, ood_set: str):
 
 
 def emit_report(records: list[EvalRecord], fits: dict[str, metrics.RobustnessFit],
-                path: str | Path, details: dict | None = None,
-                config_json: str | None = None) -> dict[str, str]:
+                path: str | Path, details: dict, config_json: str) -> dict[str, str]:
     """Write records.csv, fits.json, details.json and manifest.json.
 
     Byte-stable: identical inputs produce identical files. Returns the file
@@ -550,7 +549,7 @@ def emit_report(records: list[EvalRecord], fits: dict[str, metrics.RobustnessFit
         "records.csv": records_to_csv(records),
         "fits.json": json.dumps({k: f.to_dict() for k, f in sorted(fits.items())},
                                 sort_keys=True, indent=1),
-        "details.json": json.dumps(details or {}, sort_keys=True, indent=1),
+        "details.json": json.dumps(details, sort_keys=True, indent=1),
     }
     hashes = {}
     for name, text in files.items():
@@ -558,8 +557,7 @@ def emit_report(records: list[EvalRecord], fits: dict[str, metrics.RobustnessFit
         hashes[name] = hashlib.sha256(text.encode()).hexdigest()
     manifest = {
         "complete": True,
-        "config_sha256": (hashlib.sha256(config_json.encode()).hexdigest()
-                          if config_json else None),
+        "config_sha256": hashlib.sha256(config_json.encode()).hexdigest(),
         "files": hashes,
     }
     (path / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1))

@@ -209,7 +209,7 @@ SENSITIVITY_SMOOTHNESS = 3.0  # low-pass cutoff of the coil maps; lower is smoot
 
 
 def simulate_sensitivities(height: int, width: int, coils: int,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
+                           rng: np.random.Generator) -> np.ndarray:
     """Low-pass complex random fields, jointly normalized to sum |S_i|^2 = 1.
 
     A constant per-coil phasor keeps the joint magnitude bounded away from
@@ -217,7 +217,6 @@ def simulate_sensitivities(height: int, width: int, coils: int,
     """
     if coils < 1:
         raise ValueError("coils must be >= 1")
-    rng = rng or np.random.default_rng(0)
     maps = np.empty((coils, height, width), dtype=np.complex128)
     for i in range(coils):
         anchor = 2.0 * np.exp(2j * np.pi * i / coils)

@@ -76,6 +76,8 @@ class TrainConfig:
 
     def __post_init__(self):
         datamod.check_fields(self)
+        if self.accelerations is not None and not self.accelerations:
+            raise ValueError("TrainConfig.accelerations must not be empty")
 
 
 def learning_rate_at(step: int, total_steps: int) -> float:
@@ -116,8 +118,8 @@ class _Layout:
         ends = list(itertools.accumulate(math.prod(s) for s in self.param_shapes))
         return [v.reshape(s) for v, s in zip(np.split(theta, ends[:-1]), self.param_shapes)]
 
-    def _add_conv(self, name, cout, cin, k=3):
-        self.layer_shapes.append((f"{name}.w", (cout, cin, k, k)))
+    def _add_conv(self, name, cout, cin):
+        self.layer_shapes.append((f"{name}.w", (cout, cin, 3, 3)))  # every conv is 3x3
         self.layer_shapes.append((f"{name}.b", (cout,)))
 
 
@@ -258,10 +260,6 @@ def construct_model(config: ModelConfig):
     return UnetLite(config) if config.kind == "unet_lite" else VarnetLite(config)
 
 
-def parameter_count(config: ModelConfig) -> int:
-    return construct_model(config).size
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints.
 # ---------------------------------------------------------------------------
@@ -388,20 +386,26 @@ def train_extents(train_set: datamod.Dataset) -> tuple[int, int]:
 
 
 def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainConfig,
-          init_params: np.ndarray | None = None,
-          provenance: list[str] | None = None):
+          parent: Checkpoint | None = None):
     """Train on simulated measurements, one item and a fresh mask per step.
 
+    Starts from the model's initialization, or fine-tunes from the parameters
+    of a `parent` checkpoint of the same model config, extending its
+    provenance chain by its training-set fingerprint.
+
     Returns (checkpoints, {"train_loss": per-epoch mean loss}): one checkpoint
-    per epoch, index 0 being the initialization. Per-epoch test scores come
+    per epoch, index 0 being the starting point. Per-epoch test scores come
     from evaluating the checkpoints.
     """
+    if parent is not None and parent.config != model_config:
+        raise ValueError(f"parent checkpoint's config {parent.config} is not {model_config}")
     extents = train_extents(train_set)
     model = construct_model(model_config)
-    theta = np.array(model.init_params() if init_params is None else init_params,
+    theta = np.array(model.init_params() if parent is None else parent.params,
                      dtype=np.float64)
     if theta.shape != (model.size,):
         raise ValueError(f"{theta.size} parameters given, config has {model.size}")
+    provenance = [] if parent is None else [*parent.provenance, parent.fingerprint]
     fingerprint = datamod.content_hash(train_set)
     opt = _Optimizer(model.size)
     n = len(train_set.items)
@@ -410,7 +414,7 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
     def snapshot(epoch):
         return Checkpoint(model_config, theta.copy(), epoch, fingerprint,
                           {"seed": config.seed, "epochs_completed": epoch},
-                          extents, list(provenance or []))
+                          extents, list(provenance))
 
     checkpoints = [snapshot(0)]
     loss_trace: list[float] = []
@@ -450,13 +454,6 @@ def train(model_config: ModelConfig, train_set: datamod.Dataset, config: TrainCo
     return checkpoints, {"train_loss": loss_trace}
 
 
-def finetune(checkpoint: Checkpoint, new_set: datamod.Dataset, config: TrainConfig):
-    """Continue training from a checkpoint on a new dataset."""
-    chain = checkpoint.provenance + [checkpoint.fingerprint]
-    return train(checkpoint.config, new_set, config,
-                 init_params=checkpoint.params, provenance=chain)
-
-
 # ---------------------------------------------------------------------------
 # Inference and evaluation.
 # ---------------------------------------------------------------------------
@@ -477,8 +474,8 @@ def infer(checkpoint: Checkpoint, y: np.ndarray, sens: np.ndarray,
 
 
 def evaluate_params(model_config: ModelConfig, params: list[np.ndarray], dataset: datamod.Dataset,
-                    mask_seed: int, acceleration: float = kspace.ACCELERATION,
-                    center_fraction: float = kspace.CENTER_FRACTION, normalize: bool = False):
+                    mask_seed: int, acceleration: float, center_fraction: float,
+                    normalize: bool):
     """SSIM of each parameter vector in `params` on every item of a dataset,
     one per-volume-mask measurement per item (`data.score`). Returns (items x
     vectors SSIM matrix, per-vector flag: normalization fell back on an item)."""
@@ -493,12 +490,3 @@ def evaluate_params(model_config: ModelConfig, params: list[np.ndarray], dataset
     scores = datamod.score(dataset, [_runner(model, theta) for theta in params], mask_seed,
                            acceleration, center_fraction, datamod.EVAL_NOISE_TAG, metric)
     return scores, [any(fell_back[j :: len(params)]) for j in range(len(params))]
-
-
-def evaluate_checkpoint(checkpoint: Checkpoint, dataset: datamod.Dataset, mask_seed: int,
-                        acceleration: float = kspace.ACCELERATION,
-                        center_fraction: float = kspace.CENTER_FRACTION, normalize: bool = False):
-    """(mean ssim, per-item ssims, normalization-fallback flag) of one checkpoint."""
-    scores, fallback = evaluate_params(checkpoint.config, [checkpoint.params], dataset,
-                                       mask_seed, acceleration, center_fraction, normalize)
-    return datamod.column_means(scores)[0], scores[:, 0].tolist(), fallback[0]

@@ -197,7 +197,7 @@ def check_patch_fits(shape) -> None:
         raise ValueError(f"patch_size {PATCH_SIZE} exceeds extents {shape}")
 
 
-def extract_features(dataset, seed: int = 0) -> np.ndarray:
+def extract_features(dataset, seed: int) -> np.ndarray:
     """One unit-norm feature vector per item from seeded local patches.
 
     Patches with standard deviation below NOISE_FLOOR count as background and
@@ -279,7 +279,7 @@ class RobustnessFit:
 
 def effective_robustness_fit(
     baseline: Sequence[tuple[float, float]],
-    candidates: Sequence[tuple[float, float]] = (),
+    candidates: Sequence[tuple[float, float]],
 ) -> RobustnessFit:
     """OLS line of ood vs id over the baseline; candidate residuals above it."""
     if len(baseline) < 2:

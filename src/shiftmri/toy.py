@@ -189,7 +189,7 @@ def _score(world: SubspaceWorld, estimators, which: str, count: int,
     return [(float(e.mean()), float(e.std(ddof=1) / np.sqrt(count))) for e in errors]
 
 
-def mse_table(world: SubspaceWorld, count: int = 100_000, seed: int = 0) -> dict:
+def mse_table(world: SubspaceWorld, count: int, seed: int) -> dict:
     """All six MSE values: three estimators evaluated on P and on Q, all three
     on the same samples of each distribution."""
     w_pool = fit_linear(world, "mixture")

@@ -257,7 +257,7 @@ def test_criterion_08_metric_fixtures():
     assert metrics.laplacian_artifact_score(t, t) == 0.0
     ramp = np.arange(10.0)[:, None] * np.ones((1, 10)) * 0.3
     assert metrics.laplacian_artifact_score(np.zeros_like(ramp), ramp) < 1e-20
-    fit = metrics.effective_robustness_fit([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)])
+    fit = metrics.effective_robustness_fit([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)], [])
     assert abs(fit.slope - 0.5) < 1e-12
     assert abs(fit.intercept - 1.0 / 6.0) < 1e-12
     elapsed = time.time() - start
@@ -300,8 +300,9 @@ def test_criterion_09_similarity_methodology(monkeypatch):
         tr, _ = dm.train_test(src, 24, 8)
         cks, _ = learned.train(learned.ModelConfig("unet_lite", seed=0), tr,
                                learned.TrainConfig(epochs=6, seed=0))
-        mean, _, _ = learned.evaluate_checkpoint(cks[-1], ttest, 0)
-        ssims.append(mean)
+        scores, _ = learned.evaluate_params(cks[-1].config, [cks[-1].params], ttest, 0,
+                                            kspace.ACCELERATION, kspace.CENTER_FRACTION, False)
+        ssims.append(dm.column_means(scores)[0])
         feats = metrics.extract_features(tr, seed=0)
         sims.append(metrics.nn_similarity(tf, feats).mean)
     corr = metrics.pearson_corr(sims, ssims)
@@ -334,7 +335,10 @@ def test_criterion_10_joint_vs_separate_band():
         for mid, train_set in (("P", train_p), ("Q", train_q), ("U", union)):
             cks, _ = learned.train(mc, train_set, tc)
             for dist, test_set in tests.items():
-                mean, _, _ = learned.evaluate_checkpoint(cks[-1], test_set, seed)
+                scores, _ = learned.evaluate_params(mc, [cks[-1].params], test_set, seed,
+                                                    kspace.ACCELERATION, kspace.CENTER_FRACTION,
+                                                    False)
+                mean = dm.column_means(scores)[0]
                 if mid == dist:
                     specialist[dist].append(mean)
                 elif mid == "U":

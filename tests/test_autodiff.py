@@ -62,6 +62,18 @@ def test_backward_rejects_nonscalar_loss():
             ad.backward(tape, out)
 
 
+def test_nested_tapes_record_on_the_innermost():
+    with ad.Tape() as outer:
+        a = outer.leaf(np.ones(2))
+        with ad.Tape() as inner:
+            b = inner.leaf(np.ones(2))
+            ad.mul(b, b)
+        assert ad._active_tape() is outer
+        ad.mul(a, a)
+    assert ad._active_tape() is None
+    assert [n.op for n in outer.nodes] == [n.op for n in inner.nodes] == ["leaf", "mul"]
+
+
 def test_two_layer_conv_net_matches_finite_differences():
     rng = rng_for(2)
     x = rng.standard_normal((2, 6, 6)) + 0.3

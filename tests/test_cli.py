@@ -73,6 +73,28 @@ def test_train_and_eval_roundtrip(tmp_path, capsys):
     assert lines[1].startswith("unet_lite,1,")
 
 
+# SHA-256 of eval.csv for the 2-epoch checkpoint of a CLI training on 3 items,
+# scored at R 6, taken when `eval` scored through `learned.evaluate_checkpoint`
+EVAL_CSV_SHA256 = {
+    "plain": "e9a64790af55a15e46010d1667163880236add91ad32bb15db3f71fe37bbe18b",
+    "normalize": "1bde42a323675a404540c4c61a0c4949f054fa42759dfff0fa0e5d215ff1e17b",
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalize"])
+def test_eval_csv_keeps_its_bytes(tmp_path, flags):
+    data_dir = gen_dataset(tmp_path, count=3)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"dataset": str(data_dir), "model": {"channels": 4},
+                                  "train": {"epochs": 2, "seed": 3}}))
+    assert cli.main(["--out", str(tmp_path / "ckpts"), "train", "--config", str(config)]) == 0
+    assert cli.main(["eval", "--checkpoint", str(tmp_path / "ckpts" / "epoch_002.ckpt"),
+                     "--dataset", str(data_dir), "--acceleration", "6", "--seed", "2", *flags,
+                     "--out", str(tmp_path / "o")]) == 0
+    digest = hashlib.sha256((tmp_path / "o" / "eval.csv").read_bytes()).hexdigest()
+    assert digest == EVAL_CSV_SHA256["normalize" if flags else "plain"]
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_model_that_cannot_run_at_dataset_extents_exits_2_before_writing(tmp_path, capsys,
                                                                         command):
@@ -144,7 +166,7 @@ def test_dataset_extents_a_command_cannot_run_at_exit_2_before_work(tmp_path, ca
         argv = ["tune-lambda", "--dataset", str(data_dir), "--grid", "1e-3"]
     else:
         argv = ["similarity", "--train-dataset", str(data_dir), "--test-dataset", str(data_dir)]
-    for module, name in ((learned, "train"), (learned, "evaluate_checkpoint"),
+    for module, name in ((learned, "train"), (learned, "evaluate_params"),
                          (cli, "tune_lambda"), (metrics, "extract_features")):
         monkeypatch.setattr(module, name, None)  # any training, solve or extraction would raise
     capsys.readouterr()

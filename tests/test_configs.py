@@ -520,6 +520,44 @@ def test_nested_section_error_names_its_place(tmp_path, capsys, monkeypatch, cha
     assert not (tmp_path / "o").exists()
 
 
+# an unknown or missing key is named by where it sits, as a bad value is
+KEY_ERRORS = {
+    "train-unknown": ({"train": {"beta1": 0.9}},
+                      "ExperimentConfig.train got an unexpected keyword argument 'beta1'"),
+    "top-level-unknown": ({"trian": {"epochs": 1}},
+                          "ExperimentConfig got an unexpected keyword argument 'trian'"),
+    "P-missing": ({"distributions": {"P": {"coils": 2}, "Q": {"name": "Q"}}},
+                  "ExperimentConfig.distributions['P'] lacks the required key 'name'"),
+}
+
+
+@pytest.mark.parametrize("changes, says", KEY_ERRORS.values(), ids=list(KEY_ERRORS))
+def test_unknown_or_missing_key_names_its_place(tmp_path, capsys, monkeypatch, changes, says):
+    config = {**MINIMAL_EXPERIMENT, **changes}
+    with pytest.raises(harness.ConfigError) as caught:
+        harness.ExperimentConfig.from_dict(config)
+    assert str(caught.value) == says
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    rc, err = _cli(tmp_path, capsys, "run", "--config", _write(tmp_path, "exp.json", config))
+    assert (rc, err) == (2, [f"error: {says}"])
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_train_accelerations_exit_2_before_data(tmp_path, capsys, monkeypatch):
+    # an empty list once read as () and trained at train.acceleration without a word
+    with pytest.raises(ValueError, match=r"^TrainConfig\.accelerations must not be empty$"):
+        learned.TrainConfig(accelerations=())
+    monkeypatch.setattr(dm, "generate", None)  # any data generation would raise
+    monkeypatch.setattr(dm, "load", None)  # and so would reading the dataset
+    config = {**MINIMAL_EXPERIMENT, "train": {"accelerations": []}}
+    rc, err = _cli(tmp_path, capsys, "run", "--config", _write(tmp_path, "exp.json", config))
+    assert (rc, err) == (2, ["error: ExperimentConfig.train.accelerations must not be empty"])
+    config = {"dataset": str(tmp_path / "none"), "train": {"accelerations": []}}
+    rc, err = _cli(tmp_path, capsys, "train", "--config", _write(tmp_path, "train.json", config))
+    assert (rc, err) == (2, ["error: TrainJob.train.accelerations must not be empty"])
+    assert not (tmp_path / "o").exists()
+
+
 def test_int_becomes_float_where_a_float_is_declared():
     # these values reach dataset manifests, content hashes and details.json
     spec = dm.from_fields(dm.DistributionSpec, {"name": "P", "snr_db": 30})

@@ -312,7 +312,7 @@ def test_add_lesions_scoreable_boxes():
 
 def test_save_load_roundtrip(tmp_path):
     ds = dm.generate(spec(11), 3)
-    lesioned = dm.add_lesions(dm.generate(spec(12, extents=(80, 80)), 1), 0)
+    lesioned = dm.add_lesions(dm.generate(spec(12, extents=(80, 80)), 1), 0, "small")
     for d in (ds, lesioned):
         out = tmp_path / d.name
         dm.save(d, out)
@@ -391,7 +391,7 @@ def _edit_manifest(path, edit):
     {"row": "3", "col": 1.5, "height": None}, {"depth": 2},
 ], ids=["row", "col", "height", "area", "class", "several", "unknown"])
 def test_load_rejects_mistyped_lesion_annotation(tmp_path, lesion):
-    dm.save(dm.add_lesions(dm.generate(spec(12, extents=(80, 80)), 1), 0), tmp_path)
+    dm.save(dm.add_lesions(dm.generate(spec(12, extents=(80, 80)), 1), 0, "small"), tmp_path)
     _edit_manifest(tmp_path, lambda m: m["items"][0]["lesion"].update(lesion))
     named = rf"Manifest\.items\[0\]\.lesion.*({'|'.join(lesion)})"
     with pytest.raises(dm.DatasetFormatError, match=named):

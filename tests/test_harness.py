@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -150,7 +151,7 @@ def test_emit_report_byte_stable(tmp_path):
 
 def test_emit_report_rejects_empty():
     with pytest.raises(ValueError):
-        harness.emit_report([], {}, "/tmp/nowhere")
+        harness.emit_report([], {}, "/tmp/nowhere", {}, "{}")
 
 
 def test_records_csv_roundtrip(tmp_path):
@@ -251,8 +252,7 @@ def test_accel_combo_single_acceleration_reduces_to_plain_run(tmp_path):
     cks, _ = learned.train(learned.ModelConfig("unet_lite", channels=4, pool_levels=2,
                                                seed=0),
                            train_set, learned.TrainConfig(epochs=1, seed=0))
-    mean, _, _ = learned.evaluate_checkpoint(cks[-1], test_set, 0, 4, 0.08)
-    assert recs[0].value == pytest.approx(mean, abs=0)
+    assert recs[0].value == pytest.approx(_fresh_mean(cks[-1], test_set, 0, 4, 0.08), abs=0)
 
 
 def test_accel_combo_matrix(tmp_path):
@@ -268,7 +268,7 @@ def test_accel_combo_matrix(tmp_path):
     # every record equals a fresh evaluation of its saved checkpoint
     test_set = dm.train_test(cfg.distributions["P"], cfg.train_count, cfg.test_count)[1]
     for r in recs:
-        fresh, _, _ = learned.evaluate_checkpoint(
+        fresh = _fresh_mean(
             _saved_checkpoint(tmp_path, r.model_id, r.epoch), test_set, cfg.seed,
             float(r.test_set.split("@R")[1]), cfg.train.center_fraction)
         assert r.value == fresh, (r.model_id, r.test_set)
@@ -301,6 +301,13 @@ def _saved_checkpoint(outdir, model_id, epoch):
                                    / f"epoch_{epoch:03d}.ckpt")
 
 
+def _fresh_mean(ck, test_set, mask_seed, acceleration, center_fraction, normalize=False):
+    """Mean SSIM of one checkpoint scored on its own, as `shiftmri eval` scores it."""
+    scores, _ = learned.evaluate_params(ck.config, [ck.params], test_set, mask_seed,
+                                        acceleration, center_fraction, normalize)
+    return dm.column_means(scores)[0]
+
+
 def test_overfit_monitor_traces_equal_fresh_evaluations(tmp_path):
     cfg = harness.ExperimentConfig.from_dict(
         _base_config(template="overfit_monitor", train={"epochs": 4, "seed": 0}))
@@ -309,9 +316,8 @@ def test_overfit_monitor_traces_equal_fresh_evaluations(tmp_path):
     tests = {"id_trace": dm.train_test(cfg.distributions["P"], 4, 2)[1],
              "ood_trace": dm.train_test(cfg.distributions["Q"], 4, 2)[1]}
     for key, test_set in tests.items():
-        fresh = [learned.evaluate_checkpoint(_saved_checkpoint(tmp_path, "P", epoch),
-                                             test_set, cfg.seed, cfg.train.acceleration,
-                                             cfg.train.center_fraction)[0]
+        fresh = [_fresh_mean(_saved_checkpoint(tmp_path, "P", epoch), test_set, cfg.seed,
+                             cfg.train.acceleration, cfg.train.center_fraction)
                  for epoch in range(1, cfg.train.epochs + 1)]
         assert details[key] == fresh, key
 
@@ -375,7 +381,7 @@ def test_coil_shift_at_halved_center_band_matches_fresh_evaluations(tmp_path):
     recs = harness.parse_records_csv((tmp_path / "records.csv").read_text())
     assert len(recs) == 3 * 2
     for r in recs:
-        fresh, _, _ = learned.evaluate_checkpoint(
+        fresh = _fresh_mean(
             _saved_checkpoint(tmp_path, r.model_id, r.epoch), tests[r.test_set], cfg.seed,
             12, cfg.train.center_fraction, normalize=True)
         assert r.value == fresh, (r.model_id, r.test_set)
@@ -400,6 +406,43 @@ def test_finetune_ablation_matrix_includes_parent(tmp_path):
     # each model's checkpoints in a directory of its own
     assert sorted((tmp_path / "checkpoints").iterdir()) == sorted(
         harness.checkpoint_dir(tmp_path, m) for m in models)
+
+
+# SHA-256 of each fine-tuned checkpoint (epochs 0, 1 and 2 of P_Q1 and P_Q2) of a
+# 2-epoch finetune_ablation run, parameters and header (provenance included),
+# taken when fine-tuning was `learned.finetune`
+FINETUNED_SHA256 = {
+    "P_Q1/epoch_000.ckpt":
+        "637de7b6f0aac043b697c217f3b82a43e9148b885d98e3905849ea8508013a3f",
+    "P_Q1/epoch_001.ckpt":
+        "0aafc726e5c992eba8b4e5d32e883a0ac201a7c5ed1453942c11b6adbfe9b805",
+    "P_Q1/epoch_002.ckpt":
+        "66eba1890584571425ad8c66877244e716448bc7b39fe2709d9c95f24797e5e8",
+    "P_Q2/epoch_000.ckpt":
+        "03a4e3e02e331f1ad08413379f541910d4643cbabd83af524ce08dd7eca55ff7",
+    "P_Q2/epoch_001.ckpt":
+        "382a335d8018f2450d7a9205a997e87e2865b0266ce37417f3b4b697f87fb222",
+    "P_Q2/epoch_002.ckpt":
+        "14cf0f888b2db5ba1a048976f53a799053c7941fc9b1704c4adb8dc27f3bda66",
+}
+
+
+def test_finetune_ablation_checkpoints_keep_their_bytes(tmp_path):
+    cfg_d = _base_config(template="finetune_ablation", train={"epochs": 2, "seed": 0})
+    cfg_d["sources"] = [{"name": "S", "extents": [32, 32], "coils": 3, "snr_db": 30, "seed": 5}]
+    cfg_d["distributions"] = {
+        "Q1": {"name": "Q1", "extents": [32, 32], "coils": 3, "snr_db": 30, "seed": 6},
+        "Q2": {"name": "Q2", "extents": [32, 32], "coils": 3, "snr_db": 30, "seed": 7,
+               "contrast": {"kind": "gamma", "gamma": 2.0}},
+    }
+    harness.run_experiment(harness.ExperimentConfig.from_dict(cfg_d), tmp_path)
+    got = {f"{p.parent.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted((tmp_path / "checkpoints").glob("P_*/*.ckpt"))}
+    assert got == FINETUNED_SHA256
+    parent = learned.Checkpoint.load(tmp_path / "checkpoints" / "P" / "epoch_002.ckpt")
+    for name in got:
+        ck = learned.Checkpoint.load(tmp_path / "checkpoints" / name)
+        assert ck.provenance == [parent.fingerprint]
 
 
 def test_checkpoint_dir_names():
@@ -457,9 +500,8 @@ def test_diversity_template_fit_and_similarity(tmp_path, monkeypatch):
     assert len(records) == 2 * 3 * cfg.train.epochs
     for r in records:
         ck = _saved_checkpoint(tmp_path, r.model_id, r.epoch)
-        fresh, _, _ = learned.evaluate_checkpoint(ck, tests[r.test_set], cfg.seed,
-                                                  cfg.train.acceleration,
-                                                  cfg.train.center_fraction)
+        fresh = _fresh_mean(ck, tests[r.test_set], cfg.seed, cfg.train.acceleration,
+                            cfg.train.center_fraction)
         assert r.value == fresh, (r.model_id, r.epoch, r.test_set)
 
 

@@ -187,9 +187,9 @@ def test_same_seed_same_initial_parameters():
 
 
 def test_parameter_count_deterministic():
-    assert learned.parameter_count(UNET) == learned.parameter_count(UNET)
+    assert learned.construct_model(UNET).size == learned.construct_model(UNET).size
     bigger = learned.ModelConfig("unet_lite", channels=8, pool_levels=2, seed=1)
-    assert learned.parameter_count(bigger) > learned.parameter_count(UNET)
+    assert learned.construct_model(bigger).size > learned.construct_model(UNET).size
 
 
 def test_model_config_validation():
@@ -269,7 +269,7 @@ def test_split_views_the_vector_in_layer_order():
     assert [v.shape for v in views] == model.param_shapes
     assert all(np.shares_memory(v, theta) for v in views)
     assert np.concatenate([v.ravel() for v in views]).tobytes() == theta.tobytes()
-    assert learned.parameter_count(VARNET) == model.size == theta.size
+    assert learned.construct_model(VARNET).size == model.size == theta.size
 
 
 def test_train_zero_epochs_returns_init():
@@ -300,9 +300,18 @@ def test_train_reproducible_bitwise():
 
 def _epoch_trace(checkpoints, dataset, config):
     """Per-epoch mean SSIM of trained checkpoints under fixed per-volume masks."""
-    return [learned.evaluate_checkpoint(ck, dataset, config.seed, config.acceleration,
-                                        config.center_fraction)[0]
-            for ck in checkpoints[1:]]
+    scores, _ = learned.evaluate_params(checkpoints[0].config,
+                                        [ck.params for ck in checkpoints[1:]], dataset,
+                                        config.seed, config.acceleration,
+                                        config.center_fraction, False)
+    return dm.column_means(scores)
+
+
+def _mean_ssim(ck, dataset, mask_seed, acceleration=kspace.ACCELERATION):
+    """Mean SSIM of one checkpoint under fixed per-volume masks, as `shiftmri eval` scores it."""
+    scores, _ = learned.evaluate_params(ck.config, [ck.params], dataset, mask_seed, acceleration,
+                                        kspace.CENTER_FRACTION, False)
+    return dm.column_means(scores)[0]
 
 
 def test_train_monitor_traces_fixed_masks():
@@ -323,8 +332,8 @@ def test_varnet_training_never_degrades_at_full_sampling():
         cks, _ = learned.train(
             learned.ModelConfig("varnet_lite", cascades=2, denoiser_channels=4,
                                 seed=seed), ds, cfg)
-        init, _, _ = learned.evaluate_checkpoint(cks[0], ds, seed, acceleration=1.0)
-        final, _, _ = learned.evaluate_checkpoint(cks[-1], ds, seed, acceleration=1.0)
+        init = _mean_ssim(cks[0], ds, seed, acceleration=1.0)
+        final = _mean_ssim(cks[-1], ds, seed, acceleration=1.0)
         assert final >= init
 
 
@@ -374,7 +383,8 @@ def test_evaluate_rejects_non_finite_reconstruction():
     params = learned.construct_model(VARNET).init_params()
     params[0] = np.array(np.nan)  # first cascade's step size
     with pytest.raises(FloatingPointError, match="item 0"):
-        learned.evaluate_params(VARNET, [params], ds, 0)
+        learned.evaluate_params(VARNET, [params], ds, 0, kspace.ACCELERATION,
+                                kspace.CENTER_FRACTION, False)
 
 
 def _header_boundaries(raw):
@@ -442,7 +452,8 @@ def test_infer_and_evaluate_params_run_one_model(monkeypatch, config):
     for side in (32, 16, 48):
         ds = small_dataset(seed=side, count=2, extents=(side, side))
         scored.clear()
-        learned.evaluate_params(config, [ck.params], ds, 5)
+        learned.evaluate_params(config, [ck.params], ds, 5, kspace.ACCELERATION,
+                                kspace.CENTER_FRACTION, False)
         assert len(scored) == len(ds.items)
         for i, item in enumerate(ds.items):
             mask = kspace.mask_for_volume(side, 4, 0.08, 5, i)
@@ -526,7 +537,7 @@ def test_trained_checkpoints_keep_their_bytes(config):
 def test_finetune_zero_epochs_keeps_parameters():
     ds = small_dataset(seed=12)
     cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0))
-    f_cks, _ = learned.finetune(cks[-1], ds, learned.TrainConfig(epochs=0, seed=1))
+    f_cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=0, seed=1), parent=cks[-1])
     for a, b in zip(f_cks[0].params, cks[-1].params):
         np.testing.assert_array_equal(a, b)
     assert f_cks[0].provenance == [cks[-1].fingerprint]
@@ -538,7 +549,7 @@ def test_finetune_tiny_lr_traces_flat(monkeypatch):
     monkeypatch.setattr(learned, "LR_MAX", 1e-12)
     monkeypatch.setattr(learned, "LR_MIN", 1e-13)
     cfg = learned.TrainConfig(epochs=2, seed=0)
-    f_cks, _ = learned.finetune(cks[-1], ds, cfg)
+    f_cks, _ = learned.train(UNET, ds, cfg, parent=cks[-1])
     vals = _epoch_trace(f_cks, ds, cfg)
     assert len(vals) == 2
     assert max(vals) - min(vals) < 1e-6
@@ -550,9 +561,9 @@ def test_finetune_improves_target_metric():
                                  extents=(32, 32), coils=3, snr_db=30.0, seed=15)
     q_train, q_test = dm.train_test(q_spec, 12, 6)
     cks, _ = learned.train(UNET, parent_set, learned.TrainConfig(epochs=4, seed=0))
-    before, _, _ = learned.evaluate_checkpoint(cks[-1], q_test, 0)
-    f_cks, _ = learned.finetune(cks[-1], q_train, learned.TrainConfig(epochs=4, seed=0))
-    after, _, _ = learned.evaluate_checkpoint(f_cks[-1], q_test, 0)
+    before = _mean_ssim(cks[-1], q_test, 0)
+    f_cks, _ = learned.train(UNET, q_train, learned.TrainConfig(epochs=4, seed=0), parent=cks[-1])
+    after = _mean_ssim(f_cks[-1], q_test, 0)
     assert after > before
 
 
@@ -561,7 +572,7 @@ def test_finetune_rejects_mismatched_params():
     cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=0, seed=0))
     bad = learned.Checkpoint(VARNET, cks[0].params, 0, "x", {}, (32, 32))
     with pytest.raises(ValueError):
-        learned.finetune(bad, ds, learned.TrainConfig(epochs=1, seed=0))
+        learned.train(bad.config, ds, learned.TrainConfig(epochs=1, seed=0), parent=bad)
 
 
 def test_multi_acceleration_training_runs():
@@ -577,5 +588,17 @@ def test_train_rejects_parameter_count_mismatch(cut):
     ds = small_dataset(seed=18, count=1)
     params = learned.construct_model(UNET).init_params()
     params = params[:-1] if cut < 0 else np.append(params, params[-1])
+    parent = learned.Checkpoint(UNET, params, 0, "x", {}, (32, 32))
     with pytest.raises(ValueError, match="parameters given"):
-        learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0), init_params=params)
+        learned.train(UNET, ds, learned.TrainConfig(epochs=1, seed=0), parent=parent)
+
+
+def test_train_refuses_a_parent_of_another_config(monkeypatch):
+    ds = small_dataset(seed=18, count=1)
+    cks, _ = learned.train(UNET, ds, learned.TrainConfig(epochs=0, seed=0))
+    other = learned.ModelConfig("unet_lite", channels=4, pool_levels=2, seed=1)
+    assert learned.construct_model(other).size == cks[0].params.size  # only the seed differs
+    monkeypatch.setattr(ad, "Tape", None)  # any training step would raise
+    for config in (other, VARNET):
+        with pytest.raises(ValueError, match="parent checkpoint's config"):
+            learned.train(config, ds, learned.TrainConfig(epochs=1, seed=0), parent=cks[0])

@@ -278,13 +278,13 @@ def test_patch_check_refuses_exactly_what_extract_features_cannot_sample(shape):
     img = np.random.default_rng(15).random(shape) + 0.2
     if min(shape) >= metrics.PATCH_SIZE:
         metrics.check_patch_fits(shape)
-        assert metrics.extract_features([img]).shape == (1, 64)
+        assert metrics.extract_features([img], 0).shape == (1, 64)
         return
     message = re.escape(f"patch_size 12 exceeds extents {shape}")
     with pytest.raises(ValueError, match=message):
         metrics.check_patch_fits(shape)
     with pytest.raises(ValueError, match=message):
-        metrics.extract_features([img])
+        metrics.extract_features([img], 0)
 
 
 def test_nn_similarity_identical_sets():
@@ -336,7 +336,7 @@ def test_fit_candidate_on_line_zero_residual():
 
 def test_fit_matches_normal_equations():
     pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)]
-    fit = metrics.effective_robustness_fit(pts)
+    fit = metrics.effective_robustness_fit(pts, [])
     assert abs(fit.slope - 0.5) < 1e-12
     assert abs(fit.intercept - 1.0 / 6.0) < 1e-12
     slope_ref, intercept_ref = ols_reference(pts)
@@ -346,9 +346,9 @@ def test_fit_matches_normal_equations():
 
 def test_fit_degenerate_baseline_errors():
     with pytest.raises(ValueError):
-        metrics.effective_robustness_fit([(1.0, 0.0)])
+        metrics.effective_robustness_fit([(1.0, 0.0)], [])
     with pytest.raises(ValueError):
-        metrics.effective_robustness_fit([(1.0, 0.0), (1.0, 5.0)])
+        metrics.effective_robustness_fit([(1.0, 0.0), (1.0, 5.0)], [])
 
 
 def test_pearson_examples():
