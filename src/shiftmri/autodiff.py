@@ -463,44 +463,3 @@ def magnitude_2ch(x: Tensor) -> Tensor:
 
     return _record_op("magnitude-2ch", mag, [x], bw)
 
-
-# ---------------------------------------------------------------------------
-# Gradient checking.
-# ---------------------------------------------------------------------------
-
-
-def grad_check(fn, params: Sequence[np.ndarray], h: float = 1e-5) -> float:
-    """Max relative error of analytic vs central-difference gradients.
-
-    `fn(leaves)` must deterministically map a list of leaf tensors to a scalar
-    tensor. Returns 0.0 for a closure with no parameters.
-    """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    params = [np.asarray(p, dtype=np.float64) for p in params]
-    if not params:
-        return 0.0
-    with Tape() as tape:
-        leaves = [tape.leaf(p) for p in params]
-        loss = fn(leaves)
-        grads = backward(tape, loss)
-    analytic = [grads[leaf.node_id].data for leaf in leaves]
-
-    def eval_at(arrays) -> float:
-        value = fn([Tensor(a) for a in arrays])
-        return float(value.data)
-
-    worst = 0.0
-    for k, p in enumerate(params):
-        for idx in np.ndindex(p.shape):
-            plus = [q.copy() for q in params]
-            minus = [q.copy() for q in params]
-            plus[k][idx] += h
-            minus[k][idx] -= h
-            fd = (eval_at(plus) - eval_at(minus)) / (2.0 * h)
-            a = float(analytic[k][idx])
-            if not np.isfinite(fd) or not np.isfinite(a):
-                raise FloatingPointError("non-finite value in gradient check")
-            err = abs(a - fd) / max(1e-8, abs(fd))
-            worst = max(worst, err)
-    return worst

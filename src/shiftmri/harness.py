@@ -227,15 +227,15 @@ def _seeded(spec: datamod.DistributionSpec, seed: int) -> datamod.DistributionSp
 
 
 def _eval_records(cfg: ExperimentConfig, runs: list[tuple[str, str, learned.Checkpoint]],
-                  test_sets: dict[str, datamod.Dataset], mask_seed: int,
-                  normalize: bool = False, acceleration: float | None = None) -> list[EvalRecord]:
+                  test_sets: dict[str, datamod.Dataset], mask_seed: int, acceleration: float,
+                  normalize: bool = False) -> list[EvalRecord]:
     """One record per (run, test set), in that order, for `runs` of (model_id, sources,
     checkpoint) of one model config, all scored in one pass per test set (`data.score`)."""
     means, flags = {}, {}
     for name, ds in test_sets.items():
         scores, fell_back = learned.evaluate_params(
             runs[0][2].config, [ck.params for _, _, ck in runs], ds, mask_seed,
-            acceleration or cfg.train.acceleration, cfg.train.center_fraction, normalize)
+            acceleration, cfg.train.center_fraction, normalize)
         means[name] = datamod.column_means(scores)
         flags[name] = ["normalize_fallback" if f else "normalized" if normalize else ""
                        for f in fell_back]
@@ -280,7 +280,8 @@ def _tpl_joint_vs_separate(cfg: ExperimentConfig, outdir: Path):
                  _fit(cfg, outdir, f"{model_id}-s{seed}", train_set, seed)[-1])
                 for model_id, train_set in (("P", train_p), ("Q", train_q),
                                             ("P+Q", union), ("P+Q-half", half))]
-        records += _eval_records(cfg, runs, {"P-test": test_p, "Q-test": test_q}, seed)
+        records += _eval_records(cfg, runs, {"P-test": test_p, "Q-test": test_q}, seed,
+                                 cfg.train.acceleration)
     for r in records:
         cells.setdefault((r.model_id, r.test_set), []).append(r.value)
     bands = {}
@@ -299,7 +300,8 @@ def _tpl_skewed(cfg: ExperimentConfig, outdir: Path):
     joint = datamod.combine([small_p, train_q])
     runs = [(model_id, train_set.name, _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1])
             for model_id, train_set in (("P-small", small_p), ("Q", train_q), ("P+Q", joint))]
-    return (_eval_records(cfg, runs, {"P-test": test_p, "Q-test": test_q}, cfg.seed), {},
+    return (_eval_records(cfg, runs, {"P-test": test_p, "Q-test": test_q}, cfg.seed,
+                          cfg.train.acceleration), {},
             {"small_set_size": len(small_p.items), "skew_factor": cfg.skew_factor})
 
 
@@ -343,7 +345,7 @@ def _tpl_diversity_robustness(cfg: ExperimentConfig, outdir: Path):
     tests = {"ID(P_best)-test": id_test, "Q-test": target_test}
     models = {"P_best": specialists[best_idx], "P-union": union_cks, "P+Q": both_cks}
     records = _eval_records(cfg, [(mid, mid, ck) for mid, cks in models.items()
-                                  for ck in cks[1:]], tests, cfg.seed)
+                                  for ck in cks[1:]], tests, cfg.seed, cfg.train.acceleration)
     pts = {mid: [(i.value, o.value) for i, o in paired(records, mid, *tests)]
            for mid in models}
     fit = metrics.effective_robustness_fit(pts["P_best"], pts["P-union"] + pts["P+Q"])
@@ -380,7 +382,7 @@ def _tpl_pathology(cfg: ExperimentConfig, outdir: Path):
     runs = [(model_id, train_set.name, _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1])
             for model_id, train_set in (("P", train_p),
                                         ("P+Q", datamod.combine([train_p, train_q])))]
-    ssim_records = _eval_records(cfg, runs, {"P-test": test_p}, cfg.seed)
+    ssim_records = _eval_records(cfg, runs, {"P-test": test_p}, cfg.seed, cfg.train.acceleration)
     region = datamod.score(test_q, [partial(learned.infer, ck) for _, _, ck in runs], cfg.seed,
                            cfg.train.acceleration, cfg.train.center_fraction,
                            datamod.EVAL_NOISE_TAG, lambda recon, target, item:
@@ -409,7 +411,7 @@ def _tpl_accel_combo(cfg: ExperimentConfig, outdir: Path):
     for r in dict.fromkeys(accels + unseen):
         at_r = [runs[mid] for mid, _, trained_at in models if r in trained_at + unseen]
         scored.update(((rec.model_id, r), rec) for rec in _eval_records(
-            cfg, at_r, {f"P-test@{_accel_label(r)}": test_set}, cfg.seed, acceleration=r))
+            cfg, at_r, {f"P-test@{_accel_label(r)}": test_set}, cfg.seed, r))
     records = [scored[mid, r] for mid, _, trained_at in models for r in trained_at + unseen]
     return records, {}, {"accelerations": accels}
 
@@ -422,7 +424,7 @@ def _tpl_coil_shift(cfg: ExperimentConfig, outdir: Path):
     runs = [(model_id, train_set.name, _fit(cfg, outdir, model_id, train_set, cfg.seed)[-1])
             for model_id, train_set in (("P", train_p), ("Q", train_q),
                                         ("P+Q", datamod.combine([train_p, train_q])))]
-    return (_eval_records(cfg, runs, tests, cfg.seed, normalize=True), {},
+    return (_eval_records(cfg, runs, tests, cfg.seed, cfg.train.acceleration, normalize=True), {},
             {"coils": {"P": p_spec.coils, "Q": q_spec.coils}})
 
 
@@ -431,7 +433,8 @@ def _tpl_overfit_monitor(cfg: ExperimentConfig, outdir: Path):
     _, test_q = datamod.train_test(cfg.distributions["Q"], cfg.train_count, cfg.test_count)
     cks = _fit(cfg, outdir, "P", train_p, cfg.seed)
     tests = {"P-test": test_p, "Q-test": test_q}
-    records = _eval_records(cfg, [("P", train_p.name, ck) for ck in cks[1:]], tests, cfg.seed)
+    records = _eval_records(cfg, [("P", train_p.name, ck) for ck in cks[1:]], tests, cfg.seed,
+                            cfg.train.acceleration)
     pairs = paired(records, "P", *tests)
     id_trace = [i.value for i, _ in pairs]
     ood_trace = [o.value for _, o in pairs]
@@ -458,7 +461,8 @@ def _tpl_finetune_ablation(cfg: ExperimentConfig, outdir: Path):
         cks, _ = learned.train(parent.config, ttrain, tc, parent)
         learned.save_checkpoints(cks, checkpoint_dir(outdir, f"P_{k}"))
         runs.append((f"P_{k}", f"{parent_train.name}->{ttrain.name}", cks[-1]))
-    return _eval_records(cfg, runs, tests, cfg.seed), {}, {"targets": sorted(cfg.distributions)}
+    return (_eval_records(cfg, runs, tests, cfg.seed, cfg.train.acceleration), {},
+            {"targets": sorted(cfg.distributions)})
 
 
 # name -> (template function, the inputs it reads: keys of `distributions` in
@@ -574,7 +578,7 @@ def run_experiment(config: ExperimentConfig, outdir: str | Path) -> Path:
         stage = config.template
         records, fits, details = fn(config, outdir)
         stage = "emit"
-        details = dict(details or {})
+        details = dict(details)
         details["template"] = config.template
         details["seed"] = config.seed
         emit_report(records, fits, outdir, details, config.canonical_json())

@@ -16,7 +16,8 @@ of conj(S_i) times ifft2c of the masked k-space.
 
 They also take a HybridEncoding, an Encoding bound to one measurement for
 one solve: FISTA runs on it, and VarNet forms its first image E^H y through
-it. Masks sample whole columns, so E = F_h M F_w S with F_h the centered
+it and prunes its tape DFT to the sampled columns with its `dft` and `idft`.
+Masks sample whole columns, so E = F_h M F_w S with F_h the centered
 transform along h, and since F_h is unitary the data term and its gradient
 need no pass along h:
 ||E x - y|| = ||B x - y_h|| and E^H (E x - y) = B^H (B x - y_h), with

@@ -7,9 +7,10 @@ unroll starts from A^H y, formed through one kspace.HybridEncoding as
 fista_l1 forms its first image. Both models are built from the autodiff op
 set; complex images live on the tape as 2-channel real tensors and
 multi-coil data as (2, coils, h, w) stacks. The Fourier transform inside the
-unroll is the exact centered unitary DFT realized as real constant matrix
-products on the 2-channel coil stack, so each cascade records one
-data-consistency graph whatever the coil count.
+unroll is the exact centered unitary DFT at the sampled k-space columns only
+(the HybridEncoding's pruned DFT), realized as real constant matrix products
+on the 2-channel coil stack, so each cascade records one data-consistency
+graph whatever the coil count.
 
 A model's parameters are one float64 vector in its layer order: training,
 the optimizer and checkpoints work on the whole vector, and `split` gives the
@@ -177,22 +178,30 @@ class UnetLite(_Layout):
 
 
 @functools.cache
-def _dft_constants(h: int, w: int, inverse: bool):
-    """Tape constants (Re F_h, Im F_h, Re F_w^T, Im F_w^T) for (h, w) planes,
-    the w-axis factors transposed into C order."""
-    fh, fw = (kspace.dft_matrix(n, inverse) for n in (h, w))
-    return tuple(ad.Tensor(m) for m in (fh.real, fh.imag, fw.T.real, fw.T.imag))
+def _dft_constants(n: int, inverse: bool):
+    """Tape constants (Re F, Im F) of the (n, n) centered unitary DFT or its inverse."""
+    f = kspace.dft_matrix(n, inverse)
+    return ad.Tensor(f.real), ad.Tensor(f.imag)
 
 
-def tape_fft2c(x: ad.Tensor, inverse: bool = False) -> ad.Tensor:
-    """Centered unitary 2D DFT of every (h, w) plane of a (2, h, w) or
-    (2, coils, h, w) tensor as real matrix products on the 2-channel tensor:
-    with F = Re F + i Im F, F x = (Re F) x + i (Im F) x, along h and then
-    along w, 6 tape nodes in all."""
-    h, w = x.shape[-2:]
-    fr_h, fi_h, frt_w, fit_w = _dft_constants(h, w, inverse)
-    x = ad.add_times_i(ad.matmul(fr_h, x), ad.matmul(fi_h, x))
-    return ad.add_times_i(ad.matmul(x, frt_w), ad.matmul(x, fit_w))
+def tape_fft2c(x: ad.Tensor, enc: kspace.HybridEncoding, inverse: bool = False) -> ad.Tensor:
+    """Centered unitary 2D DFT of every plane of a (2, h, w) or (2, coils, h, w)
+    tensor at the sampled columns of `enc` only, as real matrix products on
+    the 2-channel tensor: with F = Re F + i Im F, F x = (Re F) x + i (Im F) x,
+    6 tape nodes in all. The forward runs along w with `enc.dft`, giving
+    (..., h, n_sampled) planes, then along h; the inverse runs along h, then
+    along w with `enc.idft`, so it is ifft2c of the zero-filled k-space."""
+    fr_h, fi_h = _dft_constants(x.shape[-2], inverse)
+    m = enc.idft if inverse else enc.dft
+    mr, mi = ad.Tensor(m.real), ad.Tensor(m.imag)
+
+    def along_h(t):
+        return ad.add_times_i(ad.matmul(fr_h, t), ad.matmul(fi_h, t))
+
+    def along_w(t):
+        return ad.add_times_i(ad.matmul(t, mr), ad.matmul(t, mi))
+
+    return along_w(along_h(x)) if inverse else along_h(along_w(x))
 
 
 def _as2ch(z: np.ndarray) -> np.ndarray:
@@ -233,21 +242,19 @@ class VarnetLite(_Layout):
             raise ValueError(f"extents {(h, w)} too small")
 
     def reconstruct(self, params, y, sens, mask) -> ad.Tensor:
-        coils, h, w = y.shape
+        _, h, w = y.shape
         self.check_extents(h, w)
         op = kspace.HybridEncoding(sens, mask, y)  # checks coils too
         x = ad.Tensor(_as2ch(kspace.apply_adjoint(op.y_h, op)))  # E^H y, as fista_l1 starts
         s2 = ad.Tensor(_as2ch(op.sens))
         sc2 = ad.Tensor(_as2ch(op.conj))
-        mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64),
-                                          (2, coils, h, w)).copy())
-        minus_y = ad.Tensor(-_as2ch(y) * mask2.data)  # so the residual below is masked
+        minus_y = ad.Tensor(-_as2ch(y[..., op.cols]))  # only sampled columns are measured
         p = iter(params)
         for _ in range(self.config.cascades):
             eta = next(p)
-            k = tape_fft2c(ad.complex_mul_2ch(s2, x))
-            resid = ad.add(ad.mul(mask2, k), minus_y)
-            back = ad.complex_mul_2ch(sc2, tape_fft2c(resid, inverse=True))
+            k = tape_fft2c(ad.complex_mul_2ch(s2, x), op)
+            resid = ad.add(k, minus_y)
+            back = ad.complex_mul_2ch(sc2, tape_fft2c(resid, op, inverse=True))
             dc = ad.mul(eta, ad.coil_sum(back))
             d = ad.relu(ad.conv2d(x, next(p), next(p)))
             d = ad.relu(ad.conv2d(d, next(p), next(p)))

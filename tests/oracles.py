@@ -9,7 +9,8 @@ loop runs on the package's full k-space operators and Haar transform,
 the toy MSE table is scored on whole arrays with the package's estimators,
 the DFT matrices are the package's centered FFT of an identity, and the
 optimizer steps and clips one array per layer. The per-coil unroll's one op
-that no model records, `slice_channels`, lives here as a tape op.
+that no model records, `slice_channels`, lives here as a tape op, and so
+does `grad_check`, the finite-difference check of tape gradients.
 """
 
 import numpy as np
@@ -155,6 +156,43 @@ def slice_channels(x, lo, hi):
     return ad._record_op("slice-channels", x.data[lo:hi].copy(), [x], bw)
 
 
+def grad_check(fn, params, h: float = 1e-5) -> float:
+    """Max relative error of analytic vs central-difference gradients.
+
+    `fn(leaves)` must deterministically map a list of leaf tensors to a scalar
+    tensor. Returns 0.0 for a closure with no parameters.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    params = [np.asarray(p, dtype=np.float64) for p in params]
+    if not params:
+        return 0.0
+    with ad.Tape() as tape:
+        leaves = [tape.leaf(p) for p in params]
+        loss = fn(leaves)
+        grads = ad.backward(tape, loss)
+    analytic = [grads[leaf.node_id].data for leaf in leaves]
+
+    def eval_at(arrays) -> float:
+        value = fn([ad.Tensor(a) for a in arrays])
+        return float(value.data)
+
+    worst = 0.0
+    for k, p in enumerate(params):
+        for idx in np.ndindex(p.shape):
+            plus = [q.copy() for q in params]
+            minus = [q.copy() for q in params]
+            plus[k][idx] += h
+            minus[k][idx] -= h
+            fd = (eval_at(plus) - eval_at(minus)) / (2.0 * h)
+            a = float(analytic[k][idx])
+            if not np.isfinite(fd) or not np.isfinite(a):
+                raise FloatingPointError("non-finite value in gradient check")
+            err = abs(a - fd) / max(1e-8, abs(fd))
+            worst = max(worst, err)
+    return worst
+
+
 def _centered_dft_pair(n, inverse):
     """Real and imaginary parts of the centered unitary DFT matrix, as
     constant tensors; column j is the transform of the j-th unit vector."""
@@ -179,31 +217,66 @@ def _fft2c_per_plane(x, inverse=False):
     return ad.concat_channels([ad.reshape(re, (1, h, w)), ad.reshape(im, (1, h, w))])
 
 
-def varnet_per_coil_reference(config, params, y, sens, mask):
+def _pruned_fft2c_per_plane(x, op, inverse=False):
+    """learned.tape_fft2c of one (2, h, w) tensor (forward) or (2, h,
+    n_sampled) tensor (inverse) in real arithmetic on separate planes: the
+    sampled DFT columns op.dft along w then F_h along h, or F_h^H along h
+    then op.idft along w."""
+    fr_h, fi_h = _centered_dft_pair(x.shape[1], inverse)
+    m = op.idft if inverse else op.dft
+    mr, mi = ad.Tensor(m.real), ad.Tensor(m.imag)
+
+    def along_h(re, im):
+        return (ad.add(ad.matmul(fr_h, re), ad.scale(ad.matmul(fi_h, im), -1.0)),
+                ad.add(ad.matmul(fr_h, im), ad.matmul(fi_h, re)))
+
+    def along_w(re, im):
+        return (ad.add(ad.matmul(re, mr), ad.scale(ad.matmul(im, mi), -1.0)),
+                ad.add(ad.matmul(im, mr), ad.matmul(re, mi)))
+
+    plane = x.shape[1:]
+    re, im = (ad.reshape(slice_channels(x, c, c + 1), plane) for c in (0, 1))
+    re, im = along_w(*along_h(re, im)) if inverse else along_h(*along_w(re, im))
+    return ad.concat_channels([ad.reshape(t, (1, *t.shape)) for t in (re, im)])
+
+
+def varnet_per_coil_reference(config, params, y, sens, mask, full_dft=False):
     """VarnetLite.reconstruct with one data-consistency graph per coil: each
     cascade loops over the coils and adds their A^H(A x - y) terms in coil
     order, then applies the same denoiser and update. The first image A^H y
     is formed as VarnetLite forms it, through a HybridEncoding, so the two
-    differ only in the data-consistency graph."""
+    differ only in the data-consistency graph.
+
+    The transforms are pruned to the sampled columns, as VarnetLite's are;
+    with `full_dft` they are the dense 2D DFT of every column instead, with
+    the unsampled columns of k-space and of the residual multiplied by zero."""
     coils, h, w = y.shape
 
     def as2ch(z):
         return np.stack([np.real(z), np.imag(z)])
 
-    y2 = [ad.Tensor(as2ch(y[i])) for i in range(coils)]
+    op = kspace.HybridEncoding(sens, mask, y)
+    y2 = [ad.Tensor(as2ch(y[i] if full_dft else y[i][:, op.cols])) for i in range(coils)]
     s2 = [ad.Tensor(as2ch(sens[i])) for i in range(coils)]
     sc2 = [ad.Tensor(as2ch(np.conj(sens[i]))) for i in range(coils)]
     mask2 = ad.Tensor(np.broadcast_to(mask.sampled.astype(np.float64), (2, h, w)).copy())
-    op = kspace.HybridEncoding(sens, mask, y)
+
+    def coil_term(x, i):
+        if full_dft:
+            k = _fft2c_per_plane(ad.complex_mul_2ch(s2[i], x))
+            resid = ad.add(ad.mul(mask2, k), ad.scale(y2[i], -1.0))
+            return ad.complex_mul_2ch(sc2[i], _fft2c_per_plane(ad.mul(mask2, resid), True))
+        k = _pruned_fft2c_per_plane(ad.complex_mul_2ch(s2[i], x), op)
+        resid = ad.add(k, ad.scale(y2[i], -1.0))
+        return ad.complex_mul_2ch(sc2[i], _pruned_fft2c_per_plane(resid, op, True))
+
     x = ad.Tensor(as2ch(kspace.apply_adjoint(op.y_h, op)))
     p = iter(params)
     for _ in range(config.cascades):
         eta = next(p)
         adj = None
         for i in range(coils):
-            k = _fft2c_per_plane(ad.complex_mul_2ch(s2[i], x))
-            resid = ad.add(ad.mul(mask2, k), ad.scale(y2[i], -1.0))
-            back = ad.complex_mul_2ch(sc2[i], _fft2c_per_plane(ad.mul(mask2, resid), True))
+            back = coil_term(x, i)
             adj = back if adj is None else ad.add(adj, back)
         dc = ad.mul(eta, adj)
         d = ad.relu(ad.conv2d(x, next(p), next(p)))
@@ -271,17 +344,16 @@ def hybrid_fft_reference(sens, mask):
 
 # The DFT constants as built before kspace.dft_matrix: the centered FFT of an
 # identity, along its rows for HybridEncoding's sampled columns and their
-# conjugate transpose, and along its columns for the tape DFT's real factors
-# (Re F_h, Im F_h, Re F_w^T, Im F_w^T).
+# conjugate transpose, and along its columns for the tape DFT's h-axis real
+# factors (Re F_h, Im F_h).
 def hybrid_dft_reference(width, cols):
     dft = kspace.fft1c(np.eye(width), -1)[:, cols]
     return dft, np.ascontiguousarray(np.conj(dft).T)
 
 
-def tape_dft_reference(h, w, inverse):
-    dft1c = kspace.ifft1c if inverse else kspace.fft1c
-    fh, fw = (dft1c(np.eye(n, dtype=np.complex128), 0) for n in (h, w))
-    return fh.real, fh.imag, fw.T.real, fw.T.imag
+def tape_dft_reference(n, inverse):
+    fh = (kspace.ifft1c if inverse else kspace.fft1c)(np.eye(n, dtype=np.complex128), 0)
+    return fh.real, fh.imag
 
 
 # fista's former Haar transform: each level divides by sqrt(2) and joins its

@@ -14,7 +14,7 @@ import pytest
 import shiftmri.autodiff as ad
 from shiftmri import data as dm
 from shiftmri import fista, harness, kspace, learned, metrics, toy
-from oracles import (mask_counts_reference, overfit_scan_reference,
+from oracles import (grad_check, mask_counts_reference, overfit_scan_reference,
                      ssim_reference)
 from test_autodiff import OP_KINDS, _op_instances
 
@@ -114,7 +114,7 @@ def test_criterion_02_autodiff_finite_differences():
             out = model.reconstruct(leaves, y, sens, mask)
             return ad.ssim_loss(out, ad.Tensor(target), data_range)
 
-        results[kind] = ad.grad_check(loss_fn, params, h=1e-5)
+        results[kind] = grad_check(loss_fn, params, h=1e-5)
         assert results[kind] < 1e-4, kind
     elapsed = time.time() - start
     assert elapsed < 60.0

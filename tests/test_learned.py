@@ -7,7 +7,7 @@ import pytest
 import shiftmri.autodiff as ad
 from shiftmri import data as dm
 from shiftmri import kspace, learned
-from oracles import (OptimizerReference, clip_reference, global_norm_reference,
+from oracles import (OptimizerReference, clip_reference, global_norm_reference, grad_check,
                      tape_dft_reference, varnet_per_coil_reference)
 
 
@@ -137,39 +137,87 @@ def test_varnet_data_consistency_gradients_match_finite_differences():
         out = model.reconstruct(leaves, y, sens, mask)
         return ad.ssim_loss(out, ad.Tensor(target), float(target.max()))
 
-    assert ad.grad_check(loss_fn, params, h=1e-5) < 1e-4
+    assert grad_check(loss_fn, params, h=1e-5) < 1e-4
 
 
 def test_varnet_two_cascade_tape_length():
     # the first cascade's input is constant, so only the second cascade's two
     # transforms are on the tape: 6 nodes each (two matmuls and an add_times_i
     # per axis), 4 fewer than the 8 a complex product by i took, and the
-    # residual, already masked, takes one mask product, not two: 56 - 4 - 1
+    # residual takes no mask product, since the transforms are pruned to the
+    # sampled columns: 56 - 4 - 2
     model, params, y, sens, mask, target = _varnet_problem(3, seed=50, extents=(8, 8),
                                                            cascades=2)
-    assert _taped(lambda ls: model.reconstruct(ls, y, sens, mask), params, target)[2] == 51
+    assert _taped(lambda ls: model.reconstruct(ls, y, sens, mask), params, target)[2] == 50
+
+
+@pytest.mark.parametrize("coils", [1, 2, 8])
+def test_varnet_matches_full_dft_reference(coils):
+    """Pruning the transforms to the sampled columns moves the output and
+    the gradients by rounding only, against the dense DFT of every column
+    with the unsampled ones multiplied by zero."""
+    model, params, y, sens, mask, target = _varnet_problem(coils, seed=70 + coils)
+    out, grads, _ = _taped(lambda ls: model.reconstruct(ls, y, sens, mask), params, target)
+    ref_out, ref_grads, _ = _taped(lambda ls: varnet_per_coil_reference(
+        model.config, ls, y, sens, mask, full_dft=True), params, target)
+    assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+    # relative to the largest gradient: at one coil the first step size's is
+    # a rounding-level ghost, since that cascade's residual is zero
+    largest = max(np.max(np.abs(r)) for r in ref_grads)
+    for i, (g, r) in enumerate(zip(grads, ref_grads)):
+        assert np.max(np.abs(g - r)) <= 1e-12 * largest, i
+
+
+def _tape_encoding(shape, acceleration):
+    """A one-coil HybridEncoding at the planes of `shape` that samples every
+    column (acceleration 1) or a proper subset of them."""
+    h, w = shape[-2:]
+    mask = kspace.make_equispaced_mask(w, acceleration, 0.25, np.random.default_rng(1))
+    enc = kspace.HybridEncoding(np.ones((1, h, w)), mask, np.zeros((1, h, w)))
+    assert (len(enc.cols) == w) == (acceleration == 1)
+    return enc
+
+
+def _pruned(shape, enc):
+    return (*shape[:-1], len(enc.cols))
 
 
 @pytest.mark.parametrize("shape", [(2, 6, 10), (2, 3, 12, 8)])
 @pytest.mark.parametrize("inverse", [False, True])
 def test_tape_fft2c_matches_centered_fft(shape, inverse):
-    x = np.random.default_rng(len(shape) + 2 * inverse).standard_normal(shape)
-    got = learned.tape_fft2c(ad.Tensor(x), inverse=inverse).data
-    want = (kspace.ifft2c if inverse else kspace.fft2c)(x[0] + 1j * x[1])
-    err = np.max(np.abs(got[0] + 1j * got[1] - want))
-    assert err <= 1e-12 * np.max(np.abs(want))
+    """At every column and at a proper subset, the forward is fft2c at the
+    sampled columns and the inverse ifft2c of the zero-filled k-space."""
+    for acceleration in (1, 2):
+        enc = _tape_encoding(shape, acceleration)
+        rng = np.random.default_rng(len(shape) + 2 * inverse)
+        if inverse:
+            x = rng.standard_normal(_pruned(shape, enc))
+            zero_filled = np.zeros(shape[1:], dtype=np.complex128)
+            zero_filled[..., enc.cols] = x[0] + 1j * x[1]
+            want = kspace.ifft2c(zero_filled)
+        else:
+            x = rng.standard_normal(shape)
+            want = kspace.fft2c(x[0] + 1j * x[1])[..., enc.cols]
+        got = learned.tape_fft2c(ad.Tensor(x), enc, inverse=inverse).data
+        err = np.max(np.abs(got[0] + 1j * got[1] - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), acceleration
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 6), (2, 2, 6, 4)])
 @pytest.mark.parametrize("inverse", [False, True])
 def test_tape_fft2c_gradient_matches_finite_differences(shape, inverse):
-    rng = np.random.default_rng(7 + len(shape) + 2 * inverse)
-    weights = ad.Tensor(rng.standard_normal(shape))
+    for acceleration in (1, 2):  # every column, then a proper subset
+        enc = _tape_encoding(shape, acceleration)
+        pruned = _pruned(shape, enc)
+        in_shape, out_shape = (pruned, shape) if inverse else (shape, pruned)
+        rng = np.random.default_rng(7 + len(shape) + 2 * inverse)
+        weights = ad.Tensor(rng.standard_normal(out_shape))
 
-    def loss_fn(leaves):
-        return ad.reduce_mean(ad.mul(weights, learned.tape_fft2c(leaves[0], inverse=inverse)))
+        def loss_fn(leaves):
+            return ad.reduce_mean(ad.mul(weights, learned.tape_fft2c(leaves[0], enc,
+                                                                     inverse=inverse)))
 
-    assert ad.grad_check(loss_fn, [rng.standard_normal(shape)]) < 1e-4
+        assert grad_check(loss_fn, [rng.standard_normal(in_shape)]) < 1e-4, acceleration
 
 
 @pytest.mark.parametrize("y_coils,sens_coils", [(8, 4), (4, 8)])
@@ -417,11 +465,12 @@ def test_checkpoint_rejects_trailing_and_truncated_bytes():
 
 @pytest.mark.parametrize("h, w, inverse", [(32, 32, False), (32, 32, True), (16, 24, False)])
 def test_tape_dft_constants_equal_identity_fft_construction(h, w, inverse):
-    got = learned._dft_constants(h, w, inverse)
-    assert learned._dft_constants(h, w, inverse) is got
-    for t, want in zip(got, tape_dft_reference(h, w, inverse), strict=True):
-        assert t.data.flags.c_contiguous
-        assert t.data.tobytes() == np.ascontiguousarray(want).tobytes()
+    for n in (h, w):  # the pair is cached per size, whichever axis it is asked for
+        got = learned._dft_constants(n, inverse)
+        assert learned._dft_constants(n, inverse) is got
+        for t, want in zip(got, tape_dft_reference(n, inverse), strict=True):
+            assert t.data.flags.c_contiguous
+            assert t.data.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_training_measures_through_data_measure(monkeypatch):
@@ -517,14 +566,16 @@ def test_train_refuses_mixed_extents_before_its_first_step(monkeypatch):
 
 # SHA-256 of each checkpoint (epochs 0, 1 and 2) of a 2-epoch training on 4
 # items, taken when the recipe constants were TrainConfig fields defaulting to
-# the same values
+# the same values; varnet_lite's trained epochs re-taken when its transforms
+# were pruned to the sampled columns, which moved no parameter by more than
+# 3.4e-16
 TRAINED_SHA256 = {
     "unet_lite": ["bcf2017eda1ad7db7e3c22b8ee6751247fac7656d3f0025c70e4be01494f275c",
                   "6cbdc1a400bc4988f011c5769e7bf9597630e3ad4db2ee68f0b44a51239f9050",
                   "a02840bd936b5ce5de4b94f3922846c4fbe8b15023cc16fe2282eed78468f97d"],
     "varnet_lite": ["5bd2f92deae279fc36ea5ac348ada6fafa9e5565733347c4562c3ad1359718c3",
-                    "b6f6db67a8f3a23e7271c465738a0e864b57b833df99a3667093a185d0dd2487",
-                    "c7be7e46d9697fe6eda10b71723b9662124fb4f1cdeec2f471818bb1b91672e4"],
+                    "3e575e13ae942c3b59204cd174fc392d53b4463abc62c95f73e2de630821826f",
+                    "d60ca0b2248b2b6f68812f3b0b2efe87301b0a3b6bdd5328143dea568f57dea3"],
 }
 
 
